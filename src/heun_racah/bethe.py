@@ -10,7 +10,9 @@ proportional to U_r, and an extension term proportional to psi(u, p).
 The homogeneous regime (integer p_bar kills psi) solves U_r = 0; the
 generic inhomogeneous regime at p = N absorbs the extension term through
 the (N+1)-root reduction identity, adding tau-weighted corrections
-w^(i), U_r^(i).
+w^(i), U_r^(i).  ResidualKernel evaluates the cleared equations together
+with their closed-form Jacobian for the solver; the scalar maps stay the
+reference it is tested and certified against.
 
 Name clash warning: f1_W(v) below is the root-count-independent scalar of
 the W action and is distinct from the operator coefficient coeff_f1(u, m).
@@ -176,20 +178,60 @@ def eigenvalue_w(u, roots, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> 
     return acc
 
 
+class SwapWeight:
+    """g(v) = f1_W(v) xi(v, m), the weight of the swapped-root summands of U_r.
+
+    The removable factor (v - 1) of f1_W is cancelled against the xi pole:
+
+        g(v) = P(v) Q(v) / (8 v (delta + gamma - 2m + 2 - v)),
+        P(v) = 2 rho (rho-1) s1 - (rho v - rho + s2 + 1)(rho v - rho + s2 - 1),
+        Q(v) = ((v+N)^2 - (beta-gamma+delta)^2)
+               (beta^2 - (v-N-2-gamma-delta)^2) (delta + gamma - 2m + v),
+
+    so g is finite at v = +-1 and its only poles are the two in the
+    denominator.  Calling it returns (g(v), g'(v)).
+    """
+
+    def __init__(self, hp: HeunParams, rp: RacahParams, m):
+        g, d, bt, N = rp.gamma, rp.delta, rp.beta, rp.N
+        rho = hp.rho
+        self.rho = rho
+        self.p0 = 2 * rho * (rho - 1) * hp.s1
+        self.core0 = hp.s2 - rho
+        self.N = N
+        self.c1sq = (bt - g + d) ** 2
+        self.btsq = bt ** 2
+        self.c2 = N + 2 + g + d
+        self.c3 = d + g - 2 * m
+
+    def __call__(self, v) -> tuple[complex, complex]:
+        if abs(v) < POLE_FLOOR:
+            raise ParameterDomainError("swap weight pole: v = 0")
+        den = self.c3 + 2 - v
+        if abs(den) < POLE_FLOOR:
+            raise ParameterDomainError("swap weight pole: delta+gamma-2m+2 = v")
+        core = self.rho * v + self.core0
+        vn, vs = v + self.N, v - self.c2
+        # numerator factors and their derivatives, combined by the product rule
+        f1, f2, f3, f4 = (self.p0 - (core + 1) * (core - 1), vn * vn - self.c1sq,
+                          self.btsq - vs * vs, self.c3 + v)
+        f12, f34 = f1 * f2, f3 * f4
+        num = f12 * f34
+        dnum = (-2 * self.rho * core * f2 + 2 * vn * f1) * f34 \
+            + f12 * (f3 - 2 * vs * f4)
+        scale = 1 / (8 * v * den)
+        return num * scale, (dnum - num / v + num / den) * scale
+
+
 def _unwanted_summands(r: int, roots, hp: HeunParams, rp: RacahParams) -> list[complex]:
     p = len(roots)
     if not 1 <= r <= p:
         raise ParameterDomainError(f"root index r={r} outside 1..{p}")
+    weight = SwapWeight(hp, rp, hp.m_bar - p)
     out = []
     for eps in (1, -1):
         xr = eps * roots[r - 1]
-        fw = f1_W(xr, hp)
-        if fw == 0:
-            # exact zero factor short-circuits the term, so a root sitting
-            # on a zero of f1_W (e.g. x_r = 1) never touches the xi pole
-            out.append(0.0 + 0.0j)
-            continue
-        term = fw * vacuum_coeffs(xr, hp.m_bar - p, rp, hp.rho).xi
+        term = weight(xr)[0]
         for l in range(1, p + 1):
             if l != r:
                 term *= coeff_k1(xr, roots[l - 1])
@@ -317,7 +359,9 @@ def homogeneous_residuals(roots, hp: HeunParams, rp: RacahParams,
 # --------------------------------------------------------------------------
 # reduction of the (N+1)-root vector and the inhomogeneous terms
 
-def _tau_shared(roots, hp: HeunParams, rp: RacahParams):
+def _tau_shared(hp: HeunParams, rp: RacahParams):
+    """Root-independent parts of the tau coefficients: the prefactor, the
+    constant c of the (c^2 - x^2) factors, and the zeros z of (x^2 - z^2)."""
     N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
     m_bar = hp.m_bar
     pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
@@ -328,7 +372,8 @@ def _tau_shared(roots, hp: HeunParams, rp: RacahParams):
             raise ParameterDomainError(f"tau pole: dynamical denominator vanishes at k={k}")
         pref /= f1 * f2
     cpref = g + d - 2 * m_bar + 2 * N + 2
-    return pref, cpref
+    zeros = [bt - g + d - N + 2 * k for k in range(N + 1)]
+    return pref, cpref, zeros
 
 
 def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams,
@@ -338,11 +383,10 @@ def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams,
 
     Proven by direct computation for N <= 4; conjectural above.
     """
-    N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
+    N = rp.N
     if len(roots) != N:
         raise ParameterDomainError(f"reduction needs exactly N={N} roots, got {len(roots)}")
-    pref, cpref = _tau_shared(roots, hp, rp)
-    zeros = [bt - g + d - N + 2 * k for k in range(N + 1)]
+    pref, cpref, zeros = _tau_shared(hp, rp)
 
     tau_u = pref
     for x in roots:
@@ -456,6 +500,117 @@ def inhomogeneous_scales(roots, u, hp: HeunParams, rp: RacahParams,
     _, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx)
     return [unwanted_scale(r, roots, hp, rp) + abs(u_i[r - 1])
             for r in range(1, rp.N + 1)]
+
+
+class ResidualKernel:
+    """The cleared Bethe equations and their Jacobian in closed form.
+
+    Built once per solve from (hp, rp, p, mode), it holds every
+    root-independent constant of the residual map.  Calling it on p roots
+    returns (F, J): F[r] is U_{r+1}, plus U_{r+1}^(i) in inhomogeneous mode,
+    and J[r][j] = dF[r]/dx_j.  It agrees with homogeneous_residuals and
+    inhomogeneous_residuals, which stay the reference; U_r^(i) does not
+    depend on the auxiliary spectral point, so the kernel takes none.
+
+    Each summand is a product of rational factors, so the Jacobian follows
+    from their logarithmic derivatives.  With y = +-x_r and d_rl = x_r^2 - x_l^2,
+
+        k1(y, x_l) = 1 - 4 (y - 1) / d_rl,
+        U_r^(i) = C Z(x_r) prod_{k != r} (c^2 - x_k^2) / d_rk prod_k phi(x_k),
+
+    with C = tau prefactor * rho * lambda, Z(x) = prod_z (x^2 - z^2) over the
+    tau zeros and phi(x) = (a1^2 - rho^2 x^2) / (a3^2 - rho^2 x^2).  A factor
+    that is exactly zero raises ZeroDivisionError, which Newton treats as a
+    pole.
+    """
+
+    def __init__(self, hp: HeunParams, rp: RacahParams, p: int, mode: str):
+        if mode == INHOMOGENEOUS:
+            if p != rp.N:
+                raise ModeError(f"inhomogeneous mode needs p = N = {rp.N}, got {p}")
+            pref, cpref, zeros = _tau_shared(hp, rp)
+            lam, a1, a3 = _psi_brackets(p, hp, rp)
+            self.coef = pref * hp.rho * lam
+            self.csq = cpref * cpref
+            self.zsq = [z * z for z in zeros]
+            self.rho2 = hp.rho * hp.rho
+            self.a1sq, self.a3sq = a1 * a1, a3 * a3
+        elif mode != HOMOGENEOUS:
+            raise ModeError(f"unknown mode {mode!r}")
+        self.p = p
+        self.inhomogeneous = mode == INHOMOGENEOUS
+        self.weight = SwapWeight(hp, rp, hp.m_bar - p)
+
+    def __call__(self, roots) -> tuple[list[complex], list[list[complex]]]:
+        p = self.p
+        x = [complex(v) for v in roots]
+        if len(x) != p:
+            raise ModeError(f"residual kernel expects {p} roots, got {len(x)}")
+        weights = [(self.weight(v), self.weight(-v)) for v in x]
+        sq = [v * v for v in x]
+        inv = [[0j] * p for _ in range(p)]
+        for r in range(p):
+            for l in range(r):
+                d = sq[r] - sq[l]
+                if abs(d) < POLE_FLOOR:
+                    raise ParameterDomainError("residual kernel pole: x_r^2 = x_l^2")
+                inv[r][l] = 1 / d
+                inv[l][r] = -inv[r][l]
+
+        F = [0j] * p
+        J = [[0j] * p for _ in range(p)]
+        for r in range(p):
+            row, inv_r = J[r], inv[r]
+            for eps, (g, dg) in zip((1, -1), weights[r]):
+                y = eps * x[r]
+                prod, dlog_y = 1.0, 0j
+                dlog = [0j] * p
+                for l in range(p):
+                    if l == r:
+                        continue
+                    q = 4 * (y - 1) * inv_r[l]
+                    k = 1 - q
+                    prod *= k
+                    w = inv_r[l] / k
+                    dlog_y += w * (2 * y * q - 4)
+                    dlog[l] = -2 * x[l] * q * w
+                t = g * prod
+                F[r] += t
+                row[r] += eps * (dg * prod + t * dlog_y)
+                for l in range(p):
+                    if l != r:
+                        row[l] += t * dlog[l]
+        if self.inhomogeneous:
+            self._add_corrections(x, sq, inv, F, J)
+        return F, J
+
+    def _add_corrections(self, x, sq, inv, F, J):
+        """Add U_r^(i) and its derivatives to F and J."""
+        p, rho2 = self.p, self.rho2
+        psi, dlog_c, dlog_phi = 1.0, [], []
+        for v, s in zip(x, sq):
+            num, den = self.a1sq - rho2 * s, self.a3sq - rho2 * s
+            if abs(den) < POLE_FLOOR:
+                raise ParameterDomainError("residual kernel pole: a3^2 = rho^2 x^2")
+            psi *= num / den
+            dlog_phi.append(2 * rho2 * v * (1 / den - 1 / num))
+            dlog_c.append(-2 * v / (self.csq - s))
+        for r in range(p):
+            xr, inv_r = x[r], inv[r]
+            val, dlog_r = self.coef * psi, dlog_phi[r]
+            for zs in self.zsq:
+                val *= sq[r] - zs
+                dlog_r += 2 * xr / (sq[r] - zs)
+            for k in range(p):
+                if k != r:
+                    val *= (self.csq - sq[k]) * inv_r[k]
+                    dlog_r -= 2 * xr * inv_r[k]
+            F[r] += val
+            row = J[r]
+            row[r] += val * dlog_r
+            for j in range(p):
+                if j != r:
+                    row[j] += val * (dlog_c[j] + 2 * x[j] * inv_r[j] + dlog_phi[j])
 
 
 # --------------------------------------------------------------------------

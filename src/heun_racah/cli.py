@@ -4,8 +4,10 @@ Subcommands: verify (relation residual sweeps), spectrum (dense
 eigenvalues of W), solve (Bethe diagonalization), check-maba (the
 (N+1)-root reduction identity, proven range and conjecture probing).
 
-Exit codes: 0 success, 1 relation violation, 2 parameter or parse error,
-3 solver failure.  All output is deterministic given (params, flags, seed).
+Exit codes: 0 success, 1 relation violation, 2 parameter or parse error
+(including a count option below 1, and parameters that leave no admissible
+random draw), 3 solver failure.  All output is deterministic given
+(params, flags, seed).
 """
 
 from __future__ import annotations
@@ -93,6 +95,14 @@ def build_problem(params: dict):
         scale, shift = 1.0 + 0.0j, 0.0 + 0.0j
     ctx = DynContext(rep=rep, rho=hp.rho)
     return rp, rep, ctx, hp, scale, shift
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: a zero count would make a check vacuous."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def fmt(z: complex) -> str:
@@ -249,7 +259,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--relations", default="all",
                    help="comma-separated relation tags, or 'all'")
     v.add_argument("--params", required=True)
-    v.add_argument("--samples", type=int, default=50)
+    v.add_argument("--samples", type=positive_int, default=50)
     v.add_argument("--tol", type=float, default=None,
                    help="override the per-relation default tolerance")
     v.add_argument("--seed", type=int, default=0)
@@ -266,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
     so.add_argument("--mode", choices=["homogeneous", "inhomogeneous", "auto"],
                     default="auto")
     so.add_argument("--params", required=True)
-    so.add_argument("--starts", type=int, default=64)
+    so.add_argument("--starts", type=positive_int, default=64)
     so.add_argument("--seed", type=int, default=0)
     so.add_argument("--out", default=None)
     so.set_defaults(func=cmd_solve)
@@ -274,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("check-maba", help="probe the (N+1)-root reduction identity")
     m.add_argument("--params", required=True)
     m.add_argument("--N", type=int, default=None)
-    m.add_argument("--draws", type=int, default=50)
+    m.add_argument("--draws", type=positive_int, default=50)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_check_maba)

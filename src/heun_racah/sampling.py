@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterDomainError
 from .racah import RacahParams, build_params
 
 ANNULUS_MIN = 0.5
@@ -26,12 +27,17 @@ def draw_complex(rng: np.random.Generator, rmin: float = ANNULUS_MIN,
 
 
 def draw_until(rng: np.random.Generator, draw, admissible, max_tries: int = MAX_TRIES):
-    """Redraw until `admissible(value)` holds."""
+    """Redraw until `admissible(value)` holds.
+
+    Raises ParameterDomainError after max_tries rejected draws: the fixed
+    parameters then leave (almost) no admissible region to sample.
+    """
     for _ in range(max_tries):
         value = draw(rng)
         if admissible(value):
             return value
-    raise RuntimeError("rejection sampling failed to find an admissible draw")
+    raise ParameterDomainError(
+        f"rejection sampling found no admissible draw in {max_tries} tries")
 
 
 def draw_racah_params(rng: np.random.Generator, N: int,

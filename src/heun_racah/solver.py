@@ -3,6 +3,8 @@
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
 Newton never meets the removable poles of the equivalent ratio equations.
+Newton takes their residuals and closed-form Jacobian from one
+bethe.ResidualKernel pass per point.
 Converged root sets are deflated modulo the permutation-and-sign symmetry
 and certified against the dense eigendecomposition of W, which is entirely
 independent of the Bethe machinery.
@@ -276,21 +278,34 @@ def _is_duplicate(roots, states, tol: float) -> bool:
     return False
 
 
+def _scaled_maps(kernel, norms):
+    """Residual map and Jacobian with row r scaled by norms[r].
+
+    Newton asks for the Jacobian only at the last point it evaluated, so
+    the Jacobian from that one kernel pass is kept and reused.
+    """
+    last = [None, None]
+
+    def f(x):
+        F, J = kernel(x)
+        last[:] = x, J
+        return [F[r] * norms[r] for r in range(len(norms))]
+
+    def jac(x):
+        J = last[1] if last[0] is x else kernel(x)[1]
+        return [[v * n for v in row] for row, n in zip(J, norms)]
+
+    return f, jac
+
+
 def _solve(mode: str, hp: HeunParams, rp: RacahParams, ctx: DynContext,
            cfg: SolverConfig, p: int, u_aux) -> SolveReport:
     W = build_W_parametric(hp, ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
-    if mode == HOMOGENEOUS:
-        def residual_map(roots):
-            return [bethe.unwanted_U(r, list(roots), hp, rp, ctx)
-                    for r in range(1, p + 1)]
-    else:
-        u_for_map = pick_u_aux([], p, hp, rp, seed=cfg.seed) if u_aux is None else u_aux
-
-        def residual_map(roots):
-            return bethe.inhomogeneous_residuals(list(roots), u_for_map, hp, rp, ctx)
+    if mode == INHOMOGENEOUS:
+        u_for_scales = pick_u_aux([], p, hp, rp, seed=cfg.seed) if u_aux is None else u_aux
 
     states: list[BetheState] = []
     rejects: dict[str, int] = {}
@@ -304,23 +319,19 @@ def _solve(mode: str, hp: HeunParams, rp: RacahParams, ctx: DynContext,
         else:
             rejects[reason] = 1
     else:
+        kernel = bethe.ResidualKernel(hp, rp, p, mode)
         for start in seed_starts(mode, hp, rp, cfg):
             attempts += 1
             try:
                 base_scales = (
                     [bethe.unwanted_scale(r, start, hp, rp) for r in range(1, p + 1)]
                     if mode == HOMOGENEOUS
-                    else bethe.inhomogeneous_scales(start, u_for_map, hp, rp, ctx))
+                    else bethe.inhomogeneous_scales(start, u_for_scales, hp, rp, ctx))
             except ParameterDomainError:
                 rejects["pole"] = rejects.get("pole", 0) + 1
                 continue
-            norms = [1.0 / s for s in base_scales]
-
-            def scaled(x, _norms=tuple(norms)):
-                raw = residual_map(x)
-                return [raw[i] * _norms[i] for i in range(p)]
-
-            roots, ok, _its = newton_refine(scaled, start, cfg)
+            f, jac = _scaled_maps(kernel, [1.0 / s for s in base_scales])
+            roots, ok, _its = newton_refine(f, start, cfg, jac=jac)
             if not ok:
                 rejects["newton"] = rejects.get("newton", 0) + 1
                 continue

@@ -160,8 +160,8 @@ class TestUnwantedU:
         assert unwanted_U(1, [x], hp0, p0, ctx0) == pytest.approx(expected)
 
     def test_root_on_f1W_zero_drops_term(self, p0, ctx0, hp0):
-        # x_r = 1: the plus term is short-circuited by f1_W(1) = 0 before
-        # the xi pole at u=1 is ever evaluated
+        # x_r = 1: f1_W(1) = 0 cancels the xi pole, and for these parameters
+        # the cancelled limit vanishes too (beta^2 = (1 - N - 2 - gamma - delta)^2)
         roots = [1.0, 2.3 + 0.5j]
         expected = (f1_W(-1, hp0) * vacuum_coeffs(-1, hp0.m_bar - 2, p0, 2).xi
                     * coeff_k1(-1, roots[1]))
@@ -170,6 +170,19 @@ class TestUnwantedU:
     def test_bad_index(self, p0, ctx0, hp0):
         with pytest.raises(ParameterDomainError):
             unwanted_U(3, [1.5], hp0, p0, ctx0)
+
+    @pytest.mark.parametrize("x_r", [1.0, -1.0])
+    def test_continuous_at_unit_root(self, x_r):
+        # f1_W(x_r) = 0 there, but f1_W xi has a finite nonzero limit
+        rp = build_params(3, 2.2 + 0.4j, 1.3, 0.8)
+        ctx = DynContext(rep=build_representation(rp), rho=1.7)
+        hp = build_heun_params(1.7, 0.9, 2.6, rp)
+        rest = [2.3 + 0.5j, 0.7 - 1.1j]
+        at = unwanted_U(1, [x_r] + rest, hp, rp, ctx)
+        assert abs(at) > 1.0
+        for h in (1e-9, 1e-9j, -1e-9):
+            near = unwanted_U(1, [x_r + h] + rest, hp, rp, ctx)
+            assert abs(near - at) <= 1e-6 * abs(at)
 
 
 class TestPsi:

@@ -250,3 +250,15 @@ class TestCheckMabaCommand:
         lhs = bethe.bethe_vector(roots + [u], hp.m_bar, ctx)
         rhs = tau_u * bethe.bethe_vector(roots, hp.m_bar, ctx)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1, np.linalg.norm(lhs))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--starts", "0"], ["solve", "--starts", "-2"],
+    ["check-maba", "--draws", "0"],
+    ["verify", "--samples", "0"], ["verify", "--samples", "-1"]])
+def test_count_below_one_exits_2(tmp_path, capsys, argv):
+    path = write_params(tmp_path, P0_GENERIC)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--params", path])
+    assert exc.value.code == 2
+    assert f"{argv[1]}: must be >= 1" in capsys.readouterr().err

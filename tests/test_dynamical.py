@@ -144,3 +144,13 @@ class TestVerifyRelation:
         assert out["relation"] == "BB_EXCHANGE"
         assert out["samples"] == 3 and out["seed"] == 9
         assert set(out["worst_tuple"]) == {"u", "v", "m"}
+
+
+class TestSampling:
+    def test_exhausted_rejection_is_a_domain_error(self):
+        from heun_racah.errors import HeunRacahError
+        from heun_racah.sampling import draw_complex, draw_until
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterDomainError, match="5 tries") as exc:
+            draw_until(rng, draw_complex, lambda value: False, max_tries=5)
+        assert isinstance(exc.value, HeunRacahError)

@@ -1,0 +1,166 @@
+"""The closed-form residual-and-Jacobian kernel against its references.
+
+The references are the scalar residual maps in `bethe` (for values), central
+finite differences and a sympy derivative (for the Jacobian), and Newton
+with its finite-difference default (for the solver path).
+"""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from heun_racah import bethe
+from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, ResidualKernel, canonical_roots
+from heun_racah.dynamical import DynContext
+from heun_racah.errors import ParameterDomainError
+from heun_racah.heun import build_heun_params, integer_p_bar
+from heun_racah.racah import build_params, build_representation
+from heun_racah.solver import SolverConfig, _scaled_maps, newton_refine, seed_starts
+
+CRITERION_8 = (2.2 + 0.4j, 1.3, 0.8, 1.7, 0.9, 2.6)
+# (N, beta, gamma, delta, rho, s1, s2) with an integer root count p_bar:
+# with s1 = 0, gamma = 1 and delta = 2, p_bar = 1/rho - 5/2.
+HOMOGENEOUS_SETS = [(1, 5, 1, 2, 2 / 7, 0, 3), (2, 5, 1, 2, 2 / 7, 0, 3),
+                    (3, 5, 1, 2, 2 / 9, 0, 3)]
+U_REF = 2.37 + 0.91j
+FD_STEP = 1e-6
+
+
+def setup(N, beta, gamma, delta, rho, s1, s2):
+    rp = build_params(N, beta, gamma, delta)
+    ctx = DynContext(rep=build_representation(rp), rho=rho)
+    return rp, ctx, build_heun_params(rho, s1, s2, rp)
+
+
+def random_roots(rng, p):
+    r = rng.uniform(0.5, 5.0, p)
+    th = rng.uniform(0.0, 2 * np.pi, p)
+    return list(r * np.exp(1j * th))
+
+
+def reference(mode, hp, rp, ctx):
+    """(residual map, cancellation scales) of the reference implementation."""
+    if mode == INHOMOGENEOUS:
+        return (lambda x: bethe.inhomogeneous_residuals(x, U_REF, hp, rp, ctx),
+                lambda x: bethe.inhomogeneous_scales(x, U_REF, hp, rp, ctx))
+    return (lambda x: bethe.homogeneous_residuals(x, hp, rp, ctx),
+            lambda x: [bethe.unwanted_scale(r, x, hp, rp) for r in range(1, len(x) + 1)])
+
+
+def cases():
+    for N in range(1, 7):
+        yield pytest.param(INHOMOGENEOUS, (N,) + CRITERION_8, id=f"inhom-N{N}")
+    for params in HOMOGENEOUS_SETS:
+        yield pytest.param(HOMOGENEOUS, params, id=f"hom-N{params[0]}-rho{params[4]:.3f}")
+
+
+def kernel_for(mode, params):
+    rp, ctx, hp = setup(*params)
+    p = rp.N if mode == INHOMOGENEOUS else integer_p_bar(hp, rp.N)
+    return ResidualKernel(hp, rp, p, mode), p, hp, rp, ctx
+
+
+@pytest.mark.parametrize("mode, params", cases())
+def test_residuals_match_reference(mode, params):
+    kernel, p, hp, rp, ctx = kernel_for(mode, params)
+    residuals, scales = reference(mode, hp, rp, ctx)
+    rng = np.random.default_rng(p)
+    for _ in range(10):
+        x = random_roots(rng, p)
+        F, _ = kernel(x)
+        for got, want, scale in zip(F, residuals(x), scales(x)):
+            assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mode, params", cases())
+def test_jacobian_matches_central_differences(mode, params):
+    kernel, p, hp, rp, ctx = kernel_for(mode, params)
+    residuals, _ = reference(mode, hp, rp, ctx)
+    rng = np.random.default_rng(100 + p)
+    for _ in range(5):
+        x = np.array(random_roots(rng, p))
+        J = np.array(kernel(list(x))[1])
+        fd = np.empty_like(J)
+        for j in range(p):
+            step = np.zeros(p, dtype=complex)
+            step[j] = FD_STEP
+            fd[:, j] = (np.array(residuals(list(x + step)))
+                        - np.array(residuals(list(x - step)))) / (2 * FD_STEP)
+        for row, fd_row in zip(J, fd):
+            assert np.max(np.abs(row - fd_row)) <= 1e-7 * np.max(np.abs(row))
+
+
+def test_jacobian_matches_sympy_at_two_roots():
+    """Differentiate an independent transcription of U_r + U_r^(i) at N = 2."""
+    N = 2
+    kernel, p, hp, rp, ctx = kernel_for(INHOMOGENEOUS, (N,) + CRITERION_8)
+    bt, g, d = (sp.sympify(c) for c in (rp.beta, rp.gamma, rp.delta))
+    rho, s1, s2, m_bar = (sp.sympify(c) for c in (hp.rho, hp.s1, hp.s2, hp.m_bar))
+    m = m_bar - N
+    xs = sp.symbols("x1 x2")
+
+    def f1w(v):
+        c = rho * v - rho + s2
+        return (2 * rho * (rho - 1) * s1 - (c + 1) * (c - 1)) * (1 - 1 / v)
+
+    def xi(v):
+        return (((v + N) ** 2 - (bt - g + d) ** 2) * (bt ** 2 - (v - N - 2 - g - d) ** 2)
+                * (d + g - 2 * m + v) / (8 * (v - 1) * (d + g - 2 * m + 2 - v)))
+
+    def k1(u, v):
+        return ((u - 2) ** 2 - v ** 2) / (u ** 2 - v ** 2)
+
+    pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
+    for k in range(1, N + 1):
+        pref /= (2 * m_bar - 2 * d - bt - N - 2 * k) * (2 * m_bar - 2 * g + bt - N - 2 * k)
+    c = g + d - 2 * m_bar + 2 * N + 2
+    lam = 2 * (1 - rho) * s1 \
+        + (g + d + 2 + 2 * N) * (d * rho + g * rho + 2 * rho * (N + 1) - 2)
+    a1 = d * rho + g * rho + rho * (1 + 2 * N) - s2 - 1
+    a3 = d * rho + g * rho + rho * (3 + 2 * N) - s2 - 1
+    psi = sp.Mul(*[(a1 ** 2 - rho ** 2 * x ** 2) / (a3 ** 2 - rho ** 2 * x ** 2) for x in xs])
+
+    rows = []
+    for r, xr in enumerate(xs):
+        others = [x for x in xs if x is not xr]
+        U = sum(f1w(e * xr) * xi(e * xr) * sp.Mul(*[k1(e * xr, x) for x in others])
+                for e in (1, -1))
+        tau = pref * sp.Mul(*[(c ** 2 - x ** 2) / (xr ** 2 - x ** 2) for x in others]) \
+            * sp.Mul(*[xr ** 2 - (bt - g + d - N + 2 * k) ** 2 for k in range(N + 1)])
+        rows.append(U + tau * rho * lam * psi)
+
+    point = [1.3 - 0.4j, 2.9 + 1.7j]
+    subs = dict(zip(xs, (sp.sympify(v) for v in point)))
+    want = np.array([[complex(sp.diff(row, x).evalf(30, subs=subs)) for x in xs]
+                     for row in rows])
+    got = np.array(kernel(point)[1])
+    for got_row, want_row in zip(got, want):
+        assert np.max(np.abs(got_row - want_row)) <= 1e-10 * np.max(np.abs(want_row))
+
+
+@pytest.mark.parametrize("mode, params", [
+    (INHOMOGENEOUS, (2,) + CRITERION_8), (HOMOGENEOUS, HOMOGENEOUS_SETS[2])])
+@pytest.mark.parametrize("roots", [[1.5, -1.5], [1.5 + 0.5j, 1.5 + 0.5j], [0.0, 2.0],
+                                   [2.0, 0.0]])
+def test_poles_raise(mode, params, roots):
+    kernel, p, *_ = kernel_for(mode, params)
+    assert p == 2
+    with pytest.raises(ParameterDomainError):
+        kernel(roots)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_newton_agrees_with_finite_difference_jacobian(N):
+    """Each criterion-8 start converges to the same roots under both
+    Jacobians, or fails under both."""
+    kernel, p, hp, rp, ctx = kernel_for(INHOMOGENEOUS, (N,) + CRITERION_8)
+    cfg = SolverConfig(starts=64, seed=2)
+    for start in seed_starts(INHOMOGENEOUS, hp, rp, cfg):
+        norms = [1 / s for s in bethe.inhomogeneous_scales(start, U_REF, hp, rp, ctx)]
+        f, jac = _scaled_maps(kernel, norms)
+        x_fd, ok_fd, _ = newton_refine(f, start, cfg)
+        x_cf, ok_cf, _ = newton_refine(f, start, cfg, jac=jac)
+        assert ok_fd == ok_cf
+        if ok_fd:
+            gap = np.abs(np.array(canonical_roots(x_fd)) - np.array(canonical_roots(x_cf)))
+            assert np.max(gap) <= 1e-9

@@ -170,6 +170,15 @@ class TestSolveInhomogeneous:
                 for y in s.roots[:i]:
                     assert abs(x * x - y * y) >= SolverConfig().pole_margin
 
+    def test_tau_pole_parameters_are_a_domain_error(self):
+        # rho = 2, s2 = 3 give m_bar = 1/2, where a tau denominator vanishes
+        # at N = 2 whatever the roots
+        rp = build_params(2, 5, 1, 2)
+        ctx = DynContext(rep=build_representation(rp), rho=2)
+        hp = build_heun_params(2, 1, 3, rp)
+        with pytest.raises(ParameterDomainError, match="tau pole"):
+            solve_inhomogeneous(hp, rp, ctx, SolverConfig(starts=4, seed=0))
+
     def test_determinism(self):
         rp, ctx, hp = generic_setup(1)
         cfg = SolverConfig(starts=16, seed=9)

@@ -118,6 +118,24 @@ def bethe_vector(roots, m_top, ctx: DynContext) -> np.ndarray:
     return v
 
 
+def _swapped_family(roots, u, m_top, ctx: DynContext):
+    """bethe_vector of roots, of roots with x_j -> u for each j, and of
+    roots + [u], with each B factor built once and the suffixes shared."""
+    p = len(roots)
+    factors = [op_B(roots[i - 1], m_top - i + 1, ctx) for i in range(1, p + 1)]
+    tails = [vacuum(ctx.rep.params.N)]  # tails[k]: the last k factors applied to |0>
+    for f in reversed(factors):
+        tails.append(f @ tails[-1])
+
+    def u_at(j):  # u in slot j, before x_{j+1} .. x_p; j = p + 1 appends u
+        v = op_B(u, m_top - j + 1, ctx) @ tails[max(p - j, 0)]
+        for f in reversed(factors[:j - 1]):
+            v = f @ v
+        return v
+
+    return tails[p], [u_at(j) for j in range(1, p + 1)], u_at(p + 1)
+
+
 def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1) -> np.ndarray:
     """Right side of the A-on-Bethe-vector expansion, assembled directly.
 
@@ -128,25 +146,24 @@ def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1) -> np.ndarray:
     """
     p = len(roots)
     e0 = vacuum(ctx.rep.params.N)
+    root_ops = [op_B(roots[i - 1], m - i + 1, ctx) for i in range(1, p + 1)]
+    slot_ops = [op_B(u, m - i + middle_step, ctx) for i in range(1, p + 1)]
 
-    def chain(slot_arg, slot_index, tail_vec):
+    def chain(slot_index, tail_vec):
         v = tail_vec
         for i in range(p, 0, -1):
-            if i == slot_index:
-                v = op_B(slot_arg, m - i + middle_step, ctx) @ v
-            else:
-                v = op_B(roots[i - 1], m - i + 1, ctx) @ v
+            v = (slot_ops if i == slot_index else root_ops)[i - 1] @ v
         return v
 
     prod_k1 = np.prod([coeff_k1(u, x) for x in roots]) if p else 1.0
-    out = prod_k1 * chain(None, 0, op_A(u, m - p, ctx) @ e0)
+    out = prod_k1 * chain(0, op_A(u, m - p, ctx) @ e0)
     for eps in (1, -1):
         for r in range(1, p + 1):
             xr = eps * roots[r - 1]
             coef = coeff_k2(u, xr, m, ctx.rho)
             coef *= np.prod([coeff_k1(xr, roots[l - 1])
                              for l in range(1, p + 1) if l != r]) if p > 1 else 1.0
-            out = out + coef * chain(u, r, op_A(xr, m - p, ctx) @ e0)
+            out = out + coef * chain(r, op_A(xr, m - p, ctx) @ e0)
     return out
 
 
@@ -446,16 +463,12 @@ def maba_identity_residuals(roots, u, hp: HeunParams, rp: RacahParams,
     """
     N = rp.N
     tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
-    lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
+    base, swapped, lhs = _swapped_family(roots, u, hp.m_bar, ctx)
     c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * N + 2
-    base = bethe_vector(roots, hp.m_bar, ctx)
     rhs = tau_u * base
     mag = abs(tau_u) * float(np.linalg.norm(base))
-    for j, x in enumerate(roots):
-        swapped = list(roots)
-        swapped[j] = u
+    for j, (x, v) in enumerate(zip(roots, swapped)):
         coef = (c * c - u * u) / (x * x - u * u) * tau_list[j]
-        v = bethe_vector(swapped, hp.m_bar, ctx)
         rhs = rhs + coef * v
         mag += abs(coef) * float(np.linalg.norm(v))
     err = float(np.linalg.norm(lhs - rhs))
@@ -659,26 +672,14 @@ def wv_action_residual(roots, u, hp: HeunParams, rp: RacahParams,
     p = len(roots)
     rho = hp.rho
     W = build_W_parametric(hp, ctx)
-    V = bethe_vector(roots, hp.m_bar, ctx)
-    lhs = W @ V
-
-    if mode == INHOMOGENEOUS:
-        w_i, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx)
-        rhs = (eigenvalue_w(u, roots, hp, rp, ctx) + w_i) * V
-        for r in range(1, p + 1):
-            swapped = list(roots)
-            swapped[r - 1] = u
-            coef = (unwanted_U(r, roots, hp, rp, ctx) + u_i[r - 1]) \
-                / (rho * (rho - 1) * (u * u - roots[r - 1] ** 2))
-            rhs = rhs + coef * bethe_vector(swapped, hp.m_bar, ctx)
-    else:
-        rhs = eigenvalue_w(u, roots, hp, rp, ctx) * V
-        for r in range(1, p + 1):
-            swapped = list(roots)
-            swapped[r - 1] = u
-            coef = unwanted_U(r, roots, hp, rp, ctx) \
-                / (rho * (rho - 1) * (u * u - roots[r - 1] ** 2))
-            rhs = rhs + coef * bethe_vector(swapped, hp.m_bar, ctx)
-        rhs = rhs + psi_factored(u, p, roots, hp, rp) \
-            * bethe_vector(list(roots) + [u], hp.m_bar, ctx)
-    return vector_residual(lhs, rhs)
+    V, swapped, extended = _swapped_family(roots, u, hp.m_bar, ctx)
+    inhomogeneous = mode == INHOMOGENEOUS
+    w_i, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx) if inhomogeneous else (0, [0] * p)
+    rhs = (eigenvalue_w(u, roots, hp, rp, ctx) + w_i) * V
+    for r in range(1, p + 1):
+        coef = (unwanted_U(r, roots, hp, rp, ctx) + u_i[r - 1]) \
+            / (rho * (rho - 1) * (u * u - roots[r - 1] ** 2))
+        rhs = rhs + coef * swapped[r - 1]
+    if not inhomogeneous:
+        rhs = rhs + psi_factored(u, p, roots, hp, rp) * extended
+    return vector_residual(W @ V, rhs)

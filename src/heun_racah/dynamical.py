@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import anticommutator, identity, residual_norm, vector_residual
+from .core import residual_norm, vector_residual
 from .errors import ParameterDomainError, RelationViolation
 from .racah import Representation, verify_defining_relations
 from . import sampling
@@ -132,21 +132,21 @@ def op_A(u, m, ctx: DynContext) -> np.ndarray:
         raise ParameterDomainError("op_A pole: 2 m rho = 1")
     rep = ctx.rep
     g0 = coeff_g0(u, m, ctx)
-    return (g0 * identity(rep.dim)
+    return (g0 * rep.I
             + coeff_g1(u, m, rho) * rep.X
             + coeff_g1(-1, m, rho) * rep.Y
             + rep.Z
-            + rho * anticommutator(rep.X, rep.Y)) / den
+            + rho * rep.XY) / den
 
 
 def op_B(u, m, ctx: DynContext) -> np.ndarray:
     """f0 + f1(u,m) X + f1(-1,m) Y + 2m Z + {X,Y}; even in u."""
     rep = ctx.rep
-    return (coeff_f0(u, m, rep.params) * identity(rep.dim)
+    return (coeff_f0(u, m, rep.params) * rep.I
             + coeff_f1(u, m) * rep.X
             + coeff_f1(-1, m) * rep.Y
             + 2 * m * rep.Z
-            + anticommutator(rep.X, rep.Y))
+            + rep.XY)
 
 
 def op_C(u, m, ctx: DynContext) -> np.ndarray:

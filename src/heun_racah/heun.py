@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import commutator, identity, residual_norm
+from .core import residual_norm
 from .dynamical import DynContext, coeff_g0, POLE_FLOOR
 from .errors import CanonicalizationError, ParameterDomainError, RelationViolation
 from .racah import RacahParams, Representation
@@ -89,12 +89,12 @@ def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:
     return (-2 * rho / (rho - 1) * (X @ Y)
             + s1 * X
             + (s2 * s2 - 1) / (2 * rho * (rho - 1)) * Y
-            + commutator(X, Y))
+            + ctx.rep.Z)
 
 
 def build_W_bilinear(bp: BilinearParams, rep: Representation) -> np.ndarray:
     X, Y = rep.X, rep.Y
-    return (bp.r0 * identity(rep.dim) + bp.r1 * X + bp.r2 * Y
+    return (bp.r0 * rep.I + bp.r1 * X + bp.r2 * Y
             + bp.r3 * (X @ Y) + bp.r4 * (Y @ X))
 
 
@@ -154,7 +154,7 @@ def _wa_combination(u, hp: HeunParams, ctx: DynContext) -> np.ndarray:
     h1p, h1m, h2 = h_coeffs(u, hp, ctx.rep.params, ctx)
     return (h1p * op_A(u, hp.m_bar, ctx)
             + h1m * op_A(-u, hp.m_bar, ctx)
-            + h2 * identity(ctx.rep.dim))
+            + h2 * ctx.rep.I)
 
 
 def wa_residuals(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:

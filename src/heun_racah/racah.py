@@ -12,7 +12,7 @@ polynomials: X is tridiagonal plus a scalar shift, Y is diagonal, Z = [X, Y].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,10 +92,19 @@ def y_eigenvalue(x, p: RacahParams) -> complex:
 
 @dataclass(frozen=True)
 class Representation:
+    """X, Y, Z on C^(N+1); XY = {X, Y} and the identity I are derived, read-only."""
+
     params: RacahParams
     X: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
+    XY: np.ndarray = field(init=False, repr=False, compare=False)
+    I: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, value in (("XY", anticommutator(self.X, self.Y)), ("I", identity(self.dim))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -128,9 +137,7 @@ def build_representation(p: RacahParams) -> Representation:
 def verify_defining_relations(rep: Representation, tol: float = 1e-10) -> dict[str, float]:
     """Residuals of the three defining relations; raises on any above tol."""
     p = rep.params
-    X, Y, Z = rep.X, rep.Y, rep.Z
-    I = identity(rep.dim)
-    XY = anticommutator(X, Y)
+    X, Y, Z, XY, I = rep.X, rep.Y, rep.Z, rep.XY, rep.I
     residuals = {
         "R1": residual_norm(commutator(X, Y), Z),
         "R2": residual_norm(commutator(Z, X),

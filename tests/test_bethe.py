@@ -8,7 +8,7 @@ from heun_racah.bethe import (bethe_vector, canonical_roots, eigenvalue_w,
                               maba_reduce, psi, unwanted_U, vacuum,
                               vacuum_coeffs)
 from heun_racah.core import vector_residual
-from heun_racah.dynamical import DynContext, coeff_k1
+from heun_racah.dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric, h1_scalar, h2_scalar
 from heun_racah.racah import build_params, build_representation
@@ -93,6 +93,91 @@ class TestBetheVector:
         a = bethe_vector([x1, x2], hp.m_bar, ctx)
         b = bethe_vector([-x1, x2], hp.m_bar, ctx)
         np.testing.assert_array_equal(a, b)
+
+
+def reference_maba_residuals(roots, u, hp, rp, ctx):
+    """maba_identity_residuals with one bethe_vector per swapped root list."""
+    tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
+    lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
+    c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
+    base = bethe_vector(roots, hp.m_bar, ctx)
+    rhs = tau_u * base
+    mag = abs(tau_u) * float(np.linalg.norm(base))
+    for j, x in enumerate(roots):
+        swapped = list(roots)
+        swapped[j] = u
+        coef = (c * c - u * u) / (x * x - u * u) * tau_list[j]
+        v = bethe_vector(swapped, hp.m_bar, ctx)
+        rhs = rhs + coef * v
+        mag += abs(coef) * float(np.linalg.norm(v))
+    err = float(np.linalg.norm(lhs - rhs))
+    lnorm = float(np.linalg.norm(lhs))
+    return err / max(1.0, lnorm), err / max(1.0, lnorm, mag)
+
+
+def reference_abv_rhs(u, m, roots, ctx, middle_step):
+    """abv_rhs with every B factor rebuilt inside each chain."""
+    p = len(roots)
+    e0 = vacuum(ctx.rep.params.N)
+
+    def chain(slot_arg, slot_index, tail_vec):
+        v = tail_vec
+        for i in range(p, 0, -1):
+            if i == slot_index:
+                v = op_B(slot_arg, m - i + middle_step, ctx) @ v
+            else:
+                v = op_B(roots[i - 1], m - i + 1, ctx) @ v
+        return v
+
+    prod_k1 = np.prod([coeff_k1(u, x) for x in roots]) if p else 1.0
+    out = prod_k1 * chain(None, 0, op_A(u, m - p, ctx) @ e0)
+    for eps in (1, -1):
+        for r in range(1, p + 1):
+            xr = eps * roots[r - 1]
+            coef = coeff_k2(u, xr, m, ctx.rho)
+            coef *= np.prod([coeff_k1(xr, roots[l - 1])
+                             for l in range(1, p + 1) if l != r]) if p > 1 else 1.0
+            out = out + coef * chain(u, r, op_A(xr, m - p, ctx) @ e0)
+    return out
+
+
+class TestSharedFactors:
+    """Sharing B factors across a family of Bethe vectors changes no bit."""
+
+    def test_swapped_family_equals_bethe_vector(self):
+        for N in range(1, 7):
+            rng, rp, ctx, hp = random_setup(80 + N, N)
+            assert hp.m_bar.imag != 0
+            for p in range(N + 1):
+                u = draw_complex(rng)
+                roots = [draw_complex(rng) for _ in range(p)]
+                base, swapped, extended = bethe._swapped_family(roots, u, hp.m_bar, ctx)
+                assert np.array_equal(base, bethe_vector(roots, hp.m_bar, ctx))
+                assert len(swapped) == p
+                for j, v in enumerate(swapped):
+                    expect = bethe_vector(roots[:j] + [u] + roots[j + 1:], hp.m_bar, ctx)
+                    assert np.array_equal(v, expect)
+                assert np.array_equal(extended, bethe_vector(roots + [u], hp.m_bar, ctx))
+
+    def test_maba_residuals_match_reference_exactly(self):
+        for N in range(1, 7):
+            rng, rp, ctx, hp = random_setup(90 + N, N)
+            for _ in range(3):
+                u, roots = draw_until(
+                    rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
+                    lambda t: bethe.maba_pole_margin(t[1], t[0], hp, rp) > 1e-2)
+                assert bethe.maba_identity_residuals(roots, u, hp, rp, ctx) \
+                    == reference_maba_residuals(roots, u, hp, rp, ctx)
+
+    def test_abv_rhs_matches_reference_exactly(self):
+        for N in (1, 4, 12):
+            rng, rp, ctx, hp = random_setup(100 + N, N)
+            for p in range(4):
+                u, m = draw_complex(rng), draw_complex(rng)
+                roots = [draw_complex(rng) for _ in range(p)]
+                for step in (1, -1):
+                    got = bethe.abv_rhs(u, m, roots, ctx, middle_step=step)
+                    assert np.array_equal(got, reference_abv_rhs(u, m, roots, ctx, step))
 
 
 class TestF1W:

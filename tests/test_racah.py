@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heun_racah import build_params, build_representation, verify_defining_relations
+from heun_racah.core import anticommutator
 from heun_racah.errors import ParameterDomainError, RelationViolation
 from heun_racah.racah import Representation, weight_B, weight_D
 from heun_racah.sampling import draw_racah_params
@@ -60,6 +61,26 @@ class TestBuildRepresentation:
 
     def test_y_is_diagonal(self, rep0):
         assert np.all(rep0.Y == np.diag(np.diag(rep0.Y)))
+
+
+class TestDerivedConstants:
+    def test_bit_identical_to_fresh_computation(self, rep0):
+        Y = rep0.Y.copy()
+        Y[0, 0] += 1e-3
+        perturbed = Representation(params=rep0.params, X=rep0.X, Y=Y, Z=rep0.Z)
+        wide = build_representation(draw_racah_params(np.random.default_rng(14), 12))
+        for rep in (rep0, perturbed, wide):
+            assert rep.XY.tobytes() == anticommutator(rep.X, rep.Y).tobytes()
+            assert rep.I.tobytes() == np.eye(rep.dim, dtype=complex).tobytes()
+        assert not np.array_equal(perturbed.XY, rep0.XY)
+
+    def test_read_only(self, rep0):
+        with pytest.raises(ValueError):
+            rep0.XY[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rep0.I[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep0.XY = rep0.X
 
 
 class TestDefiningRelations:

@@ -17,7 +17,7 @@ from .errors import (CanonicalizationError, DimensionError, HeunRacahError,
 from .heun import (BilinearParams, HeunParams, build_heun_params,
                    build_W_bilinear, build_W_parametric, canonicalize,
                    h_coeffs, integer_p_bar, verify_WA)
-from .bethe import (BetheState, VacuumCoeffs, bethe_vector, eigenvalue_w,
+from .bethe import (BetheState, BetheSystem, VacuumCoeffs, bethe_vector, eigenvalue_w,
                     f1_W, homogeneous_residuals, inhomogeneous_residuals,
                     inhomogeneous_terms, maba_reduce, psi, unwanted_U,
                     vacuum, vacuum_coeffs)

@@ -10,9 +10,10 @@ proportional to U_r, and an extension term proportional to psi(u, p).
 The homogeneous regime (integer p_bar kills psi) solves U_r = 0; the
 generic inhomogeneous regime at p = N absorbs the extension term through
 the (N+1)-root reduction identity, adding tau-weighted corrections
-w^(i), U_r^(i).  ResidualKernel evaluates the cleared equations together
-with their closed-form Jacobian for the solver; the scalar maps stay the
-reference it is tested and certified against.
+w^(i), U_r^(i).  A BetheSystem fixes one of the two regimes for a solve:
+its closed-form pass gives the solver the cleared equations with their
+Jacobian, and its reference pass evaluates the scalar maps that the
+closed form is tested and certified against.
 
 Name clash warning: f1_W(v) below is the root-count-independent scalar of
 the W action and is distinct from the operator coefficient coeff_f1(u, m).
@@ -21,15 +22,16 @@ Empty products are 1 and empty sums 0 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import vector_residual
 from .dynamical import (DynContext, POLE_FLOOR, coeff_k1, coeff_k2, op_A, op_B)
 from .errors import ModeError, ParameterDomainError
-from .heun import HeunParams, h1_scalar, h2_scalar
+from .heun import HeunParams, build_W_parametric, h1_scalar, h2_scalar, integer_p_bar
 from .racah import RacahParams
+from .sampling import REJECT_MARGIN
 
 HOMOGENEOUS = "homogeneous"
 INHOMOGENEOUS = "inhomogeneous"
@@ -37,7 +39,6 @@ INHOMOGENEOUS = "inhomogeneous"
 # Default free spectral point for the action identity; redrawn (seeded)
 # when a pole margin is violated for a given root set.
 U_AUX_DEFAULT = 2.37 + 0.91j
-U_AUX_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,50 +111,57 @@ def vacuum_coeffs(u, m, p: RacahParams, rho) -> VacuumCoeffs:
     return VacuumCoeffs(xi=xi, zeta=zeta)
 
 
+def _root_factors(roots, m_top, ctx: DynContext) -> list[np.ndarray]:
+    """The creation factors B(x_1, m_top) .. B(x_p, m_top - p + 1)."""
+    return [op_B(roots[i - 1], m_top - i + 1, ctx) for i in range(1, len(roots) + 1)]
+
+
+def _chain(factors, v) -> np.ndarray:
+    """factors[0] @ factors[1] @ .. @ v, applied right to left."""
+    for f in reversed(factors):
+        v = f @ v
+    return v
+
+
 def bethe_vector(roots, m_top, ctx: DynContext) -> np.ndarray:
     """Apply B(x_1, m_top) .. B(x_p, m_top - p + 1) to the vacuum."""
-    v = vacuum(ctx.rep.params.N)
-    for i in range(len(roots), 0, -1):
-        v = op_B(roots[i - 1], m_top - i + 1, ctx) @ v
-    return v
+    return _chain(_root_factors(roots, m_top, ctx), vacuum(ctx.rep.params.N))
 
 
 def _swapped_family(roots, u, m_top, ctx: DynContext):
     """bethe_vector of roots, of roots with x_j -> u for each j, and of
     roots + [u], with each B factor built once and the suffixes shared."""
     p = len(roots)
-    factors = [op_B(roots[i - 1], m_top - i + 1, ctx) for i in range(1, p + 1)]
+    factors = _root_factors(roots, m_top, ctx)
     tails = [vacuum(ctx.rep.params.N)]  # tails[k]: the last k factors applied to |0>
     for f in reversed(factors):
         tails.append(f @ tails[-1])
 
     def u_at(j):  # u in slot j, before x_{j+1} .. x_p; j = p + 1 appends u
-        v = op_B(u, m_top - j + 1, ctx) @ tails[max(p - j, 0)]
-        for f in reversed(factors[:j - 1]):
-            v = f @ v
-        return v
+        return _chain(factors[:j - 1], op_B(u, m_top - j + 1, ctx) @ tails[max(p - j, 0)])
 
     return tails[p], [u_at(j) for j in range(1, p + 1)], u_at(p + 1)
 
 
-def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1) -> np.ndarray:
+def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1,
+            root_ops=None) -> np.ndarray:
     """Right side of the A-on-Bethe-vector expansion, assembled directly.
 
     middle_step selects the dynamical index of the swapped slot-r factor:
     B(u, m - r + middle_step).  The slot convention of the Bethe vector
     itself corresponds to middle_step=+1; the alternative -1 is kept so the
-    two can be compared numerically (see RelationId.ABV_ACTION).
+    two can be compared numerically (see RelationId.ABV_ACTION).  root_ops
+    takes the root factors when the caller has built them already.
     """
     p = len(roots)
     e0 = vacuum(ctx.rep.params.N)
-    root_ops = [op_B(roots[i - 1], m - i + 1, ctx) for i in range(1, p + 1)]
+    if root_ops is None:
+        root_ops = _root_factors(roots, m, ctx)
     slot_ops = [op_B(u, m - i + middle_step, ctx) for i in range(1, p + 1)]
 
-    def chain(slot_index, tail_vec):
-        v = tail_vec
-        for i in range(p, 0, -1):
-            v = (slot_ops if i == slot_index else root_ops)[i - 1] @ v
-        return v
+    def chain(slot_index, tail_vec):  # the root factors, slot slot_index holding u
+        return _chain([slot_ops[i] if i + 1 == slot_index else f
+                       for i, f in enumerate(root_ops)], tail_vec)
 
     prod_k1 = np.prod([coeff_k1(u, x) for x in roots]) if p else 1.0
     out = prod_k1 * chain(0, op_A(u, m - p, ctx) @ e0)
@@ -165,6 +173,15 @@ def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1) -> np.ndarray:
                              for l in range(1, p + 1) if l != r]) if p > 1 else 1.0
             out = out + coef * chain(r, op_A(xr, m - p, ctx) @ e0)
     return out
+
+
+def abv_residuals(u, m, roots, ctx: DynContext) -> tuple[float, float]:
+    """Residuals of A(u, m) on the Bethe vector against abv_rhs with
+    middle_step +1 and -1; the root factors are built once for all three."""
+    factors = _root_factors(roots, m, ctx)
+    lhs = op_A(u, m, ctx) @ _chain(factors, vacuum(ctx.rep.params.N))
+    return tuple(vector_residual(lhs, abv_rhs(u, m, roots, ctx, step, factors))
+                 for step in (1, -1))
 
 
 def f1_W(v, hp: HeunParams) -> complex:
@@ -240,11 +257,11 @@ class SwapWeight:
         return num * scale, (dnum - num / v + num / den) * scale
 
 
-def _unwanted_summands(r: int, roots, hp: HeunParams, rp: RacahParams) -> list[complex]:
+def _unwanted_summands(r: int, roots, weight: SwapWeight) -> list[complex]:
+    """The two swapped-root summands of U_r; weight is g at m_bar - p."""
     p = len(roots)
     if not 1 <= r <= p:
         raise ParameterDomainError(f"root index r={r} outside 1..{p}")
-    weight = SwapWeight(hp, rp, hp.m_bar - p)
     out = []
     for eps in (1, -1):
         xr = eps * roots[r - 1]
@@ -256,14 +273,9 @@ def _unwanted_summands(r: int, roots, hp: HeunParams, rp: RacahParams) -> list[c
     return out
 
 
-def unwanted_U(r: int, roots, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> complex:
+def unwanted_U(r: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
     """Unwanted-term coefficient U_r (zero at a homogeneous Bethe solution)."""
-    return sum(_unwanted_summands(r, roots, hp, rp))
-
-
-def unwanted_scale(r: int, roots, hp: HeunParams, rp: RacahParams) -> float:
-    """1 + the magnitude of the summands cancelling inside U_r."""
-    return 1.0 + sum(abs(t) for t in _unwanted_summands(r, roots, hp, rp))
+    return sum(_unwanted_summands(r, roots, SwapWeight(hp, rp, hp.m_bar - len(roots))))
 
 
 def _psi_brackets(p: int, hp: HeunParams, rp: RacahParams):
@@ -280,11 +292,10 @@ def _psi_brackets(p: int, hp: HeunParams, rp: RacahParams):
 def extension_prefactor(p: int, hp: HeunParams, rp: RacahParams) -> tuple[complex, float]:
     """The root-count bracket whose zero defines the homogeneous regime,
     together with its summand magnitude for relative comparisons."""
-    lam, _, _ = _psi_brackets(p, hp, rp)
     g, d, rho = rp.gamma, rp.delta, hp.rho
-    scale = 1.0 + abs(2 * (1 - rho) * hp.s1) \
-        + abs((g + d + 2 + 2 * p) * (d * rho + g * rho + 2 * rho * (p + 1) - 2))
-    return lam, scale
+    t1 = 2 * (1 - rho) * hp.s1  # the two summands of lambda in _psi_brackets
+    t2 = (g + d + 2 + 2 * p) * (d * rho + g * rho + 2 * rho * (p + 1) - 2)
+    return t1 + t2, 1.0 + abs(t1) + abs(t2)
 
 
 def psi_factored(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
@@ -293,16 +304,20 @@ def psi_factored(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
     den = a3 * a3 - rho * rho * u * u
     if abs(den) < POLE_FLOOR:
         raise ParameterDomainError("psi pole: factored-form u denominator vanishes")
-    out = rho * rho * lam / ((1 - rho) * den)
+    return _times_phi(rho * rho * lam / ((1 - rho) * den), roots, rho, a1, a3)
+
+
+def _times_phi(out, roots, rho, a1, a3):
+    """out * prod_x (a1^2 - rho^2 x^2) / (a3^2 - rho^2 x^2)."""
     for x in roots:
-        dr = a3 * a3 - rho * rho * x * x
-        if abs(dr) < POLE_FLOOR:
+        den = a3 * a3 - rho * rho * x * x
+        if abs(den) < POLE_FLOOR:
             raise ParameterDomainError("psi pole: factored-form root denominator vanishes")
-        out *= (a1 * a1 - rho * rho * x * x) / dr
+        out *= (a1 * a1 - rho * rho * x * x) / den
     return out
 
 
-def psi_summed(u, p: int, roots, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> complex:
+def psi_summed(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
     """Unfactored double sum over the vacuum-recursion coefficients."""
     rho, m_bar = hp.rho, hp.m_bar
     out = 0.0 + 0.0j
@@ -324,8 +339,7 @@ def psi_summed(u, p: int, roots, hp: HeunParams, rp: RacahParams, ctx: DynContex
     return out
 
 
-def psi(u, p: int, roots, hp: HeunParams, rp: RacahParams,
-        ctx: DynContext) -> tuple[complex, complex]:
+def psi(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> tuple[complex, complex]:
     """(factored, summed) evaluations of the extension-term coefficient.
 
     The two must agree; the factored form is the one whose prefactor zero
@@ -334,12 +348,12 @@ def psi(u, p: int, roots, hp: HeunParams, rp: RacahParams,
     if len(roots) != p:
         raise ParameterDomainError(f"psi expects {p} roots, got {len(roots)}")
     return (psi_factored(u, p, roots, hp, rp),
-            psi_summed(u, p, roots, hp, rp, ctx))
+            psi_summed(u, p, roots, hp, rp))
 
 
-def psi_pole_margin(u, p: int, roots, hp: HeunParams, rp: RacahParams, rho) -> float:
+def psi_pole_margin(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> float:
     """Smallest |denominator| over both psi forms; used for draw rejection."""
-    m_bar = hp.m_bar
+    m_bar, rho = hp.m_bar, hp.rho
     g, d = rp.gamma, rp.delta
     lam, a1, a3 = _psi_brackets(p, hp, rp)
     vals = [abs(u), abs(u - 1), abs(u + 1),
@@ -357,20 +371,13 @@ def psi_pole_margin(u, p: int, roots, hp: HeunParams, rp: RacahParams, rho) -> f
     return min(vals)
 
 
-def homogeneous_residuals(roots, hp: HeunParams, rp: RacahParams,
-                          ctx: DynContext) -> list[complex]:
+def homogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
     """The cleared homogeneous Bethe equations: U_r for r = 1..p_bar.
 
     Solving U_r = 0 directly avoids the removable poles of the equivalent
     ratio form; the zero sets coincide away from poles.
     """
-    from .heun import integer_p_bar
-    p_bar = integer_p_bar(hp, rp.N)
-    if p_bar is None or len(roots) != p_bar:
-        raise ModeError(
-            f"homogeneous mode needs p = p_bar as a nonnegative integer; "
-            f"got p={len(roots)}, candidates {hp.p_bar_plus} and {hp.p_bar_minus}")
-    return [unwanted_U(r, roots, hp, rp, ctx) for r in range(1, len(roots) + 1)]
+    return BetheSystem(hp, ctx, HOMOGENEOUS).reference(roots)[0]
 
 
 # --------------------------------------------------------------------------
@@ -393,18 +400,8 @@ def _tau_shared(hp: HeunParams, rp: RacahParams):
     return pref, cpref, zeros
 
 
-def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams,
-                ctx: DynContext) -> tuple[complex, list[complex]]:
-    """Coefficients (tau_u, [tau_1..tau_N]) expressing the (N+1)-root Bethe
-    vector |x_1..x_N, u; m_bar> over the N-root vectors.
-
-    Proven by direct computation for N <= 4; conjectural above.
-    """
-    N = rp.N
-    if len(roots) != N:
-        raise ParameterDomainError(f"reduction needs exactly N={N} roots, got {len(roots)}")
-    pref, cpref, zeros = _tau_shared(hp, rp)
-
+def _tau_u(roots, u, pref, cpref, zeros) -> complex:
+    """tau_u from the shared constants of _tau_shared."""
     tau_u = pref
     for x in roots:
         den = u * u - x * x
@@ -413,7 +410,11 @@ def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams,
         tau_u *= (cpref ** 2 - x * x) / den
     for z in zeros:
         tau_u *= u * u - z * z
+    return tau_u
 
+
+def _tau_roots(roots, pref, cpref, zeros) -> list[complex]:
+    """[tau_1..tau_N] from the shared constants; no spectral point enters."""
     tau_list = []
     for j, xj in enumerate(roots):
         tj = pref
@@ -427,7 +428,20 @@ def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams,
         for z in zeros:
             tj *= xj * xj - z * z
         tau_list.append(tj)
-    return tau_u, tau_list
+    return tau_list
+
+
+def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams) -> tuple[complex, list[complex]]:
+    """Coefficients (tau_u, [tau_1..tau_N]) expressing the (N+1)-root Bethe
+    vector |x_1..x_N, u; m_bar> over the N-root vectors.
+
+    Proven by direct computation for N <= 4; conjectural above.
+    """
+    N = rp.N
+    if len(roots) != N:
+        raise ParameterDomainError(f"reduction needs exactly N={N} roots, got {len(roots)}")
+    tau = _tau_shared(hp, rp)
+    return _tau_u(roots, u, *tau), _tau_roots(roots, *tau)
 
 
 def maba_parameter_margin(hp: HeunParams, rp: RacahParams) -> float:
@@ -462,7 +476,7 @@ def maba_identity_residuals(roots, u, hp: HeunParams, rp: RacahParams,
     (the summands can exceed the result by many orders for larger N).
     """
     N = rp.N
-    tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
+    tau_u, tau_list = maba_reduce(roots, u, hp, rp)
     base, swapped, lhs = _swapped_family(roots, u, hp.m_bar, ctx)
     c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * N + 2
     rhs = tau_u * base
@@ -476,54 +490,48 @@ def maba_identity_residuals(roots, u, hp: HeunParams, rp: RacahParams,
     return err / max(1.0, lnorm), err / max(1.0, lnorm, mag)
 
 
-def inhomogeneous_terms(roots, u, hp: HeunParams, rp: RacahParams,
-                        ctx: DynContext) -> tuple[complex, list[complex]]:
+def _tau_corrections(tau_list, roots, brackets, rho) -> list[complex]:
+    """[U_1^(i)..U_N^(i)] from [tau_1..tau_N] and the psi brackets
+    (lambda, a1, a3); no spectral point enters."""
+    lam, a1, a3 = brackets
+    prod = _times_phi(1.0 + 0.0j, roots, rho, a1, a3)
+    return [t * rho * lam * prod for t in tau_list]
+
+
+def inhomogeneous_terms(roots, u, hp: HeunParams,
+                        rp: RacahParams) -> tuple[complex, list[complex]]:
     """(w^(i), [U_1^(i)..U_N^(i)]): the corrections from reducing the
     extension term back onto N-root Bethe vectors."""
-    N = rp.N
-    if len(roots) != N:
-        raise ParameterDomainError(f"inhomogeneous terms need N={N} roots, got {len(roots)}")
-    rho = hp.rho
-    tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
-    w_i = tau_u * psi_factored(u, N, roots, hp, rp)
-    lam, a1, a3 = _psi_brackets(N, hp, rp)
-    prod = 1.0 + 0.0j
-    for x in roots:
-        den = a3 * a3 - rho * rho * x * x
-        if abs(den) < POLE_FLOOR:
-            raise ParameterDomainError("inhomogeneous pole: root denominator vanishes")
-        prod *= (a1 * a1 - rho * rho * x * x) / den
-    u_i = [tau * rho * lam * prod for tau in tau_list]
-    return w_i, u_i
+    tau_u, tau_list = maba_reduce(roots, u, hp, rp)
+    w_i = tau_u * psi_factored(u, rp.N, roots, hp, rp)
+    return w_i, _tau_corrections(tau_list, roots, _psi_brackets(rp.N, hp, rp), hp.rho)
 
 
-def inhomogeneous_residuals(roots, u, hp: HeunParams, rp: RacahParams,
-                            ctx: DynContext) -> list[complex]:
+def inhomogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
     """Cleared inhomogeneous Bethe equations: U_r + U_r^(i) for r = 1..N."""
-    if len(roots) != rp.N:
-        raise ModeError(f"inhomogeneous mode needs p = N = {rp.N}, got {len(roots)}")
-    _, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx)
-    return [unwanted_U(r, roots, hp, rp, ctx) + u_i[r - 1]
-            for r in range(1, rp.N + 1)]
+    return BetheSystem(hp, ctx, INHOMOGENEOUS).reference(roots)[0]
 
 
-def inhomogeneous_scales(roots, u, hp: HeunParams, rp: RacahParams,
-                         ctx: DynContext) -> list[float]:
+def inhomogeneous_scales(roots, hp: HeunParams, ctx: DynContext) -> list[float]:
     """Cancellation scales 1 + sum |summands| for each cleared equation."""
-    _, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx)
-    return [unwanted_scale(r, roots, hp, rp) + abs(u_i[r - 1])
-            for r in range(1, rp.N + 1)]
+    return BetheSystem(hp, ctx, INHOMOGENEOUS).reference(roots)[1]
 
 
-class ResidualKernel:
-    """The cleared Bethe equations and their Jacobian in closed form.
+@dataclass(frozen=True)
+class BetheSystem:
+    """One Bethe system, fixed for a solve: (hp, ctx, mode), rp = ctx.rep.params.
 
-    Built once per solve from (hp, rp, p, mode), it holds every
-    root-independent constant of the residual map.  Calling it on p roots
-    returns (F, J): F[r] is U_{r+1}, plus U_{r+1}^(i) in inhomogeneous mode,
-    and J[r][j] = dF[r]/dx_j.  It agrees with homogeneous_residuals and
-    inhomogeneous_residuals, which stay the reference; U_r^(i) does not
-    depend on the auxiliary spectral point, so the kernel takes none.
+    Construction resolves the root count p once (homogeneous mode: the
+    integer p_bar, whose extension prefactor must vanish; inhomogeneous
+    mode: N; any other mode is a ModeError) and builds the root-independent
+    constants: the swap weight at m_bar - p and, in inhomogeneous mode
+    only, the tau constants and psi brackets.
+
+    reference(roots) evaluates the scalar maps: F[r] = U_{r+1}, plus
+    U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales.
+    closed_form(roots) returns F with J[r][j] = dF[r]/dx_j in one pass, for
+    Newton; certification never uses it.  U_r^(i) does not depend on the
+    auxiliary spectral point, so neither pass takes one.
 
     Each summand is a product of rational factors, so the Jacobian follows
     from their logarithmic derivatives.  With y = +-x_r and d_rl = x_r^2 - x_l^2,
@@ -537,28 +545,75 @@ class ResidualKernel:
     pole.
     """
 
-    def __init__(self, hp: HeunParams, rp: RacahParams, p: int, mode: str):
-        if mode == INHOMOGENEOUS:
-            if p != rp.N:
-                raise ModeError(f"inhomogeneous mode needs p = N = {rp.N}, got {p}")
-            pref, cpref, zeros = _tau_shared(hp, rp)
-            lam, a1, a3 = _psi_brackets(p, hp, rp)
-            self.coef = pref * hp.rho * lam
-            self.csq = cpref * cpref
-            self.zsq = [z * z for z in zeros]
-            self.rho2 = hp.rho * hp.rho
-            self.a1sq, self.a3sq = a1 * a1, a3 * a3
-        elif mode != HOMOGENEOUS:
-            raise ModeError(f"unknown mode {mode!r}")
-        self.p = p
-        self.inhomogeneous = mode == INHOMOGENEOUS
-        self.weight = SwapWeight(hp, rp, hp.m_bar - p)
+    hp: HeunParams
+    ctx: DynContext
+    mode: str
+    rp: RacahParams = field(init=False, repr=False, compare=False)
+    p: int = field(init=False, compare=False)
+    p_bar: int | None = field(init=False, compare=False)  # p, in homogeneous mode only
+    weight: SwapWeight = field(init=False, repr=False, compare=False)
+    tau: tuple | None = field(init=False, repr=False, compare=False)
+    brackets: tuple | None = field(init=False, repr=False, compare=False)
+    squares: tuple | None = field(init=False, repr=False, compare=False)
 
-    def __call__(self, roots) -> tuple[list[complex], list[list[complex]]]:
+    def __post_init__(self):
+        hp, ctx, rp = self.hp, self.ctx, self.ctx.rep.params
+        if abs(hp.rho - ctx.rho) > POLE_FLOOR:
+            raise ParameterDomainError(
+                f"context rho={ctx.rho} differs from Heun rho={hp.rho}")
+        tau = brackets = squares = None
+        if self.mode == HOMOGENEOUS:
+            p = p_bar = integer_p_bar(hp, rp.N)
+            if p is None:
+                raise ModeError(
+                    f"homogeneous mode needs an integer root count in [0, {rp.N}]; "
+                    f"candidates are {hp.p_bar_plus} and {hp.p_bar_minus}; "
+                    f"use inhomogeneous mode instead")
+            lam, lam_scale = extension_prefactor(p, hp, rp)
+            if abs(lam) > 1e-9 * lam_scale:
+                raise ModeError(f"extension prefactor does not vanish at p_bar={p}: |{lam}|")
+        elif self.mode == INHOMOGENEOUS:
+            p, p_bar = rp.N, None
+            tau, brackets = _tau_shared(hp, rp), _psi_brackets(p, hp, rp)
+            (pref, cpref, zeros), (lam, a1, a3), rho = tau, brackets, hp.rho
+            # the closed form's constants: C, c^2, the z^2, rho^2, a1^2, a3^2
+            squares = (pref * rho * lam, cpref * cpref, [z * z for z in zeros],
+                       rho * rho, a1 * a1, a3 * a3)
+        else:
+            raise ModeError(f"unknown mode {self.mode!r}")
+        for name, value in (("rp", rp), ("p", p), ("p_bar", p_bar),
+                            ("weight", SwapWeight(hp, rp, hp.m_bar - p)),
+                            ("tau", tau), ("brackets", brackets), ("squares", squares)):
+            object.__setattr__(self, name, value)
+
+    def reference(self, roots) -> tuple[list[complex], list[float]]:
+        """(residuals, scales) of the cleared equations from the scalar maps;
+        each scale is 1 + the magnitude of the summands cancelling inside."""
+        if len(roots) != self.p:
+            raise ModeError(f"{self.mode} mode needs p = {self.p} roots, got {len(roots)}")
+        corrections = None if self.tau is None else _tau_corrections(
+            _tau_roots(roots, *self.tau), roots, self.brackets, self.hp.rho)
+        residuals, scales = [], []
+        for r in range(1, self.p + 1):
+            terms = _unwanted_summands(r, roots, self.weight)
+            res, scale = sum(terms), 1.0 + sum(abs(t) for t in terms)
+            if corrections is not None:
+                res, scale = res + corrections[r - 1], scale + abs(corrections[r - 1])
+            residuals.append(res)
+            scales.append(scale)
+        return residuals, scales
+
+    def eigenvalue(self, u, roots) -> complex:
+        """w_p at spectral point u, plus w^(i) in inhomogeneous mode."""
+        value = eigenvalue_w(u, roots, self.hp, self.rp, self.ctx)
+        if self.tau is not None:
+            value = value + _tau_u(roots, u, *self.tau) \
+                * psi_factored(u, self.p, roots, self.hp, self.rp)
+        return value
+
+    def closed_form(self, roots) -> tuple[list[complex], list[list[complex]]]:
         p = self.p
         x = [complex(v) for v in roots]
-        if len(x) != p:
-            raise ModeError(f"residual kernel expects {p} roots, got {len(x)}")
         weights = [(self.weight(v), self.weight(-v)) for v in x]
         sq = [v * v for v in x]
         inv = [[0j] * p for _ in range(p)]
@@ -593,30 +648,31 @@ class ResidualKernel:
                 for l in range(p):
                     if l != r:
                         row[l] += t * dlog[l]
-        if self.inhomogeneous:
+        if self.squares is not None:
             self._add_corrections(x, sq, inv, F, J)
         return F, J
 
     def _add_corrections(self, x, sq, inv, F, J):
         """Add U_r^(i) and its derivatives to F and J."""
-        p, rho2 = self.p, self.rho2
+        p = self.p
+        coef, csq, zsq, rho2, a1sq, a3sq = self.squares
         psi, dlog_c, dlog_phi = 1.0, [], []
         for v, s in zip(x, sq):
-            num, den = self.a1sq - rho2 * s, self.a3sq - rho2 * s
+            num, den = a1sq - rho2 * s, a3sq - rho2 * s
             if abs(den) < POLE_FLOOR:
                 raise ParameterDomainError("residual kernel pole: a3^2 = rho^2 x^2")
             psi *= num / den
             dlog_phi.append(2 * rho2 * v * (1 / den - 1 / num))
-            dlog_c.append(-2 * v / (self.csq - s))
+            dlog_c.append(-2 * v / (csq - s))
         for r in range(p):
             xr, inv_r = x[r], inv[r]
-            val, dlog_r = self.coef * psi, dlog_phi[r]
-            for zs in self.zsq:
+            val, dlog_r = coef * psi, dlog_phi[r]
+            for zs in zsq:
                 val *= sq[r] - zs
                 dlog_r += 2 * xr / (sq[r] - zs)
             for k in range(p):
                 if k != r:
-                    val *= (self.csq - sq[k]) * inv_r[k]
+                    val *= (csq - sq[k]) * inv_r[k]
                     dlog_r -= 2 * xr * inv_r[k]
             F[r] += val
             row = J[r]
@@ -645,14 +701,12 @@ def u_aux_margin(u, roots, p: int, hp: HeunParams, rp: RacahParams) -> float:
     return min(vals)
 
 
-def pick_u_aux(roots, p: int, hp: HeunParams, rp: RacahParams, seed: int = 0,
-               avoid: complex | None = None) -> complex:
+def pick_u_aux(roots, p: int, hp: HeunParams, rp: RacahParams, seed: int = 0) -> complex:
     """The fixed generic spectral point, redrawn (seeded) off any pole."""
     u = U_AUX_DEFAULT
     rng = np.random.default_rng(seed)
     for _ in range(1000):
-        if u_aux_margin(u, roots, p, hp, rp) >= U_AUX_MARGIN and \
-                (avoid is None or abs(u - avoid) >= U_AUX_MARGIN):
+        if u_aux_margin(u, roots, p, hp, rp) >= REJECT_MARGIN:
             return u
         r = rng.uniform(1.5, 3.5)
         th = rng.uniform(0.0, 2 * np.pi)
@@ -668,16 +722,15 @@ def wv_action_residual(roots, u, hp: HeunParams, rp: RacahParams,
     in inhomogeneous form (p = N) the extension is absorbed into the
     tau-corrected coefficients.
     """
-    from .heun import build_W_parametric
     p = len(roots)
     rho = hp.rho
     W = build_W_parametric(hp, ctx)
     V, swapped, extended = _swapped_family(roots, u, hp.m_bar, ctx)
     inhomogeneous = mode == INHOMOGENEOUS
-    w_i, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx) if inhomogeneous else (0, [0] * p)
+    w_i, u_i = inhomogeneous_terms(roots, u, hp, rp) if inhomogeneous else (0, [0] * p)
     rhs = (eigenvalue_w(u, roots, hp, rp, ctx) + w_i) * V
     for r in range(1, p + 1):
-        coef = (unwanted_U(r, roots, hp, rp, ctx) + u_i[r - 1]) \
+        coef = (unwanted_U(r, roots, hp, rp) + u_i[r - 1]) \
             / (rho * (rho - 1) * (u * u - roots[r - 1] ** 2))
         rhs = rhs + coef * swapped[r - 1]
     if not inhomogeneous:

@@ -199,7 +199,7 @@ def cmd_solve(args) -> int:
 def cmd_check_maba(args) -> int:
     import numpy as np
     from . import bethe as bt
-    from .sampling import draw_complex, draw_until
+    from .sampling import REJECT_MARGIN, draw_complex, draw_until
 
     params = load_params(args.params)
     N = args.N if args.N is not None else params["N"]
@@ -209,7 +209,7 @@ def cmd_check_maba(args) -> int:
     rep = build_representation(rp)
     hp = build_heun_params(params["rho"], params["s1"], params["s2"], rp)
     ctx = DynContext(rep=rep, rho=hp.rho)
-    if bt.maba_parameter_margin(hp, rp) < 1e-3:
+    if bt.maba_parameter_margin(hp, rp) < REJECT_MARGIN:
         raise ParameterDomainError(
             "tau dynamical denominator vanishes for these parameters at this N; "
             "perturb s2 (or rho) to move m_bar off the degenerate value")
@@ -219,7 +219,7 @@ def cmd_check_maba(args) -> int:
         u, roots = draw_until(
             rng,
             lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-            lambda t: bt.maba_pole_margin(list(t[1]), t[0], hp, rp) >= 1e-3)
+            lambda t: bt.maba_pole_margin(list(t[1]), t[0], hp, rp) >= REJECT_MARGIN)
         plain, backward = bt.maba_identity_residuals(roots, u, hp, rp, ctx)
         residuals.append(plain)
         backwards.append(backward)

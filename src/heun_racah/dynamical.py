@@ -24,8 +24,7 @@ import numpy as np
 from .core import residual_norm, vector_residual
 from .errors import ParameterDomainError, RelationViolation
 from .racah import Representation, verify_defining_relations
-from . import sampling
-from .sampling import draw_complex, draw_until
+from .sampling import REJECT_MARGIN, draw_complex, draw_until
 
 POLE_FLOOR = 1e-12
 
@@ -182,17 +181,15 @@ class RelationReport:
         return out
 
 
-def _draw_uvm(rng, ctx, need_k=True, margin=sampling.REJECT_MARGIN):
+def _draw_uvm(rng, ctx):
     """Admissible (u, v, m) for the AB/CA exchange relations."""
     rho = ctx.rho
 
     def ok(t):
         u, v, m = t
-        checks = [abs(u - 1), abs(v - 1), abs(v + 1),
-                  abs(2 * m * rho - 1), abs(2 * (m - 1) * rho - 1)]
-        if need_k:
-            checks += [abs(u * u - v * v), abs(v)]
-        return min(checks) >= margin
+        return min(abs(u - 1), abs(v - 1), abs(v + 1),
+                   abs(2 * m * rho - 1), abs(2 * (m - 1) * rho - 1),
+                   abs(u * u - v * v), abs(v)) >= REJECT_MARGIN
 
     return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r), draw_complex(r)), ok)
 
@@ -224,31 +221,31 @@ def _sample_ca(rng, ctx):
     return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
 
 
-def _draw_heun(rng, ctx, margin=sampling.REJECT_MARGIN):
+def _draw_heun(rng, ctx):
     """Random parametric Heun coefficients admissible for this rho."""
     from .heun import build_heun_params
     rho = ctx.rho
     s1 = draw_complex(rng)
-    s2 = draw_until(rng, draw_complex, lambda s: abs(s - rho) >= margin)
+    s2 = draw_until(rng, draw_complex, lambda s: abs(s - rho) >= REJECT_MARGIN)
     return build_heun_params(rho, s1, s2, ctx.rep.params)
 
 
-def _draw_u_for_wa(rng, rho, margin=sampling.REJECT_MARGIN):
+def _draw_u_for_wa(rng):
     return draw_until(
         rng, draw_complex,
-        lambda u: min(abs(u), abs(u - 1), abs(u + 1)) >= margin)
+        lambda u: min(abs(u), abs(u - 1), abs(u + 1)) >= REJECT_MARGIN)
 
 
 def _sample_wa(rng, ctx):
     from .heun import wa_residuals
     hp = _draw_heun(rng, ctx)
-    u1 = _draw_u_for_wa(rng, ctx.rho)
-    u2 = _draw_u_for_wa(rng, ctx.rho)
+    u1 = _draw_u_for_wa(rng)
+    u2 = _draw_u_for_wa(rng)
     res_w, res_u = wa_residuals(u1, u2, hp, ctx)
     return max(res_w, res_u), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
 
 
-def _sample_vacuum(rng, ctx, margin=sampling.REJECT_MARGIN):
+def _sample_vacuum(rng, ctx):
     from .bethe import vacuum, vacuum_coeffs
     p = ctx.rep.params
     rho = ctx.rho
@@ -256,7 +253,7 @@ def _sample_vacuum(rng, ctx, margin=sampling.REJECT_MARGIN):
     def ok(t):
         u, m = t
         return min(abs(u - 1), abs(2 * m * rho - 1),
-                   abs(p.delta + p.gamma - 2 * m + 2 - u)) >= margin
+                   abs(p.delta + p.gamma - 2 * m + 2 - u)) >= REJECT_MARGIN
 
     u, m = draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)), ok)
     vc = vacuum_coeffs(u, m, p, rho)
@@ -266,9 +263,9 @@ def _sample_vacuum(rng, ctx, margin=sampling.REJECT_MARGIN):
     return vector_residual(lhs, rhs), {"u": u, "m": m}
 
 
-def _sample_abv(rng, ctx, margin=sampling.REJECT_MARGIN):
+def _sample_abv(rng, ctx):
     """Both middle-slot index conventions are evaluated; see verify_relation."""
-    from .bethe import bethe_vector, abv_rhs
+    from .bethe import abv_residuals
     rho = ctx.rho
     p = int(rng.integers(0, 4))
 
@@ -279,56 +276,49 @@ def _sample_abv(rng, ctx, margin=sampling.REJECT_MARGIN):
         for i, x in enumerate(roots):
             vals += [abs(u * u - x * x), abs(x), abs(x - 1), abs(x + 1)]
             vals += [abs(x * x - y * y) for y in roots[:i]]
-        return min(vals, default=1.0) >= margin
+        return min(vals, default=1.0) >= REJECT_MARGIN
 
     u, m, roots = draw_until(
         rng, lambda r: (draw_complex(r), draw_complex(r),
                         [draw_complex(r) for _ in range(p)]), ok)
-    lhs = op_A(u, m, ctx) @ bethe_vector(roots, m, ctx)
-    res_plus = vector_residual(lhs, abv_rhs(u, m, roots, ctx, middle_step=+1))
-    res_minus = vector_residual(lhs, abv_rhs(u, m, roots, ctx, middle_step=-1))
-    return (res_plus, res_minus), {"u": u, "m": m, "p": p, "roots": roots}
+    return abv_residuals(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
 
 
-def _sample_combination(rng, ctx, margin=sampling.REJECT_MARGIN):
+def _sample_combination(rng, ctx):
     from .bethe import f1_W
+    from .heun import h1_scalar
     rho = ctx.rho
 
     def ok(t):
         hp, u, v = t
         return min(abs(u * u - v * v), abs(v), abs(u),
-                   abs(2 * hp.m_bar * rho - 1)) >= margin
+                   abs(2 * hp.m_bar * rho - 1)) >= REJECT_MARGIN
 
     hp, u, v = draw_until(
         rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), ok)
-    lhs = (_h1(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
-           + _h1(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
+    lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
+           + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
     rhs = f1_W(v, hp) / (rho * (rho - 1) * (u * u - v * v))
     return abs(lhs - rhs) / max(1.0, abs(lhs)), {"u": u, "v": v, "s1": hp.s1, "s2": hp.s2}
 
 
-def _h1(u, hp):
-    from .heun import h1_scalar
-    return h1_scalar(u, hp)
-
-
-def _sample_psi(rng, ctx, margin=sampling.REJECT_MARGIN):
+def _sample_psi(rng, ctx):
     from .bethe import psi, psi_pole_margin
     p = int(rng.integers(0, 4))
 
     def ok(t):
         hp, u, roots = t
-        return psi_pole_margin(u, p, roots, hp, ctx.rep.params, ctx.rho) >= margin
+        return psi_pole_margin(u, p, roots, hp, ctx.rep.params) >= REJECT_MARGIN
 
     hp, u, roots = draw_until(
         rng, lambda r: (_draw_heun(r, ctx), draw_complex(r),
                         [draw_complex(r) for _ in range(p)]), ok)
-    factored, summed = psi(u, p, roots, hp, ctx.rep.params, ctx)
+    factored, summed = psi(u, p, roots, hp, ctx.rep.params)
     res = abs(factored - summed) / max(1.0, abs(factored))
     return res, {"u": u, "p": p, "roots": roots, "s1": hp.s1, "s2": hp.s2}
 
 
-def _sample_maba(rng, ctx, margin=sampling.REJECT_MARGIN):
+def _sample_maba(rng, ctx):
     """Backward residual of the reduction identity: the tau-weighted
     summands can dwarf the result for larger N, so the identity check
     normalizes by their magnitudes as well."""
@@ -337,7 +327,7 @@ def _sample_maba(rng, ctx, margin=sampling.REJECT_MARGIN):
 
     def ok(t):
         hp, u, roots = t
-        return maba_pole_margin(list(roots), u, hp, ctx.rep.params) >= margin
+        return maba_pole_margin(list(roots), u, hp, ctx.rep.params) >= REJECT_MARGIN
 
     hp, u, roots = draw_until(
         rng, lambda r: (_draw_heun(r, ctx), draw_complex(r),

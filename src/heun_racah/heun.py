@@ -112,8 +112,6 @@ def canonicalize(bp: BilinearParams, rp: RacahParams) -> tuple[HeunParams, compl
     r0, r1, r2, r3, r4 = (complex(v) for v in (bp.r0, bp.r1, bp.r2, bp.r3, bp.r4))
     if abs(r4) < POLE_FLOOR:
         raise CanonicalizationError("r4 = 0: the parametric family degenerates")
-    if abs(r3 - r4) < POLE_FLOOR:
-        raise CanonicalizationError("r3 = r4: the XY/YX ratio pins rho at infinity")
     q = r3 / r4
     if abs(q - 1) < POLE_FLOOR:
         raise CanonicalizationError("r3 = r4: cannot solve for rho")
@@ -144,14 +142,14 @@ def h2_scalar(u, hp: HeunParams, ctx: DynContext) -> complex:
              + h1_scalar(-u, hp) * coeff_g0(-u, hp.m_bar, ctx)) / den
 
 
-def h_coeffs(u, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> tuple[complex, complex, complex]:
+def h_coeffs(u, hp: HeunParams, ctx: DynContext) -> tuple[complex, complex, complex]:
     """(h1(u), h1(-u), h2(u)); poles at u = 0 and u = +-1."""
     return h1_scalar(u, hp), h1_scalar(-u, hp), h2_scalar(u, hp, ctx)
 
 
 def _wa_combination(u, hp: HeunParams, ctx: DynContext) -> np.ndarray:
     from .dynamical import op_A
-    h1p, h1m, h2 = h_coeffs(u, hp, ctx.rep.params, ctx)
+    h1p, h1m, h2 = h_coeffs(u, hp, ctx)
     return (h1p * op_A(u, hp.m_bar, ctx)
             + h1m * op_A(-u, hp.m_bar, ctx)
             + h2 * ctx.rep.I)

@@ -15,6 +15,8 @@ from .racah import RacahParams, build_params
 
 ANNULUS_MIN = 0.5
 ANNULUS_MAX = 5.0
+# The package's one pole margin: random draws, the solver's start and
+# certification filters and the auxiliary spectral point all keep it.
 REJECT_MARGIN = 1e-3
 MAX_TRIES = 10_000
 
@@ -40,14 +42,13 @@ def draw_until(rng: np.random.Generator, draw, admissible, max_tries: int = MAX_
         f"rejection sampling found no admissible draw in {max_tries} tries")
 
 
-def draw_racah_params(rng: np.random.Generator, N: int,
-                      margin: float = REJECT_MARGIN) -> RacahParams:
-    """Random (beta, gamma, delta) with all weight denominators >= margin."""
+def draw_racah_params(rng: np.random.Generator, N: int) -> RacahParams:
+    """Random (beta, gamma, delta) with all weight denominators >= REJECT_MARGIN."""
 
     def ok(pair) -> bool:
         gamma, delta = pair
         return all(
-            abs(2 * x + gamma + delta + shift) >= margin
+            abs(2 * x + gamma + delta + shift) >= REJECT_MARGIN
             for x in range(N + 1) for shift in (0, 1, 2)
         )
 
@@ -57,7 +58,7 @@ def draw_racah_params(rng: np.random.Generator, N: int,
     return build_params(N, beta, gamma, delta)
 
 
-def draw_rho(rng: np.random.Generator, margin: float = REJECT_MARGIN) -> complex:
+def draw_rho(rng: np.random.Generator) -> complex:
     return draw_until(
         rng, draw_complex,
-        lambda rho: abs(rho) >= margin and abs(rho - 1) >= margin)
+        lambda rho: abs(rho) >= REJECT_MARGIN and abs(rho - 1) >= REJECT_MARGIN)

@@ -3,8 +3,9 @@
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
 Newton never meets the removable poles of the equivalent ratio equations.
-Newton takes their residuals and closed-form Jacobian from one
-bethe.ResidualKernel pass per point.
+Each solve builds one bethe.BetheSystem, which fixes the mode, the root
+count and the root-independent constants; Newton takes residuals and
+closed-form Jacobian from one of its closed_form passes per point.
 Converged root sets are deflated modulo the permutation-and-sign symmetry
 and certified against the dense eigendecomposition of W, which is entirely
 independent of the Bethe machinery.
@@ -16,38 +17,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bethe
-from .bethe import (BetheState, HOMOGENEOUS, INHOMOGENEOUS, bethe_vector,
-                    canonical_roots, pick_u_aux)
+from .bethe import (BetheState, BetheSystem, HOMOGENEOUS, INHOMOGENEOUS, bethe_vector,
+                    canonical_roots, pick_u_aux, u_aux_margin)
 from .core import dense_spectrum
 from .dynamical import DynContext
-from .errors import ModeError, ParameterDomainError, SolverFailure
-from .heun import HeunParams, build_W_parametric, integer_p_bar
+from .errors import ParameterDomainError, SolverFailure
+from .heun import HeunParams, build_W_parametric
 from .racah import RacahParams, y_eigenvalue
+from .sampling import REJECT_MARGIN
 
 EIGEN_RESIDUAL_TOL = 1e-8
 BETHE_RESIDUAL_TOL = 1e-9
 MATCH_TOL = 1e-6
 COND_LIMIT = 1e14
 MAX_HALVINGS = 30
+MAX_ITER = 200
+NEWTON_TOL = 1e-12
+JACOBIAN_STEP = 1e-7
+DEFLATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iter: int = 200
-    newton_tol: float = 1e-12
     starts: int = 64
     seed: int = 0
-    jacobian_step: float = 1e-7
-    deflation_tol: float = 1e-6
-    pole_margin: float = 1e-3
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        for name in ("newton_tol", "jacobian_step", "deflation_tol", "pole_margin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -88,13 +85,13 @@ class SolveReport:
         return out
 
 
-def newton_refine(f, x0, cfg: SolverConfig, jac=None):
+def newton_refine(f, x0, jac=None):
     """Damped Newton; central finite-difference Jacobian unless jac is given.
 
     Returns (x, converged, iterations).  A start is abandoned (converged
     False) on a pole at the start point, a Jacobian condition estimate
     above 1e14, or thirty failed step halvings.  Convergence means
-    ||f||_inf <= newton_tol * (1 + ||f(x_start)||_inf).
+    ||f||_inf <= NEWTON_TOL * (1 + ||f(x_start)||_inf).
     """
     x = np.asarray(x0, dtype=np.complex128).copy()
     n = x.size
@@ -102,10 +99,9 @@ def newton_refine(f, x0, cfg: SolverConfig, jac=None):
     if fx is None:
         return x, False, 0
     scale = 1.0 + float(np.max(np.abs(fx))) if n else 1.0
-    h = cfg.jacobian_step
 
-    for it in range(cfg.max_iter):
-        if n == 0 or np.max(np.abs(fx)) <= cfg.newton_tol * scale:
+    for it in range(MAX_ITER):
+        if n == 0 or np.max(np.abs(fx)) <= NEWTON_TOL * scale:
             return x, True, it
         if jac is not None:
             J = np.asarray(jac(x), dtype=np.complex128).reshape(n, n)
@@ -113,12 +109,12 @@ def newton_refine(f, x0, cfg: SolverConfig, jac=None):
             J = np.empty((n, n), dtype=np.complex128)
             for j in range(n):
                 step = np.zeros(n, dtype=np.complex128)
-                step[j] = h
+                step[j] = JACOBIAN_STEP
                 fp = _try_eval(f, x + step)
                 fm = _try_eval(f, x - step)
                 if fp is None or fm is None:
                     return x, False, it
-                J[:, j] = (fp - fm) / (2 * h)
+                J[:, j] = (fp - fm) / (2 * JACOBIAN_STEP)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
             return x, False, it
         try:
@@ -136,8 +132,8 @@ def newton_refine(f, x0, cfg: SolverConfig, jac=None):
             t *= 0.5
         else:
             return x, False, it
-    converged = n == 0 or bool(np.max(np.abs(fx)) <= cfg.newton_tol * scale)
-    return x, converged, cfg.max_iter
+    converged = n == 0 or bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale)
+    return x, converged, MAX_ITER
 
 
 def _try_eval(f, x):
@@ -150,18 +146,19 @@ def _try_eval(f, x):
     return out
 
 
-def _xi_zero_guesses(p: int, hp: HeunParams, rp: RacahParams) -> list[complex]:
+def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
     """Analytic start guesses: zeros of the vacuum weight at index m_bar - p."""
+    rp = system.rp
     N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
-    shifted = 2 * (hp.m_bar - p) - g - d
+    shifted = 2 * (system.hp.m_bar - system.p) - g - d
     return [-N + (bt - g + d), -N - (bt - g + d),
             N + 2 + g + d + bt, N + 2 + g + d - bt, shifted]
 
 
-def _root_margin(roots, p: int, hp: HeunParams, rp: RacahParams) -> float:
-    """Pole distance of the cleared residual map at a root configuration."""
-    g, d = rp.gamma, rp.delta
-    m_shift = d + g - 2 * (hp.m_bar - p) + 2
+def _root_margin(roots, system: BetheSystem) -> float:
+    """Pole distance of the cleared residual map at a root set, |x_i^2 - x_j^2| included."""
+    g, d = system.rp.gamma, system.rp.delta
+    m_shift = d + g - 2 * (system.hp.m_bar - system.p) + 2
     vals = []
     for i, x in enumerate(roots):
         vals += [abs(x), abs(x - 1), abs(x + 1),
@@ -171,31 +168,20 @@ def _root_margin(roots, p: int, hp: HeunParams, rp: RacahParams) -> float:
     return min(vals, default=1.0)
 
 
-def seed_starts(mode: str, hp: HeunParams, rp: RacahParams,
-                cfg: SolverConfig) -> list[list[complex]]:
+def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[list[complex]]:
     """Deterministic multistart seeds: annulus draws mixed with perturbed
     zeros of the vacuum weight, canonicalized and pole-filtered."""
-    if mode == HOMOGENEOUS:
-        p = integer_p_bar(hp, rp.N)
-        if p is None:
-            raise ModeError(
-                f"no nonnegative integer root count <= N={rp.N}: candidates "
-                f"{hp.p_bar_plus} and {hp.p_bar_minus}")
-    elif mode == INHOMOGENEOUS:
-        p = rp.N
-    else:
-        raise ModeError(f"unknown mode {mode!r}")
-
+    rp = system.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
     rmax = max(1.0, 2.0 * np.sqrt(lam_max))
-    guesses = [z for z in _xi_zero_guesses(p, hp, rp) if abs(z) > cfg.pole_margin]
+    guesses = [z for z in _xi_zero_guesses(system) if abs(z) > REJECT_MARGIN]
 
     starts: list[list[complex]] = []
     for _ in range(cfg.starts):
         for _attempt in range(200):
             roots = []
-            for _k in range(p):
+            for _k in range(system.p):
                 if guesses and rng.uniform() < 0.5:
                     z = guesses[int(rng.integers(len(guesses)))]
                     z = z * (1 + 0.05 * (rng.standard_normal() + 1j * rng.standard_normal()))
@@ -205,7 +191,7 @@ def seed_starts(mode: str, hp: HeunParams, rp: RacahParams,
                     z = complex(r * np.cos(th), r * np.sin(th))
                 roots.append(z)
             roots = list(canonical_roots(roots))
-            if _root_margin(roots, p, hp, rp) >= cfg.pole_margin:
+            if _root_margin(roots, system) >= REJECT_MARGIN:
                 break
         starts.append(roots)
     return starts
@@ -223,33 +209,21 @@ def _match_oracle(value: complex, oracle: np.ndarray):
     return idx, ambiguous
 
 
-def _certify(roots, mode, hp, rp, ctx, cfg, W, W_fro, oracle, u_aux):
+def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle, u_aux):
     """Certify one converged configuration; returns (state, reason)."""
     roots = list(canonical_roots(roots))
-    p = len(roots)
-    if _root_margin(roots, p, hp, rp) < cfg.pole_margin:
+    if _root_margin(roots, system) < REJECT_MARGIN:
         return None, "pole_margin"
-    for i, x in enumerate(roots):
-        for y in roots[:i]:
-            if abs(x * x - y * y) < cfg.pole_margin:
-                return None, "root_collision"
+    hp, rp, p = system.hp, system.rp, system.p
     try:
         uax = u_aux
-        if uax is None or bethe.u_aux_margin(uax, roots, p, hp, rp) < bethe.U_AUX_MARGIN:
-            uax = pick_u_aux(roots, p, hp, rp, seed=cfg.seed)
-        if mode == HOMOGENEOUS:
-            residuals = [bethe.unwanted_U(r, roots, hp, rp, ctx) for r in range(1, p + 1)]
-            scales = [bethe.unwanted_scale(r, roots, hp, rp) for r in range(1, p + 1)]
-        else:
-            residuals = bethe.inhomogeneous_residuals(roots, uax, hp, rp, ctx)
-            scales = bethe.inhomogeneous_scales(roots, uax, hp, rp, ctx)
+        if uax is None or u_aux_margin(uax, roots, p, hp, rp) < REJECT_MARGIN:
+            uax = pick_u_aux(roots, p, hp, rp, seed=seed)
+        residuals, scales = system.reference(roots)
         if any(abs(res) > BETHE_RESIDUAL_TOL * sc for res, sc in zip(residuals, scales)):
             return None, "bethe_residual"
-        eigenvalue = bethe.eigenvalue_w(uax, roots, hp, rp, ctx)
-        if mode == INHOMOGENEOUS:
-            w_i, _ = bethe.inhomogeneous_terms(roots, uax, hp, rp, ctx)
-            eigenvalue = eigenvalue + w_i
-        vec = bethe_vector(roots, hp.m_bar, ctx)
+        eigenvalue = system.eigenvalue(uax, roots)
+        vec = bethe_vector(roots, hp.m_bar, system.ctx)
     except ParameterDomainError:
         return None, "pole"
     vnorm = float(np.linalg.norm(vec))
@@ -261,7 +235,7 @@ def _certify(roots, mode, hp, rp, ctx, cfg, W, W_fro, oracle, u_aux):
     idx, _amb = _match_oracle(complex(eigenvalue), oracle)
     if idx is None:
         return None, "no_oracle_match"
-    state = BetheState(roots=tuple(roots), mode=mode, u_aux=complex(uax),
+    state = BetheState(roots=tuple(roots), mode=system.mode, u_aux=complex(uax),
                        eigenvalue=complex(eigenvalue),
                        bethe_residuals=tuple(complex(r) for r in residuals),
                        eigen_residual=eigen_residual)
@@ -279,7 +253,8 @@ def _is_duplicate(roots, states, tol: float) -> bool:
 
 
 def _scaled_maps(kernel, norms):
-    """Residual map and Jacobian with row r scaled by norms[r].
+    """Residual map and Jacobian with row r scaled by norms[r]; kernel maps
+    roots to (F, J), as BetheSystem.closed_form does.
 
     Newton asks for the Jacobian only at the last point it evaluated, so
     the Jacobian from that one kernel pass is kept and reused.
@@ -298,52 +273,35 @@ def _scaled_maps(kernel, norms):
     return f, jac
 
 
-def _solve(mode: str, hp: HeunParams, rp: RacahParams, ctx: DynContext,
-           cfg: SolverConfig, p: int, u_aux) -> SolveReport:
-    W = build_W_parametric(hp, ctx)
+def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
+    W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
-
-    if mode == INHOMOGENEOUS:
-        u_for_scales = pick_u_aux([], p, hp, rp, seed=cfg.seed) if u_aux is None else u_aux
 
     states: list[BetheState] = []
     rejects: dict[str, int] = {}
     attempts = converged = 0
-
-    if p == 0:
-        attempts = converged = 1
-        state, reason = _certify([], mode, hp, rp, ctx, cfg, W, W_fro, oracle, u_aux)
-        if state is not None:
-            states.append(state)
-        else:
-            rejects[reason] = 1
-    else:
-        kernel = bethe.ResidualKernel(hp, rp, p, mode)
-        for start in seed_starts(mode, hp, rp, cfg):
-            attempts += 1
-            try:
-                base_scales = (
-                    [bethe.unwanted_scale(r, start, hp, rp) for r in range(1, p + 1)]
-                    if mode == HOMOGENEOUS
-                    else bethe.inhomogeneous_scales(start, u_for_scales, hp, rp, ctx))
-            except ParameterDomainError:
-                rejects["pole"] = rejects.get("pole", 0) + 1
-                continue
-            f, jac = _scaled_maps(kernel, [1.0 / s for s in base_scales])
-            roots, ok, _its = newton_refine(f, start, cfg, jac=jac)
-            if not ok:
-                rejects["newton"] = rejects.get("newton", 0) + 1
-                continue
-            converged += 1
-            state, reason = _certify(list(roots), mode, hp, rp, ctx, cfg,
-                                     W, W_fro, oracle, u_aux)
-            if state is None:
-                rejects[reason] = rejects.get(reason, 0) + 1
-                continue
-            if _is_duplicate(state.roots, states, cfg.deflation_tol):
-                continue
-            states.append(state)
+    # with no roots to solve for, the vacuum is the one start
+    for start in seed_starts(system, cfg) if system.p else [[]]:
+        attempts += 1
+        try:
+            _, base_scales = system.reference(start)
+        except ParameterDomainError:
+            rejects["pole"] = rejects.get("pole", 0) + 1
+            continue
+        f, jac = _scaled_maps(system.closed_form, [1.0 / s for s in base_scales])
+        roots, ok, _its = newton_refine(f, start, jac=jac)
+        if not ok:
+            rejects["newton"] = rejects.get("newton", 0) + 1
+            continue
+        converged += 1
+        state, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle, u_aux)
+        if state is None:
+            rejects[reason] = rejects.get(reason, 0) + 1
+            continue
+        if _is_duplicate(state.roots, states, DEFLATION_TOL):
+            continue
+        states.append(state)
 
     states.sort(key=lambda s: (s.eigenvalue.real, s.eigenvalue.imag,
                                tuple((x.real, x.imag) for x in s.roots)))
@@ -357,33 +315,30 @@ def _solve(mode: str, hp: HeunParams, rp: RacahParams, ctx: DynContext,
             ambiguous.append(s.eigenvalue)
     coverage = [(complex(ev), bool(ok)) for ev, ok in zip(oracle, matched)]
 
-    report = SolveReport(mode=mode, states=states, attempts=attempts,
+    report = SolveReport(mode=system.mode, states=states, attempts=attempts,
                          converged=converged, distinct=len(states),
                          spectrum_coverage=coverage, ambiguous_matches=ambiguous,
-                         seed=cfg.seed, p_bar=p if mode == HOMOGENEOUS else None,
+                         seed=cfg.seed, p_bar=system.p_bar,
                          diagnostics={"rejected": rejects} if rejects else {})
     if not states:
         raise SolverFailure(
-            f"{mode} solve produced no certifiable state out of {attempts} starts "
+            f"{system.mode} solve produced no certifiable state out of {attempts} starts "
             f"({converged} converged; rejections: {rejects})")
     return report
+
+
+def _system(hp: HeunParams, rp: RacahParams, ctx: DynContext, mode: str) -> BetheSystem:
+    """The solve's Bethe system; rp must be the parameters ctx was built on."""
+    if rp != ctx.rep.params:
+        raise ParameterDomainError(
+            f"Racah parameters {rp} are not those of the representation, {ctx.rep.params}")
+    return BetheSystem(hp, ctx, mode)
 
 
 def solve_homogeneous(hp: HeunParams, rp: RacahParams, ctx: DynContext,
                       cfg: SolverConfig | None = None) -> SolveReport:
     """Solve U_r = 0 at the integer root count p_bar and certify against W."""
-    cfg = cfg or SolverConfig()
-    p_bar = integer_p_bar(hp, rp.N)
-    if p_bar is None:
-        raise ModeError(
-            f"homogeneous mode needs an integer root count in [0, {rp.N}]; "
-            f"candidates are {hp.p_bar_plus} and {hp.p_bar_minus}; "
-            f"use inhomogeneous mode instead")
-    lam, lam_scale = bethe.extension_prefactor(p_bar, hp, rp)
-    if abs(lam) > 1e-9 * lam_scale:
-        raise ModeError(
-            f"extension prefactor does not vanish at p_bar={p_bar}: |{lam}|")
-    return _solve(HOMOGENEOUS, hp, rp, ctx, cfg, p_bar, None)
+    return _solve(_system(hp, rp, ctx, HOMOGENEOUS), cfg or SolverConfig(), None)
 
 
 def solve_inhomogeneous(hp: HeunParams, rp: RacahParams, ctx: DynContext,
@@ -394,5 +349,4 @@ def solve_inhomogeneous(hp: HeunParams, rp: RacahParams, ctx: DynContext,
     Partial spectrum coverage is reported, never raised; u_aux only enters
     the reported eigenvalues and must not change them on-shell.
     """
-    cfg = cfg or SolverConfig()
-    return _solve(INHOMOGENEOUS, hp, rp, ctx, cfg, rp.N, u_aux)
+    return _solve(_system(hp, rp, ctx, INHOMOGENEOUS), cfg or SolverConfig(), u_aux)

@@ -122,12 +122,11 @@ def test_criterion_5_psi_dual_form_and_zero():
         hp = build_heun_params(rho, 0, 3, rp)
         assert hp.p_bar_plus == pytest.approx(k)
         rng = np.random.default_rng(90 + k)
-        ctx = DynContext(rep=build_representation(rp), rho=rho)
         for _ in range(10):
             u, roots = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(k)]),
-                lambda t: bethe.psi_pole_margin(t[0], k, t[1], hp, rp, rho) > 1e-2)
-            factored, summed = bethe.psi(u, k, roots, hp, rp, ctx)
+                lambda t: bethe.psi_pole_margin(t[0], k, t[1], hp, rp) > 1e-2)
+            factored, summed = bethe.psi(u, k, roots, hp, rp)
             worst_zero = max(worst_zero, abs(factored))
     assert worst_zero <= 1e-10
     report(5, f"psi factored vs summed worst {worst:.3e}; psi(u, p_bar) worst "

@@ -97,7 +97,7 @@ class TestBetheVector:
 
 def reference_maba_residuals(roots, u, hp, rp, ctx):
     """maba_identity_residuals with one bethe_vector per swapped root list."""
-    tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
+    tau_u, tau_list = maba_reduce(roots, u, hp, rp)
     lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
     c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
     base = bethe_vector(roots, hp.m_bar, ctx)
@@ -179,6 +179,29 @@ class TestSharedFactors:
                     got = bethe.abv_rhs(u, m, roots, ctx, middle_step=step)
                     assert np.array_equal(got, reference_abv_rhs(u, m, roots, ctx, step))
 
+    def test_abv_residuals_build_each_root_factor_once(self, monkeypatch):
+        builds = []
+
+        def counted_op_B(*args):
+            builds.append(args[:2])
+            return op_B(*args)
+
+        for N in (1, 4, 12):
+            rng, rp, ctx, hp = random_setup(110 + N, N)
+            for p in range(4):
+                u, m = draw_complex(rng), draw_complex(rng)
+                roots = [draw_complex(rng) for _ in range(p)]
+                lhs = op_A(u, m, ctx) @ bethe_vector(roots, m, ctx)
+                want = tuple(vector_residual(lhs, reference_abv_rhs(u, m, roots, ctx, step))
+                             for step in (1, -1))
+                builds.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(bethe, "op_B", counted_op_B)
+                    assert bethe.abv_residuals(u, m, roots, ctx) == want
+                # p root factors, then p middle-slot factors per convention
+                assert len(builds) == 3 * p
+                assert sum(1 for x, _ in builds if x != u) == p
+
 
 class TestF1W:
     def test_zero_at_one(self, hp0):
@@ -238,35 +261,34 @@ class TestEigenvalueW:
 
 
 class TestUnwantedU:
-    def test_single_root_empty_product(self, p0, ctx0, hp0):
+    def test_single_root_empty_product(self, p0, hp0):
         x = 2.6 + 0.4j
         expected = (f1_W(x, hp0) * vacuum_coeffs(x, hp0.m_bar - 1, p0, 2).xi
                     + f1_W(-x, hp0) * vacuum_coeffs(-x, hp0.m_bar - 1, p0, 2).xi)
-        assert unwanted_U(1, [x], hp0, p0, ctx0) == pytest.approx(expected)
+        assert unwanted_U(1, [x], hp0, p0) == pytest.approx(expected)
 
-    def test_root_on_f1W_zero_drops_term(self, p0, ctx0, hp0):
+    def test_root_on_f1W_zero_drops_term(self, p0, hp0):
         # x_r = 1: f1_W(1) = 0 cancels the xi pole, and for these parameters
         # the cancelled limit vanishes too (beta^2 = (1 - N - 2 - gamma - delta)^2)
         roots = [1.0, 2.3 + 0.5j]
         expected = (f1_W(-1, hp0) * vacuum_coeffs(-1, hp0.m_bar - 2, p0, 2).xi
                     * coeff_k1(-1, roots[1]))
-        assert unwanted_U(1, roots, hp0, p0, ctx0) == pytest.approx(expected)
+        assert unwanted_U(1, roots, hp0, p0) == pytest.approx(expected)
 
-    def test_bad_index(self, p0, ctx0, hp0):
+    def test_bad_index(self, p0, hp0):
         with pytest.raises(ParameterDomainError):
-            unwanted_U(3, [1.5], hp0, p0, ctx0)
+            unwanted_U(3, [1.5], hp0, p0)
 
     @pytest.mark.parametrize("x_r", [1.0, -1.0])
     def test_continuous_at_unit_root(self, x_r):
         # f1_W(x_r) = 0 there, but f1_W xi has a finite nonzero limit
         rp = build_params(3, 2.2 + 0.4j, 1.3, 0.8)
-        ctx = DynContext(rep=build_representation(rp), rho=1.7)
         hp = build_heun_params(1.7, 0.9, 2.6, rp)
         rest = [2.3 + 0.5j, 0.7 - 1.1j]
-        at = unwanted_U(1, [x_r] + rest, hp, rp, ctx)
+        at = unwanted_U(1, [x_r] + rest, hp, rp)
         assert abs(at) > 1.0
         for h in (1e-9, 1e-9j, -1e-9):
-            near = unwanted_U(1, [x_r + h] + rest, hp, rp, ctx)
+            near = unwanted_U(1, [x_r + h] + rest, hp, rp)
             assert abs(near - at) <= 1e-6 * abs(at)
 
 
@@ -277,15 +299,14 @@ class TestPsi:
             for p in (0, 1, 2, 3):
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    lambda t: bethe.psi_pole_margin(t[0], p, t[1], hp, rp, ctx.rho) > 1e-2)
-                factored, summed = psi(u, p, roots, hp, rp, ctx)
+                    lambda t: bethe.psi_pole_margin(t[0], p, t[1], hp, rp) > 1e-2)
+                factored, summed = psi(u, p, roots, hp, rp)
                 assert abs(factored - summed) <= 1e-10 * max(1.0, abs(factored))
 
     def test_vanishes_at_integer_p_bar(self):
         rp = build_params(2, 4.2, 1, 2)
         hp = build_heun_params(2 / 7, 0, 3, rp)  # p_bar = 1
-        ctx = DynContext(rep=build_representation(rp), rho=2 / 7)
-        factored, summed = psi(1.9 + 0.3j, 1, [2.6 - 0.7j], hp, rp, ctx)
+        factored, summed = psi(1.9 + 0.3j, 1, [2.6 - 0.7j], hp, rp)
         assert abs(factored) <= 1e-10
         assert abs(summed) <= 1e-10
 
@@ -295,24 +316,24 @@ class TestPsi:
         expected = sum(h1_scalar(nu * u, hp0)
                        * vacuum_coeffs(nu * u, hp0.m_bar, p0, rho).zeta
                        for nu in (1, -1))
-        _, summed = psi(u, 0, [], hp0, p0, ctx0)
+        _, summed = psi(u, 0, [], hp0, p0)
         assert summed == pytest.approx(expected)
 
-    def test_root_count_mismatch(self, p0, ctx0, hp0):
+    def test_root_count_mismatch(self, p0, hp0):
         with pytest.raises(ParameterDomainError):
-            psi(2.0, 2, [1.5], hp0, p0, ctx0)
+            psi(2.0, 2, [1.5], hp0, p0)
 
 
 class TestHomogeneousResiduals:
-    def test_mode_error_without_integer_p_bar(self, p0, ctx0, hp0):
+    def test_mode_error_without_integer_p_bar(self, ctx0, hp0):
         with pytest.raises(ModeError):
-            homogeneous_residuals([1.5], hp0, p0, ctx0)
+            homogeneous_residuals([1.5], hp0, ctx0)
 
     def test_p_bar_zero_vacuum_is_eigenvector(self):
         rp = build_params(1, 5, 1, 2)
         ctx = DynContext(rep=build_representation(rp), rho=2 / 5)
         hp = build_heun_params(2 / 5, 0, 3, rp)
-        assert homogeneous_residuals([], hp, rp, ctx) == []
+        assert homogeneous_residuals([], hp, ctx) == []
         W = build_W_parametric(hp, ctx)
         e0 = vacuum(rp.N)
         lam = eigenvalue_w(2.37 + 0.91j, [], hp, rp, ctx)
@@ -335,7 +356,7 @@ class TestHomogeneousResiduals:
 
 class TestMabaReduce:
     def check_identity(self, roots, u, hp, rp, ctx):
-        tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
+        tau_u, tau_list = maba_reduce(roots, u, hp, rp)
         lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
         c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
         rhs = tau_u * bethe_vector(roots, hp.m_bar, ctx)
@@ -371,7 +392,7 @@ class TestMabaReduce:
         roots = draw_until(
             rng, lambda r: [draw_complex(r) for _ in range(rp.N)],
             lambda xs: bethe.maba_pole_margin(xs, u, hp, rp) > 1e-2)
-        tau_u, _ = maba_reduce(roots, u, hp, rp, ctx)
+        tau_u, _ = maba_reduce(roots, u, hp, rp)
         lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
         assert vector_residual(lhs, tau_u * bethe_vector(roots, hp.m_bar, ctx)) <= 1e-10
 
@@ -383,18 +404,18 @@ class TestInhomogeneous:
         ctx = DynContext(rep=build_representation(rp), rho=2 / 7)
         hp = build_heun_params(2 / 7, 0, 3, rp)
         roots, u = [2.6 + 0.4j], 1.8 - 1.1j
-        w_i, u_i = inhomogeneous_terms(roots, u, hp, rp, ctx)
-        tau_u, tau_list = maba_reduce(roots, u, hp, rp, ctx)
+        w_i, u_i = inhomogeneous_terms(roots, u, hp, rp)
+        tau_u, tau_list = maba_reduce(roots, u, hp, rp)
         assert abs(w_i) <= 1e-10 * (1 + abs(tau_u))
         assert abs(u_i[0]) <= 1e-10 * (1 + abs(tau_list[0]))
-        hom = unwanted_U(1, roots, hp, rp, ctx)
-        inhom = inhomogeneous_residuals(roots, u, hp, rp, ctx)
+        hom = unwanted_U(1, roots, hp, rp)
+        inhom = inhomogeneous_residuals(roots, hp, ctx)
         assert inhom[0] == pytest.approx(hom, rel=1e-9)
 
-    def test_tau_zero_kills_correction(self, p0, ctx0, hp0):
+    def test_tau_zero_kills_correction(self, p0, hp0):
         # x_1 on a zero of the tau numerator product: beta-gamma+delta-N = 5
         roots = [5.0]
-        _, u_i = inhomogeneous_terms(roots, 1.7 - 0.6j, hp0, p0, ctx0)
+        _, u_i = inhomogeneous_terms(roots, 1.7 - 0.6j, hp0, p0)
         assert u_i[0] == 0
 
     def test_sign_and_permutation_invariance(self):
@@ -403,18 +424,18 @@ class TestInhomogeneous:
         roots = draw_until(
             rng, lambda r: [draw_complex(r) for _ in range(2)],
             lambda xs: min(bethe.maba_pole_margin(xs, u, hp, rp),
-                           bethe.psi_pole_margin(u, 2, xs, hp, rp, ctx.rho)) > 1e-2)
-        base = inhomogeneous_residuals(list(canonical_roots(roots)), u, hp, rp, ctx)
+                           bethe.psi_pole_margin(u, 2, xs, hp, rp)) > 1e-2)
+        base = inhomogeneous_residuals(list(canonical_roots(roots)), hp, ctx)
         flipped = inhomogeneous_residuals(list(canonical_roots([-roots[0], roots[1]])),
-                                          u, hp, rp, ctx)
+                                          hp, ctx)
         np.testing.assert_allclose(flipped, base)
         swapped = inhomogeneous_residuals(list(canonical_roots(roots[::-1])),
-                                          u, hp, rp, ctx)
+                                          hp, ctx)
         np.testing.assert_allclose(swapped, base)
 
-    def test_mode_error(self, p0, ctx0, hp0):
+    def test_mode_error(self, ctx0, hp0):
         with pytest.raises(ModeError):
-            inhomogeneous_residuals([1.5, 2.5], 2.0, hp0, p0, ctx0)
+            inhomogeneous_residuals([1.5, 2.5], hp0, ctx0)
 
 
 class TestWVAction:
@@ -424,7 +445,7 @@ class TestWVAction:
             for p in (0, 1, 2, 3):
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    lambda t: min(bethe.psi_pole_margin(t[0], p, t[1], hp, rp, ctx.rho),
+                    lambda t: min(bethe.psi_pole_margin(t[0], p, t[1], hp, rp),
                                   bethe.u_aux_margin(t[0], t[1], p, hp, rp)) > 1e-2)
                 assert bethe.wv_action_residual(roots, u, hp, rp, ctx) <= 1e-9
 
@@ -434,7 +455,7 @@ class TestWVAction:
             u, roots = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
                 lambda t: min(bethe.maba_pole_margin(list(t[1]), t[0], hp, rp),
-                              bethe.psi_pole_margin(t[0], N, t[1], hp, rp, ctx.rho),
+                              bethe.psi_pole_margin(t[0], N, t[1], hp, rp),
                               bethe.u_aux_margin(t[0], t[1], N, hp, rp)) > 1e-2)
             res = bethe.wv_action_residual(roots, u, hp, rp, ctx,
                                            mode=bethe.INHOMOGENEOUS)

@@ -246,7 +246,7 @@ class TestCheckMabaCommand:
         hp = build_heun_params(2, 1, 3, rp)
         u = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
         roots = [1.4 + 0.6j]
-        tau_u, _ = bethe.maba_reduce(roots, u, hp, rp, ctx)
+        tau_u, _ = bethe.maba_reduce(roots, u, hp, rp)
         lhs = bethe.bethe_vector(roots + [u], hp.m_bar, ctx)
         rhs = tau_u * bethe.bethe_vector(roots, hp.m_bar, ctx)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1, np.linalg.norm(lhs))

@@ -119,8 +119,8 @@ class TestCanonicalize:
 
 
 class TestHCoeffs:
-    def test_reference_values(self, hp0, p0, ctx0):
-        h1p, h1m, h2 = h_coeffs(3, hp0, p0, ctx0)
+    def test_reference_values(self, hp0, ctx0):
+        h1p, h1m, h2 = h_coeffs(3, hp0, ctx0)
         assert h1p == pytest.approx(-11 / 6)
         assert h1m == pytest.approx(5 / 6)
         assert h2 == pytest.approx(9.0)
@@ -132,10 +132,10 @@ class TestHCoeffs:
         u = (rho - s2 + 1) / rho
         assert abs(h1_scalar(u, hp)) <= 1e-14
 
-    def test_poles(self, hp0, p0, ctx0):
+    def test_poles(self, hp0, ctx0):
         for u in (0, 1, -1):
             with pytest.raises(ParameterDomainError):
-                h_coeffs(u, hp0, p0, ctx0)
+                h_coeffs(u, hp0, ctx0)
 
 
 class TestVerifyWA:
@@ -147,9 +147,9 @@ class TestVerifyWA:
         out = verify_WA(3, 3, hp0, ctx0, tol=1e-10)
         assert out["u_independence"] == 0.0
 
-    def test_h2_perturbation_breaks_it(self, hp0, p0, ctx0):
+    def test_h2_perturbation_breaks_it(self, hp0, ctx0):
         u = 3
-        h1p, h1m, h2 = h_coeffs(u, hp0, p0, ctx0)
+        h1p, h1m, h2 = h_coeffs(u, hp0, ctx0)
         R = (h1p * op_A(u, hp0.m_bar, ctx0) + h1m * op_A(-u, hp0.m_bar, ctx0)
              + (h2 + 1e-3) * identity(2))
         assert residual_norm(R, build_W_parametric(hp0, ctx0)) > 1e-10

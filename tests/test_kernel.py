@@ -1,4 +1,4 @@
-"""The closed-form residual-and-Jacobian kernel against its references.
+"""The Bethe system's closed-form residual-and-Jacobian pass against its references.
 
 The references are the scalar residual maps in `bethe` (for values), central
 finite differences and a sympy derivative (for the Jacobian), and Newton
@@ -10,10 +10,10 @@ import pytest
 import sympy as sp
 
 from heun_racah import bethe
-from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, ResidualKernel, canonical_roots
+from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, canonical_roots
 from heun_racah.dynamical import DynContext
-from heun_racah.errors import ParameterDomainError
-from heun_racah.heun import build_heun_params, integer_p_bar
+from heun_racah.errors import ModeError, ParameterDomainError
+from heun_racah.heun import build_heun_params
 from heun_racah.racah import build_params, build_representation
 from heun_racah.solver import SolverConfig, _scaled_maps, newton_refine, seed_starts
 
@@ -22,7 +22,6 @@ CRITERION_8 = (2.2 + 0.4j, 1.3, 0.8, 1.7, 0.9, 2.6)
 # with s1 = 0, gamma = 1 and delta = 2, p_bar = 1/rho - 5/2.
 HOMOGENEOUS_SETS = [(1, 5, 1, 2, 2 / 7, 0, 3), (2, 5, 1, 2, 2 / 7, 0, 3),
                     (3, 5, 1, 2, 2 / 9, 0, 3)]
-U_REF = 2.37 + 0.91j
 FD_STEP = 1e-6
 
 
@@ -38,13 +37,13 @@ def random_roots(rng, p):
     return list(r * np.exp(1j * th))
 
 
-def reference(mode, hp, rp, ctx):
+def reference(mode, hp, ctx):
     """(residual map, cancellation scales) of the reference implementation."""
     if mode == INHOMOGENEOUS:
-        return (lambda x: bethe.inhomogeneous_residuals(x, U_REF, hp, rp, ctx),
-                lambda x: bethe.inhomogeneous_scales(x, U_REF, hp, rp, ctx))
-    return (lambda x: bethe.homogeneous_residuals(x, hp, rp, ctx),
-            lambda x: [bethe.unwanted_scale(r, x, hp, rp) for r in range(1, len(x) + 1)])
+        return (lambda x: bethe.inhomogeneous_residuals(x, hp, ctx),
+                lambda x: bethe.inhomogeneous_scales(x, hp, ctx))
+    return (lambda x: bethe.homogeneous_residuals(x, hp, ctx),
+            lambda x: BetheSystem(hp, ctx, HOMOGENEOUS).reference(x)[1])
 
 
 def cases():
@@ -56,14 +55,14 @@ def cases():
 
 def kernel_for(mode, params):
     rp, ctx, hp = setup(*params)
-    p = rp.N if mode == INHOMOGENEOUS else integer_p_bar(hp, rp.N)
-    return ResidualKernel(hp, rp, p, mode), p, hp, rp, ctx
+    system = BetheSystem(hp, ctx, mode)
+    return system.closed_form, system.p, hp, rp, ctx
 
 
 @pytest.mark.parametrize("mode, params", cases())
 def test_residuals_match_reference(mode, params):
     kernel, p, hp, rp, ctx = kernel_for(mode, params)
-    residuals, scales = reference(mode, hp, rp, ctx)
+    residuals, scales = reference(mode, hp, ctx)
     rng = np.random.default_rng(p)
     for _ in range(10):
         x = random_roots(rng, p)
@@ -75,7 +74,7 @@ def test_residuals_match_reference(mode, params):
 @pytest.mark.parametrize("mode, params", cases())
 def test_jacobian_matches_central_differences(mode, params):
     kernel, p, hp, rp, ctx = kernel_for(mode, params)
-    residuals, _ = reference(mode, hp, rp, ctx)
+    residuals, _ = reference(mode, hp, ctx)
     rng = np.random.default_rng(100 + p)
     for _ in range(5):
         x = np.array(random_roots(rng, p))
@@ -153,14 +152,58 @@ def test_poles_raise(mode, params, roots):
 def test_newton_agrees_with_finite_difference_jacobian(N):
     """Each criterion-8 start converges to the same roots under both
     Jacobians, or fails under both."""
-    kernel, p, hp, rp, ctx = kernel_for(INHOMOGENEOUS, (N,) + CRITERION_8)
+    rp, ctx, hp = setup(N, *CRITERION_8)
+    system = BetheSystem(hp, ctx, INHOMOGENEOUS)
     cfg = SolverConfig(starts=64, seed=2)
-    for start in seed_starts(INHOMOGENEOUS, hp, rp, cfg):
-        norms = [1 / s for s in bethe.inhomogeneous_scales(start, U_REF, hp, rp, ctx)]
-        f, jac = _scaled_maps(kernel, norms)
-        x_fd, ok_fd, _ = newton_refine(f, start, cfg)
-        x_cf, ok_cf, _ = newton_refine(f, start, cfg, jac=jac)
+    for start in seed_starts(system, cfg):
+        norms = [1 / s for s in bethe.inhomogeneous_scales(start, hp, ctx)]
+        f, jac = _scaled_maps(system.closed_form, norms)
+        x_fd, ok_fd, _ = newton_refine(f, start)
+        x_cf, ok_cf, _ = newton_refine(f, start, jac=jac)
         assert ok_fd == ok_cf
         if ok_fd:
             gap = np.abs(np.array(canonical_roots(x_fd)) - np.array(canonical_roots(x_cf)))
             assert np.max(gap) <= 1e-9
+
+
+class TestBetheSystem:
+    """What construction resolves once, and the reference pass's contract."""
+
+    def test_homogeneous_builds_no_tau_or_psi_constant(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("tau constants built")
+        monkeypatch.setattr(bethe, "_tau_shared", boom)
+        rp, ctx, hp = setup(*HOMOGENEOUS_SETS[1])
+        system = BetheSystem(hp, ctx, HOMOGENEOUS)
+        assert (system.p, system.p_bar) == (1, 1)
+        assert system.tau is system.brackets is system.squares is None
+        with pytest.raises(AssertionError, match="tau constants built"):
+            BetheSystem(hp, ctx, INHOMOGENEOUS)
+
+    def test_mode_decides_root_count(self):
+        rp, ctx, hp = setup(3, *CRITERION_8)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        assert (system.p, system.p_bar, system.rp) == (3, None, rp)
+        with pytest.raises(ModeError, match="candidates"):
+            BetheSystem(hp, ctx, HOMOGENEOUS)
+        with pytest.raises(ModeError, match="unknown mode"):
+            BetheSystem(hp, ctx, "other")
+
+    def test_rho_mismatch_is_a_domain_error(self):
+        rp, ctx, hp = setup(2, *CRITERION_8)
+        other = DynContext(rep=ctx.rep, rho=1.6)
+        with pytest.raises(ParameterDomainError, match="rho"):
+            BetheSystem(hp, other, INHOMOGENEOUS)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_reference_is_the_scalar_maps_at_any_spectral_point(self, N):
+        """U_r + U_r^(i) does not depend on u: the reference pass equals the
+        u-dependent scalar maps bit for bit."""
+        rp, ctx, hp = setup(N, *CRITERION_8)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        for start in seed_starts(system, SolverConfig(starts=16, seed=N)):
+            residuals, _ = system.reference(start)
+            for u in (2.37 + 0.91j, -3.1 + 0.2j):
+                _, u_i = bethe.inhomogeneous_terms(start, u, hp, rp)
+                assert residuals == [bethe.unwanted_U(r, start, hp, rp) + u_i[r - 1]
+                                     for r in range(1, N + 1)]

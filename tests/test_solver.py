@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from heun_racah import bethe
+from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import dense_spectrum
 from heun_racah.dynamical import DynContext
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import build_params, build_representation
+from heun_racah.sampling import REJECT_MARGIN
 from heun_racah.serialize import dump_json
-from heun_racah.solver import (SolverConfig, newton_refine, seed_starts,
-                               solve_homogeneous, solve_inhomogeneous)
+from heun_racah.solver import (DEFLATION_TOL, SolverConfig, _certify, newton_refine,
+                               seed_starts, solve_homogeneous, solve_inhomogeneous)
 
 
 def homogeneous_setup(N=1, rho=2 / 7, beta=5):
@@ -28,35 +30,30 @@ def generic_setup(N):
 
 class TestNewtonRefine:
     def test_linear_exact_jacobian_single_step(self):
-        cfg = SolverConfig(starts=1, seed=0)
-        x, ok, its = newton_refine(lambda x: 2 * x - 4, np.array([10.0 + 0j]), cfg,
+        x, ok, its = newton_refine(lambda x: 2 * x - 4, np.array([10.0 + 0j]),
                                    jac=lambda x: np.array([[2.0]]))
         assert ok and its == 1
         np.testing.assert_allclose(x, [2.0], atol=1e-12)
 
     def test_linear_fd_jacobian(self):
-        cfg = SolverConfig(starts=1, seed=0)
-        x, ok, its = newton_refine(lambda x: 2 * x - 4, np.array([10.0 + 0j]), cfg)
+        x, ok, its = newton_refine(lambda x: 2 * x - 4, np.array([10.0 + 0j]))
         assert ok and its <= 2
         np.testing.assert_allclose(x, [2.0], atol=1e-10)
 
     def test_classic_square_root(self):
-        cfg = SolverConfig(starts=1, seed=0)
-        x, ok, its = newton_refine(lambda x: x * x - 4, np.array([3.0 + 0j]), cfg)
+        x, ok, its = newton_refine(lambda x: x * x - 4, np.array([3.0 + 0j]))
         assert ok and its <= 6
         np.testing.assert_allclose(x, [2.0], atol=1e-10)
 
     def test_pole_start_abandoned(self):
         def f(x):
             raise ParameterDomainError("pole")
-        cfg = SolverConfig(starts=1, seed=0)
-        x, ok, its = newton_refine(f, np.array([1.0 + 0j]), cfg)
+        x, ok, its = newton_refine(f, np.array([1.0 + 0j]))
         assert not ok and its == 0
 
     def test_singular_jacobian_abandoned(self):
-        cfg = SolverConfig(starts=1, seed=0)
         _, ok, _ = newton_refine(lambda x: np.array([x[0] * 0 + 1.0]),
-                                 np.array([1.0 + 0j]), cfg)
+                                 np.array([1.0 + 0j]))
         assert not ok
 
 
@@ -64,8 +61,6 @@ class TestConfigAndMatching:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(starts=0)
-        with pytest.raises(ValueError):
-            SolverConfig(newton_tol=-1e-12)
 
     def test_oracle_matching_and_ambiguity(self):
         from heun_racah.solver import _match_oracle
@@ -82,15 +77,15 @@ class TestSeedStarts:
     def test_count_and_determinism(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=17, seed=4)
-        a = seed_starts("homogeneous", hp, rp, cfg)
-        b = seed_starts("homogeneous", hp, rp, cfg)
+        a = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
+        b = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
         assert len(a) == 17
         assert a == b
 
     def test_includes_vacuum_weight_guesses(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=64, seed=0)
-        starts = seed_starts("homogeneous", hp, rp, cfg)
+        starts = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
         flat = [x for roots in starts for x in roots]
         for guess in (-rp.N + (rp.beta - rp.gamma + rp.delta),
                       rp.beta + rp.N + 2 + rp.gamma + rp.delta):
@@ -100,7 +95,7 @@ class TestSeedStarts:
     def test_unknown_mode(self):
         rp, ctx, hp = homogeneous_setup()
         with pytest.raises(ModeError):
-            seed_starts("other", hp, rp, SolverConfig())
+            seed_starts(BetheSystem(hp, ctx, "other"), SolverConfig())
 
 
 class TestSolveHomogeneous:
@@ -168,7 +163,7 @@ class TestSolveInhomogeneous:
         for s in report.states:
             for i, x in enumerate(s.roots):
                 for y in s.roots[:i]:
-                    assert abs(x * x - y * y) >= SolverConfig().pole_margin
+                    assert abs(x * x - y * y) >= REJECT_MARGIN
 
     def test_tau_pole_parameters_are_a_domain_error(self):
         # rho = 2, s2 = 3 give m_bar = 1/2, where a tau denominator vanishes
@@ -196,4 +191,29 @@ class TestSolveInhomogeneous:
         for i, a in enumerate(report.states):
             for b in report.states[:i]:
                 gap = max(abs(x - y) for x, y in zip(a.roots, b.roots))
-                assert gap >= SolverConfig().deflation_tol
+                assert gap >= DEFLATION_TOL
+
+
+class TestProblemConsistency:
+    def test_mismatched_racah_params_are_a_domain_error(self):
+        # seeds and residuals would read rp while certification reads ctx
+        rp, ctx, hp = generic_setup(2)
+        other = build_params(2, 2.3 + 0.4j, 1.3, 0.8)
+        for solve in (solve_inhomogeneous, solve_homogeneous):
+            with pytest.raises(ParameterDomainError, match="Racah parameters"):
+                solve(hp, other, ctx, SolverConfig(starts=4, seed=0))
+
+    def test_colliding_roots_rejected_as_pole_margin(self):
+        rp, ctx, hp = generic_setup(2)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        W = build_W_parametric(hp, ctx)
+        oracle = dense_spectrum(W).eigenvalues
+        x = 2.1 + 0.7j
+        roots = [x, -x + 1e-5]  # x_1^2 - x_2^2 is about 4e-5
+        assert abs(x * x - roots[1] ** 2) < REJECT_MARGIN
+        assert min(abs(x), abs(x - 1), abs(x + 1)) > 1.0
+        W_fro = float(np.linalg.norm(W))
+        state, reason = _certify(roots, system, 0, W, W_fro, oracle, None)
+        assert state is None and reason == "pole_margin"
+        # the same x beside a distant partner passes the margin
+        assert _certify([x, 0.4 - 1.9j], system, 0, W, W_fro, oracle, None)[1] != "pole_margin"

@@ -26,18 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import vector_residual
-from .dynamical import (DynContext, POLE_FLOOR, coeff_k1, coeff_k2, op_A, op_B)
+from .core import guard, vector_residual
+from .dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from .errors import ModeError, ParameterDomainError
-from .heun import HeunParams, build_W_parametric, h1_scalar, h2_scalar, integer_p_bar
+from .heun import (HeunParams, build_W_parametric, check_same_rho, h1_scalar, h2_scalar,
+                   integer_p_bar)
 from .racah import RacahParams
-from .sampling import REJECT_MARGIN
+from .sampling import draw_complex, draw_until, within_margin
 
 HOMOGENEOUS = "homogeneous"
 INHOMOGENEOUS = "inhomogeneous"
 
 # Default free spectral point for the action identity; redrawn (seeded)
-# when a pole margin is violated for a given root set.
+# when the eigenvalue at it does not keep the pole margin for a root set.
 U_AUX_DEFAULT = 2.37 + 0.91j
 
 
@@ -96,18 +97,13 @@ def vacuum(N: int) -> np.ndarray:
 def vacuum_coeffs(u, m, p: RacahParams, rho) -> VacuumCoeffs:
     """Triangular action of A on the vacuum: A(u,m)|0> = xi |0> + zeta B(u,m)|0>."""
     g, d, bt, N = p.gamma, p.delta, p.beta, p.N
-    if abs(u - 1) < POLE_FLOOR:
-        raise ParameterDomainError("vacuum_coeffs pole: u = 1")
-    if abs(2 * m * rho - 1) < POLE_FLOOR:
-        raise ParameterDomainError("vacuum_coeffs pole: 2 m rho = 1")
-    den_shared = d + g - 2 * m + 2 - u
-    if abs(den_shared) < POLE_FLOOR:
-        raise ParameterDomainError("vacuum_coeffs pole: delta+gamma-2m+2-u = 0")
-    zeta = (d * rho + g * rho + 2 * m * rho + 2 * rho - rho * u - 2) \
-        / ((2 * m * rho - 1) * den_shared)
+    u1 = guard(u - 1, "vacuum_coeffs pole: u = 1")
+    m1 = guard(2 * m * rho - 1, "vacuum_coeffs pole: 2 m rho = 1")
+    den_shared = guard(d + g - 2 * m + 2 - u, "vacuum_coeffs pole: delta+gamma-2m+2-u = 0")
+    zeta = (d * rho + g * rho + 2 * m * rho + 2 * rho - rho * u - 2) / (m1 * den_shared)
     xi = ((u + N) ** 2 - (bt - g + d) ** 2) \
         * (bt ** 2 - (u - N - 2 - g - d) ** 2) \
-        * (d + g - 2 * m + u) / (8 * (u - 1) * den_shared)
+        * (d + g - 2 * m + u) / (8 * u1 * den_shared)
     return VacuumCoeffs(xi=xi, zeta=zeta)
 
 
@@ -186,11 +182,10 @@ def abv_residuals(u, m, roots, ctx: DynContext) -> tuple[float, float]:
 
 def f1_W(v, hp: HeunParams) -> complex:
     """(2 rho (rho-1) s1 - (rho v - rho + s2 + 1)(rho v - rho + s2 - 1)) (1 - 1/v)."""
-    if abs(v) < POLE_FLOOR:
-        raise ParameterDomainError("f1_W pole: v = 0")
     rho, s1, s2 = hp.rho, hp.s1, hp.s2
     core = rho * v - rho + s2
-    return (2 * rho * (rho - 1) * s1 - (core + 1) * (core - 1)) * (1 - 1 / v)
+    return (2 * rho * (rho - 1) * s1 - (core + 1) * (core - 1)) \
+        * (1 - 1 / guard(v, "f1_W pole: v = 0"))
 
 
 def eigenvalue_w(u, roots, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> complex:
@@ -239,11 +234,8 @@ class SwapWeight:
         self.c3 = d + g - 2 * m
 
     def __call__(self, v) -> tuple[complex, complex]:
-        if abs(v) < POLE_FLOOR:
-            raise ParameterDomainError("swap weight pole: v = 0")
-        den = self.c3 + 2 - v
-        if abs(den) < POLE_FLOOR:
-            raise ParameterDomainError("swap weight pole: delta+gamma-2m+2 = v")
+        guard(v, "swap weight pole: v = 0")
+        den = guard(self.c3 + 2 - v, "swap weight pole: delta+gamma-2m+2 = v")
         core = self.rho * v + self.core0
         vn, vs = v + self.N, v - self.c2
         # numerator factors and their derivatives, combined by the product rule
@@ -301,19 +293,15 @@ def extension_prefactor(p: int, hp: HeunParams, rp: RacahParams) -> tuple[comple
 def psi_factored(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
     lam, a1, a3 = _psi_brackets(p, hp, rp)
     rho = hp.rho
-    den = a3 * a3 - rho * rho * u * u
-    if abs(den) < POLE_FLOOR:
-        raise ParameterDomainError("psi pole: factored-form u denominator vanishes")
+    den = guard(a3 * a3 - rho * rho * u * u, "psi pole: a3^2 = rho^2 u^2")
     return _times_phi(rho * rho * lam / ((1 - rho) * den), roots, rho, a1, a3)
 
 
 def _times_phi(out, roots, rho, a1, a3):
     """out * prod_x (a1^2 - rho^2 x^2) / (a3^2 - rho^2 x^2)."""
     for x in roots:
-        den = a3 * a3 - rho * rho * x * x
-        if abs(den) < POLE_FLOOR:
-            raise ParameterDomainError("psi pole: factored-form root denominator vanishes")
-        out *= (a1 * a1 - rho * rho * x * x) / den
+        out *= (a1 * a1 - rho * rho * x * x) \
+            / guard(a3 * a3 - rho * rho * x * x, "psi pole: a3^2 = rho^2 x^2")
     return out
 
 
@@ -351,26 +339,6 @@ def psi(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> tuple[complex, com
             psi_summed(u, p, roots, hp, rp))
 
 
-def psi_pole_margin(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> float:
-    """Smallest |denominator| over both psi forms; used for draw rejection."""
-    m_bar, rho = hp.m_bar, hp.rho
-    g, d = rp.gamma, rp.delta
-    lam, a1, a3 = _psi_brackets(p, hp, rp)
-    vals = [abs(u), abs(u - 1), abs(u + 1),
-            abs(2 * (m_bar - p) * rho - 1), abs(2 * m_bar * rho - 1),
-            abs(a3 * a3 - rho * rho * u * u)]
-    for sign in (1, -1):
-        vals.append(abs(d + g - 2 * (m_bar - p) + 2 - sign * u))
-    for i, x in enumerate(roots):
-        vals += [abs(x), abs(x * x - u * u),
-                 abs(a3 * a3 - rho * rho * x * x)]
-        for sign in (1, -1):
-            vals.append(abs(d + g - 2 * (m_bar - p) + 2 - sign * x))
-        for y in roots[:i]:
-            vals.append(abs(x * x - y * y))
-    return min(vals)
-
-
 def homogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
     """The cleared homogeneous Bethe equations: U_r for r = 1..p_bar.
 
@@ -390,10 +358,8 @@ def _tau_shared(hp: HeunParams, rp: RacahParams):
     m_bar = hp.m_bar
     pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
     for k in range(1, N + 1):
-        f1 = 2 * m_bar - 2 * d - bt - N - 2 * k
-        f2 = 2 * m_bar - 2 * g + bt - N - 2 * k
-        if abs(f1) < POLE_FLOOR or abs(f2) < POLE_FLOOR:
-            raise ParameterDomainError(f"tau pole: dynamical denominator vanishes at k={k}")
+        f1 = guard(2 * m_bar - 2 * d - bt - N - 2 * k, "tau pole: 2m-2delta-beta-N-2k = 0")
+        f2 = guard(2 * m_bar - 2 * g + bt - N - 2 * k, "tau pole: 2m-2gamma+beta-N-2k = 0")
         pref /= f1 * f2
     cpref = g + d - 2 * m_bar + 2 * N + 2
     zeros = [bt - g + d - N + 2 * k for k in range(N + 1)]
@@ -404,10 +370,7 @@ def _tau_u(roots, u, pref, cpref, zeros) -> complex:
     """tau_u from the shared constants of _tau_shared."""
     tau_u = pref
     for x in roots:
-        den = u * u - x * x
-        if abs(den) < POLE_FLOOR:
-            raise ParameterDomainError("tau pole: u^2 = x_k^2")
-        tau_u *= (cpref ** 2 - x * x) / den
+        tau_u *= (cpref ** 2 - x * x) / guard(u * u - x * x, "tau pole: u^2 = x_k^2")
     for z in zeros:
         tau_u *= u * u - z * z
     return tau_u
@@ -421,10 +384,7 @@ def _tau_roots(roots, pref, cpref, zeros) -> list[complex]:
         for k, xk in enumerate(roots):
             if k == j:
                 continue
-            den = xj * xj - xk * xk
-            if abs(den) < POLE_FLOOR:
-                raise ParameterDomainError("tau pole: x_j^2 = x_k^2")
-            tj *= (cpref ** 2 - xk * xk) / den
+            tj *= (cpref ** 2 - xk * xk) / guard(xj * xj - xk * xk, "tau pole: x_j^2 = x_k^2")
         for z in zeros:
             tj *= xj * xj - z * z
         tau_list.append(tj)
@@ -444,28 +404,6 @@ def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams) -> tuple[complex, lis
     return _tau_u(roots, u, *tau), _tau_roots(roots, *tau)
 
 
-def maba_parameter_margin(hp: HeunParams, rp: RacahParams) -> float:
-    """Draw-independent part of the reduction poles: the dynamical
-    denominators of the tau coefficients, fixed once (m_bar, beta, gamma,
-    delta, N) are fixed."""
-    N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
-    m_bar = hp.m_bar
-    vals = [1.0]
-    for k in range(1, N + 1):
-        vals.append(abs(2 * m_bar - 2 * d - bt - N - 2 * k))
-        vals.append(abs(2 * m_bar - 2 * g + bt - N - 2 * k))
-    return min(vals)
-
-
-def maba_pole_margin(roots, u, hp: HeunParams, rp: RacahParams) -> float:
-    vals = [maba_parameter_margin(hp, rp)]
-    for i, x in enumerate(roots):
-        vals.append(abs(u * u - x * x))
-        for y in roots[:i]:
-            vals.append(abs(x * x - y * y))
-    return min(vals)
-
-
 def maba_identity_residuals(roots, u, hp: HeunParams, rp: RacahParams,
                             ctx: DynContext) -> tuple[float, float]:
     """(plain, backward) residuals of the (N+1)-root reduction identity.
@@ -482,7 +420,8 @@ def maba_identity_residuals(roots, u, hp: HeunParams, rp: RacahParams,
     rhs = tau_u * base
     mag = abs(tau_u) * float(np.linalg.norm(base))
     for j, (x, v) in enumerate(zip(roots, swapped)):
-        coef = (c * c - u * u) / (x * x - u * u) * tau_list[j]
+        coef = (c * c - u * u) / guard(x * x - u * u, "reduction pole: x_j^2 = u^2") \
+            * tau_list[j]
         rhs = rhs + coef * v
         mag += abs(coef) * float(np.linalg.norm(v))
     err = float(np.linalg.norm(lhs - rhs))
@@ -558,9 +497,7 @@ class BetheSystem:
 
     def __post_init__(self):
         hp, ctx, rp = self.hp, self.ctx, self.ctx.rep.params
-        if abs(hp.rho - ctx.rho) > POLE_FLOOR:
-            raise ParameterDomainError(
-                f"context rho={ctx.rho} differs from Heun rho={hp.rho}")
+        check_same_rho(hp, ctx)
         tau = brackets = squares = None
         if self.mode == HOMOGENEOUS:
             p = p_bar = integer_p_bar(hp, rp.N)
@@ -619,10 +556,7 @@ class BetheSystem:
         inv = [[0j] * p for _ in range(p)]
         for r in range(p):
             for l in range(r):
-                d = sq[r] - sq[l]
-                if abs(d) < POLE_FLOOR:
-                    raise ParameterDomainError("residual kernel pole: x_r^2 = x_l^2")
-                inv[r][l] = 1 / d
+                inv[r][l] = 1 / guard(sq[r] - sq[l], "residual kernel pole: x_r^2 = x_l^2")
                 inv[l][r] = -inv[r][l]
 
         F = [0j] * p
@@ -658,9 +592,8 @@ class BetheSystem:
         coef, csq, zsq, rho2, a1sq, a3sq = self.squares
         psi, dlog_c, dlog_phi = 1.0, [], []
         for v, s in zip(x, sq):
-            num, den = a1sq - rho2 * s, a3sq - rho2 * s
-            if abs(den) < POLE_FLOOR:
-                raise ParameterDomainError("residual kernel pole: a3^2 = rho^2 x^2")
+            num = a1sq - rho2 * s
+            den = guard(a3sq - rho2 * s, "residual kernel pole: a3^2 = rho^2 x^2")
             psi *= num / den
             dlog_phi.append(2 * rho2 * v * (1 / den - 1 / num))
             dlog_c.append(-2 * v / (csq - s))
@@ -685,33 +618,19 @@ class BetheSystem:
 # --------------------------------------------------------------------------
 # full action identity and the auxiliary spectral point
 
-def u_aux_margin(u, roots, p: int, hp: HeunParams, rp: RacahParams) -> float:
-    """Smallest pole distance of the action identity at spectral point u."""
-    g, d = rp.gamma, rp.delta
-    m_bar, rho = hp.m_bar, hp.rho
-    _, _, a3 = _psi_brackets(p, hp, rp)
-    vals = [abs(u), abs(u - 1), abs(u + 1),
-            abs(a3 * a3 - rho * rho * u * u),
-            abs(2 * m_bar * rho - 1), abs(2 * (m_bar - p) * rho - 1)]
-    for sign in (1, -1):
-        vals.append(abs(d + g - 2 * m_bar + 2 - sign * u))
-        vals.append(abs(d + g - 2 * (m_bar - p) + 2 - sign * u))
-    for x in roots:
-        vals.append(abs(u * u - x * x))
-    return min(vals)
+def pick_u_aux(system: BetheSystem, roots, seed: int = 0,
+               u_aux: complex | None = None) -> tuple[complex, complex]:
+    """(u, eigenvalue at u) for the first of u_aux (when given), U_AUX_DEFAULT
+    and seeded draws at which system.eigenvalue keeps the pole margin."""
+    def evaluate(u):
+        return u, system.eigenvalue(u, roots)
 
-
-def pick_u_aux(roots, p: int, hp: HeunParams, rp: RacahParams, seed: int = 0) -> complex:
-    """The fixed generic spectral point, redrawn (seeded) off any pole."""
-    u = U_AUX_DEFAULT
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        if u_aux_margin(u, roots, p, hp, rp) >= REJECT_MARGIN:
-            return u
-        r = rng.uniform(1.5, 3.5)
-        th = rng.uniform(0.0, 2 * np.pi)
-        u = complex(r * np.cos(th), r * np.sin(th))
-    raise ParameterDomainError("could not find an admissible auxiliary spectral point")
+    for u in (u_aux, U_AUX_DEFAULT):
+        picked = None if u is None else within_margin(evaluate, u)
+        if picked is not None:
+            return picked
+    return draw_until(np.random.default_rng(seed), lambda r: draw_complex(r, 1.5, 3.5),
+                      evaluate)
 
 
 def wv_action_residual(roots, u, hp: HeunParams, rp: RacahParams,
@@ -731,7 +650,7 @@ def wv_action_residual(roots, u, hp: HeunParams, rp: RacahParams,
     rhs = (eigenvalue_w(u, roots, hp, rp, ctx) + w_i) * V
     for r in range(1, p + 1):
         coef = (unwanted_U(r, roots, hp, rp) + u_i[r - 1]) \
-            / (rho * (rho - 1) * (u * u - roots[r - 1] ** 2))
+            / (rho * (rho - 1) * guard(u * u - roots[r - 1] ** 2, "W action pole: u^2 = x_r^2"))
         rhs = rhs + coef * swapped[r - 1]
     if not inhomogeneous:
         rhs = rhs + psi_factored(u, p, roots, hp, rp) * extended

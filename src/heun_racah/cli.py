@@ -198,29 +198,29 @@ def cmd_solve(args) -> int:
 
 def cmd_check_maba(args) -> int:
     import numpy as np
-    from . import bethe as bt
-    from .sampling import REJECT_MARGIN, draw_complex, draw_until
+    from .bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
+    from .core import pole_margin
+    from .dynamical import draw_u_and_roots
+    from .sampling import REJECT_MARGIN, draw_until
 
     params = load_params(args.params)
     N = args.N if args.N is not None else params["N"]
     if N < 1:
         raise ParamFileError("N must be >= 1 for the reduction identity")
-    rp = build_params(N, params["beta"], params["gamma"], params["delta"])
-    rep = build_representation(rp)
-    hp = build_heun_params(params["rho"], params["s1"], params["s2"], rp)
-    ctx = DynContext(rep=rep, rho=hp.rho)
-    if bt.maba_parameter_margin(hp, rp) < REJECT_MARGIN:
+    rp, _, ctx, hp, _, _ = build_problem(dict(params, N=N))
+    try:
+        with pole_margin(REJECT_MARGIN):
+            BetheSystem(hp, ctx, INHOMOGENEOUS)  # builds the tau constants
+    except ParameterDomainError as exc:
         raise ParameterDomainError(
-            "tau dynamical denominator vanishes for these parameters at this N; "
-            "perturb s2 (or rho) to move m_bar off the degenerate value")
+            f"{exc} for these parameters at this N; "
+            "perturb s2 (or rho) to move m_bar off the degenerate value") from exc
     rng = np.random.default_rng(args.seed)
     residuals, backwards = [], []
     for _ in range(args.draws):
-        u, roots = draw_until(
-            rng,
-            lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-            lambda t: bt.maba_pole_margin(list(t[1]), t[0], hp, rp) >= REJECT_MARGIN)
-        plain, backward = bt.maba_identity_residuals(roots, u, hp, rp, ctx)
+        plain, backward = draw_until(
+            rng, lambda r: draw_u_and_roots(r, N),
+            lambda t: maba_identity_residuals(t[1], t[0], hp, rp, ctx))
         residuals.append(plain)
         backwards.append(backward)
     worst = max(residuals)

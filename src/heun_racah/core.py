@@ -2,24 +2,56 @@
 
 Operators are plain numpy arrays of shape (dim, dim), dtype complex128,
 with dim capped at 64: this is a desk-scale verification tool, not a
-large-scale eigensolver.  Everything here is a pure function; the dense
-eigendecomposition is the independent oracle against which all
-Bethe-ansatz results are certified.
+large-scale eigensolver.  The dense eigendecomposition is the
+independent oracle against which all Bethe-ansatz results are certified.
+
+Every pole-bearing denominator of the package's rational formulas goes
+through guard(), so where a pole lies is stated once, by its formula.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, OracleError
+from .errors import DimensionError, OracleError, ParameterDomainError
 
 MAX_DIM = 64
 
 # Backward-error bound for the eigendecomposition oracle:
 # ||M v - lam v||_2 <= ORACLE_TOL * ||M||_F for every returned pair.
 ORACLE_TOL = 1e-10
+
+# A denominator below this counts as sitting on its pole: the guard is
+# against catastrophic precision loss, not only exact zeros.
+POLE_FLOOR = 1e-12
+_floor = POLE_FLOOR
+
+
+def guard(den, what: str):
+    """den, or ParameterDomainError naming `what` when |den| is below the floor."""
+    if abs(den) < _floor:
+        raise ParameterDomainError(f"{what}: |denominator| {abs(den):.3g} is below {_floor:g}")
+    return den
+
+
+@contextmanager
+def pole_margin(margin: float):
+    """Raise the floor of guard() to `margin` inside the block (never lower it).
+
+    Evaluating a formula under the margin tells whether a point keeps that
+    distance from every pole the formula divides by.  The floor is module
+    state: the package is single-threaded.
+    """
+    global _floor
+    saved = _floor
+    _floor = max(saved, margin)
+    try:
+        yield
+    finally:
+        _floor = saved
 
 
 def as_operator(m) -> np.ndarray:

@@ -21,12 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import residual_norm, vector_residual
-from .errors import ParameterDomainError, RelationViolation
+from .core import guard, residual_norm, vector_residual
+from .errors import RelationViolation
 from .racah import Representation, verify_defining_relations
-from .sampling import REJECT_MARGIN, draw_complex, draw_until
+from .sampling import draw_complex, draw_until
 
-POLE_FLOOR = 1e-12
+
+def check_rho(rho) -> complex:
+    """rho as a complex number; the families and W divide by rho and rho - 1."""
+    rho = complex(rho)
+    guard(rho, "deformation parameter pole: rho = 0")
+    guard(rho - 1, "deformation parameter pole: rho = 1")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -37,10 +43,7 @@ class DynContext:
     rho: complex
 
     def __post_init__(self):
-        rho = complex(self.rho)
-        if abs(rho) < POLE_FLOOR or abs(rho - 1) < POLE_FLOOR:
-            raise ParameterDomainError(f"rho={rho} must avoid 0 and 1")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", check_rho(self.rho))
 
 
 class RelationId(enum.Enum):
@@ -89,12 +92,11 @@ def coeff_f1(u, m) -> complex:
 
 def coeff_g0(u, m, ctx: DynContext) -> complex:
     """rho f0 + (2 m rho - 1)[(4m - u + 1)(2b + 1 - u^2)/8 - (d1 - d2)/(u - 1)]."""
-    if abs(u - 1) < POLE_FLOOR:
-        raise ParameterDomainError("coeff_g0 pole: u = 1")
     p = ctx.rep.params
     rho = ctx.rho
     return rho * coeff_f0(u, m, p) + (2 * m * rho - 1) * (
-        (4 * m - u + 1) * (2 * p.b + 1 - u * u) / 8 - (p.d1 - p.d2) / (u - 1))
+        (4 * m - u + 1) * (2 * p.b + 1 - u * u) / 8
+        - (p.d1 - p.d2) / guard(u - 1, "coeff_g0 pole: u = 1"))
 
 
 def coeff_g1(u, m, rho) -> complex:
@@ -103,21 +105,14 @@ def coeff_g1(u, m, rho) -> complex:
 
 def coeff_k1(u, v) -> complex:
     """((u-2)^2 - v^2) / (u^2 - v^2)."""
-    den = u * u - v * v
-    if abs(den) < POLE_FLOOR:
-        raise ParameterDomainError("coeff_k1 pole: u^2 = v^2")
-    return ((u - 2) ** 2 - v * v) / den
+    return ((u - 2) ** 2 - v * v) / guard(u * u - v * v, "coeff_k1 pole: u^2 = v^2")
 
 
 def coeff_k2(u, v, m, rho) -> complex:
     """(v-1)(rho(u - v - 4m) + 2) / (v (v-u) (2 m rho - 1))."""
-    if abs(v) < POLE_FLOOR:
-        raise ParameterDomainError("coeff_k2 pole: v = 0")
-    if abs(v - u) < POLE_FLOOR:
-        raise ParameterDomainError("coeff_k2 pole: v = u")
-    if abs(2 * m * rho - 1) < POLE_FLOOR:
-        raise ParameterDomainError("coeff_k2 pole: 2 m rho = 1")
-    return (v - 1) * (rho * (u - v - 4 * m) + 2) / (v * (v - u) * (2 * m * rho - 1))
+    return (v - 1) * (rho * (u - v - 4 * m) + 2) / (
+        guard(v, "coeff_k2 pole: v = 0") * guard(v - u, "coeff_k2 pole: v = u")
+        * guard(2 * m * rho - 1, "coeff_k2 pole: 2 m rho = 1"))
 
 
 # --------------------------------------------------------------------------
@@ -126,9 +121,7 @@ def coeff_k2(u, v, m, rho) -> complex:
 def op_A(u, m, ctx: DynContext) -> np.ndarray:
     """(g0 + g1(u,m) X + g1(-1,m) Y + Z + rho {X,Y}) / (2 m rho - 1)."""
     rho = ctx.rho
-    den = 2 * m * rho - 1
-    if abs(den) < POLE_FLOOR:
-        raise ParameterDomainError("op_A pole: 2 m rho = 1")
+    den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
     rep = ctx.rep
     g0 = coeff_g0(u, m, ctx)
     return (g0 * rep.I
@@ -181,107 +174,96 @@ class RelationReport:
         return out
 
 
-def _draw_uvm(rng, ctx):
-    """Admissible (u, v, m) for the AB/CA exchange relations."""
-    rho = ctx.rho
-
-    def ok(t):
-        u, v, m = t
-        return min(abs(u - 1), abs(v - 1), abs(v + 1),
-                   abs(2 * m * rho - 1), abs(2 * (m - 1) * rho - 1),
-                   abs(u * u - v * v), abs(v)) >= REJECT_MARGIN
-
-    return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r), draw_complex(r)), ok)
+def _draw_uvm(rng):
+    """(u, v, m) for the exchange relations."""
+    return draw_complex(rng), draw_complex(rng), draw_complex(rng)
 
 
 def _sample_bb(rng, ctx):
-    u, v, m = draw_complex(rng), draw_complex(rng), draw_complex(rng)
+    u, v, m = _draw_uvm(rng)
     lhs = op_B(u, m + 1, ctx) @ op_B(v, m, ctx)
     rhs = op_B(v, m + 1, ctx) @ op_B(u, m, ctx)
     return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
 
 
 def _sample_ab(rng, ctx):
-    u, v, m = _draw_uvm(rng, ctx)
     rho = ctx.rho
-    lhs = op_A(u, m, ctx) @ op_B(v, m, ctx)
-    rhs = (coeff_k1(u, v) * (op_B(v, m, ctx) @ op_A(u, m - 1, ctx))
-           + op_B(u, m, ctx) @ (coeff_k2(u, v, m, rho) * op_A(v, m - 1, ctx)
-                                + coeff_k2(u, -v, m, rho) * op_A(-v, m - 1, ctx)))
-    return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+
+    def evaluate(t):
+        u, v, m = t
+        lhs = op_A(u, m, ctx) @ op_B(v, m, ctx)
+        rhs = (coeff_k1(u, v) * (op_B(v, m, ctx) @ op_A(u, m - 1, ctx))
+               + op_B(u, m, ctx) @ (coeff_k2(u, v, m, rho) * op_A(v, m - 1, ctx)
+                                    + coeff_k2(u, -v, m, rho) * op_A(-v, m - 1, ctx)))
+        return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+
+    return draw_until(rng, _draw_uvm, evaluate)
 
 
 def _sample_ca(rng, ctx):
-    u, v, m = _draw_uvm(rng, ctx)
     rho = ctx.rho
-    lhs = op_C(v, m, ctx) @ op_A(u, m, ctx)
-    rhs = (coeff_k1(u, v) * (op_A(u, m - 1, ctx) @ op_C(v, m, ctx))
-           + (coeff_k2(u, v, m, rho) * op_A(v, m - 1, ctx)
-              + coeff_k2(u, -v, m, rho) * op_A(-v, m - 1, ctx)) @ op_C(u, m, ctx))
-    return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+
+    def evaluate(t):
+        u, v, m = t
+        lhs = op_C(v, m, ctx) @ op_A(u, m, ctx)
+        rhs = (coeff_k1(u, v) * (op_A(u, m - 1, ctx) @ op_C(v, m, ctx))
+               + (coeff_k2(u, v, m, rho) * op_A(v, m - 1, ctx)
+                  + coeff_k2(u, -v, m, rho) * op_A(-v, m - 1, ctx)) @ op_C(u, m, ctx))
+        return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+
+    return draw_until(rng, _draw_uvm, evaluate)
 
 
 def _draw_heun(rng, ctx):
-    """Random parametric Heun coefficients admissible for this rho."""
+    """Random parametric Heun coefficients (s1, then s2) for this rho; a
+    sweep whose formula has the pole 2 m_bar rho = 1 rejects s2 near it."""
     from .heun import build_heun_params
-    rho = ctx.rho
-    s1 = draw_complex(rng)
-    s2 = draw_until(rng, draw_complex, lambda s: abs(s - rho) >= REJECT_MARGIN)
-    return build_heun_params(rho, s1, s2, ctx.rep.params)
+    return build_heun_params(ctx.rho, draw_complex(rng), draw_complex(rng), ctx.rep.params)
 
 
-def _draw_u_for_wa(rng):
-    return draw_until(
-        rng, draw_complex,
-        lambda u: min(abs(u), abs(u - 1), abs(u + 1)) >= REJECT_MARGIN)
+def draw_u_and_roots(rng, n: int):
+    """(u, [x_1..x_n]): a spectral point and n roots, drawn in that order."""
+    return draw_complex(rng), [draw_complex(rng) for _ in range(n)]
 
 
 def _sample_wa(rng, ctx):
     from .heun import wa_residuals
-    hp = _draw_heun(rng, ctx)
-    u1 = _draw_u_for_wa(rng)
-    u2 = _draw_u_for_wa(rng)
-    res_w, res_u = wa_residuals(u1, u2, hp, ctx)
-    return max(res_w, res_u), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
+
+    def evaluate(t):
+        hp, u1, u2 = t
+        return max(wa_residuals(u1, u2, hp, ctx)), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
+
+    return draw_until(
+        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), evaluate)
 
 
 def _sample_vacuum(rng, ctx):
     from .bethe import vacuum, vacuum_coeffs
     p = ctx.rep.params
-    rho = ctx.rho
 
-    def ok(t):
+    def evaluate(t):
         u, m = t
-        return min(abs(u - 1), abs(2 * m * rho - 1),
-                   abs(p.delta + p.gamma - 2 * m + 2 - u)) >= REJECT_MARGIN
+        vc = vacuum_coeffs(u, m, p, ctx.rho)
+        e0 = vacuum(p.N)
+        lhs = op_A(u, m, ctx) @ e0
+        rhs = vc.xi * e0 + vc.zeta * (op_B(u, m, ctx) @ e0)
+        return vector_residual(lhs, rhs), {"u": u, "m": m}
 
-    u, m = draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)), ok)
-    vc = vacuum_coeffs(u, m, p, rho)
-    e0 = vacuum(p.N)
-    lhs = op_A(u, m, ctx) @ e0
-    rhs = vc.xi * e0 + vc.zeta * (op_B(u, m, ctx) @ e0)
-    return vector_residual(lhs, rhs), {"u": u, "m": m}
+    return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)), evaluate)
 
 
 def _sample_abv(rng, ctx):
     """Both middle-slot index conventions are evaluated; see verify_relation."""
     from .bethe import abv_residuals
-    rho = ctx.rho
     p = int(rng.integers(0, 4))
 
-    def ok(t):
+    def evaluate(t):
         u, m, roots = t
-        vals = [abs(u - 1)]
-        vals += [abs(2 * (m - j) * rho - 1) for j in range(p + 1)]
-        for i, x in enumerate(roots):
-            vals += [abs(u * u - x * x), abs(x), abs(x - 1), abs(x + 1)]
-            vals += [abs(x * x - y * y) for y in roots[:i]]
-        return min(vals, default=1.0) >= REJECT_MARGIN
+        return abv_residuals(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
 
-    u, m, roots = draw_until(
-        rng, lambda r: (draw_complex(r), draw_complex(r),
-                        [draw_complex(r) for _ in range(p)]), ok)
-    return abv_residuals(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
+    return draw_until(
+        rng, lambda r: (draw_complex(r), draw_complex(r), [draw_complex(r) for _ in range(p)]),
+        evaluate)
 
 
 def _sample_combination(rng, ctx):
@@ -289,61 +271,54 @@ def _sample_combination(rng, ctx):
     from .heun import h1_scalar
     rho = ctx.rho
 
-    def ok(t):
+    def evaluate(t):
         hp, u, v = t
-        return min(abs(u * u - v * v), abs(v), abs(u),
-                   abs(2 * hp.m_bar * rho - 1)) >= REJECT_MARGIN
+        lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
+               + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
+        rhs = f1_W(v, hp) / (rho * (rho - 1)
+                             * guard(u * u - v * v, "combination identity pole: u^2 = v^2"))
+        return abs(lhs - rhs) / max(1.0, abs(lhs)), {"u": u, "v": v, "s1": hp.s1, "s2": hp.s2}
 
-    hp, u, v = draw_until(
-        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), ok)
-    lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
-           + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
-    rhs = f1_W(v, hp) / (rho * (rho - 1) * (u * u - v * v))
-    return abs(lhs - rhs) / max(1.0, abs(lhs)), {"u": u, "v": v, "s1": hp.s1, "s2": hp.s2}
+    return draw_until(
+        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), evaluate)
 
 
 def _sample_psi(rng, ctx):
-    from .bethe import psi, psi_pole_margin
+    from .bethe import psi
     p = int(rng.integers(0, 4))
 
-    def ok(t):
-        hp, u, roots = t
-        return psi_pole_margin(u, p, roots, hp, ctx.rep.params) >= REJECT_MARGIN
+    def evaluate(t):
+        hp, (u, roots) = t
+        factored, summed = psi(u, p, roots, hp, ctx.rep.params)
+        res = abs(factored - summed) / max(1.0, abs(factored))
+        return res, {"u": u, "p": p, "roots": roots, "s1": hp.s1, "s2": hp.s2}
 
-    hp, u, roots = draw_until(
-        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r),
-                        [draw_complex(r) for _ in range(p)]), ok)
-    factored, summed = psi(u, p, roots, hp, ctx.rep.params)
-    res = abs(factored - summed) / max(1.0, abs(factored))
-    return res, {"u": u, "p": p, "roots": roots, "s1": hp.s1, "s2": hp.s2}
+    return draw_until(rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, p)), evaluate)
 
 
 def _sample_maba(rng, ctx):
     """Backward residual of the reduction identity: the tau-weighted
     summands can dwarf the result for larger N, so the identity check
     normalizes by their magnitudes as well."""
-    from .bethe import maba_identity_residuals, maba_pole_margin
-    N = ctx.rep.params.N
+    from .bethe import maba_identity_residuals
+    rp = ctx.rep.params
 
-    def ok(t):
-        hp, u, roots = t
-        return maba_pole_margin(list(roots), u, hp, ctx.rep.params) >= REJECT_MARGIN
+    def evaluate(t):
+        hp, (u, roots) = t
+        _, backward = maba_identity_residuals(roots, u, hp, rp, ctx)
+        return backward, {"u": u, "roots": roots, "s2": hp.s2}
 
-    hp, u, roots = draw_until(
-        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r),
-                        [draw_complex(r) for _ in range(N)]), ok)
-    _, backward = maba_identity_residuals(roots, u, hp, ctx.rep.params, ctx)
-    return backward, {"u": u, "roots": roots, "s2": hp.s2}
+    return draw_until(rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, rp.N)), evaluate)
 
 
 def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
                     tol: float | None = None, seed: int = 0) -> RelationReport:
     """Seeded residual sweep over one cataloged identity.
 
-    Draws `samples` admissible random tuples (pole-rejected), evaluates the
-    left and right sides, and reports the worst residual.  Raises
-    RelationViolation when it exceeds tol.  For R1-R3 the residual does not
-    depend on the draw, so a single evaluation is reported.
+    Draws `samples` random tuples, each redrawn until the evaluation of its
+    left and right sides keeps the pole margin, and reports the worst
+    residual.  Raises RelationViolation when it exceeds tol.  For R1-R3 the
+    residual does not depend on the draw, so a single evaluation is reported.
 
     The ABV_ACTION sweep evaluates the swapped middle factor with both the
     m-r+1 and m-r-1 index conventions and adopts whichever satisfies the

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import residual_norm
-from .dynamical import DynContext, coeff_g0, POLE_FLOOR
+from .core import POLE_FLOOR, guard, residual_norm
+from .dynamical import DynContext, check_rho, coeff_g0
 from .errors import CanonicalizationError, ParameterDomainError, RelationViolation
 from .racah import RacahParams, Representation
 
@@ -53,12 +53,8 @@ class BilinearParams:
 
 
 def build_heun_params(rho, s1, s2, rp: RacahParams) -> HeunParams:
-    rho, s1, s2 = complex(rho), complex(s1), complex(s2)
-    if abs(rho) < POLE_FLOOR or abs(rho - 1) < POLE_FLOOR:
-        raise ParameterDomainError(f"rho={rho} must avoid 0 and 1")
-    if abs(s2 - rho) < POLE_FLOOR:
-        raise ParameterDomainError(
-            f"s2={s2} equals rho: 2*m_bar*rho - 1 would vanish")
+    rho, s1, s2 = check_rho(rho), complex(s1), complex(s2)
+    guard(s2 - rho, "Heun pole: s2 = rho, where 2 m_bar rho - 1 vanishes")
     m_bar = (s2 - rho + 1) / (2 * rho)
     disc = np.sqrt(complex(2 * s1 * rho * rho - 2 * s1 * rho + 1))
     base = 1 - rp.gamma * rho - rp.delta * rho - 2 * rho
@@ -80,10 +76,14 @@ def integer_p_bar(hp: HeunParams, N: int, tol: float = 1e-9) -> int | None:
     return None
 
 
-def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:
+def check_same_rho(hp: HeunParams, ctx: DynContext) -> None:
     if abs(hp.rho - ctx.rho) > POLE_FLOOR:
         raise ParameterDomainError(
             f"context rho={ctx.rho} differs from Heun rho={hp.rho}")
+
+
+def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:
+    check_same_rho(hp, ctx)
     rho, s1, s2 = hp.rho, hp.s1, hp.s2
     X, Y = ctx.rep.X, ctx.rep.Y
     return (-2 * rho / (rho - 1) * (X @ Y)
@@ -127,17 +127,14 @@ def canonicalize(bp: BilinearParams, rp: RacahParams) -> tuple[HeunParams, compl
 
 def h1_scalar(u, hp: HeunParams) -> complex:
     """s1/(2u) - ((rho u - rho + s2)^2 - 1) / (4 rho u (rho - 1))."""
-    if abs(u) < POLE_FLOOR:
-        raise ParameterDomainError("h1 pole: u = 0")
+    guard(u, "h1 pole: u = 0")
     rho, s1, s2 = hp.rho, hp.s1, hp.s2
     return s1 / (2 * u) - ((rho * u - rho + s2) ** 2 - 1) / (4 * rho * u * (rho - 1))
 
 
 def h2_scalar(u, hp: HeunParams, ctx: DynContext) -> complex:
     """-(h1(u) g0(u, m_bar) + h1(-u) g0(-u, m_bar)) / (2 m_bar rho - 1)."""
-    den = 2 * hp.m_bar * hp.rho - 1
-    if abs(den) < POLE_FLOOR:
-        raise ParameterDomainError("h2 pole: 2 m_bar rho = 1")
+    den = guard(2 * hp.m_bar * hp.rho - 1, "h2 pole: 2 m_bar rho = 1")
     return -(h1_scalar(u, hp) * coeff_g0(u, hp.m_bar, ctx)
              + h1_scalar(-u, hp) * coeff_g0(-u, hp.m_bar, ctx)) / den
 

@@ -16,11 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import anticommutator, commutator, identity, residual_norm, MAX_DIM
+from .core import anticommutator, commutator, guard, identity, residual_norm, MAX_DIM
 from .errors import ParameterDomainError, RelationViolation
-
-# Guard against catastrophic precision loss rather than only exact poles.
-DENOM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,17 +38,6 @@ class RacahParams:
     d2: complex
 
 
-def _check_denominators(N: int, gamma: complex, delta: complex) -> None:
-    for x in range(N + 1):
-        base = 2 * x + gamma + delta
-        for shift in (0, 1, 2):
-            if abs(base + shift) < DENOM_FLOOR:
-                raise ParameterDomainError(
-                    f"denominator 2x+gamma+delta+{shift} vanishes at x={x} "
-                    f"(gamma={gamma}, delta={delta})"
-                )
-
-
 def build_params(N: int, beta, gamma, delta) -> RacahParams:
     """Derive alpha and the structure constants b, d1, d2 from (N, beta, gamma, delta)."""
     if N < 0 or N + 1 > MAX_DIM:
@@ -59,30 +45,35 @@ def build_params(N: int, beta, gamma, delta) -> RacahParams:
     beta = complex(beta)
     gamma = complex(gamma)
     delta = complex(delta)
-    _check_denominators(N, gamma, delta)
     alpha = complex(-N - 1)
     b = (beta + delta) * (beta - gamma) + (alpha - delta) * (alpha - gamma) \
         + delta ** 2 + gamma ** 2 - 2
     d1 = (gamma ** 2 - delta ** 2) * (2 * beta - gamma + delta) * (gamma + delta - 2 * alpha) / 8
     d2 = (alpha ** 2 - beta ** 2) * (alpha - beta - 2 * delta) * (2 * gamma - beta - alpha) / 8
-    return RacahParams(N=N, beta=beta, gamma=gamma, delta=delta,
-                       alpha=alpha, b=b, d1=d1, d2=d2)
+    p = RacahParams(N=N, beta=beta, gamma=gamma, delta=delta,
+                    alpha=alpha, b=b, d1=d1, d2=d2)
+    for x in range(N + 1):  # guards every denominator 2x+gamma+delta+{0,1,2}
+        weight_B(x, p), weight_D(x, p)
+    return p
+
+
+def _weight_den(x, p: RacahParams, shift: int) -> complex:
+    return guard(2 * x + p.gamma + p.delta + shift,
+                 f"denominator 2x+gamma+delta+{shift} at x={x}")
 
 
 def weight_B(x, p: RacahParams) -> complex:
     """Raising weight; vanishes at x = N because x + alpha + 1 = x - N."""
     a, bt, g, d = p.alpha, p.beta, p.gamma, p.delta
     num = (x + a + 1) * (x + bt + d + 1) * (x + g + 1) * (x + g + d + 1)
-    den = (2 * x + g + d + 1) * (2 * x + g + d + 2)
-    return num / den
+    return num / (_weight_den(x, p, 1) * _weight_den(x, p, 2))
 
 
 def weight_D(x, p: RacahParams) -> complex:
     """Lowering weight; vanishes at x = 0 because of the explicit factor x."""
     a, bt, g, d = p.alpha, p.beta, p.gamma, p.delta
     num = x * (x - a + g + d) * (x - bt + g) * (x + d)
-    den = (2 * x + g + d) * (2 * x + g + d + 1)
-    return num / den
+    return num / (_weight_den(x, p, 0) * _weight_den(x, p, 1))
 
 
 def y_eigenvalue(x, p: RacahParams) -> complex:

@@ -1,15 +1,18 @@
-"""Seeded random draws with pole rejection.
+"""Seeded random draws kept off the poles of the formulas they feed.
 
 All verification sweeps and solver multistarts share these helpers so
 that every randomized result is reproducible from its seed.  Scalars are
-drawn uniformly in modulus from an annulus in the complex plane and
-rejected when any listed denominator comes within the margin of zero.
+drawn uniformly in modulus from an annulus in the complex plane.  A draw
+is kept when the formula it feeds evaluates with every guarded
+denominator at least REJECT_MARGIN off its pole (core.pole_margin), and
+redrawn otherwise; no list of denominators is kept beside the formula.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import pole_margin
 from .errors import ParameterDomainError
 from .racah import RacahParams, build_params
 
@@ -28,37 +31,36 @@ def draw_complex(rng: np.random.Generator, rmin: float = ANNULUS_MIN,
     return complex(r * np.cos(theta), r * np.sin(theta))
 
 
-def draw_until(rng: np.random.Generator, draw, admissible, max_tries: int = MAX_TRIES):
-    """Redraw until `admissible(value)` holds.
+def within_margin(evaluate, value):
+    """evaluate(value) under pole_margin(REJECT_MARGIN), or None when a
+    denominator it divides by lies within the margin of its pole."""
+    try:
+        with pole_margin(REJECT_MARGIN):
+            return evaluate(value)
+    except ParameterDomainError:
+        return None
+
+
+def draw_until(rng: np.random.Generator, draw, evaluate, max_tries: int = MAX_TRIES):
+    """evaluate(draw(rng)) for the first draw that keeps the pole margin.
 
     Raises ParameterDomainError after max_tries rejected draws: the fixed
     parameters then leave (almost) no admissible region to sample.
     """
     for _ in range(max_tries):
-        value = draw(rng)
-        if admissible(value):
-            return value
+        out = within_margin(evaluate, draw(rng))
+        if out is not None:
+            return out
     raise ParameterDomainError(
         f"rejection sampling found no admissible draw in {max_tries} tries")
 
 
 def draw_racah_params(rng: np.random.Generator, N: int) -> RacahParams:
-    """Random (beta, gamma, delta) with all weight denominators >= REJECT_MARGIN."""
-
-    def ok(pair) -> bool:
-        gamma, delta = pair
-        return all(
-            abs(2 * x + gamma + delta + shift) >= REJECT_MARGIN
-            for x in range(N + 1) for shift in (0, 1, 2)
-        )
-
-    gamma, delta = draw_until(
-        rng, lambda r: (draw_complex(r), draw_complex(r)), ok)
-    beta = draw_complex(rng)
-    return build_params(N, beta, gamma, delta)
+    """Random (gamma, delta, beta), drawn in that order, off every weight pole."""
+    return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r), draw_complex(r)),
+                      lambda t: build_params(N, t[2], t[0], t[1]))
 
 
 def draw_rho(rng: np.random.Generator) -> complex:
-    return draw_until(
-        rng, draw_complex,
-        lambda rho: abs(rho) >= REJECT_MARGIN and abs(rho - 1) >= REJECT_MARGIN)
+    from .dynamical import check_rho  # dynamical draws through this module
+    return draw_until(rng, draw_complex, check_rho)

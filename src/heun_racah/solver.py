@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bethe import (BetheState, BetheSystem, HOMOGENEOUS, INHOMOGENEOUS, bethe_vector,
-                    canonical_roots, pick_u_aux, u_aux_margin)
+                    canonical_roots, pick_u_aux)
 from .core import dense_spectrum
 from .dynamical import DynContext
 from .errors import ParameterDomainError, SolverFailure
 from .heun import HeunParams, build_W_parametric
 from .racah import RacahParams, y_eigenvalue
-from .sampling import REJECT_MARGIN
+from .sampling import REJECT_MARGIN, within_margin
 
 EIGEN_RESIDUAL_TOL = 1e-8
 BETHE_RESIDUAL_TOL = 1e-9
@@ -155,22 +155,10 @@ def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
             N + 2 + g + d + bt, N + 2 + g + d - bt, shifted]
 
 
-def _root_margin(roots, system: BetheSystem) -> float:
-    """Pole distance of the cleared residual map at a root set, |x_i^2 - x_j^2| included."""
-    g, d = system.rp.gamma, system.rp.delta
-    m_shift = d + g - 2 * (system.hp.m_bar - system.p) + 2
-    vals = []
-    for i, x in enumerate(roots):
-        vals += [abs(x), abs(x - 1), abs(x + 1),
-                 abs(m_shift - x), abs(m_shift + x)]
-        for y in roots[:i]:
-            vals.append(abs(x * x - y * y))
-    return min(vals, default=1.0)
-
-
 def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[list[complex]]:
     """Deterministic multistart seeds: annulus draws mixed with perturbed
-    zeros of the vacuum weight, canonicalized and pole-filtered."""
+    zeros of the vacuum weight, canonicalized, and redrawn (up to 200 times)
+    while the reference residual map does not keep the pole margin there."""
     rp = system.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
@@ -191,7 +179,7 @@ def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[list[complex]]:
                     z = complex(r * np.cos(th), r * np.sin(th))
                 roots.append(z)
             roots = list(canonical_roots(roots))
-            if _root_margin(roots, system) >= REJECT_MARGIN:
+            if within_margin(system.reference, roots) is not None:
                 break
         starts.append(roots)
     return starts
@@ -212,20 +200,17 @@ def _match_oracle(value: complex, oracle: np.ndarray):
 def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle, u_aux):
     """Certify one converged configuration; returns (state, reason)."""
     roots = list(canonical_roots(roots))
-    if _root_margin(roots, system) < REJECT_MARGIN:
+    reference = within_margin(system.reference, roots)
+    if reference is None:
         return None, "pole_margin"
-    hp, rp, p = system.hp, system.rp, system.p
+    residuals, scales = reference
+    if any(abs(res) > BETHE_RESIDUAL_TOL * sc for res, sc in zip(residuals, scales)):
+        return None, "bethe_residual"
     try:
-        uax = u_aux
-        if uax is None or u_aux_margin(uax, roots, p, hp, rp) < REJECT_MARGIN:
-            uax = pick_u_aux(roots, p, hp, rp, seed=seed)
-        residuals, scales = system.reference(roots)
-        if any(abs(res) > BETHE_RESIDUAL_TOL * sc for res, sc in zip(residuals, scales)):
-            return None, "bethe_residual"
-        eigenvalue = system.eigenvalue(uax, roots)
-        vec = bethe_vector(roots, hp.m_bar, system.ctx)
+        uax, eigenvalue = pick_u_aux(system, roots, seed, u_aux)
     except ParameterDomainError:
         return None, "pole"
+    vec = bethe_vector(roots, system.hp.m_bar, system.ctx)
     vnorm = float(np.linalg.norm(vec))
     if not np.isfinite(vnorm) or vnorm < np.finfo(float).tiny:
         return None, "degenerate_vector"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heun_racah import build_params, build_representation
+from heun_racah.core import pole_margin
 from heun_racah.dynamical import DynContext
 from heun_racah.heun import build_heun_params
 
@@ -31,3 +32,21 @@ def ctx0(rep0):
 @pytest.fixture(scope="session")
 def hp0(p0):
     return build_heun_params(2, 1, 3, p0)
+
+
+def at_margin(margin, evaluate):
+    """evaluate, run under pole_margin(margin): a draw_until evaluation that
+    keeps a wider margin than the package's."""
+    def wrapped(value):
+        with pole_margin(margin):
+            return evaluate(value)
+    return wrapped
+
+
+def keeping(margin, formula):
+    """A draw_until evaluation that returns the draw itself, once
+    formula(draw) keeps every guarded denominator margin off its pole."""
+    def evaluate(value):
+        formula(value)
+        return value
+    return at_margin(margin, evaluate)

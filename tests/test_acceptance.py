@@ -16,8 +16,11 @@ from heun_racah.core import dense_spectrum
 from heun_racah.dynamical import DynContext, RelationId, verify_relation
 from heun_racah.heun import build_heun_params, build_W_parametric, verify_WA
 from heun_racah.racah import build_params, build_representation, verify_defining_relations
+from heun_racah.heun import h_coeffs
 from heun_racah.sampling import draw_complex, draw_racah_params, draw_rho, draw_until
 from heun_racah.solver import SolverConfig, solve_homogeneous, solve_inhomogeneous
+
+from conftest import at_margin, keeping
 
 
 def report(num, text):
@@ -26,8 +29,7 @@ def report(num, text):
 
 def draw_heun(rng, rho, rp):
     s1 = draw_complex(rng)
-    s2 = draw_until(rng, draw_complex, lambda s: abs(s - rho) > 1e-3)
-    return build_heun_params(rho, s1, s2, rp)
+    return draw_until(rng, draw_complex, lambda s2: build_heun_params(rho, s1, s2, rp))
 
 
 def test_criterion_1_defining_relations():
@@ -72,7 +74,7 @@ def test_criterion_3_wa_identity():
         rho = draw_rho(rng)
         ctx = DynContext(rep=rep, rho=rho)
         hp = draw_heun(rng, rho, rp)
-        admissible = lambda u: min(abs(u), abs(u - 1), abs(u + 1)) > 1e-2
+        admissible = keeping(1e-2, lambda u: h_coeffs(u, hp, ctx))
         u1 = draw_until(rng, draw_complex, admissible)
         u2 = draw_until(rng, draw_complex, admissible)
         out = verify_WA(u1, u2, hp, ctx, tol=1e-10)
@@ -123,10 +125,9 @@ def test_criterion_5_psi_dual_form_and_zero():
         assert hp.p_bar_plus == pytest.approx(k)
         rng = np.random.default_rng(90 + k)
         for _ in range(10):
-            u, roots = draw_until(
+            factored, summed = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(k)]),
-                lambda t: bethe.psi_pole_margin(t[0], k, t[1], hp, rp) > 1e-2)
-            factored, summed = bethe.psi(u, k, roots, hp, rp)
+                at_margin(1e-2, lambda t: bethe.psi(t[0], k, t[1], hp, rp)))
             worst_zero = max(worst_zero, abs(factored))
     assert worst_zero <= 1e-10
     report(5, f"psi factored vs summed worst {worst:.3e}; psi(u, p_bar) worst "
@@ -145,11 +146,11 @@ def test_criterion_6_reduction_identity():
             rep = build_representation(rp)
             rho = draw_rho(rng)
             ctx = DynContext(rep=rep, rho=rho)
-            hp, u, roots = draw_until(
+            plain, bwd = draw_until(
                 rng, lambda r: (draw_heun(r, rho, rp), draw_complex(r),
                                 [draw_complex(r) for _ in range(N)]),
-                lambda t: bethe.maba_pole_margin(list(t[2]), t[1], t[0], rp) > 1e-2)
-            plain, bwd = bethe.maba_identity_residuals(roots, u, hp, rp, ctx)
+                at_margin(1e-2, lambda t: bethe.maba_identity_residuals(
+                    t[2], t[1], t[0], rp, ctx)))
             worst = max(worst, plain)
             backward = max(backward, bwd)
         worst_by_N[N] = worst

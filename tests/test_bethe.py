@@ -7,18 +7,20 @@ from heun_racah.bethe import (bethe_vector, canonical_roots, eigenvalue_w,
                               inhomogeneous_residuals, inhomogeneous_terms,
                               maba_reduce, psi, unwanted_U, vacuum,
                               vacuum_coeffs)
-from heun_racah.core import vector_residual
+from heun_racah.core import guard, pole_margin, vector_residual
 from heun_racah.dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric, h1_scalar, h2_scalar
 from heun_racah.racah import build_params, build_representation
-from heun_racah.sampling import draw_complex, draw_racah_params, draw_rho, draw_until
+from heun_racah.sampling import (REJECT_MARGIN, draw_complex, draw_racah_params, draw_rho,
+                                  draw_until)
+
+from conftest import at_margin, keeping
 
 
 def draw_heun(rng, rho, rp):
     s1 = draw_complex(rng)
-    s2 = draw_until(rng, draw_complex, lambda s: abs(s - rho) > 1e-3)
-    return build_heun_params(rho, s1, s2, rp)
+    return draw_until(rng, draw_complex, lambda s2: build_heun_params(rho, s1, s2, rp))
 
 
 def random_setup(seed, N):
@@ -51,15 +53,16 @@ class TestVacuumCoeffs:
         from heun_racah.dynamical import op_A, op_B
         e0 = vacuum(p0.N)
         rng = np.random.default_rng(41)
-        for _ in range(10):
-            u, m = draw_until(
-                rng, lambda r: (draw_complex(r), draw_complex(r)),
-                lambda t: min(abs(t[0] - 1), abs(2 * t[1] * 2 - 1),
-                              abs(p0.delta + p0.gamma - 2 * t[1] + 2 - t[0])) > 1e-2)
+        def residual(t):
+            u, m = t
             vc = vacuum_coeffs(u, m, p0, ctx0.rho)
             lhs = op_A(u, m, ctx0) @ e0
             rhs = vc.xi * e0 + vc.zeta * (op_B(u, m, ctx0) @ e0)
-            assert vector_residual(lhs, rhs) <= 1e-11
+            return vector_residual(lhs, rhs)
+
+        for _ in range(10):
+            assert draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)),
+                              at_margin(1e-2, residual)) <= 1e-11
 
     def test_xi_zero_from_first_factor(self, p0):
         # (u+N)^2 = (beta-gamma+delta)^2 at u = -N + 6 = 5
@@ -165,7 +168,7 @@ class TestSharedFactors:
             for _ in range(3):
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-                    lambda t: bethe.maba_pole_margin(t[1], t[0], hp, rp) > 1e-2)
+                    keeping(1e-2, lambda t: maba_reduce(t[1], t[0], hp, rp)))
                 assert bethe.maba_identity_residuals(roots, u, hp, rp, ctx) \
                     == reference_maba_residuals(roots, u, hp, rp, ctx)
 
@@ -222,13 +225,16 @@ class TestF1W:
         from heun_racah.dynamical import coeff_k2
         rng, rp, ctx, hp = random_setup(44, 2)
         rho = ctx.rho
-        for _ in range(30):
-            u, v = draw_until(
-                rng, lambda r: (draw_complex(r), draw_complex(r)),
-                lambda t: min(abs(t[0] ** 2 - t[1] ** 2), abs(t[1]), abs(t[0])) > 1e-2)
+        def sides(t):
+            u, v = t
             lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
                    + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
-            rhs = f1_W(v, hp) / (rho * (rho - 1) * (u * u - v * v))
+            rhs = f1_W(v, hp) / (rho * (rho - 1) * guard(u * u - v * v, "u^2 = v^2"))
+            return lhs, rhs
+
+        for _ in range(30):
+            lhs, rhs = draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)),
+                                  at_margin(1e-2, sides))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -297,10 +303,9 @@ class TestPsi:
         for seed, N in ((46, 1), (47, 3), (48, 5)):
             rng, rp, ctx, hp = random_setup(seed, N)
             for p in (0, 1, 2, 3):
-                u, roots = draw_until(
+                factored, summed = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    lambda t: bethe.psi_pole_margin(t[0], p, t[1], hp, rp) > 1e-2)
-                factored, summed = psi(u, p, roots, hp, rp)
+                    at_margin(1e-2, lambda t: psi(t[0], p, t[1], hp, rp)))
                 assert abs(factored - summed) <= 1e-10 * max(1.0, abs(factored))
 
     def test_vanishes_at_integer_p_bar(self):
@@ -371,7 +376,7 @@ class TestMabaReduce:
         rng, rp, ctx, hp = random_setup(50, 1)
         u, roots = draw_until(
             rng, lambda r: (draw_complex(r), [draw_complex(r)]),
-            lambda t: bethe.maba_pole_margin(t[1], t[0], hp, rp) > 1e-2)
+            keeping(1e-2, lambda t: maba_reduce(t[1], t[0], hp, rp)))
         assert self.check_identity(roots, u, hp, rp, ctx) <= 1e-12
 
     def test_proven_range_sweep(self):
@@ -381,7 +386,7 @@ class TestMabaReduce:
             for _ in range(5):
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-                    lambda t: bethe.maba_pole_margin(t[1], t[0], hp, rp) > 1e-2)
+                    keeping(1e-2, lambda t: maba_reduce(t[1], t[0], hp, rp)))
                 worst = max(worst, self.check_identity(roots, u, hp, rp, ctx))
             assert worst <= 1e-8
 
@@ -391,7 +396,7 @@ class TestMabaReduce:
         u = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
         roots = draw_until(
             rng, lambda r: [draw_complex(r) for _ in range(rp.N)],
-            lambda xs: bethe.maba_pole_margin(xs, u, hp, rp) > 1e-2)
+            keeping(1e-2, lambda xs: maba_reduce(xs, u, hp, rp)))
         tau_u, _ = maba_reduce(roots, u, hp, rp)
         lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
         assert vector_residual(lhs, tau_u * bethe_vector(roots, hp.m_bar, ctx)) <= 1e-10
@@ -423,8 +428,7 @@ class TestInhomogeneous:
         u = 2.37 + 0.91j
         roots = draw_until(
             rng, lambda r: [draw_complex(r) for _ in range(2)],
-            lambda xs: min(bethe.maba_pole_margin(xs, u, hp, rp),
-                           bethe.psi_pole_margin(u, 2, xs, hp, rp)) > 1e-2)
+            keeping(1e-2, lambda xs: (maba_reduce(xs, u, hp, rp), psi(u, 2, xs, hp, rp))))
         base = inhomogeneous_residuals(list(canonical_roots(roots)), hp, ctx)
         flipped = inhomogeneous_residuals(list(canonical_roots([-roots[0], roots[1]])),
                                           hp, ctx)
@@ -443,22 +447,18 @@ class TestWVAction:
         for seed, N in ((60, 1), (61, 3), (62, 5)):
             rng, rp, ctx, hp = random_setup(seed, N)
             for p in (0, 1, 2, 3):
-                u, roots = draw_until(
+                res = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    lambda t: min(bethe.psi_pole_margin(t[0], p, t[1], hp, rp),
-                                  bethe.u_aux_margin(t[0], t[1], p, hp, rp)) > 1e-2)
-                assert bethe.wv_action_residual(roots, u, hp, rp, ctx) <= 1e-9
+                    at_margin(1e-2, lambda t: bethe.wv_action_residual(t[1], t[0], hp, rp, ctx)))
+                assert res <= 1e-9
 
     def test_inhomogeneous_identity_off_shell(self):
         for seed, N in ((63, 1), (64, 2), (65, 3)):
             rng, rp, ctx, hp = random_setup(seed, N)
-            u, roots = draw_until(
+            res = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-                lambda t: min(bethe.maba_pole_margin(list(t[1]), t[0], hp, rp),
-                              bethe.psi_pole_margin(t[0], N, t[1], hp, rp),
-                              bethe.u_aux_margin(t[0], t[1], N, hp, rp)) > 1e-2)
-            res = bethe.wv_action_residual(roots, u, hp, rp, ctx,
-                                           mode=bethe.INHOMOGENEOUS)
+                at_margin(1e-2, lambda t: bethe.wv_action_residual(
+                    t[1], t[0], hp, rp, ctx, mode=bethe.INHOMOGENEOUS)))
             assert res <= 1e-9
 
     def test_homogeneous_span_projection(self):
@@ -472,7 +472,7 @@ class TestWVAction:
         for _ in range(5):
             u, roots = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r)]),
-                lambda t: bethe.u_aux_margin(t[0], t[1], 1, hp, rp) > 1e-2)
+                keeping(1e-2, lambda t: eigenvalue_w(t[0], t[1], hp, rp, ctx)))
             V = bethe_vector(roots, hp.m_bar, ctx)
             b = W @ V - eigenvalue_w(u, roots, hp, rp, ctx) * V
             swapped = bethe_vector([u], hp.m_bar, ctx)
@@ -482,12 +482,39 @@ class TestWVAction:
 
 
 class TestUAux:
-    def test_default_when_admissible(self, p0, hp0):
-        u = bethe.pick_u_aux([1.5 + 0.5j], 1, hp0, p0)
+    def test_default_when_admissible(self, hp0, ctx0):
+        system = bethe.BetheSystem(hp0, ctx0, bethe.INHOMOGENEOUS)
+        u, value = bethe.pick_u_aux(system, [1.5 + 0.5j])
         assert u == bethe.U_AUX_DEFAULT
+        assert value == system.eigenvalue(u, [1.5 + 0.5j])
 
-    def test_redraw_near_pole(self, p0, hp0):
+    def test_redraw_near_pole(self, hp0, ctx0):
         # place a root right at the default point so it must move
-        u = bethe.pick_u_aux([bethe.U_AUX_DEFAULT], 1, hp0, p0, seed=1)
+        system = bethe.BetheSystem(hp0, ctx0, bethe.INHOMOGENEOUS)
+        roots = [bethe.U_AUX_DEFAULT]
+        u, value = bethe.pick_u_aux(system, roots, seed=1)
         assert abs(u - bethe.U_AUX_DEFAULT) > 1e-3
-        assert bethe.u_aux_margin(u, [bethe.U_AUX_DEFAULT], 1, hp0, p0) >= 1e-3
+        with pole_margin(REJECT_MARGIN):
+            assert system.eigenvalue(u, roots) == value
+
+    def test_given_point_is_tried_first(self, hp0, ctx0):
+        system = bethe.BetheSystem(hp0, ctx0, bethe.INHOMOGENEOUS)
+        assert bethe.pick_u_aux(system, [1.5 + 0.5j], u_aux=1.9 - 1.3j)[0] == 1.9 - 1.3j
+        # a given point on a pole falls back to the default
+        assert bethe.pick_u_aux(system, [1.5 + 0.5j], u_aux=1.0)[0] == bethe.U_AUX_DEFAULT
+
+    def test_default_kept_beside_the_unshifted_vacuum_pole(self):
+        # delta+gamma-2m_bar+2 = U_AUX_DEFAULT + 5e-4: the vacuum weight at
+        # m_bar has its pole there, but with p >= 1 roots the eigenvalue
+        # evaluates it at m_bar - p only, so the default point stays
+        rp = build_params(3, 2.2 + 0.4j, 1.3, 0.8)
+        rho = 1.7
+        m_bar = (rp.delta + rp.gamma + 2 - bethe.U_AUX_DEFAULT - 5e-4) / 2
+        hp = build_heun_params(rho, 0.9, 2 * rho * m_bar + rho - 1, rp)
+        assert abs(rp.delta + rp.gamma - 2 * hp.m_bar + 2 - bethe.U_AUX_DEFAULT) < REJECT_MARGIN
+        ctx = DynContext(rep=build_representation(rp), rho=rho)
+        system = bethe.BetheSystem(hp, ctx, bethe.INHOMOGENEOUS)
+        roots = [0.7 + 1.1j, 1.9 - 0.4j, 2.8 + 0.6j]
+        u, value = bethe.pick_u_aux(system, roots)
+        assert u == bethe.U_AUX_DEFAULT
+        assert value == system.eigenvalue(u, roots)

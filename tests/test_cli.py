@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heun_racah.cli import main
+from heun_racah.heun import BilinearParams
 
 P0_GENERIC = {"N": 1, "beta": [5, 0], "gamma": [1, 0], "delta": [2, 0],
               "rho": [2, 0], "s1": [1, 0], "s2": [3, 0]}
@@ -234,6 +235,28 @@ class TestCheckMabaCommand:
                    "--draws", "5", "--seed", "1"])
         assert rc == 2
         assert "tau" in capsys.readouterr().err
+
+    def test_bilinear_block_is_canonicalized(self, tmp_path):
+        # the block gives rho = 0.5; the check must run on that operator,
+        # exactly as on a file that writes out its canonical rho, s1, s2
+        from heun_racah.heun import canonicalize
+        from heun_racah.racah import build_params
+        from heun_racah.serialize import to_pair
+        c8 = {"N": 3, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        block = {"r0": [0, 0], "r1": [0.3, 0], "r2": [0.1, 0],
+                 "r3": [-2.1, 0], "r4": [0.7, 0]}
+        hp, _, _ = canonicalize(BilinearParams(0, 0.3, 0.1, -2.1, 0.7),
+                                build_params(3, 2.2 + 0.4j, 1.3, 0.8))
+        assert hp.rho == pytest.approx(0.5)
+        flat = dict(c8, rho=to_pair(hp.rho), s1=to_pair(hp.s1), s2=to_pair(hp.s2))
+        outs = []
+        for name, payload in (("bilinear", dict(c8, bilinear=block)), ("flat", flat)):
+            out = tmp_path / f"{name}.out.json"
+            assert main(["check-maba", "--params", write_params(tmp_path, payload, name),
+                         "--N", "4", "--draws", "5", "--seed", "1", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_prefactor_root_branch(self, tmp_path):
         # u pinned at the swap-prefactor root exercises the reduced branch

@@ -3,7 +3,8 @@ import pytest
 
 from heun_racah import (anticommutator, commutator, dense_spectrum,
                         residual_norm)
-from heun_racah.errors import DimensionError, OracleError
+from heun_racah.core import guard, pole_margin
+from heun_racah.errors import DimensionError, OracleError, ParameterDomainError
 
 from conftest import X0, Y0, Z0
 
@@ -122,3 +123,29 @@ class TestDenseSpectrum:
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
             dense_spectrum(np.eye(65))
+
+
+class TestGuard:
+    def test_returns_the_denominator(self):
+        assert guard(2 - 1j, "den") == 2 - 1j
+        assert guard(1e-11, "den") == 1e-11
+
+    def test_below_the_floor_is_a_named_domain_error(self):
+        with pytest.raises(ParameterDomainError, match="coeff pole: u = 1"):
+            guard(1e-13, "coeff pole: u = 1")
+
+    def test_pole_margin_raises_the_floor_for_its_block(self):
+        with pole_margin(1e-3):
+            with pytest.raises(ParameterDomainError):
+                guard(5e-4, "den")
+            with pole_margin(1e-6):  # an inner block never lowers the floor
+                with pytest.raises(ParameterDomainError):
+                    guard(5e-4, "den")
+            assert guard(2e-3, "den") == 2e-3
+        assert guard(5e-4, "den") == 5e-4
+
+    def test_floor_restored_when_the_block_raises(self):
+        with pytest.raises(ParameterDomainError):
+            with pole_margin(1e-3):
+                guard(0.0, "den")
+        assert guard(5e-4, "den") == 5e-4

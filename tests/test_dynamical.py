@@ -8,7 +8,7 @@ from heun_racah import (coeff_f0, coeff_f1, coeff_g0, coeff_g1, coeff_k1,
 from heun_racah.core import residual_norm, vector_residual
 from heun_racah.dynamical import DynContext, RelationId
 from heun_racah.errors import ParameterDomainError, RelationViolation
-from heun_racah.racah import Representation, build_representation
+from heun_racah.racah import Representation, build_params, build_representation
 from heun_racah.sampling import draw_racah_params, draw_rho
 from heun_racah.serialize import dump_json
 
@@ -149,8 +149,41 @@ class TestVerifyRelation:
 class TestSampling:
     def test_exhausted_rejection_is_a_domain_error(self):
         from heun_racah.errors import HeunRacahError
+        from heun_racah.core import guard
         from heun_racah.sampling import draw_complex, draw_until
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterDomainError, match="5 tries") as exc:
-            draw_until(rng, draw_complex, lambda value: False, max_tries=5)
+            draw_until(rng, draw_complex, lambda value: guard(0.0, "always a pole"),
+                       max_tries=5)
         assert isinstance(exc.value, HeunRacahError)
+
+
+class TestSweepEvaluations:
+    def test_psi_sweep_rejects_a_root_beside_plus_or_minus_one(self, monkeypatch):
+        # psi_summed evaluates the vacuum weight at every root, which has
+        # its pole at x = 1; the sweep's evaluation must reject x = +-(1 + 5e-4)
+        from heun_racah import dynamical, sampling
+        from heun_racah.heun import build_heun_params
+        rp = build_params(3, 2.2 + 0.4j, 1.3, 0.8)
+        ctx = DynContext(rep=build_representation(rp), rho=1.7)
+        calls = []
+
+        def recording(rng, draw, evaluate):
+            calls.append(evaluate)
+            return sampling.draw_until(rng, draw, evaluate)
+
+        monkeypatch.setattr(dynamical, "draw_until", recording)
+        for seed in range(20):
+            calls.clear()
+            _, tup = dynamical._sample_psi(np.random.default_rng(seed), ctx)
+            if tup["roots"]:
+                break
+        evaluate = calls[0]  # the sweep's own; the Heun draw's comes after
+        hp = build_heun_params(ctx.rho, tup["s1"], tup["s2"], rp)
+        u, roots = tup["u"], tup["roots"]
+        assert sampling.draw_until(None, lambda r: (hp, (u, roots)), evaluate,
+                                   max_tries=1)[1] == tup
+        for x in (1 + 5e-4, -1 - 5e-4):
+            with pytest.raises(ParameterDomainError, match="1 tries"):
+                sampling.draw_until(None, lambda r: (hp, (u, [x] + roots[1:])), evaluate,
+                                    max_tries=1)

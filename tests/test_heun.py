@@ -11,6 +11,8 @@ from heun_racah.heun import BilinearParams, h1_scalar, integer_p_bar
 from heun_racah.racah import build_params, build_representation
 from heun_racah.sampling import draw_complex, draw_racah_params, draw_rho, draw_until
 
+from conftest import keeping
+
 
 class TestHeunParams:
     def test_m_bar(self, hp0):
@@ -76,9 +78,8 @@ class TestBuildW:
             rp = draw_racah_params(rng, N)
             rep = build_representation(rp)
             rho = draw_rho(rng)
-            hp = build_heun_params(
-                rho, draw_complex(rng),
-                draw_until(rng, draw_complex, lambda s: abs(s - rho) > 1e-3), rp)
+            s1 = draw_complex(rng)
+            hp = draw_until(rng, draw_complex, lambda s2: build_heun_params(rho, s1, s2, rp))
             W = build_W_parametric(hp, DynContext(rep=rep, rho=rho))
             assert np.all(np.triu(W, 2) + np.tril(W, -2) == 0)
 
@@ -167,10 +168,9 @@ class TestVerifyWA:
             rep = build_representation(rp)
             rho = draw_rho(rng)
             ctx = DynContext(rep=rep, rho=rho)
-            hp = build_heun_params(
-                rho, draw_complex(rng),
-                draw_until(rng, draw_complex, lambda s: abs(s - rho) > 1e-3), rp)
-            admissible = lambda u: min(abs(u), abs(u - 1), abs(u + 1)) > 1e-2
+            s1 = draw_complex(rng)
+            hp = draw_until(rng, draw_complex, lambda s2: build_heun_params(rho, s1, s2, rp))
+            admissible = keeping(1e-2, lambda u: h_coeffs(u, hp, ctx))
             u1 = draw_until(rng, draw_complex, admissible)
             u2 = draw_until(rng, draw_complex, admissible)
             out = verify_WA(u1, u2, hp, ctx, tol=1e-10)

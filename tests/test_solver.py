@@ -8,7 +8,7 @@ from heun_racah.dynamical import DynContext
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import build_params, build_representation
-from heun_racah.sampling import REJECT_MARGIN
+from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
 from heun_racah.solver import (DEFLATION_TOL, SolverConfig, _certify, newton_refine,
                                seed_starts, solve_homogeneous, solve_inhomogeneous)
@@ -217,3 +217,16 @@ class TestProblemConsistency:
         assert state is None and reason == "pole_margin"
         # the same x beside a distant partner passes the margin
         assert _certify([x, 0.4 - 1.9j], system, 0, W, W_fro, oracle, None)[1] != "pole_margin"
+
+    def test_root_beside_plus_one_is_certified_past_the_margin(self):
+        # the swap weight cancels the vacuum pole at x = +-1, so the
+        # reference map evaluates there and the margin does not reject
+        rp, ctx, hp = generic_setup(3)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        W = build_W_parametric(hp, ctx)
+        oracle = dense_spectrum(W).eigenvalues
+        roots = [1 + 5e-4, 0.4 - 1.9j, 2.3 + 0.5j]
+        assert within_margin(system.reference, roots) is not None
+        W_fro = float(np.linalg.norm(W))
+        state, reason = _certify(roots, system, 0, W, W_fro, oracle, None)
+        assert state is None and reason == "bethe_residual"

@@ -40,6 +40,9 @@ INHOMOGENEOUS = "inhomogeneous"
 # Default free spectral point for the action identity; redrawn (seeded)
 # when the eigenvalue at it does not keep the pole margin for a root set.
 U_AUX_DEFAULT = 2.37 + 0.91j
+# Two roots within this of each other, up to sign, are one orbit {x, -x};
+# a real part within it counts as zero when the display sign is picked.
+DEFLATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,9 @@ class VacuumCoeffs:
 class BetheState:
     """A candidate or certified Bethe root configuration.
 
-    Roots are stored canonicalized (Re >= 0, ties toward Im >= 0, sorted),
-    since flipping any root's sign or permuting roots leaves the Bethe
-    vector unchanged.  eigen_residual is ||W v - lambda v|| / (||W||_F ||v||).
+    Flipping a root's sign or permuting roots leaves the Bethe vector
+    unchanged, so roots are stored with one display sign per orbit {x, -x},
+    sorted (canonical_roots).  eigen_residual is ||W v - lambda v|| / (||W||_F ||v||).
     """
 
     roots: tuple
@@ -76,10 +79,11 @@ class BetheState:
 
 
 def canonical_root(x: complex) -> complex:
+    """The display sign of the orbit {x, -x}: Re > 0, or Im >= 0 when
+    |Re x| <= DEFLATION_TOL, where Newton leaves an imaginary root."""
     x = complex(x)
-    if x.real < 0 or (x.real == 0 and x.imag < 0):
-        return -x
-    return x
+    flip = x.imag < 0 if abs(x.real) <= DEFLATION_TOL else x.real < 0
+    return -x if flip else x
 
 
 def canonical_roots(roots) -> tuple:

@@ -3,22 +3,22 @@
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
 Newton never meets the removable poles of the equivalent ratio equations.
-Each solve builds one bethe.BetheSystem, which fixes the mode, the root
-count and the root-independent constants; Newton takes residuals and
-closed-form Jacobian from one of its closed_form passes per point.
-Converged root sets are deflated modulo the permutation-and-sign symmetry
-and certified against the dense eigendecomposition of W, which is entirely
-independent of the Bethe machinery.
+Each solve builds one bethe.BetheSystem.  Every start goes through Newton
+on its closed_form pass (residuals and closed-form Jacobian at once),
+then deflation, which drops a root set whose sign orbits {x, -x} repeat a
+certified state's, then certification of each new state against the dense
+eigendecomposition of W, which is entirely independent of the Bethe machinery.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import (BetheState, BetheSystem, HOMOGENEOUS, INHOMOGENEOUS, bethe_vector,
-                    canonical_roots, pick_u_aux)
+from .bethe import (DEFLATION_TOL, BetheState, BetheSystem, HOMOGENEOUS, INHOMOGENEOUS,
+                    bethe_vector, canonical_roots, pick_u_aux)
 from .core import dense_spectrum
 from .dynamical import DynContext
 from .errors import ParameterDomainError, SolverFailure
@@ -33,8 +33,6 @@ COND_LIMIT = 1e14
 MAX_HALVINGS = 30
 MAX_ITER = 200
 NEWTON_TOL = 1e-12
-JACOBIAN_STEP = 1e-7
-DEFLATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,36 +83,25 @@ class SolveReport:
         return out
 
 
-def newton_refine(f, x0, jac=None):
-    """Damped Newton; central finite-difference Jacobian unless jac is given.
+def newton_refine(fj, x0):
+    """Damped Newton on a map fj(x) -> (F, J), with J = dF/dx at x.
 
     Returns (x, converged, iterations).  A start is abandoned (converged
     False) on a pole at the start point, a Jacobian condition estimate
     above 1e14, or thirty failed step halvings.  Convergence means
-    ||f||_inf <= NEWTON_TOL * (1 + ||f(x_start)||_inf).
+    ||F||_inf <= NEWTON_TOL * (1 + ||F(x_start)||_inf).
     """
     x = np.asarray(x0, dtype=np.complex128).copy()
     n = x.size
-    fx = _try_eval(f, x)
-    if fx is None:
+    out = _try_eval(fj, x)
+    if out is None:
         return x, False, 0
+    fx, J = out
     scale = 1.0 + float(np.max(np.abs(fx))) if n else 1.0
 
     for it in range(MAX_ITER):
         if n == 0 or np.max(np.abs(fx)) <= NEWTON_TOL * scale:
             return x, True, it
-        if jac is not None:
-            J = np.asarray(jac(x), dtype=np.complex128).reshape(n, n)
-        else:
-            J = np.empty((n, n), dtype=np.complex128)
-            for j in range(n):
-                step = np.zeros(n, dtype=np.complex128)
-                step[j] = JACOBIAN_STEP
-                fp = _try_eval(f, x + step)
-                fm = _try_eval(f, x - step)
-                if fp is None or fm is None:
-                    return x, False, it
-                J[:, j] = (fp - fm) / (2 * JACOBIAN_STEP)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
             return x, False, it
         try:
@@ -125,25 +112,26 @@ def newton_refine(f, x0, jac=None):
         best = float(np.max(np.abs(fx)))
         for _ in range(MAX_HALVINGS):
             xt = x + t * delta
-            ft = _try_eval(f, xt)
-            if ft is not None and float(np.max(np.abs(ft))) < best:
-                x, fx = xt, ft
+            out = _try_eval(fj, xt)
+            if out is not None and float(np.max(np.abs(out[0]))) < best:
+                x, (fx, J) = xt, out
                 break
             t *= 0.5
         else:
             return x, False, it
-    converged = n == 0 or bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale)
-    return x, converged, MAX_ITER
+    return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), MAX_ITER
 
 
-def _try_eval(f, x):
+def _try_eval(fj, x):
+    """(F, J) as arrays, or None on a pole or a non-finite F."""
     try:
-        out = np.asarray(f(x), dtype=np.complex128)
+        F, J = fj(x)
+        F = np.asarray(F, dtype=np.complex128)
     except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
         return None
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(F)):
         return None
-    return out
+    return F, np.asarray(J, dtype=np.complex128).reshape(x.size, x.size)
 
 
 def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
@@ -155,18 +143,19 @@ def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
             N + 2 + g + d + bt, N + 2 + g + d - bt, shifted]
 
 
-def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[list[complex]]:
+def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[tuple[list, tuple | None]]:
     """Deterministic multistart seeds: annulus draws mixed with perturbed
-    zeros of the vacuum weight, canonicalized, and redrawn (up to 200 times)
-    while the reference residual map does not keep the pole margin there."""
+    zeros of the vacuum weight, canonicalized, each paired with the reference
+    pass (residuals, scales) that kept the pole margin there, or with None
+    when 200 redraws never did.  With no roots, the vacuum is the one start."""
     rp = system.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
     rmax = max(1.0, 2.0 * np.sqrt(lam_max))
     guesses = [z for z in _xi_zero_guesses(system) if abs(z) > REJECT_MARGIN]
 
-    starts: list[list[complex]] = []
-    for _ in range(cfg.starts):
+    starts = []
+    for _ in range(cfg.starts if system.p else 1):
         for _attempt in range(200):
             roots = []
             for _k in range(system.p):
@@ -179,9 +168,10 @@ def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[list[complex]]:
                     z = complex(r * np.cos(th), r * np.sin(th))
                 roots.append(z)
             roots = list(canonical_roots(roots))
-            if within_margin(system.reference, roots) is not None:
+            reference = within_margin(system.reference, roots)
+            if reference is not None:
                 break
-        starts.append(roots)
+        starts.append((roots, reference))
     return starts
 
 
@@ -227,35 +217,19 @@ def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle, u_aux):
     return state, "ok"
 
 
-def _is_duplicate(roots, states, tol: float) -> bool:
-    arr = np.asarray(roots, dtype=np.complex128)
-    for s in states:
-        other = np.asarray(s.roots, dtype=np.complex128)
-        if other.size == arr.size and \
-                (arr.size == 0 or float(np.max(np.abs(arr - other))) < tol):
-            return True
-    return False
-
-
-def _scaled_maps(kernel, norms):
-    """Residual map and Jacobian with row r scaled by norms[r]; kernel maps
-    roots to (F, J), as BetheSystem.closed_form does.
-
-    Newton asks for the Jacobian only at the last point it evaluated, so
-    the Jacobian from that one kernel pass is kept and reused.
-    """
-    last = [None, None]
-
-    def f(x):
-        F, J = kernel(x)
-        last[:] = x, J
-        return [F[r] * norms[r] for r in range(len(norms))]
-
-    def jac(x):
-        J = last[1] if last[0] is x else kernel(x)[1]
-        return [[v * n for v in row] for row, n in zip(J, norms)]
-
-    return f, jac
+def _is_duplicate(roots, states) -> bool:
+    """Whether roots repeat a state's multiset of sign orbits {x, -x}: they
+    match its roots in some order, each to within DEFLATION_TOL up to sign."""
+    def same_orbits(other):
+        left = list(other)
+        for x in roots:
+            near = [i for i, y in enumerate(left)
+                    if min(abs(x - y), abs(x + y)) < DEFLATION_TOL]
+            if not near:
+                return False
+            del left[near[0]]
+        return not left
+    return any(same_orbits(s.roots) for s in states)
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
@@ -264,27 +238,30 @@ def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
     oracle = dense_spectrum(W).eigenvalues
 
     states: list[BetheState] = []
-    rejects: dict[str, int] = {}
+    rejects: Counter = Counter()
     attempts = converged = 0
-    # with no roots to solve for, the vacuum is the one start
-    for start in seed_starts(system, cfg) if system.p else [[]]:
+    for start, reference in seed_starts(system, cfg):
         attempts += 1
-        try:
-            _, base_scales = system.reference(start)
-        except ParameterDomainError:
-            rejects["pole"] = rejects.get("pole", 0) + 1
+        if reference is None:
+            rejects["pole_margin"] += 1
             continue
-        f, jac = _scaled_maps(system.closed_form, [1.0 / s for s in base_scales])
-        roots, ok, _its = newton_refine(f, start, jac=jac)
+        norms = [1.0 / s for s in reference[1]]
+
+        def fj(x):  # the closed form, row r scaled by norms[r]
+            F, J = system.closed_form(x)
+            return ([v * n for v, n in zip(F, norms)],
+                    [[v * n for v in row] for row, n in zip(J, norms)])
+
+        roots, ok, _its = newton_refine(fj, start)
         if not ok:
-            rejects["newton"] = rejects.get("newton", 0) + 1
+            rejects["newton"] += 1
             continue
         converged += 1
+        if _is_duplicate(roots, states):
+            continue
         state, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle, u_aux)
         if state is None:
-            rejects[reason] = rejects.get(reason, 0) + 1
-            continue
-        if _is_duplicate(state.roots, states, DEFLATION_TOL):
+            rejects[reason] += 1
             continue
         states.append(state)
 
@@ -304,11 +281,11 @@ def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
                          converged=converged, distinct=len(states),
                          spectrum_coverage=coverage, ambiguous_matches=ambiguous,
                          seed=cfg.seed, p_bar=system.p_bar,
-                         diagnostics={"rejected": rejects} if rejects else {})
+                         diagnostics={"rejected": dict(rejects)} if rejects else {})
     if not states:
         raise SolverFailure(
             f"{system.mode} solve produced no certifiable state out of {attempts} starts "
-            f"({converged} converged; rejections: {rejects})")
+            f"({converged} converged; rejections: {dict(rejects)})")
     return report
 
 

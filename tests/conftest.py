@@ -50,3 +50,18 @@ def keeping(margin, formula):
         formula(value)
         return value
     return at_margin(margin, evaluate)
+
+
+def finite_difference_map(f, step=1e-7):
+    """An (F, J) map for newton_refine from a residual map f alone, with J
+    from central differences of step `step`: the oracle that closed-form
+    Jacobians are checked against."""
+    def fj(x):
+        x = np.asarray(x, dtype=complex)
+        J = np.empty((x.size, x.size), dtype=complex)
+        for j in range(x.size):
+            e = np.zeros(x.size, dtype=complex)
+            e[j] = step
+            J[:, j] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * step)
+        return f(x), J
+    return fj

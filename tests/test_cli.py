@@ -228,6 +228,19 @@ class TestCheckMabaCommand:
         assert rc == 0
         assert "CONJECTURE" in capsys.readouterr().out
 
+    def test_overflow_is_undecided(self, tmp_path, capsys):
+        # at N = 30 on the criterion-8 parameters every residual overflows
+        # to NaN, which must not read as a verdict on the conjecture
+        c8 = {"N": 30, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["check-maba", "--params", path, "--draws", "2", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "UNDECIDED: 2 of 2 draws" in out
+        assert "CONJECTURE" not in out
+
     def test_degenerate_m_bar_exits_2(self, tmp_path, capsys):
         # (rho=2, s2=3) gives m_bar=1/2, killing a tau denominator at N=2
         path = write_params(tmp_path, P0_GENERIC)

@@ -1,8 +1,8 @@
 """The Bethe system's closed-form residual-and-Jacobian pass against its references.
 
 The references are the scalar residual maps in `bethe` (for values), central
-finite differences and a sympy derivative (for the Jacobian), and Newton
-with its finite-difference default (for the solver path).
+finite differences and a sympy derivative (for the Jacobian), and Newton on
+a finite-difference Jacobian (for the solver path).
 """
 
 import numpy as np
@@ -15,7 +15,9 @@ from heun_racah.dynamical import DynContext
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
 from heun_racah.racah import build_params, build_representation
-from heun_racah.solver import SolverConfig, _scaled_maps, newton_refine, seed_starts
+from heun_racah.solver import SolverConfig, newton_refine, seed_starts
+
+from conftest import finite_difference_map
 
 CRITERION_8 = (2.2 + 0.4j, 1.3, 0.8, 1.7, 0.9, 2.6)
 # (N, beta, gamma, delta, rho, s1, s2) with an integer root count p_bar:
@@ -77,14 +79,9 @@ def test_jacobian_matches_central_differences(mode, params):
     residuals, _ = reference(mode, hp, ctx)
     rng = np.random.default_rng(100 + p)
     for _ in range(5):
-        x = np.array(random_roots(rng, p))
-        J = np.array(kernel(list(x))[1])
-        fd = np.empty_like(J)
-        for j in range(p):
-            step = np.zeros(p, dtype=complex)
-            step[j] = FD_STEP
-            fd[:, j] = (np.array(residuals(list(x + step)))
-                        - np.array(residuals(list(x - step)))) / (2 * FD_STEP)
+        x = random_roots(rng, p)
+        J = np.array(kernel(x)[1])
+        _, fd = finite_difference_map(lambda v: residuals(list(v)), FD_STEP)(x)
         for row, fd_row in zip(J, fd):
             assert np.max(np.abs(row - fd_row)) <= 1e-7 * np.max(np.abs(row))
 
@@ -155,11 +152,14 @@ def test_newton_agrees_with_finite_difference_jacobian(N):
     rp, ctx, hp = setup(N, *CRITERION_8)
     system = BetheSystem(hp, ctx, INHOMOGENEOUS)
     cfg = SolverConfig(starts=64, seed=2)
-    for start in seed_starts(system, cfg):
-        norms = [1 / s for s in bethe.inhomogeneous_scales(start, hp, ctx)]
-        f, jac = _scaled_maps(system.closed_form, norms)
-        x_fd, ok_fd, _ = newton_refine(f, start)
-        x_cf, ok_cf, _ = newton_refine(f, start, jac=jac)
+    for start, (_, scales) in seed_starts(system, cfg):
+        norms = np.array([1 / s for s in scales])
+
+        def scaled(x):
+            F, J = system.closed_form(list(x))
+            return np.array(F) * norms, np.array(J) * norms[:, None]
+        x_fd, ok_fd, _ = newton_refine(finite_difference_map(lambda x: scaled(x)[0]), start)
+        x_cf, ok_cf, _ = newton_refine(scaled, start)
         assert ok_fd == ok_cf
         if ok_fd:
             gap = np.abs(np.array(canonical_roots(x_fd)) - np.array(canonical_roots(x_cf)))
@@ -201,8 +201,7 @@ class TestBetheSystem:
         u-dependent scalar maps bit for bit."""
         rp, ctx, hp = setup(N, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        for start in seed_starts(system, SolverConfig(starts=16, seed=N)):
-            residuals, _ = system.reference(start)
+        for start, (residuals, _) in seed_starts(system, SolverConfig(starts=16, seed=N)):
             for u in (2.37 + 0.91j, -3.1 + 0.2j):
                 _, u_i = bethe.inhomogeneous_terms(start, u, hp, rp)
                 assert residuals == [bethe.unwanted_U(r, start, hp, rp) + u_i[r - 1]

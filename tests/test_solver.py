@@ -5,13 +5,16 @@ from heun_racah import bethe
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import dense_spectrum
 from heun_racah.dynamical import DynContext
-from heun_racah.errors import ModeError, ParameterDomainError
+from heun_racah.errors import ModeError, ParameterDomainError, SolverFailure
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
-from heun_racah.solver import (DEFLATION_TOL, SolverConfig, _certify, newton_refine,
-                               seed_starts, solve_homogeneous, solve_inhomogeneous)
+from heun_racah.solver import (DEFLATION_TOL, SolverConfig, _certify, _is_duplicate,
+                               newton_refine, seed_starts, solve_homogeneous,
+                               solve_inhomogeneous)
+
+from conftest import finite_difference_map
 
 
 def homogeneous_setup(N=1, rho=2 / 7, beta=5):
@@ -30,31 +33,42 @@ def generic_setup(N):
 
 class TestNewtonRefine:
     def test_linear_exact_jacobian_single_step(self):
-        x, ok, its = newton_refine(lambda x: 2 * x - 4, np.array([10.0 + 0j]),
-                                   jac=lambda x: np.array([[2.0]]))
+        x, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
         assert ok and its == 1
         np.testing.assert_allclose(x, [2.0], atol=1e-12)
 
     def test_linear_fd_jacobian(self):
-        x, ok, its = newton_refine(lambda x: 2 * x - 4, np.array([10.0 + 0j]))
+        x, ok, its = newton_refine(finite_difference_map(lambda x: 2 * x - 4),
+                                   np.array([10.0 + 0j]))
         assert ok and its <= 2
         np.testing.assert_allclose(x, [2.0], atol=1e-10)
 
     def test_classic_square_root(self):
-        x, ok, its = newton_refine(lambda x: x * x - 4, np.array([3.0 + 0j]))
+        x, ok, its = newton_refine(finite_difference_map(lambda x: x * x - 4),
+                                   np.array([3.0 + 0j]))
         assert ok and its <= 6
         np.testing.assert_allclose(x, [2.0], atol=1e-10)
 
     def test_pole_start_abandoned(self):
-        def f(x):
+        def fj(x):
             raise ParameterDomainError("pole")
-        x, ok, its = newton_refine(f, np.array([1.0 + 0j]))
+        x, ok, its = newton_refine(fj, np.array([1.0 + 0j]))
         assert not ok and its == 0
 
     def test_singular_jacobian_abandoned(self):
-        _, ok, _ = newton_refine(lambda x: np.array([x[0] * 0 + 1.0]),
+        _, ok, _ = newton_refine(finite_difference_map(lambda x: np.array([x[0] * 0 + 1.0])),
                                  np.array([1.0 + 0j]))
         assert not ok
+
+    def test_jacobian_comes_from_the_same_pass(self):
+        # one map evaluation per point: the start, then one per accepted step
+        points = []
+
+        def fj(x):
+            points.append(x.copy())
+            return 2 * x - 4, [[2.0]]
+        x, ok, its = newton_refine(fj, np.array([10.0 + 0j]))
+        assert ok and its == 1 and len(points) == 2
 
 
 class TestConfigAndMatching:
@@ -77,16 +91,29 @@ class TestSeedStarts:
     def test_count_and_determinism(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=17, seed=4)
-        a = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
+        system = BetheSystem(hp, ctx, HOMOGENEOUS)
+        a = seed_starts(system, cfg)
         b = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
         assert len(a) == 17
         assert a == b
+        # each start carries the reference pass that kept the margin there
+        for roots, reference in a:
+            assert reference == system.reference(roots)
+
+    def test_start_that_never_keeps_the_margin_is_rejected(self, monkeypatch):
+        from heun_racah import solver
+        monkeypatch.setattr(solver, "within_margin", lambda evaluate, value: None)
+        rp, ctx, hp = generic_setup(1)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        assert [ref for _, ref in seed_starts(system, SolverConfig(starts=3))] == [None] * 3
+        with pytest.raises(SolverFailure, match="'pole_margin': 3"):
+            solve_inhomogeneous(hp, rp, ctx, SolverConfig(starts=3, seed=0))
 
     def test_includes_vacuum_weight_guesses(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=64, seed=0)
         starts = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
-        flat = [x for roots in starts for x in roots]
+        flat = [x for roots, _ in starts for x in roots]
         for guess in (-rp.N + (rp.beta - rp.gamma + rp.delta),
                       rp.beta + rp.N + 2 + rp.gamma + rp.delta):
             target = bethe.canonical_root(complex(guess))
@@ -130,6 +157,18 @@ class TestSolveHomogeneous:
         assert len(roots1) == len(roots2)
         for a, b in zip(roots1, roots2):
             assert abs(complex(*a) - complex(*b)) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_state_per_orbit_at_the_size_cap(self, seed):
+        # N = 63 has one root and two orbits: 66.4177 and +-62.3707i, where
+        # Newton leaves Re x at about +-1e-13
+        rp, ctx, hp = homogeneous_setup(N=63)
+        report = solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=seed))
+        assert report.p_bar == 1
+        assert report.distinct == 2
+        roots = sorted((s.roots[0] for s in report.states), key=lambda x: x.imag)
+        assert abs(roots[0] - 66.4177) < 1e-4
+        assert abs(roots[1] - 62.3707j) < 1e-4  # the display sign keeps Im >= 0
 
     def test_mode_error_reports_candidates(self):
         rp, ctx, hp = generic_setup(1)
@@ -187,11 +226,45 @@ class TestSolveInhomogeneous:
         assert report.distinct == len(report.states)
         assert report.converged <= report.attempts == 32
         assert len(report.spectrum_coverage) == rp.N + 1
-        # no two states within the deflation quotient
+        # no two states with the same root orbits
         for i, a in enumerate(report.states):
-            for b in report.states[:i]:
-                gap = max(abs(x - y) for x, y in zip(a.roots, b.roots))
-                assert gap >= DEFLATION_TOL
+            assert not _is_duplicate(a.roots, report.states[:i])
+
+
+def state_with(roots):
+    return bethe.BetheState(roots=tuple(roots), mode=HOMOGENEOUS, u_aux=0j, eigenvalue=0j,
+                            bethe_residuals=(), eigen_residual=0.0)
+
+
+class TestDeflation:
+    ROOTS = (1.3 - 0.4j, 2.9 + 1.7j, -0.2 + 3.1j)
+
+    def test_permuted_and_sign_flipped_roots_are_one_state(self):
+        x, y, z = self.ROOTS
+        known = [state_with(self.ROOTS)]
+        for roots in ([y, z, x], [-x, y, -z], [-z, -y, -x]):
+            assert _is_duplicate(roots, known)
+
+    def test_distinct_orbits_are_kept(self):
+        x, y, z = self.ROOTS
+        known = [state_with(self.ROOTS)]
+        assert not _is_duplicate([x, y, z + 2 * DEFLATION_TOL], known)
+        assert not _is_duplicate([x, y, y], known)  # a multiset: y cannot match twice
+        assert not _is_duplicate([x, y], known)
+        assert not _is_duplicate(self.ROOTS, [])
+
+    def test_conjugate_squares_with_crossed_real_parts_are_one_state(self):
+        # t = x^2 and its conjugate give roots a, b with equal real parts; a
+        # 1e-13 shift orders them one way in one set and the other way in
+        # the other, so no sorted convention lines the two sets up
+        t = 3.0 + 4.0j
+        a = np.sqrt(t)
+        b = np.sqrt(t.conjugate())
+        assert a.real == b.real
+        first = bethe.canonical_roots([a + 1e-13, b - 1e-13])
+        second = bethe.canonical_roots([a - 1e-13, b + 1e-13])
+        assert first[0].imag * second[0].imag < 0  # the sorted order differs
+        assert _is_duplicate(second, [state_with(first)])
 
 
 class TestProblemConsistency:

@@ -19,5 +19,6 @@ def test_instrumentation_resolves_every_traced_name(monkeypatch):
     patches = tracing.Instrumentation(tracing.Tracer()).patches
     patched = {f"{mod.__name__.rsplit('.', 1)[-1]}.{attr}" for mod, attr, _, _ in patches}
     for name in ("bethe.inhomogeneous_scales", "bethe.unwanted_U",
-                 "solver.seed_starts", "solver.build_W_parametric"):
+                 "solver.seed_starts", "solver.build_W_parametric",
+                 "solver.newton_refine"):
         assert name in patched

@@ -15,6 +15,9 @@ its closed-form pass gives the solver the cleared equations with their
 Jacobian, and its reference pass evaluates the scalar maps that the
 closed form is tested and certified against.
 
+Scalar formulas read the problem object hp alone (hp.rp holds the Racah
+parameters) and take a spectral point before the roots: (u, roots).
+
 Name clash warning: f1_W(v) below is the root-count-independent scalar of
 the W action and is distinct from the operator coefficient coeff_f1(u, m).
 Empty products are 1 and empty sums 0 throughout.
@@ -29,7 +32,7 @@ import numpy as np
 from .core import guard, vector_residual
 from .dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from .errors import ModeError, ParameterDomainError
-from .heun import (HeunParams, build_W_parametric, check_same_rho, h1_scalar, h2_scalar,
+from .heun import (HeunParams, build_W_parametric, check_same_problem, h1_scalar, h2_scalar,
                    integer_p_bar)
 from .racah import RacahParams
 from .sampling import draw_complex, draw_until, within_margin
@@ -192,7 +195,7 @@ def f1_W(v, hp: HeunParams) -> complex:
         * (1 - 1 / guard(v, "f1_W pole: v = 0"))
 
 
-def eigenvalue_w(u, roots, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> complex:
+def eigenvalue_w(u, roots, hp: HeunParams) -> complex:
     """Wanted-term coefficient w_p; u-independent on-shell.
 
     The vacuum weight xi is evaluated at the lowered index m_bar - p, the
@@ -201,10 +204,10 @@ def eigenvalue_w(u, roots, hp: HeunParams, rp: RacahParams, ctx: DynContext) -> 
     (the variant without the shift fails at order one for p >= 1).
     """
     p = len(roots)
-    acc = h2_scalar(u, hp, ctx)
+    acc = h2_scalar(u, hp)
     for sign in (1, -1):
         su = sign * u
-        term = h1_scalar(su, hp) * vacuum_coeffs(su, hp.m_bar - p, rp, hp.rho).xi
+        term = h1_scalar(su, hp) * vacuum_coeffs(su, hp.m_bar - p, hp.rp, hp.rho).xi
         for x in roots:
             term *= coeff_k1(su, x)
         acc += term
@@ -225,7 +228,8 @@ class SwapWeight:
     denominator.  Calling it returns (g(v), g'(v)).
     """
 
-    def __init__(self, hp: HeunParams, rp: RacahParams, m):
+    def __init__(self, hp: HeunParams, m):
+        rp = hp.rp
         g, d, bt, N = rp.gamma, rp.delta, rp.beta, rp.N
         rho = hp.rho
         self.rho = rho
@@ -269,33 +273,26 @@ def _unwanted_summands(r: int, roots, weight: SwapWeight) -> list[complex]:
     return out
 
 
-def unwanted_U(r: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
+def unwanted_U(r: int, roots, hp: HeunParams) -> complex:
     """Unwanted-term coefficient U_r (zero at a homogeneous Bethe solution)."""
-    return sum(_unwanted_summands(r, roots, SwapWeight(hp, rp, hp.m_bar - len(roots))))
+    return sum(_unwanted_summands(r, roots, SwapWeight(hp, hp.m_bar - len(roots))))
 
 
-def _psi_brackets(p: int, hp: HeunParams, rp: RacahParams):
-    """The three root-count-dependent scalars of the factored extension term."""
+def _psi_brackets(p: int, hp: HeunParams):
+    """((lambda, a1, a3), scale): the root-count-dependent scalars of the
+    factored extension term; lambda = 0 defines the homogeneous regime,
+    relative to scale = 1 + the magnitudes of lambda's two summands."""
     rho, s2 = hp.rho, hp.s2
-    g, d = rp.gamma, rp.delta
-    lam = 2 * (1 - rho) * hp.s1 \
-        + (g + d + 2 + 2 * p) * (d * rho + g * rho + 2 * rho * (p + 1) - 2)
+    g, d = hp.rp.gamma, hp.rp.delta
+    t1 = 2 * (1 - rho) * hp.s1
+    t2 = (g + d + 2 + 2 * p) * (d * rho + g * rho + 2 * rho * (p + 1) - 2)
     a1 = d * rho + g * rho + rho * (1 + 2 * p) - s2 - 1
     a3 = d * rho + g * rho + rho * (3 + 2 * p) - s2 - 1
-    return lam, a1, a3
+    return (t1 + t2, a1, a3), 1.0 + abs(t1) + abs(t2)
 
 
-def extension_prefactor(p: int, hp: HeunParams, rp: RacahParams) -> tuple[complex, float]:
-    """The root-count bracket whose zero defines the homogeneous regime,
-    together with its summand magnitude for relative comparisons."""
-    g, d, rho = rp.gamma, rp.delta, hp.rho
-    t1 = 2 * (1 - rho) * hp.s1  # the two summands of lambda in _psi_brackets
-    t2 = (g + d + 2 + 2 * p) * (d * rho + g * rho + 2 * rho * (p + 1) - 2)
-    return t1 + t2, 1.0 + abs(t1) + abs(t2)
-
-
-def psi_factored(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
-    lam, a1, a3 = _psi_brackets(p, hp, rp)
+def psi_factored(u, p: int, roots, hp: HeunParams) -> complex:
+    (lam, a1, a3), _ = _psi_brackets(p, hp)
     rho = hp.rho
     den = guard(a3 * a3 - rho * rho * u * u, "psi pole: a3^2 = rho^2 u^2")
     return _times_phi(rho * rho * lam / ((1 - rho) * den), roots, rho, a1, a3)
@@ -309,19 +306,19 @@ def _times_phi(out, roots, rho, a1, a3):
     return out
 
 
-def psi_summed(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
+def psi_summed(u, p: int, roots, hp: HeunParams) -> complex:
     """Unfactored double sum over the vacuum-recursion coefficients."""
     rho, m_bar = hp.rho, hp.m_bar
     out = 0.0 + 0.0j
     for nu in (1, -1):
         su = nu * u
-        inner = vacuum_coeffs(su, m_bar - p, rp, rho).zeta
+        inner = vacuum_coeffs(su, m_bar - p, hp.rp, rho).zeta
         for x in roots:
             inner *= coeff_k1(su, x)
         for eps in (1, -1):
             for t in range(1, p + 1):
                 xt = eps * roots[t - 1]
-                term = vacuum_coeffs(xt, m_bar - p, rp, rho).zeta \
+                term = vacuum_coeffs(xt, m_bar - p, hp.rp, rho).zeta \
                     * coeff_k2(su, xt, m_bar, rho)
                 for l in range(1, p + 1):
                     if l != t:
@@ -331,7 +328,7 @@ def psi_summed(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> complex:
     return out
 
 
-def psi(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> tuple[complex, complex]:
+def psi(u, p: int, roots, hp: HeunParams) -> tuple[complex, complex]:
     """(factored, summed) evaluations of the extension-term coefficient.
 
     The two must agree; the factored form is the one whose prefactor zero
@@ -339,8 +336,7 @@ def psi(u, p: int, roots, hp: HeunParams, rp: RacahParams) -> tuple[complex, com
     """
     if len(roots) != p:
         raise ParameterDomainError(f"psi expects {p} roots, got {len(roots)}")
-    return (psi_factored(u, p, roots, hp, rp),
-            psi_summed(u, p, roots, hp, rp))
+    return psi_factored(u, p, roots, hp), psi_summed(u, p, roots, hp)
 
 
 def homogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
@@ -355,9 +351,10 @@ def homogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[comple
 # --------------------------------------------------------------------------
 # reduction of the (N+1)-root vector and the inhomogeneous terms
 
-def _tau_shared(hp: HeunParams, rp: RacahParams):
+def _tau_shared(hp: HeunParams):
     """Root-independent parts of the tau coefficients: the prefactor, the
     constant c of the (c^2 - x^2) factors, and the zeros z of (x^2 - z^2)."""
+    rp = hp.rp
     N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
     m_bar = hp.m_bar
     pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
@@ -370,66 +367,58 @@ def _tau_shared(hp: HeunParams, rp: RacahParams):
     return pref, cpref, zeros
 
 
-def _tau_u(roots, u, pref, cpref, zeros) -> complex:
-    """tau_u from the shared constants of _tau_shared."""
-    tau_u = pref
-    for x in roots:
-        tau_u *= (cpref ** 2 - x * x) / guard(u * u - x * x, "tau pole: u^2 = x_k^2")
+def _tau_at(v, others, pref, c, zeros) -> complex:
+    """tau of v (u, or a root against the others) from the constants of
+    _tau_shared: pref prod_x (c^2 - x^2) / (v^2 - x^2) prod_z (v^2 - z^2)."""
+    tau = pref
+    for x in others:
+        tau *= (c ** 2 - x * x) / guard(v * v - x * x, "tau pole: v^2 = x_k^2")
     for z in zeros:
-        tau_u *= u * u - z * z
-    return tau_u
+        tau *= v * v - z * z
+    return tau
 
 
-def _tau_roots(roots, pref, cpref, zeros) -> list[complex]:
-    """[tau_1..tau_N] from the shared constants; no spectral point enters."""
-    tau_list = []
-    for j, xj in enumerate(roots):
-        tj = pref
-        for k, xk in enumerate(roots):
-            if k == j:
-                continue
-            tj *= (cpref ** 2 - xk * xk) / guard(xj * xj - xk * xk, "tau pole: x_j^2 = x_k^2")
-        for z in zeros:
-            tj *= xj * xj - z * z
-        tau_list.append(tj)
-    return tau_list
+def _tau_roots(roots, tau) -> list[complex]:
+    """[tau_1..tau_N]; no spectral point enters."""
+    return [_tau_at(x, [*roots[:j], *roots[j + 1:]], *tau) for j, x in enumerate(roots)]
 
 
-def maba_reduce(roots, u, hp: HeunParams, rp: RacahParams) -> tuple[complex, list[complex]]:
+def maba_reduce(u, roots, hp: HeunParams) -> tuple[complex, list[complex]]:
     """Coefficients (tau_u, [tau_1..tau_N]) expressing the (N+1)-root Bethe
     vector |x_1..x_N, u; m_bar> over the N-root vectors.
 
     Proven by direct computation for N <= 4; conjectural above.
     """
-    N = rp.N
+    N = hp.rp.N
     if len(roots) != N:
         raise ParameterDomainError(f"reduction needs exactly N={N} roots, got {len(roots)}")
-    tau = _tau_shared(hp, rp)
-    return _tau_u(roots, u, *tau), _tau_roots(roots, *tau)
+    tau = _tau_shared(hp)
+    return _tau_at(u, roots, *tau), _tau_roots(roots, tau)
 
 
-def maba_identity_residuals(roots, u, hp: HeunParams, rp: RacahParams,
-                            ctx: DynContext) -> tuple[float, float]:
+def maba_identity_residuals(u, roots, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
     """(plain, backward) residuals of the (N+1)-root reduction identity.
 
     plain normalizes by the left side only; backward also normalizes by the
     magnitudes of the tau-weighted summands, so it measures whether the
     identity itself holds rather than how violently the right side cancels
     (the summands can exceed the result by many orders for larger N).
+    A norm that overflows comes out inf, without a warning.
     """
-    N = rp.N
-    tau_u, tau_list = maba_reduce(roots, u, hp, rp)
+    check_same_problem(hp, ctx)
+    tau_u, tau_list = maba_reduce(u, roots, hp)
     base, swapped, lhs = _swapped_family(roots, u, hp.m_bar, ctx)
-    c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * N + 2
-    rhs = tau_u * base
-    mag = abs(tau_u) * float(np.linalg.norm(base))
-    for j, (x, v) in enumerate(zip(roots, swapped)):
-        coef = (c * c - u * u) / guard(x * x - u * u, "reduction pole: x_j^2 = u^2") \
-            * tau_list[j]
-        rhs = rhs + coef * v
-        mag += abs(coef) * float(np.linalg.norm(v))
-    err = float(np.linalg.norm(lhs - rhs))
-    lnorm = float(np.linalg.norm(lhs))
+    _, c, _ = _tau_shared(hp)
+    with np.errstate(over="ignore"):
+        rhs = tau_u * base
+        mag = abs(tau_u) * float(np.linalg.norm(base))
+        for j, (x, v) in enumerate(zip(roots, swapped)):
+            coef = (c * c - u * u) / guard(x * x - u * u, "reduction pole: x_j^2 = u^2") \
+                * tau_list[j]
+            rhs = rhs + coef * v
+            mag += abs(coef) * float(np.linalg.norm(v))
+        err = float(np.linalg.norm(lhs - rhs))
+        lnorm = float(np.linalg.norm(lhs))
     return err / max(1.0, lnorm), err / max(1.0, lnorm, mag)
 
 
@@ -441,13 +430,13 @@ def _tau_corrections(tau_list, roots, brackets, rho) -> list[complex]:
     return [t * rho * lam * prod for t in tau_list]
 
 
-def inhomogeneous_terms(roots, u, hp: HeunParams,
-                        rp: RacahParams) -> tuple[complex, list[complex]]:
+def inhomogeneous_terms(u, roots, hp: HeunParams) -> tuple[complex, list[complex]]:
     """(w^(i), [U_1^(i)..U_N^(i)]): the corrections from reducing the
     extension term back onto N-root Bethe vectors."""
-    tau_u, tau_list = maba_reduce(roots, u, hp, rp)
-    w_i = tau_u * psi_factored(u, rp.N, roots, hp, rp)
-    return w_i, _tau_corrections(tau_list, roots, _psi_brackets(rp.N, hp, rp), hp.rho)
+    N = hp.rp.N
+    tau_u, tau_list = maba_reduce(u, roots, hp)
+    w_i = tau_u * psi_factored(u, N, roots, hp)
+    return w_i, _tau_corrections(tau_list, roots, _psi_brackets(N, hp)[0], hp.rho)
 
 
 def inhomogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
@@ -462,7 +451,7 @@ def inhomogeneous_scales(roots, hp: HeunParams, ctx: DynContext) -> list[float]:
 
 @dataclass(frozen=True)
 class BetheSystem:
-    """One Bethe system, fixed for a solve: (hp, ctx, mode), rp = ctx.rep.params.
+    """One Bethe system, fixed for a solve: (hp, ctx, mode), matched by check_same_problem.
 
     Construction resolves the root count p once (homogeneous mode: the
     integer p_bar, whose extension prefactor must vanish; inhomogeneous
@@ -491,7 +480,6 @@ class BetheSystem:
     hp: HeunParams
     ctx: DynContext
     mode: str
-    rp: RacahParams = field(init=False, repr=False, compare=False)
     p: int = field(init=False, compare=False)
     p_bar: int | None = field(init=False, compare=False)  # p, in homogeneous mode only
     weight: SwapWeight = field(init=False, repr=False, compare=False)
@@ -500,30 +488,30 @@ class BetheSystem:
     squares: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hp, ctx, rp = self.hp, self.ctx, self.ctx.rep.params
-        check_same_rho(hp, ctx)
+        hp = self.hp
+        check_same_problem(hp, self.ctx)
         tau = brackets = squares = None
         if self.mode == HOMOGENEOUS:
-            p = p_bar = integer_p_bar(hp, rp.N)
+            p = p_bar = integer_p_bar(hp)
             if p is None:
                 raise ModeError(
-                    f"homogeneous mode needs an integer root count in [0, {rp.N}]; "
+                    f"homogeneous mode needs an integer root count in [0, {hp.rp.N}]; "
                     f"candidates are {hp.p_bar_plus} and {hp.p_bar_minus}; "
                     f"use inhomogeneous mode instead")
-            lam, lam_scale = extension_prefactor(p, hp, rp)
+            (lam, _, _), lam_scale = _psi_brackets(p, hp)
             if abs(lam) > 1e-9 * lam_scale:
                 raise ModeError(f"extension prefactor does not vanish at p_bar={p}: |{lam}|")
         elif self.mode == INHOMOGENEOUS:
-            p, p_bar = rp.N, None
-            tau, brackets = _tau_shared(hp, rp), _psi_brackets(p, hp, rp)
+            p, p_bar = hp.rp.N, None
+            tau, brackets = _tau_shared(hp), _psi_brackets(p, hp)[0]
             (pref, cpref, zeros), (lam, a1, a3), rho = tau, brackets, hp.rho
             # the closed form's constants: C, c^2, the z^2, rho^2, a1^2, a3^2
             squares = (pref * rho * lam, cpref * cpref, [z * z for z in zeros],
                        rho * rho, a1 * a1, a3 * a3)
         else:
             raise ModeError(f"unknown mode {self.mode!r}")
-        for name, value in (("rp", rp), ("p", p), ("p_bar", p_bar),
-                            ("weight", SwapWeight(hp, rp, hp.m_bar - p)),
+        for name, value in (("p", p), ("p_bar", p_bar),
+                            ("weight", SwapWeight(hp, hp.m_bar - p)),
                             ("tau", tau), ("brackets", brackets), ("squares", squares)):
             object.__setattr__(self, name, value)
 
@@ -533,7 +521,7 @@ class BetheSystem:
         if len(roots) != self.p:
             raise ModeError(f"{self.mode} mode needs p = {self.p} roots, got {len(roots)}")
         corrections = None if self.tau is None else _tau_corrections(
-            _tau_roots(roots, *self.tau), roots, self.brackets, self.hp.rho)
+            _tau_roots(roots, self.tau), roots, self.brackets, self.hp.rho)
         residuals, scales = [], []
         for r in range(1, self.p + 1):
             terms = _unwanted_summands(r, roots, self.weight)
@@ -546,10 +534,10 @@ class BetheSystem:
 
     def eigenvalue(self, u, roots) -> complex:
         """w_p at spectral point u, plus w^(i) in inhomogeneous mode."""
-        value = eigenvalue_w(u, roots, self.hp, self.rp, self.ctx)
+        value = eigenvalue_w(u, roots, self.hp)
         if self.tau is not None:
-            value = value + _tau_u(roots, u, *self.tau) \
-                * psi_factored(u, self.p, roots, self.hp, self.rp)
+            value = value + _tau_at(u, roots, *self.tau) \
+                * psi_factored(u, self.p, roots, self.hp)
         return value
 
     def closed_form(self, roots) -> tuple[list[complex], list[list[complex]]]:
@@ -637,8 +625,8 @@ def pick_u_aux(system: BetheSystem, roots, seed: int = 0,
                       evaluate)
 
 
-def wv_action_residual(roots, u, hp: HeunParams, rp: RacahParams,
-                       ctx: DynContext, mode: str = HOMOGENEOUS) -> float:
+def wv_action_residual(u, roots, hp: HeunParams, ctx: DynContext,
+                       mode: str = HOMOGENEOUS) -> float:
     """Residual of the full W-action expansion on an (off-shell) Bethe vector.
 
     In homogeneous form the expansion keeps the explicit extension term;
@@ -650,12 +638,12 @@ def wv_action_residual(roots, u, hp: HeunParams, rp: RacahParams,
     W = build_W_parametric(hp, ctx)
     V, swapped, extended = _swapped_family(roots, u, hp.m_bar, ctx)
     inhomogeneous = mode == INHOMOGENEOUS
-    w_i, u_i = inhomogeneous_terms(roots, u, hp, rp) if inhomogeneous else (0, [0] * p)
-    rhs = (eigenvalue_w(u, roots, hp, rp, ctx) + w_i) * V
+    w_i, u_i = inhomogeneous_terms(u, roots, hp) if inhomogeneous else (0, [0] * p)
+    rhs = (eigenvalue_w(u, roots, hp) + w_i) * V
     for r in range(1, p + 1):
-        coef = (unwanted_U(r, roots, hp, rp) + u_i[r - 1]) \
+        coef = (unwanted_U(r, roots, hp) + u_i[r - 1]) \
             / (rho * (rho - 1) * guard(u * u - roots[r - 1] ** 2, "W action pole: u^2 = x_r^2"))
         rhs = rhs + coef * swapped[r - 1]
     if not inhomogeneous:
-        rhs = rhs + psi_factored(u, p, roots, hp, rp) * extended
+        rhs = rhs + psi_factored(u, p, roots, hp) * extended
     return vector_residual(W @ V, rhs)

@@ -5,9 +5,9 @@ eigenvalues of W), solve (Bethe diagonalization), check-maba (the
 (N+1)-root reduction identity, proven range and conjecture probing).
 
 Exit codes: 0 success, 1 relation violation, 2 parameter or parse error
-(including a count option below 1, and parameters that leave no admissible
-random draw), 3 solver failure.  All output is deterministic given
-(params, flags, seed).
+(including a count option below 1, a --tol that is not a finite number
+>= 0, and parameters that leave no admissible random draw), 3 solver
+failure.  All output is deterministic given (params, flags, seed).
 """
 
 from __future__ import annotations
@@ -16,14 +16,18 @@ import argparse
 import json
 import sys
 
-from .dynamical import DEFAULT_TOLS, DynContext, RelationId, verify_relation
-from .core import dense_spectrum
+import numpy as np
+
+from .bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
+from .core import dense_spectrum, pole_margin
+from .dynamical import DynContext, RelationId, draw_u_and_roots, verify_relation
 from .errors import (CanonicalizationError, DimensionError, ModeError,
                      OracleError, ParameterDomainError, RelationViolation,
                      SolverFailure)
 from .heun import (BilinearParams, build_heun_params, build_W_bilinear,
                    build_W_parametric, canonicalize, integer_p_bar)
 from .racah import build_params, build_representation
+from .sampling import REJECT_MARGIN, draw_until
 from .serialize import dump_json, from_pair
 from .solver import SolverConfig, solve_homogeneous, solve_inhomogeneous
 
@@ -84,17 +88,17 @@ def load_params(path: str) -> dict:
 
 
 def build_problem(params: dict):
-    """(rp, rep, ctx, hp, scale, shift); scale/shift are non-trivial only
-    when a bilinear block was canonicalized."""
+    """(hp, ctx, scale, shift): the problem hp, which carries its Racah
+    parameters hp.rp, with the matrices ctx built on them; scale/shift are
+    non-trivial only when a bilinear block was canonicalized."""
     rp = build_params(params["N"], params["beta"], params["gamma"], params["delta"])
-    rep = build_representation(rp)
     if "bilinear" in params:
         hp, scale, shift = canonicalize(params["bilinear"], rp)
     else:
         hp = build_heun_params(params["rho"], params["s1"], params["s2"], rp)
         scale, shift = 1.0 + 0.0j, 0.0 + 0.0j
-    ctx = DynContext(rep=rep, rho=hp.rho)
-    return rp, rep, ctx, hp, scale, shift
+    ctx = DynContext(rep=build_representation(rp), rho=hp.rho)
+    return hp, ctx, scale, shift
 
 
 def positive_int(text: str) -> int:
@@ -105,13 +109,21 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    """argparse type for --tol: NaN would pass every residual, a negative none."""
+    value = float(text)
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def fmt(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
 def cmd_verify(args) -> int:
     params = load_params(args.params)
-    _, _, ctx, _, _, _ = build_problem(params)
+    _, ctx, _, _ = build_problem(params)
     if args.relations.strip().lower() == "all":
         relations = list(RelationId)
     else:
@@ -123,9 +135,8 @@ def cmd_verify(args) -> int:
     reports, failures = [], []
     print(f"{'relation':<22} {'samples':>7} {'max residual':>16}  status")
     for rel in relations:
-        tol = args.tol if args.tol is not None else DEFAULT_TOLS[rel]
         try:
-            rep = verify_relation(rel, ctx, samples=args.samples, tol=tol,
+            rep = verify_relation(rel, ctx, samples=args.samples, tol=args.tol,
                                   seed=args.seed)
             status = "ok"
         except RelationViolation as exc:
@@ -144,11 +155,9 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = load_params(args.params)
-    _, rep, ctx, hp, scale, shift = build_problem(params)
-    if "bilinear" in params:
-        W = build_W_bilinear(params["bilinear"], rep)
-    else:
-        W = build_W_parametric(hp, ctx)
+    hp, ctx, _, _ = build_problem(params)
+    W = build_W_bilinear(params["bilinear"], ctx.rep) if "bilinear" in params \
+        else build_W_parametric(hp, ctx)
     spec = dense_spectrum(W)
     print(f"eigenvalues ({len(spec.eigenvalues)}):")
     for ev in spec.eigenvalues:
@@ -167,16 +176,14 @@ def cmd_spectrum(args) -> int:
 
 def cmd_solve(args) -> int:
     params = load_params(args.params)
-    rp, _, ctx, hp, scale, shift = build_problem(params)
+    hp, ctx, scale, shift = build_problem(params)
     cfg = SolverConfig(starts=args.starts, seed=args.seed)
     mode = args.mode
     if mode == "auto":
-        mode = "homogeneous" if integer_p_bar(hp, rp.N) is not None else "inhomogeneous"
+        mode = "homogeneous" if integer_p_bar(hp) is not None else "inhomogeneous"
         print(f"auto mode: {mode}")
-    if mode == "homogeneous":
-        report = solve_homogeneous(hp, rp, ctx, cfg)
-    else:
-        report = solve_inhomogeneous(hp, rp, ctx, cfg)
+    solve = solve_homogeneous if mode == "homogeneous" else solve_inhomogeneous
+    report = solve(hp, hp.rp, ctx, cfg)
     print(f"{report.mode}: {report.distinct} distinct certified state(s) "
           f"from {report.attempts} starts ({report.converged} converged)")
     for s in report.states:
@@ -197,17 +204,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_maba(args) -> int:
-    import numpy as np
-    from .bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
-    from .core import pole_margin
-    from .dynamical import draw_u_and_roots
-    from .sampling import REJECT_MARGIN, draw_until
-
     params = load_params(args.params)
     N = args.N if args.N is not None else params["N"]
     if N < 1:
         raise ParamFileError("N must be >= 1 for the reduction identity")
-    rp, _, ctx, hp, _, _ = build_problem(dict(params, N=N))
+    hp, ctx, _, _ = build_problem(dict(params, N=N))
     try:
         with pole_margin(REJECT_MARGIN):
             BetheSystem(hp, ctx, INHOMOGENEOUS)  # builds the tau constants
@@ -220,7 +221,7 @@ def cmd_check_maba(args) -> int:
     for _ in range(args.draws):
         plain, backward = draw_until(
             rng, lambda r: draw_u_and_roots(r, N),
-            lambda t: maba_identity_residuals(t[1], t[0], hp, rp, ctx))
+            lambda t: maba_identity_residuals(*t, hp, ctx))
         residuals.append(plain)
         backwards.append(backward)
     # np.max propagates NaN; max() would return whatever the draw order gives
@@ -265,8 +266,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="comma-separated relation tags, or 'all'")
     v.add_argument("--params", required=True)
     v.add_argument("--samples", type=positive_int, default=50)
-    v.add_argument("--tol", type=float, default=None,
-                   help="override the per-relation default tolerance")
+    v.add_argument("--tol", type=tolerance, default=None,
+                   help="override the per-relation default tolerance (finite, >= 0)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None, help="write a JSON report")
     v.set_defaults(func=cmd_verify)

@@ -25,6 +25,7 @@ from .core import guard, residual_norm, vector_residual
 from .errors import RelationViolation
 from .racah import Representation, verify_defining_relations
 from .sampling import draw_complex, draw_until
+from .serialize import scalars_to_pairs
 
 
 def check_rho(rho) -> complex:
@@ -33,6 +34,10 @@ def check_rho(rho) -> complex:
     guard(rho, "deformation parameter pole: rho = 0")
     guard(rho - 1, "deformation parameter pole: rho = 1")
     return rho
+
+
+def draw_rho(rng: np.random.Generator) -> complex:
+    return draw_until(rng, draw_complex, check_rho)
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,8 @@ def coeff_f1(u, m) -> complex:
     return (4 * m * m - u * u) / 2
 
 
-def coeff_g0(u, m, ctx: DynContext) -> complex:
+def coeff_g0(u, m, p, rho) -> complex:
     """rho f0 + (2 m rho - 1)[(4m - u + 1)(2b + 1 - u^2)/8 - (d1 - d2)/(u - 1)]."""
-    p = ctx.rep.params
-    rho = ctx.rho
     return rho * coeff_f0(u, m, p) + (2 * m * rho - 1) * (
         (4 * m - u + 1) * (2 * p.b + 1 - u * u) / 8
         - (p.d1 - p.d2) / guard(u - 1, "coeff_g0 pole: u = 1"))
@@ -123,7 +126,7 @@ def op_A(u, m, ctx: DynContext) -> np.ndarray:
     rho = ctx.rho
     den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
     rep = ctx.rep
-    g0 = coeff_g0(u, m, ctx)
+    g0 = coeff_g0(u, m, rep.params, rho)
     return (g0 * rep.I
             + coeff_g1(u, m, rho) * rep.X
             + coeff_g1(-1, m, rho) * rep.Y
@@ -161,7 +164,6 @@ class RelationReport:
     notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        from .serialize import scalars_to_pairs
         out = {
             "relation": self.relation,
             "samples": self.samples,
@@ -289,7 +291,7 @@ def _sample_psi(rng, ctx):
 
     def evaluate(t):
         hp, (u, roots) = t
-        factored, summed = psi(u, p, roots, hp, ctx.rep.params)
+        factored, summed = psi(u, p, roots, hp)
         res = abs(factored - summed) / max(1.0, abs(factored))
         return res, {"u": u, "p": p, "roots": roots, "s1": hp.s1, "s2": hp.s2}
 
@@ -301,14 +303,14 @@ def _sample_maba(rng, ctx):
     summands can dwarf the result for larger N, so the identity check
     normalizes by their magnitudes as well."""
     from .bethe import maba_identity_residuals
-    rp = ctx.rep.params
 
     def evaluate(t):
         hp, (u, roots) = t
-        _, backward = maba_identity_residuals(roots, u, hp, rp, ctx)
+        _, backward = maba_identity_residuals(u, roots, hp, ctx)
         return backward, {"u": u, "roots": roots, "s2": hp.s2}
 
-    return draw_until(rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, rp.N)), evaluate)
+    return draw_until(
+        rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, ctx.rep.params.N)), evaluate)
 
 
 def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,

@@ -11,23 +11,27 @@ transformation a*W + c it can be brought to the three-parameter form
 
 which has the expansion h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u)
 in terms of the dynamical operators, with a u-independent total.
+
+HeunParams is the problem object: it carries the Racah parameters hp.rp it
+was built on, so the scalar formulas here and in bethe read hp alone, and
+check_same_problem is the one place where hp is matched with a DynContext.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import POLE_FLOOR, guard, residual_norm
-from .dynamical import DynContext, check_rho, coeff_g0
+from .dynamical import DynContext, check_rho, coeff_g0, op_A
 from .errors import CanonicalizationError, ParameterDomainError, RelationViolation
 from .racah import RacahParams, Representation
 
 
 @dataclass(frozen=True)
 class HeunParams:
-    """Parametric Heun coefficients with derived quantities.
+    """Parametric Heun coefficients with derived quantities, built on rp.
 
     m_bar is the dynamical-parameter value at which the operator expands
     in A; p_bar_plus/minus are the two candidate Bethe-root counts that
@@ -41,6 +45,7 @@ class HeunParams:
     m_bar: complex
     p_bar_plus: complex
     p_bar_minus: complex
+    rp: RacahParams = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -60,30 +65,34 @@ def build_heun_params(rho, s1, s2, rp: RacahParams) -> HeunParams:
     base = 1 - rp.gamma * rho - rp.delta * rho - 2 * rho
     return HeunParams(rho=rho, s1=s1, s2=s2, m_bar=m_bar,
                       p_bar_plus=(base + disc) / (2 * rho),
-                      p_bar_minus=(base - disc) / (2 * rho))
+                      p_bar_minus=(base - disc) / (2 * rho), rp=rp)
 
 
-def integer_p_bar(hp: HeunParams, N: int, tol: float = 1e-9) -> int | None:
+def integer_p_bar(hp: HeunParams) -> int | None:
     """The homogeneous root count, when one exists.
 
     Returns the candidate (plus branch preferred) that is a nonnegative
-    integer <= N within tol, else None.
+    integer <= N within 1e-9, else None.
     """
     for cand in (hp.p_bar_plus, hp.p_bar_minus):
         k = round(cand.real)
-        if abs(cand - k) <= tol and 0 <= k <= N:
+        if abs(cand - k) <= 1e-9 and 0 <= k <= hp.rp.N:
             return k
     return None
 
 
-def check_same_rho(hp: HeunParams, ctx: DynContext) -> None:
+def check_same_problem(hp: HeunParams, ctx: DynContext) -> None:
+    """ParameterDomainError unless ctx has hp's rho and is built on hp.rp."""
     if abs(hp.rho - ctx.rho) > POLE_FLOOR:
         raise ParameterDomainError(
             f"context rho={ctx.rho} differs from Heun rho={hp.rho}")
+    if hp.rp != ctx.rep.params:
+        raise ParameterDomainError(
+            f"Heun parameters are built on {hp.rp}, the representation on {ctx.rep.params}")
 
 
 def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:
-    check_same_rho(hp, ctx)
+    check_same_problem(hp, ctx)
     rho, s1, s2 = hp.rho, hp.s1, hp.s2
     X, Y = ctx.rep.X, ctx.rep.Y
     return (-2 * rho / (rho - 1) * (X @ Y)
@@ -132,21 +141,20 @@ def h1_scalar(u, hp: HeunParams) -> complex:
     return s1 / (2 * u) - ((rho * u - rho + s2) ** 2 - 1) / (4 * rho * u * (rho - 1))
 
 
-def h2_scalar(u, hp: HeunParams, ctx: DynContext) -> complex:
+def h2_scalar(u, hp: HeunParams) -> complex:
     """-(h1(u) g0(u, m_bar) + h1(-u) g0(-u, m_bar)) / (2 m_bar rho - 1)."""
     den = guard(2 * hp.m_bar * hp.rho - 1, "h2 pole: 2 m_bar rho = 1")
-    return -(h1_scalar(u, hp) * coeff_g0(u, hp.m_bar, ctx)
-             + h1_scalar(-u, hp) * coeff_g0(-u, hp.m_bar, ctx)) / den
+    return -(h1_scalar(u, hp) * coeff_g0(u, hp.m_bar, hp.rp, hp.rho)
+             + h1_scalar(-u, hp) * coeff_g0(-u, hp.m_bar, hp.rp, hp.rho)) / den
 
 
-def h_coeffs(u, hp: HeunParams, ctx: DynContext) -> tuple[complex, complex, complex]:
+def h_coeffs(u, hp: HeunParams) -> tuple[complex, complex, complex]:
     """(h1(u), h1(-u), h2(u)); poles at u = 0 and u = +-1."""
-    return h1_scalar(u, hp), h1_scalar(-u, hp), h2_scalar(u, hp, ctx)
+    return h1_scalar(u, hp), h1_scalar(-u, hp), h2_scalar(u, hp)
 
 
 def _wa_combination(u, hp: HeunParams, ctx: DynContext) -> np.ndarray:
-    from .dynamical import op_A
-    h1p, h1m, h2 = h_coeffs(u, hp, ctx)
+    h1p, h1m, h2 = h_coeffs(u, hp)
     return (h1p * op_A(u, hp.m_bar, ctx)
             + h1m * op_A(-u, hp.m_bar, ctx)
             + h2 * ctx.rep.I)

@@ -59,8 +59,3 @@ def draw_racah_params(rng: np.random.Generator, N: int) -> RacahParams:
     """Random (gamma, delta, beta), drawn in that order, off every weight pole."""
     return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r), draw_complex(r)),
                       lambda t: build_params(N, t[2], t[0], t[1]))
-
-
-def draw_rho(rng: np.random.Generator) -> complex:
-    from .dynamical import check_rho  # dynamical draws through this module
-    return draw_until(rng, draw_complex, check_rho)

@@ -8,6 +8,9 @@ on its closed_form pass (residuals and closed-form Jacobian at once),
 then deflation, which drops a root set whose sign orbits {x, -x} repeat a
 certified state's, then certification of each new state against the dense
 eigendecomposition of W, which is entirely independent of the Bethe machinery.
+
+The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
+rp must be hp.rp, and BetheSystem matches hp with ctx.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def _try_eval(fj, x):
 
 def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
     """Analytic start guesses: zeros of the vacuum weight at index m_bar - p."""
-    rp = system.rp
+    rp = system.hp.rp
     N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
     shifted = 2 * (system.hp.m_bar - system.p) - g - d
     return [-N + (bt - g + d), -N - (bt - g + d),
@@ -148,7 +151,7 @@ def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[tuple[list, tupl
     zeros of the vacuum weight, canonicalized, each paired with the reference
     pass (residuals, scales) that kept the pole margin there, or with None
     when 200 redraws never did.  With no roots, the vacuum is the one start."""
-    rp = system.rp
+    rp = system.hp.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
     rmax = max(1.0, 2.0 * np.sqrt(lam_max))
@@ -290,10 +293,10 @@ def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
 
 
 def _system(hp: HeunParams, rp: RacahParams, ctx: DynContext, mode: str) -> BetheSystem:
-    """The solve's Bethe system; rp must be the parameters ctx was built on."""
-    if rp != ctx.rep.params:
+    """The solve's Bethe system; rp must be hp.rp."""
+    if rp != hp.rp:
         raise ParameterDomainError(
-            f"Racah parameters {rp} are not those of the representation, {ctx.rep.params}")
+            f"Racah parameters {rp} are not those of the Heun parameters, {hp.rp}")
     return BetheSystem(hp, ctx, mode)
 
 

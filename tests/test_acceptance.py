@@ -13,11 +13,11 @@ import pytest
 from heun_racah import bethe
 from heun_racah.cli import main
 from heun_racah.core import dense_spectrum
-from heun_racah.dynamical import DynContext, RelationId, verify_relation
+from heun_racah.dynamical import DynContext, RelationId, draw_rho, verify_relation
 from heun_racah.heun import build_heun_params, build_W_parametric, verify_WA
 from heun_racah.racah import build_params, build_representation, verify_defining_relations
 from heun_racah.heun import h_coeffs
-from heun_racah.sampling import draw_complex, draw_racah_params, draw_rho, draw_until
+from heun_racah.sampling import draw_complex, draw_racah_params, draw_until
 from heun_racah.solver import SolverConfig, solve_homogeneous, solve_inhomogeneous
 
 from conftest import at_margin, keeping
@@ -74,7 +74,7 @@ def test_criterion_3_wa_identity():
         rho = draw_rho(rng)
         ctx = DynContext(rep=rep, rho=rho)
         hp = draw_heun(rng, rho, rp)
-        admissible = keeping(1e-2, lambda u: h_coeffs(u, hp, ctx))
+        admissible = keeping(1e-2, lambda u: h_coeffs(u, hp))
         u1 = draw_until(rng, draw_complex, admissible)
         u2 = draw_until(rng, draw_complex, admissible)
         out = verify_WA(u1, u2, hp, ctx, tol=1e-10)
@@ -127,7 +127,7 @@ def test_criterion_5_psi_dual_form_and_zero():
         for _ in range(10):
             factored, summed = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(k)]),
-                at_margin(1e-2, lambda t: bethe.psi(t[0], k, t[1], hp, rp)))
+                at_margin(1e-2, lambda t: bethe.psi(t[0], k, t[1], hp)))
             worst_zero = max(worst_zero, abs(factored))
     assert worst_zero <= 1e-10
     report(5, f"psi factored vs summed worst {worst:.3e}; psi(u, p_bar) worst "
@@ -150,7 +150,7 @@ def test_criterion_6_reduction_identity():
                 rng, lambda r: (draw_heun(r, rho, rp), draw_complex(r),
                                 [draw_complex(r) for _ in range(N)]),
                 at_margin(1e-2, lambda t: bethe.maba_identity_residuals(
-                    t[2], t[1], t[0], rp, ctx)))
+                    t[1], t[2], t[0], ctx)))
             worst = max(worst, plain)
             backward = max(backward, bwd)
         worst_by_N[N] = worst

@@ -8,12 +8,11 @@ from heun_racah.bethe import (bethe_vector, canonical_roots, eigenvalue_w,
                               maba_reduce, psi, unwanted_U, vacuum,
                               vacuum_coeffs)
 from heun_racah.core import guard, pole_margin, vector_residual
-from heun_racah.dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
+from heun_racah.dynamical import DynContext, coeff_k1, coeff_k2, draw_rho, op_A, op_B
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric, h1_scalar, h2_scalar
 from heun_racah.racah import build_params, build_representation
-from heun_racah.sampling import (REJECT_MARGIN, draw_complex, draw_racah_params, draw_rho,
-                                  draw_until)
+from heun_racah.sampling import REJECT_MARGIN, draw_complex, draw_racah_params, draw_until
 
 from conftest import at_margin, keeping
 
@@ -100,7 +99,7 @@ class TestBetheVector:
 
 def reference_maba_residuals(roots, u, hp, rp, ctx):
     """maba_identity_residuals with one bethe_vector per swapped root list."""
-    tau_u, tau_list = maba_reduce(roots, u, hp, rp)
+    tau_u, tau_list = maba_reduce(u, roots, hp)
     lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
     c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
     base = bethe_vector(roots, hp.m_bar, ctx)
@@ -168,8 +167,8 @@ class TestSharedFactors:
             for _ in range(3):
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-                    keeping(1e-2, lambda t: maba_reduce(t[1], t[0], hp, rp)))
-                assert bethe.maba_identity_residuals(roots, u, hp, rp, ctx) \
+                    keeping(1e-2, lambda t: maba_reduce(*t, hp)))
+                assert bethe.maba_identity_residuals(u, roots, hp, ctx) \
                     == reference_maba_residuals(roots, u, hp, rp, ctx)
 
     def test_abv_rhs_matches_reference_exactly(self):
@@ -246,8 +245,8 @@ class TestEigenvalueW:
         ctx = DynContext(rep=build_representation(rp), rho=2 / 5)
         hp = build_heun_params(2 / 5, 0, 3, rp)
         W = build_W_parametric(hp, ctx)
-        w_a = eigenvalue_w(2.37 + 0.91j, [], hp, rp, ctx)
-        w_b = eigenvalue_w(-1.4 + 2.2j, [], hp, rp, ctx)
+        w_a = eigenvalue_w(2.37 + 0.91j, [], hp)
+        w_b = eigenvalue_w(-1.4 + 2.2j, [], hp)
         assert abs(w_a - w_b) <= 1e-8 * max(1.0, abs(w_a))
         assert abs(w_a - W[0, 0]) <= 1e-8 * max(1.0, abs(W[0, 0]))
 
@@ -255,8 +254,8 @@ class TestEigenvalueW:
         _, rp, ctx, hp = random_setup(45, 2)
         roots = [1.4 + 0.2j, 0.9 - 0.8j]
         u = 1e6 + 0.3j
-        full = eigenvalue_w(u, roots, hp, rp, ctx)
-        bare = eigenvalue_w(u, [], hp, rp, ctx)
+        full = eigenvalue_w(u, roots, hp)
+        bare = eigenvalue_w(u, [], hp)
         scale = max(abs(h1_scalar(u, hp) * vacuum_coeffs(u, hp.m_bar - 2, rp, hp.rho).xi),
                     abs(h1_scalar(-u, hp) * vacuum_coeffs(-u, hp.m_bar - 2, rp, hp.rho).xi))
         # the xi index differs (m_bar-2 vs m_bar), but both scalars are
@@ -271,7 +270,7 @@ class TestUnwantedU:
         x = 2.6 + 0.4j
         expected = (f1_W(x, hp0) * vacuum_coeffs(x, hp0.m_bar - 1, p0, 2).xi
                     + f1_W(-x, hp0) * vacuum_coeffs(-x, hp0.m_bar - 1, p0, 2).xi)
-        assert unwanted_U(1, [x], hp0, p0) == pytest.approx(expected)
+        assert unwanted_U(1, [x], hp0) == pytest.approx(expected)
 
     def test_root_on_f1W_zero_drops_term(self, p0, hp0):
         # x_r = 1: f1_W(1) = 0 cancels the xi pole, and for these parameters
@@ -279,11 +278,11 @@ class TestUnwantedU:
         roots = [1.0, 2.3 + 0.5j]
         expected = (f1_W(-1, hp0) * vacuum_coeffs(-1, hp0.m_bar - 2, p0, 2).xi
                     * coeff_k1(-1, roots[1]))
-        assert unwanted_U(1, roots, hp0, p0) == pytest.approx(expected)
+        assert unwanted_U(1, roots, hp0) == pytest.approx(expected)
 
     def test_bad_index(self, p0, hp0):
         with pytest.raises(ParameterDomainError):
-            unwanted_U(3, [1.5], hp0, p0)
+            unwanted_U(3, [1.5], hp0)
 
     @pytest.mark.parametrize("x_r", [1.0, -1.0])
     def test_continuous_at_unit_root(self, x_r):
@@ -291,10 +290,10 @@ class TestUnwantedU:
         rp = build_params(3, 2.2 + 0.4j, 1.3, 0.8)
         hp = build_heun_params(1.7, 0.9, 2.6, rp)
         rest = [2.3 + 0.5j, 0.7 - 1.1j]
-        at = unwanted_U(1, [x_r] + rest, hp, rp)
+        at = unwanted_U(1, [x_r] + rest, hp)
         assert abs(at) > 1.0
         for h in (1e-9, 1e-9j, -1e-9):
-            near = unwanted_U(1, [x_r + h] + rest, hp, rp)
+            near = unwanted_U(1, [x_r + h] + rest, hp)
             assert abs(near - at) <= 1e-6 * abs(at)
 
 
@@ -305,13 +304,13 @@ class TestPsi:
             for p in (0, 1, 2, 3):
                 factored, summed = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    at_margin(1e-2, lambda t: psi(t[0], p, t[1], hp, rp)))
+                    at_margin(1e-2, lambda t: psi(t[0], p, t[1], hp)))
                 assert abs(factored - summed) <= 1e-10 * max(1.0, abs(factored))
 
     def test_vanishes_at_integer_p_bar(self):
         rp = build_params(2, 4.2, 1, 2)
         hp = build_heun_params(2 / 7, 0, 3, rp)  # p_bar = 1
-        factored, summed = psi(1.9 + 0.3j, 1, [2.6 - 0.7j], hp, rp)
+        factored, summed = psi(1.9 + 0.3j, 1, [2.6 - 0.7j], hp)
         assert abs(factored) <= 1e-10
         assert abs(summed) <= 1e-10
 
@@ -321,12 +320,12 @@ class TestPsi:
         expected = sum(h1_scalar(nu * u, hp0)
                        * vacuum_coeffs(nu * u, hp0.m_bar, p0, rho).zeta
                        for nu in (1, -1))
-        _, summed = psi(u, 0, [], hp0, p0)
+        _, summed = psi(u, 0, [], hp0)
         assert summed == pytest.approx(expected)
 
     def test_root_count_mismatch(self, p0, hp0):
         with pytest.raises(ParameterDomainError):
-            psi(2.0, 2, [1.5], hp0, p0)
+            psi(2.0, 2, [1.5], hp0)
 
 
 class TestHomogeneousResiduals:
@@ -341,7 +340,7 @@ class TestHomogeneousResiduals:
         assert homogeneous_residuals([], hp, ctx) == []
         W = build_W_parametric(hp, ctx)
         e0 = vacuum(rp.N)
-        lam = eigenvalue_w(2.37 + 0.91j, [], hp, rp, ctx)
+        lam = eigenvalue_w(2.37 + 0.91j, [], hp)
         assert np.linalg.norm(W @ e0 - lam * e0) <= 1e-10 * np.linalg.norm(W)
 
     def test_ratio_form_agrees_on_shell(self):
@@ -361,7 +360,7 @@ class TestHomogeneousResiduals:
 
 class TestMabaReduce:
     def check_identity(self, roots, u, hp, rp, ctx):
-        tau_u, tau_list = maba_reduce(roots, u, hp, rp)
+        tau_u, tau_list = maba_reduce(u, roots, hp)
         lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
         c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
         rhs = tau_u * bethe_vector(roots, hp.m_bar, ctx)
@@ -376,7 +375,7 @@ class TestMabaReduce:
         rng, rp, ctx, hp = random_setup(50, 1)
         u, roots = draw_until(
             rng, lambda r: (draw_complex(r), [draw_complex(r)]),
-            keeping(1e-2, lambda t: maba_reduce(t[1], t[0], hp, rp)))
+            keeping(1e-2, lambda t: maba_reduce(*t, hp)))
         assert self.check_identity(roots, u, hp, rp, ctx) <= 1e-12
 
     def test_proven_range_sweep(self):
@@ -386,7 +385,7 @@ class TestMabaReduce:
             for _ in range(5):
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-                    keeping(1e-2, lambda t: maba_reduce(t[1], t[0], hp, rp)))
+                    keeping(1e-2, lambda t: maba_reduce(*t, hp)))
                 worst = max(worst, self.check_identity(roots, u, hp, rp, ctx))
             assert worst <= 1e-8
 
@@ -396,8 +395,8 @@ class TestMabaReduce:
         u = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
         roots = draw_until(
             rng, lambda r: [draw_complex(r) for _ in range(rp.N)],
-            keeping(1e-2, lambda xs: maba_reduce(xs, u, hp, rp)))
-        tau_u, _ = maba_reduce(roots, u, hp, rp)
+            keeping(1e-2, lambda xs: maba_reduce(u, xs, hp)))
+        tau_u, _ = maba_reduce(u, roots, hp)
         lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
         assert vector_residual(lhs, tau_u * bethe_vector(roots, hp.m_bar, ctx)) <= 1e-10
 
@@ -409,18 +408,18 @@ class TestInhomogeneous:
         ctx = DynContext(rep=build_representation(rp), rho=2 / 7)
         hp = build_heun_params(2 / 7, 0, 3, rp)
         roots, u = [2.6 + 0.4j], 1.8 - 1.1j
-        w_i, u_i = inhomogeneous_terms(roots, u, hp, rp)
-        tau_u, tau_list = maba_reduce(roots, u, hp, rp)
+        w_i, u_i = inhomogeneous_terms(u, roots, hp)
+        tau_u, tau_list = maba_reduce(u, roots, hp)
         assert abs(w_i) <= 1e-10 * (1 + abs(tau_u))
         assert abs(u_i[0]) <= 1e-10 * (1 + abs(tau_list[0]))
-        hom = unwanted_U(1, roots, hp, rp)
+        hom = unwanted_U(1, roots, hp)
         inhom = inhomogeneous_residuals(roots, hp, ctx)
         assert inhom[0] == pytest.approx(hom, rel=1e-9)
 
     def test_tau_zero_kills_correction(self, p0, hp0):
         # x_1 on a zero of the tau numerator product: beta-gamma+delta-N = 5
         roots = [5.0]
-        _, u_i = inhomogeneous_terms(roots, 1.7 - 0.6j, hp0, p0)
+        _, u_i = inhomogeneous_terms(1.7 - 0.6j, roots, hp0)
         assert u_i[0] == 0
 
     def test_sign_and_permutation_invariance(self):
@@ -428,7 +427,7 @@ class TestInhomogeneous:
         u = 2.37 + 0.91j
         roots = draw_until(
             rng, lambda r: [draw_complex(r) for _ in range(2)],
-            keeping(1e-2, lambda xs: (maba_reduce(xs, u, hp, rp), psi(u, 2, xs, hp, rp))))
+            keeping(1e-2, lambda xs: (maba_reduce(u, xs, hp), psi(u, 2, xs, hp))))
         base = inhomogeneous_residuals(list(canonical_roots(roots)), hp, ctx)
         flipped = inhomogeneous_residuals(list(canonical_roots([-roots[0], roots[1]])),
                                           hp, ctx)
@@ -449,7 +448,7 @@ class TestWVAction:
             for p in (0, 1, 2, 3):
                 res = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    at_margin(1e-2, lambda t: bethe.wv_action_residual(t[1], t[0], hp, rp, ctx)))
+                    at_margin(1e-2, lambda t: bethe.wv_action_residual(*t, hp, ctx)))
                 assert res <= 1e-9
 
     def test_inhomogeneous_identity_off_shell(self):
@@ -458,7 +457,7 @@ class TestWVAction:
             res = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
                 at_margin(1e-2, lambda t: bethe.wv_action_residual(
-                    t[1], t[0], hp, rp, ctx, mode=bethe.INHOMOGENEOUS)))
+                    *t, hp, ctx, mode=bethe.INHOMOGENEOUS)))
             assert res <= 1e-9
 
     def test_homogeneous_span_projection(self):
@@ -472,9 +471,9 @@ class TestWVAction:
         for _ in range(5):
             u, roots = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r)]),
-                keeping(1e-2, lambda t: eigenvalue_w(t[0], t[1], hp, rp, ctx)))
+                keeping(1e-2, lambda t: eigenvalue_w(t[0], t[1], hp)))
             V = bethe_vector(roots, hp.m_bar, ctx)
-            b = W @ V - eigenvalue_w(u, roots, hp, rp, ctx) * V
+            b = W @ V - eigenvalue_w(u, roots, hp) * V
             swapped = bethe_vector([u], hp.m_bar, ctx)
             A = swapped.reshape(-1, 1)
             coef, *_ = np.linalg.lstsq(A, b, rcond=None)

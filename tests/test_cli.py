@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestVerifyCommand:
                    "--samples", "2", "--tol", "1e-30"])
         assert rc == 1
         assert "VIOLATION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        # nan passed every relation (res > nan is never true); -1 failed an
+        # exact 0 residual
+        path = write_params(tmp_path, P0_GENERIC)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--relations", "R1", "--params", path, "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol: must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_zero_tolerance_passes_an_exact_relation(self, tmp_path, capsys):
+        path = write_params(tmp_path, P0_GENERIC)
+        assert main(["verify", "--relations", "R1", "--params", path, "--tol", "0"]) == 0
+        assert " ok" in capsys.readouterr().out
 
 
 class TestSpectrumCommand:
@@ -241,6 +257,17 @@ class TestCheckMabaCommand:
         assert "UNDECIDED: 2 of 2 draws" in out
         assert "CONJECTURE" not in out
 
+    def test_overflow_prints_no_warning(self, tmp_path, capsys):
+        # the residual norms overflow at N = 30; numpy must not warn about it
+        c8 = {"N": 3, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check-maba", "--params", path, "--N", "30", "--draws", "2"])
+        assert rc == 0
+        assert "UNDECIDED: 2 of 2 draws" in capsys.readouterr().out
+
     def test_degenerate_m_bar_exits_2(self, tmp_path, capsys):
         # (rho=2, s2=3) gives m_bar=1/2, killing a tau denominator at N=2
         path = write_params(tmp_path, P0_GENERIC)
@@ -282,7 +309,7 @@ class TestCheckMabaCommand:
         hp = build_heun_params(2, 1, 3, rp)
         u = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
         roots = [1.4 + 0.6j]
-        tau_u, _ = bethe.maba_reduce(roots, u, hp, rp)
+        tau_u, _ = bethe.maba_reduce(u, roots, hp)
         lhs = bethe.bethe_vector(roots + [u], hp.m_bar, ctx)
         rhs = tau_u * bethe.bethe_vector(roots, hp.m_bar, ctx)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1, np.linalg.norm(lhs))

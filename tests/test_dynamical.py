@@ -6,10 +6,10 @@ import pytest
 from heun_racah import (coeff_f0, coeff_f1, coeff_g0, coeff_g1, coeff_k1,
                         coeff_k2, op_A, op_B, op_C, verify_relation)
 from heun_racah.core import residual_norm, vector_residual
-from heun_racah.dynamical import DynContext, RelationId
+from heun_racah.dynamical import DynContext, RelationId, draw_rho
 from heun_racah.errors import ParameterDomainError, RelationViolation
 from heun_racah.racah import Representation, build_params, build_representation
-from heun_racah.sampling import draw_racah_params, draw_rho
+from heun_racah.sampling import draw_racah_params
 from heun_racah.serialize import dump_json
 
 
@@ -29,7 +29,7 @@ class TestCoefficients:
 
     def test_g0_pole(self, ctx0):
         with pytest.raises(ParameterDomainError):
-            coeff_g0(1, 0.3, ctx0)
+            coeff_g0(1, 0.3, ctx0.rep.params, ctx0.rho)
 
     def test_g0_equal_d_constants(self, p0, ctx0):
         # d1 = d2 for the reference set, so only the polynomial part remains
@@ -37,7 +37,7 @@ class TestCoefficients:
         rho = ctx0.rho
         expected = rho * coeff_f0(u, m, p0) + (2 * m * rho - 1) \
             * (4 * m - u + 1) * (2 * p0.b + 1 - u * u) / 8
-        assert coeff_g0(u, m, ctx0) == pytest.approx(expected)
+        assert coeff_g0(u, m, ctx0.rep.params, ctx0.rho) == pytest.approx(expected)
 
     def test_g1_roots(self):
         m, rho = 0.8, 1.7

@@ -4,12 +4,12 @@ import pytest
 from heun_racah import (build_heun_params, build_W_bilinear, build_W_parametric,
                         canonicalize, h_coeffs, verify_WA)
 from heun_racah.core import commutator, identity, residual_norm
-from heun_racah.dynamical import DynContext, op_A
+from heun_racah.dynamical import DynContext, draw_rho, op_A
 from heun_racah.errors import (CanonicalizationError, ParameterDomainError,
                                RelationViolation)
 from heun_racah.heun import BilinearParams, h1_scalar, integer_p_bar
 from heun_racah.racah import build_params, build_representation
-from heun_racah.sampling import draw_complex, draw_racah_params, draw_rho, draw_until
+from heun_racah.sampling import draw_complex, draw_racah_params, draw_until
 
 from conftest import keeping
 
@@ -24,13 +24,13 @@ class TestHeunParams:
         hp = build_heun_params(2 / 7, 0, 3, rp)
         assert hp.p_bar_plus == pytest.approx(1)
         assert hp.p_bar_minus == pytest.approx(-2.5)
-        assert integer_p_bar(hp, rp.N) == 1
+        assert integer_p_bar(hp) == 1
         hp = build_heun_params(2 / 5, 0, 3, rp)
         assert hp.p_bar_plus == pytest.approx(0)
-        assert integer_p_bar(hp, rp.N) == 0
+        assert integer_p_bar(hp) == 0
 
     def test_no_integer_p_bar(self, hp0, p0):
-        assert integer_p_bar(hp0, p0.N) is None
+        assert integer_p_bar(hp0) is None
 
     def test_s2_equals_rho_rejected(self, p0):
         with pytest.raises(ParameterDomainError):
@@ -121,7 +121,7 @@ class TestCanonicalize:
 
 class TestHCoeffs:
     def test_reference_values(self, hp0, ctx0):
-        h1p, h1m, h2 = h_coeffs(3, hp0, ctx0)
+        h1p, h1m, h2 = h_coeffs(3, hp0)
         assert h1p == pytest.approx(-11 / 6)
         assert h1m == pytest.approx(5 / 6)
         assert h2 == pytest.approx(9.0)
@@ -136,7 +136,7 @@ class TestHCoeffs:
     def test_poles(self, hp0, ctx0):
         for u in (0, 1, -1):
             with pytest.raises(ParameterDomainError):
-                h_coeffs(u, hp0, ctx0)
+                h_coeffs(u, hp0)
 
 
 class TestVerifyWA:
@@ -150,7 +150,7 @@ class TestVerifyWA:
 
     def test_h2_perturbation_breaks_it(self, hp0, ctx0):
         u = 3
-        h1p, h1m, h2 = h_coeffs(u, hp0, ctx0)
+        h1p, h1m, h2 = h_coeffs(u, hp0)
         R = (h1p * op_A(u, hp0.m_bar, ctx0) + h1m * op_A(-u, hp0.m_bar, ctx0)
              + (h2 + 1e-3) * identity(2))
         assert residual_norm(R, build_W_parametric(hp0, ctx0)) > 1e-10
@@ -170,7 +170,7 @@ class TestVerifyWA:
             ctx = DynContext(rep=rep, rho=rho)
             s1 = draw_complex(rng)
             hp = draw_until(rng, draw_complex, lambda s2: build_heun_params(rho, s1, s2, rp))
-            admissible = keeping(1e-2, lambda u: h_coeffs(u, hp, ctx))
+            admissible = keeping(1e-2, lambda u: h_coeffs(u, hp))
             u1 = draw_until(rng, draw_complex, admissible)
             u2 = draw_until(rng, draw_complex, admissible)
             out = verify_WA(u1, u2, hp, ctx, tol=1e-10)

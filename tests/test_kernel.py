@@ -183,7 +183,7 @@ class TestBetheSystem:
     def test_mode_decides_root_count(self):
         rp, ctx, hp = setup(3, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        assert (system.p, system.p_bar, system.rp) == (3, None, rp)
+        assert (system.p, system.p_bar, system.hp.rp) == (3, None, rp)
         with pytest.raises(ModeError, match="candidates"):
             BetheSystem(hp, ctx, HOMOGENEOUS)
         with pytest.raises(ModeError, match="unknown mode"):
@@ -203,6 +203,6 @@ class TestBetheSystem:
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         for start, (residuals, _) in seed_starts(system, SolverConfig(starts=16, seed=N)):
             for u in (2.37 + 0.91j, -3.1 + 0.2j):
-                _, u_i = bethe.inhomogeneous_terms(start, u, hp, rp)
-                assert residuals == [bethe.unwanted_U(r, start, hp, rp) + u_i[r - 1]
+                _, u_i = bethe.inhomogeneous_terms(u, start, hp)
+                assert residuals == [bethe.unwanted_U(r, start, hp) + u_i[r - 1]
                                      for r in range(1, N + 1)]

@@ -5,9 +5,10 @@ eigenvalues of W), solve (Bethe diagonalization), check-maba (the
 (N+1)-root reduction identity, proven range and conjecture probing).
 
 Exit codes: 0 success, 1 relation violation, 2 parameter or parse error
-(including a count option below 1, a --tol that is not a finite number
->= 0, and parameters that leave no admissible random draw), 3 solver
-failure.  All output is deterministic given (params, flags, seed).
+(including a count option below 1, a negative --seed, a --tol that is
+not a finite number >= 0, an --out or --csv path that cannot be written,
+and parameters that leave no admissible random draw), 3 solver failure.
+All output is deterministic given (params, flags, seed).
 """
 
 from __future__ import annotations
@@ -109,12 +110,30 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def tolerance(text: str) -> float:
     """argparse type for --tol: NaN would pass every residual, a negative none."""
     value = float(text)
     if not 0 <= value < np.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
+
+
+def write_output(path: str, text: str) -> None:
+    """Write text and a newline to an --out or --csv file; a path that
+    cannot be written exits 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ParamFileError(f"cannot write {path}: {exc}") from exc
 
 
 def fmt(z: complex) -> str:
@@ -148,8 +167,8 @@ def cmd_verify(args) -> int:
         reports.append(rep)
         print(f"{rel.value:<22} {rep.samples:>7} {rep.max_residual:>16.12g}  {status}")
     if args.out:
-        dump_json({"reports": [r.to_json_dict() for r in reports],
-                   "violations": [str(f) for f in failures]}, args.out)
+        write_output(args.out, dump_json({"reports": [r.to_json_dict() for r in reports],
+                                          "violations": [str(f) for f in failures]}))
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -165,12 +184,10 @@ def cmd_spectrum(args) -> int:
     payload = {"eigenvalues": [[ev.real, ev.imag] for ev in spec.eigenvalues],
                "trace": [complex(W.trace()).real, complex(W.trace()).imag]}
     if args.out:
-        dump_json(payload, args.out)
+        write_output(args.out, dump_json(payload))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("re,im\n")
-            for ev in spec.eigenvalues:
-                fh.write(f"{float(ev.real)!r},{float(ev.imag)!r}\n")
+        write_output(args.csv, "\n".join(
+            ["re,im"] + [f"{float(ev.real)!r},{float(ev.imag)!r}" for ev in spec.eigenvalues]))
     return EXIT_OK
 
 
@@ -199,7 +216,7 @@ def cmd_solve(args) -> int:
         payload["bilinear_scale"] = [scale.real, scale.imag]
         payload["bilinear_shift"] = [shift.real, shift.imag]
     if args.out:
-        dump_json(payload, args.out)
+        write_output(args.out, dump_json(payload))
     return EXIT_OK
 
 
@@ -230,10 +247,10 @@ def cmd_check_maba(args) -> int:
     print(f"N={N} draws={args.draws} worst residual {worst:.12g} "
           f"mean {mean:.12g} worst backward {worst_backward:.12g}")
     if args.out:
-        dump_json({"N": N, "draws": args.draws, "seed": args.seed,
-                   "worst_residual": worst, "mean_residual": mean,
-                   "worst_backward_residual": worst_backward,
-                   "residuals": residuals}, args.out)
+        write_output(args.out, dump_json({
+            "N": N, "draws": args.draws, "seed": args.seed, "worst_residual": worst,
+            "mean_residual": mean, "worst_backward_residual": worst_backward,
+            "residuals": residuals}))
     overflowed = sum(1 for a, b in zip(residuals, backwards) if not np.isfinite(a + b))
     if overflowed:  # such a draw checked nothing
         print(f"UNDECIDED: {overflowed} of {args.draws} draws give a non-finite residual "
@@ -268,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=positive_int, default=50)
     v.add_argument("--tol", type=tolerance, default=None,
                    help="override the per-relation default tolerance (finite, >= 0)")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=nonnegative_int, default=0)
     v.add_argument("--out", default=None, help="write a JSON report")
     v.set_defaults(func=cmd_verify)
 
@@ -283,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
                     default="auto")
     so.add_argument("--params", required=True)
     so.add_argument("--starts", type=positive_int, default=64)
-    so.add_argument("--seed", type=int, default=0)
+    so.add_argument("--seed", type=nonnegative_int, default=0)
     so.add_argument("--out", default=None)
     so.set_defaults(func=cmd_solve)
 
@@ -291,7 +308,7 @@ def make_parser() -> argparse.ArgumentParser:
     m.add_argument("--params", required=True)
     m.add_argument("--N", type=int, default=None)
     m.add_argument("--draws", type=positive_int, default=50)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=nonnegative_int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_check_maba)
     return ap

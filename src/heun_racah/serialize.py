@@ -31,10 +31,6 @@ def scalars_to_pairs(obj):
     return obj
 
 
-def dump_json(obj, path=None) -> str:
+def dump_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed separators, full precision."""
-    text = json.dumps(scalars_to_pairs(obj), indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+    return json.dumps(scalars_to_pairs(obj), indent=2, sort_keys=True)

@@ -15,6 +15,7 @@ rp must be hp.rp, and BetheSystem matches hp with ctx.
 
 from __future__ import annotations
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -46,25 +47,33 @@ class SolverConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
 class SolveReport:
+    """A solve's states and its oracle spectrum, kept as arrays: the dense
+    eigenvalues `oracle` and whether a state matched each, `matched`."""
     mode: str
     states: list[BetheState]
     attempts: int
     converged: int
     distinct: int
-    spectrum_coverage: list[tuple[complex, bool]]
+    oracle: np.ndarray
+    matched: np.ndarray
     ambiguous_matches: list[complex] = field(default_factory=list)
     seed: int = 0
     p_bar: int | None = None
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def spectrum_coverage(self) -> list[tuple[complex, bool]]:
+        """(oracle eigenvalue, matched) pairs."""
+        return [(complex(ev), bool(ok)) for ev, ok in zip(self.oracle, self.matched)]
+
     def coverage_fraction(self) -> float:
-        if not self.spectrum_coverage:
-            return 0.0
-        return sum(1 for _, ok in self.spectrum_coverage if ok) / len(self.spectrum_coverage)
+        return np.count_nonzero(self.matched) / self.matched.size if self.matched.size else 0.0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -89,52 +98,51 @@ class SolveReport:
 def newton_refine(fj, x0):
     """Damped Newton on a map fj(x) -> (F, J), with J = dF/dx at x.
 
-    Returns (x, converged, iterations).  A start is abandoned (converged
-    False) on a pole at the start point, a Jacobian condition estimate
-    above 1e14, or thirty failed step halvings.  Convergence means
-    ||F||_inf <= NEWTON_TOL * (1 + ||F(x_start)||_inf).
+    Returns (x, converged, iterations).  A start is abandoned (converged False)
+    on a pole at the start point, a condition number s_max/s_min of J above
+    1e14, a failed SVD or solve, or thirty failed step halvings.  Convergence
+    means ||F||_inf (one float per evaluation) <= NEWTON_TOL * (1 + ||F(x_start)||_inf).
     """
     x = np.asarray(x0, dtype=np.complex128).copy()
-    n = x.size
     out = _try_eval(fj, x)
     if out is None:
         return x, False, 0
-    fx, J = out
-    scale = 1.0 + float(np.max(np.abs(fx))) if n else 1.0
-
+    F, J, norm = out
+    tol = NEWTON_TOL * (1.0 + norm)
     for it in range(MAX_ITER):
-        if n == 0 or np.max(np.abs(fx)) <= NEWTON_TOL * scale:
+        if norm <= tol:
             return x, True, it
-        if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
+        J = np.asarray(J, dtype=np.complex128).reshape(x.size, x.size)
+        if not np.isfinite(J).all():
             return x, False, it
         try:
-            delta = np.linalg.solve(J, -fx)
+            with np.errstate(all="ignore"):  # singular J: inf, or NaN when J = 0
+                s = np.linalg.svd(J, compute_uv=False)
+                if not s[0] / s[-1] <= COND_LIMIT:
+                    return x, False, it
+            delta = np.linalg.solve(J, -np.asarray(F, dtype=np.complex128))
         except np.linalg.LinAlgError:
             return x, False, it
-        t = 1.0
-        best = float(np.max(np.abs(fx)))
-        for _ in range(MAX_HALVINGS):
-            xt = x + t * delta
+        for k in range(MAX_HALVINGS):
+            xt = x + 0.5 ** k * delta
             out = _try_eval(fj, xt)
-            if out is not None and float(np.max(np.abs(out[0]))) < best:
-                x, (fx, J) = xt, out
+            if out is not None and out[2] < norm:
+                x, (F, J, norm) = xt, out
                 break
-            t *= 0.5
         else:
             return x, False, it
-    return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), MAX_ITER
+    return x, norm <= tol, MAX_ITER
 
 
 def _try_eval(fj, x):
-    """(F, J) as arrays, or None on a pole or a non-finite F."""
+    """(F, J, ||F||_inf), F and J as fj gave them, or None on a pole or a non-finite F."""
     try:
         F, J = fj(x)
-        F = np.asarray(F, dtype=np.complex128)
     except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
         return None
-    if not np.all(np.isfinite(F)):
+    if not all(map(cmath.isfinite, F)):  # before max(), which NaN makes order-dependent
         return None
-    return F, np.asarray(J, dtype=np.complex128).reshape(x.size, x.size)
+    return F, J, max(map(abs, F), default=0.0)
 
 
 def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
@@ -278,11 +286,9 @@ def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
             matched[idx] = True
         if amb:
             ambiguous.append(s.eigenvalue)
-    coverage = [(complex(ev), bool(ok)) for ev, ok in zip(oracle, matched)]
-
     report = SolveReport(mode=system.mode, states=states, attempts=attempts,
                          converged=converged, distinct=len(states),
-                         spectrum_coverage=coverage, ambiguous_matches=ambiguous,
+                         oracle=oracle, matched=matched, ambiguous_matches=ambiguous,
                          seed=cfg.seed, p_bar=system.p_bar,
                          diagnostics={"rejected": dict(rejects)} if rejects else {})
     if not states:

@@ -325,3 +325,24 @@ def test_count_below_one_exits_2(tmp_path, capsys, argv):
         main(argv + ["--params", path])
     assert exc.value.code == 2
     assert f"{argv[1]}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "check-maba"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # numpy's generators reject a negative seed with a ValueError traceback
+    path = write_params(tmp_path, P0_GENERIC)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--params", path, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--out"], ["spectrum", "--csv"],
+    ["verify", "--relations", "R1", "--out"]])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    path = write_params(tmp_path, P0_GENERIC)
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + [str(target), "--params", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}") and len(err.splitlines()) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heun_racah import bethe
+from heun_racah import bethe, solver
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import dense_spectrum
 from heun_racah.dynamical import DynContext
@@ -10,9 +10,9 @@ from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
-from heun_racah.solver import (DEFLATION_TOL, SolverConfig, _certify, _is_duplicate,
-                               newton_refine, seed_starts, solve_homogeneous,
-                               solve_inhomogeneous)
+from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER, NEWTON_TOL,
+                               SolverConfig, _certify, _is_duplicate, newton_refine,
+                               seed_starts, solve_homogeneous, solve_inhomogeneous)
 
 from conftest import finite_difference_map
 
@@ -70,11 +70,115 @@ class TestNewtonRefine:
         x, ok, its = newton_refine(fj, np.array([10.0 + 0j]))
         assert ok and its == 1 and len(points) == 2
 
+    def test_nan_after_a_finite_component_is_a_pole(self):
+        # max() of [1.0, nan] is 1.0, so the NaN must be seen before the norm
+        x, ok, its = newton_refine(lambda x: ([1.0 + 0j, complex("nan")], np.eye(2)),
+                                   np.array([1.0 + 0j, 2.0 + 0j]))
+        assert not ok and its == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("J", [[[0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+    def test_exactly_singular_jacobian_abandoned_without_warning(self, J):
+        x0 = np.ones(len(J), dtype=complex)
+        x, ok, its = newton_refine(lambda x: (np.ones(len(J), dtype=complex), J), x0)
+        assert not ok and its == 0
+        assert np.array_equal(x, x0)
+
+    def test_svd_that_fails_abandons_the_start(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
+        assert not ok and its == 0
+
+
+def reference_newton_refine(fj, x0):
+    """newton_refine as it was before each evaluation took its norm once and
+    the condition number came from the singular values: the oracle the
+    rewrite must match bit for bit."""
+    def try_eval(x):
+        try:
+            F, J = fj(x)
+            F = np.asarray(F, dtype=np.complex128)
+        except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
+            return None
+        if not np.all(np.isfinite(F)):
+            return None
+        return F, np.asarray(J, dtype=np.complex128).reshape(x.size, x.size)
+
+    x = np.asarray(x0, dtype=np.complex128).copy()
+    n = x.size
+    out = try_eval(x)
+    if out is None:
+        return x, False, 0
+    fx, J = out
+    scale = 1.0 + float(np.max(np.abs(fx))) if n else 1.0
+    for it in range(MAX_ITER):
+        if n == 0 or np.max(np.abs(fx)) <= NEWTON_TOL * scale:
+            return x, True, it
+        if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
+            return x, False, it
+        try:
+            delta = np.linalg.solve(J, -fx)
+        except np.linalg.LinAlgError:
+            return x, False, it
+        t = 1.0
+        best = float(np.max(np.abs(fx)))
+        for _ in range(MAX_HALVINGS):
+            xt = x + t * delta
+            out = try_eval(xt)
+            if out is not None and float(np.max(np.abs(out[0]))) < best:
+                x, (fx, J) = xt, out
+                break
+            t *= 0.5
+        else:
+            return x, False, it
+    return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), MAX_ITER
+
+
+def recorded_newton_calls(monkeypatch, solve, *args):
+    """The (fj, x0) of every newton_refine call a solve makes."""
+    calls = []
+
+    def recording(fj, x0):
+        calls.append((fj, np.array(x0, dtype=np.complex128)))
+        return newton_refine(fj, x0)
+    monkeypatch.setattr(solver, "newton_refine", recording)
+    solve(*args)
+    return calls
+
+
+class TestNewtonMatchesReference:
+    """One norm per evaluation and the SVD condition number change no bit."""
+
+    def assert_identical(self, calls):
+        iterations = []
+        for fj, x0 in calls:
+            x, ok, its = newton_refine(fj, x0)
+            x_ref, ok_ref, its_ref = reference_newton_refine(fj, x0)
+            assert np.array_equal(x, x_ref) and ok == ok_ref and its == its_ref
+            iterations.append(its)
+        assert len(calls) == 64 and max(iterations) > 1  # not vacuous
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_criterion_8_starts(self, monkeypatch, N, seed):
+        rp, ctx, hp = generic_setup(N)
+        self.assert_identical(recorded_newton_calls(
+            monkeypatch, solve_inhomogeneous, hp, rp, ctx, SolverConfig(starts=64, seed=seed)))
+
+    def test_size_cap_starts(self, monkeypatch):
+        rp, ctx, hp = homogeneous_setup(N=63)
+        self.assert_identical(recorded_newton_calls(
+            monkeypatch, solve_homogeneous, hp, rp, ctx, SolverConfig(starts=64, seed=0)))
+
 
 class TestConfigAndMatching:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(starts=0)
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=-1)
 
     def test_oracle_matching_and_ambiguity(self):
         from heun_racah.solver import _match_oracle

@@ -16,13 +16,13 @@ from .errors import (CanonicalizationError, DimensionError, HeunRacahError,
                      RelationViolation, SolverFailure)
 from .heun import (BilinearParams, HeunParams, build_heun_params,
                    build_W_bilinear, build_W_parametric, canonicalize,
-                   h_coeffs, integer_p_bar, verify_WA)
+                   h_coeffs, integer_p_bar)
 from .bethe import (BetheState, BetheSystem, VacuumCoeffs, bethe_vector, eigenvalue_w,
                     f1_W, homogeneous_residuals, inhomogeneous_residuals,
                     inhomogeneous_terms, maba_reduce, psi, unwanted_U,
                     vacuum, vacuum_coeffs)
 from .racah import (RacahParams, Representation, build_params,
-                    build_representation, verify_defining_relations)
+                    build_representation, defining_residuals)
 from .solver import (SolveReport, SolverConfig, newton_refine, seed_starts,
                      solve_homogeneous, solve_inhomogeneous)
 

@@ -146,21 +146,18 @@ def _swapped_family(roots, u, m_top, ctx: DynContext):
     return tails[p], [u_at(j) for j in range(1, p + 1)], u_at(p + 1)
 
 
-def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1,
-            root_ops=None) -> np.ndarray:
+def abv_rhs(u, m, roots, ctx: DynContext, root_ops=None) -> np.ndarray:
     """Right side of the A-on-Bethe-vector expansion, assembled directly.
 
-    middle_step selects the dynamical index of the swapped slot-r factor:
-    B(u, m - r + middle_step).  The slot convention of the Bethe vector
-    itself corresponds to middle_step=+1; the alternative -1 is kept so the
-    two can be compared numerically (see RelationId.ABV_ACTION).  root_ops
-    takes the root factors when the caller has built them already.
+    The swapped factor in slot r is B(u, m - r + 1), the index the Bethe
+    vector gives slot r.  root_ops takes the root factors when the caller
+    has built them already.
     """
     p = len(roots)
     e0 = vacuum(ctx.rep.params.N)
     if root_ops is None:
         root_ops = _root_factors(roots, m, ctx)
-    slot_ops = [op_B(u, m - i + middle_step, ctx) for i in range(1, p + 1)]
+    slot_ops = _root_factors([u] * p, m, ctx)
 
     def chain(slot_index, tail_vec):  # the root factors, slot slot_index holding u
         return _chain([slot_ops[i] if i + 1 == slot_index else f
@@ -178,13 +175,12 @@ def abv_rhs(u, m, roots, ctx: DynContext, middle_step: int = 1,
     return out
 
 
-def abv_residuals(u, m, roots, ctx: DynContext) -> tuple[float, float]:
-    """Residuals of A(u, m) on the Bethe vector against abv_rhs with
-    middle_step +1 and -1; the root factors are built once for all three."""
+def abv_residual(u, m, roots, ctx: DynContext) -> float:
+    """Residual of A(u, m) on the Bethe vector against abv_rhs; the root
+    factors are built once for both sides."""
     factors = _root_factors(roots, m, ctx)
     lhs = op_A(u, m, ctx) @ _chain(factors, vacuum(ctx.rep.params.N))
-    return tuple(vector_residual(lhs, abv_rhs(u, m, roots, ctx, step, factors))
-                 for step in (1, -1))
+    return vector_residual(lhs, abv_rhs(u, m, roots, ctx, factors))
 
 
 def f1_W(v, hp: HeunParams) -> complex:
@@ -610,17 +606,15 @@ class BetheSystem:
 # --------------------------------------------------------------------------
 # full action identity and the auxiliary spectral point
 
-def pick_u_aux(system: BetheSystem, roots, seed: int = 0,
-               u_aux: complex | None = None) -> tuple[complex, complex]:
-    """(u, eigenvalue at u) for the first of u_aux (when given), U_AUX_DEFAULT
-    and seeded draws at which system.eigenvalue keeps the pole margin."""
+def pick_u_aux(system: BetheSystem, roots, seed: int = 0) -> tuple[complex, complex]:
+    """(u, eigenvalue at u) for the first of U_AUX_DEFAULT and seeded draws
+    at which system.eigenvalue keeps the pole margin."""
     def evaluate(u):
         return u, system.eigenvalue(u, roots)
 
-    for u in (u_aux, U_AUX_DEFAULT):
-        picked = None if u is None else within_margin(evaluate, u)
-        if picked is not None:
-            return picked
+    picked = within_margin(evaluate, U_AUX_DEFAULT)
+    if picked is not None:
+        return picked
     return draw_until(np.random.default_rng(seed), lambda r: draw_complex(r, 1.5, 3.5),
                       evaluate)
 

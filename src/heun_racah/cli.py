@@ -318,9 +318,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RelationViolation as exc:
-        print(f"relation violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except (ParamFileError, ParameterDomainError, CanonicalizationError,
             ModeError, DimensionError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,19 +11,21 @@ exchange relations in which m shifts by one:
                       + [k2(u,v,m) A(v,m-1) + k2(u,-v,m) A(-v,m-1)] C(u,m)
 
 This module also hosts the catalog of all verifiable identities
-(RelationId) together with the seeded residual sweep verify_relation.
+(RelationId): one sampler per identity, each (rng, ctx) -> (residual,
+tuple), and the one seeded sweep verify_relation, which is where every
+catalog residual meets its tolerance.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import guard, residual_norm, vector_residual
 from .errors import RelationViolation
-from .racah import Representation, verify_defining_relations
+from .racah import Representation, defining_residuals
 from .sampling import draw_complex, draw_until
 from .serialize import scalars_to_pairs
 
@@ -67,6 +69,9 @@ class RelationId(enum.Enum):
     PSI_FACTORED = "PSI_FACTORED"
     MABA_REDUCTION = "MABA_REDUCTION"
 
+
+# The defining relations: their residual does not depend on a draw.
+DEFINING = (RelationId.R1, RelationId.R2, RelationId.R3)
 
 DEFAULT_TOLS = {
     RelationId.R1: 1e-10,
@@ -161,19 +166,20 @@ class RelationReport:
     seed: int
     max_residual: float
     worst_tuple: dict | None
-    notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "relation": self.relation,
             "samples": self.samples,
             "seed": self.seed,
             "max_residual": self.max_residual,
             "worst_tuple": scalars_to_pairs(self.worst_tuple) if self.worst_tuple else None,
         }
-        if self.notes:
-            out["notes"] = self.notes
-        return out
+
+
+def _defining(relation: RelationId):
+    """Sampler of one defining relation; its residual takes no draw."""
+    return lambda rng, ctx: (defining_residuals(ctx.rep)[relation.value], None)
 
 
 def _draw_uvm(rng):
@@ -255,13 +261,12 @@ def _sample_vacuum(rng, ctx):
 
 
 def _sample_abv(rng, ctx):
-    """Both middle-slot index conventions are evaluated; see verify_relation."""
-    from .bethe import abv_residuals
+    from .bethe import abv_residual
     p = int(rng.integers(0, 4))
 
     def evaluate(t):
         u, m, roots = t
-        return abv_residuals(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
+        return abv_residual(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
 
     return draw_until(
         rng, lambda r: (draw_complex(r), draw_complex(r), [draw_complex(r) for _ in range(p)]),
@@ -313,64 +318,41 @@ def _sample_maba(rng, ctx):
         rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, ctx.rep.params.N)), evaluate)
 
 
+SAMPLERS = {
+    **{relation: _defining(relation) for relation in DEFINING},
+    RelationId.BB_EXCHANGE: _sample_bb,
+    RelationId.AB_EXCHANGE: _sample_ab,
+    RelationId.CA_EXCHANGE: _sample_ca,
+    RelationId.WA_IDENTITY: _sample_wa,
+    RelationId.VACUUM_ACTION: _sample_vacuum,
+    RelationId.ABV_ACTION: _sample_abv,
+    RelationId.COMBINATION_IDENTITY: _sample_combination,
+    RelationId.PSI_FACTORED: _sample_psi,
+    RelationId.MABA_REDUCTION: _sample_maba,
+}
+
+
 def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
                     tol: float | None = None, seed: int = 0) -> RelationReport:
     """Seeded residual sweep over one cataloged identity.
 
     Draws `samples` random tuples, each redrawn until the evaluation of its
     left and right sides keeps the pole margin, and reports the worst
-    residual.  Raises RelationViolation when it exceeds tol.  For R1-R3 the
-    residual does not depend on the draw, so a single evaluation is reported.
-
-    The ABV_ACTION sweep evaluates the swapped middle factor with both the
-    m-r+1 and m-r-1 index conventions and adopts whichever satisfies the
-    identity, recording both residuals in the report notes.
+    residual (a NaN residual of a draw is never the worst).  R1-R3 take no
+    draw: their one evaluation, with tuple None, is reported as it is.
+    Raises RelationViolation when the reported residual exceeds tol.
+    ABV_ACTION checks the slot convention of the Bethe vector itself: the
+    swapped root in slot r carries the index m - r + 1.
     """
     relation = RelationId(relation)
     if tol is None:
         tol = DEFAULT_TOLS[relation]
     rng = np.random.default_rng(seed)
-
-    if relation in (RelationId.R1, RelationId.R2, RelationId.R3):
-        residuals = verify_defining_relations(ctx.rep, tol=float("inf"))
-        res = residuals[relation.value]
-        if res > tol:
-            raise RelationViolation(relation.value, res, tol)
-        return RelationReport(relation.value, samples, seed, res, None)
-
-    if relation is RelationId.ABV_ACTION:
-        worst_plus, worst_minus, worst_tuple = 0.0, 0.0, None
-        for _ in range(samples):
-            (rp_, rm_), tup = _sample_abv(rng, ctx)
-            if rp_ > worst_plus:
-                worst_plus, worst_tuple = rp_, tup
-            worst_minus = max(worst_minus, rm_)
-        adopted = "m-r+1" if worst_plus <= worst_minus else "m-r-1"
-        res = min(worst_plus, worst_minus)
-        report = RelationReport(
-            relation.value, samples, seed, res, worst_tuple,
-            notes={"middle_slot_adopted": adopted,
-                   "max_residual_m_r_plus_1": worst_plus,
-                   "max_residual_m_r_minus_1": worst_minus})
-        if res > tol:
-            raise RelationViolation(relation.value, res, tol, worst_tuple)
-        return report
-
-    samplers = {
-        RelationId.BB_EXCHANGE: _sample_bb,
-        RelationId.AB_EXCHANGE: _sample_ab,
-        RelationId.CA_EXCHANGE: _sample_ca,
-        RelationId.WA_IDENTITY: _sample_wa,
-        RelationId.VACUUM_ACTION: _sample_vacuum,
-        RelationId.COMBINATION_IDENTITY: _sample_combination,
-        RelationId.PSI_FACTORED: _sample_psi,
-        RelationId.MABA_REDUCTION: _sample_maba,
-    }
-    sampler = samplers[relation]
+    sampler = SAMPLERS[relation]
     worst, worst_tuple = 0.0, None
-    for _ in range(samples):
+    for _ in range(1 if relation in DEFINING else samples):
         res, tup = sampler(rng, ctx)
-        if res > worst:
+        if res > worst or tup is None:
             worst, worst_tuple = res, tup
     if worst > tol:
         raise RelationViolation(relation.value, worst, tol, worst_tuple)

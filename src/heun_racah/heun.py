@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import POLE_FLOOR, guard, residual_norm
 from .dynamical import DynContext, check_rho, coeff_g0, op_A
-from .errors import CanonicalizationError, ParameterDomainError, RelationViolation
+from .errors import CanonicalizationError, ParameterDomainError
 from .racah import RacahParams, Representation
 
 
@@ -167,13 +167,3 @@ def wa_residuals(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple[float, float]
     R2 = _wa_combination(u2, hp, ctx)
     return residual_norm(R1, W), residual_norm(R1, R2)
 
-
-def verify_WA(u1, u2, hp: HeunParams, ctx: DynContext, tol: float = 1e-10) -> dict[str, float]:
-    """Check the dynamical-operator expansion of W at two spectral points."""
-    res_w, res_u = wa_residuals(u1, u2, hp, ctx)
-    if res_w > tol:
-        raise RelationViolation("WA_IDENTITY", res_w, tol, {"u": u1})
-    if res_u > tol:
-        raise RelationViolation("WA_IDENTITY(u-independence)", res_u, tol,
-                                {"u1": u1, "u2": u2})
-    return {"vs_W": res_w, "u_independence": res_u}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import anticommutator, commutator, guard, identity, residual_norm, MAX_DIM
-from .errors import ParameterDomainError, RelationViolation
+from .errors import ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,14 @@ def build_representation(p: RacahParams) -> Representation:
     return Representation(params=p, X=X, Y=Y, Z=Z)
 
 
-def verify_defining_relations(rep: Representation, tol: float = 1e-10) -> dict[str, float]:
-    """Residuals of the three defining relations; raises on any above tol."""
+def defining_residuals(rep: Representation) -> dict[str, float]:
+    """Residuals of the three defining relations, keyed R1, R2, R3."""
     p = rep.params
     X, Y, Z, XY, I = rep.X, rep.Y, rep.Z, rep.XY, rep.I
-    residuals = {
+    return {
         "R1": residual_norm(commutator(X, Y), Z),
         "R2": residual_norm(commutator(Z, X),
                             -2 * (X @ X) - 2 * XY + p.b * X + p.d2 * I),
         "R3": residual_norm(commutator(Y, Z),
                             -2 * (Y @ Y) - 2 * XY + p.b * Y + p.d1 * I),
     }
-    for rid, res in residuals.items():
-        if res > tol:
-            raise RelationViolation(rid, res, tol)
-    return residuals

@@ -59,13 +59,17 @@ class SolveReport:
     states: list[BetheState]
     attempts: int
     converged: int
-    distinct: int
     oracle: np.ndarray
     matched: np.ndarray
     ambiguous_matches: list[complex] = field(default_factory=list)
     seed: int = 0
     p_bar: int | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def distinct(self) -> int:
+        """Certified states, each a distinct multiset of sign orbits."""
+        return len(self.states)
 
     @property
     def spectrum_coverage(self) -> list[tuple[complex, bool]]:
@@ -198,8 +202,9 @@ def _match_oracle(value: complex, oracle: np.ndarray):
     return idx, ambiguous
 
 
-def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle, u_aux):
-    """Certify one converged configuration; returns (state, reason)."""
+def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle):
+    """Certify one converged configuration; returns (certified, reason), with
+    certified (state, oracle index, ambiguity flag) or None when rejected."""
     roots = list(canonical_roots(roots))
     reference = within_margin(system.reference, roots)
     if reference is None:
@@ -208,7 +213,7 @@ def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle, u_aux):
     if any(abs(res) > BETHE_RESIDUAL_TOL * sc for res, sc in zip(residuals, scales)):
         return None, "bethe_residual"
     try:
-        uax, eigenvalue = pick_u_aux(system, roots, seed, u_aux)
+        uax, eigenvalue = pick_u_aux(system, roots, seed)
     except ParameterDomainError:
         return None, "pole"
     vec = bethe_vector(roots, system.hp.m_bar, system.ctx)
@@ -218,14 +223,14 @@ def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle, u_aux):
     eigen_residual = float(np.linalg.norm(W @ vec - eigenvalue * vec) / (W_fro * vnorm))
     if not np.isfinite(eigen_residual) or eigen_residual > EIGEN_RESIDUAL_TOL:
         return None, "eigen_residual"
-    idx, _amb = _match_oracle(complex(eigenvalue), oracle)
+    idx, ambiguous = _match_oracle(complex(eigenvalue), oracle)
     if idx is None:
         return None, "no_oracle_match"
     state = BetheState(roots=tuple(roots), mode=system.mode, u_aux=complex(uax),
                        eigenvalue=complex(eigenvalue),
                        bethe_residuals=tuple(complex(r) for r in residuals),
                        eigen_residual=eigen_residual)
-    return state, "ok"
+    return (state, idx, ambiguous), "ok"
 
 
 def _is_duplicate(roots, states) -> bool:
@@ -243,12 +248,12 @@ def _is_duplicate(roots, states) -> bool:
     return any(same_orbits(s.roots) for s in states)
 
 
-def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
+def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
-    states: list[BetheState] = []
+    certified: list[tuple[BetheState, int, bool]] = []
     rejects: Counter = Counter()
     attempts = converged = 0
     for start, reference in seed_starts(system, cfg):
@@ -268,27 +273,23 @@ def _solve(system: BetheSystem, cfg: SolverConfig, u_aux) -> SolveReport:
             rejects["newton"] += 1
             continue
         converged += 1
-        if _is_duplicate(roots, states):
+        if _is_duplicate(roots, (state for state, _, _ in certified)):
             continue
-        state, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle, u_aux)
-        if state is None:
+        entry, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle)
+        if entry is None:
             rejects[reason] += 1
             continue
-        states.append(state)
+        certified.append(entry)
 
-    states.sort(key=lambda s: (s.eigenvalue.real, s.eigenvalue.imag,
-                               tuple((x.real, x.imag) for x in s.roots)))
+    certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
+                                  tuple((x.real, x.imag) for x in c[0].roots)))
+    states = [state for state, _, _ in certified]
     matched = np.zeros(len(oracle), dtype=bool)
-    ambiguous: list[complex] = []
-    for s in states:
-        idx, amb = _match_oracle(s.eigenvalue, oracle)
-        if idx is not None:
-            matched[idx] = True
-        if amb:
-            ambiguous.append(s.eigenvalue)
+    matched[[idx for _, idx, _ in certified]] = True
+    ambiguous = [state.eigenvalue for state, _, amb in certified if amb]
     report = SolveReport(mode=system.mode, states=states, attempts=attempts,
-                         converged=converged, distinct=len(states),
-                         oracle=oracle, matched=matched, ambiguous_matches=ambiguous,
+                         converged=converged, oracle=oracle, matched=matched,
+                         ambiguous_matches=ambiguous,
                          seed=cfg.seed, p_bar=system.p_bar,
                          diagnostics={"rejected": dict(rejects)} if rejects else {})
     if not states:
@@ -309,15 +310,13 @@ def _system(hp: HeunParams, rp: RacahParams, ctx: DynContext, mode: str) -> Beth
 def solve_homogeneous(hp: HeunParams, rp: RacahParams, ctx: DynContext,
                       cfg: SolverConfig | None = None) -> SolveReport:
     """Solve U_r = 0 at the integer root count p_bar and certify against W."""
-    return _solve(_system(hp, rp, ctx, HOMOGENEOUS), cfg or SolverConfig(), None)
+    return _solve(_system(hp, rp, ctx, HOMOGENEOUS), cfg or SolverConfig())
 
 
 def solve_inhomogeneous(hp: HeunParams, rp: RacahParams, ctx: DynContext,
-                        cfg: SolverConfig | None = None,
-                        u_aux: complex | None = None) -> SolveReport:
+                        cfg: SolverConfig | None = None) -> SolveReport:
     """Solve U_r + U_r^(i) = 0 with p = N roots and certify against W.
 
-    Partial spectrum coverage is reported, never raised; u_aux only enters
-    the reported eigenvalues and must not change them on-shell.
+    Partial spectrum coverage is reported, never raised.
     """
-    return _solve(_system(hp, rp, ctx, INHOMOGENEOUS), cfg or SolverConfig(), u_aux)
+    return _solve(_system(hp, rp, ctx, INHOMOGENEOUS), cfg or SolverConfig())

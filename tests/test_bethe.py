@@ -117,8 +117,11 @@ def reference_maba_residuals(roots, u, hp, rp, ctx):
     return err / max(1.0, lnorm), err / max(1.0, lnorm, mag)
 
 
-def reference_abv_rhs(u, m, roots, ctx, middle_step):
-    """abv_rhs with every B factor rebuilt inside each chain."""
+def reference_abv_rhs(u, m, roots, ctx, middle_step=1):
+    """abv_rhs with every B factor rebuilt inside each chain; the swapped
+    slot-r factor is B(u, m - r + middle_step).  abv_rhs is middle_step=1,
+    the Bethe vector's own index; -1 is the other indexing, kept here so
+    that tests can show it fails the identity."""
     p = len(roots)
     e0 = vacuum(ctx.rep.params.N)
 
@@ -177,11 +180,10 @@ class TestSharedFactors:
             for p in range(4):
                 u, m = draw_complex(rng), draw_complex(rng)
                 roots = [draw_complex(rng) for _ in range(p)]
-                for step in (1, -1):
-                    got = bethe.abv_rhs(u, m, roots, ctx, middle_step=step)
-                    assert np.array_equal(got, reference_abv_rhs(u, m, roots, ctx, step))
+                got = bethe.abv_rhs(u, m, roots, ctx)
+                assert np.array_equal(got, reference_abv_rhs(u, m, roots, ctx))
 
-    def test_abv_residuals_build_each_root_factor_once(self, monkeypatch):
+    def test_abv_residual_builds_each_root_factor_once(self, monkeypatch):
         builds = []
 
         def counted_op_B(*args):
@@ -194,14 +196,13 @@ class TestSharedFactors:
                 u, m = draw_complex(rng), draw_complex(rng)
                 roots = [draw_complex(rng) for _ in range(p)]
                 lhs = op_A(u, m, ctx) @ bethe_vector(roots, m, ctx)
-                want = tuple(vector_residual(lhs, reference_abv_rhs(u, m, roots, ctx, step))
-                             for step in (1, -1))
+                want = vector_residual(lhs, reference_abv_rhs(u, m, roots, ctx))
                 builds.clear()
                 with monkeypatch.context() as mp:
                     mp.setattr(bethe, "op_B", counted_op_B)
-                    assert bethe.abv_residuals(u, m, roots, ctx) == want
-                # p root factors, then p middle-slot factors per convention
-                assert len(builds) == 3 * p
+                    assert bethe.abv_residual(u, m, roots, ctx) == want
+                # p root factors, then p middle-slot factors
+                assert len(builds) == 2 * p
                 assert sum(1 for x, _ in builds if x != u) == p
 
 
@@ -495,12 +496,6 @@ class TestUAux:
         assert abs(u - bethe.U_AUX_DEFAULT) > 1e-3
         with pole_margin(REJECT_MARGIN):
             assert system.eigenvalue(u, roots) == value
-
-    def test_given_point_is_tried_first(self, hp0, ctx0):
-        system = bethe.BetheSystem(hp0, ctx0, bethe.INHOMOGENEOUS)
-        assert bethe.pick_u_aux(system, [1.5 + 0.5j], u_aux=1.9 - 1.3j)[0] == 1.9 - 1.3j
-        # a given point on a pole falls back to the default
-        assert bethe.pick_u_aux(system, [1.5 + 0.5j], u_aux=1.0)[0] == bethe.U_AUX_DEFAULT
 
     def test_default_kept_beside_the_unshifted_vacuum_pole(self):
         # delta+gamma-2m_bar+2 = U_AUX_DEFAULT + 5e-4: the vacuum weight at

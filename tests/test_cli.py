@@ -47,6 +47,15 @@ class TestVerifyCommand:
         assert [r["relation"] for r in payload["reports"]] == \
             ["AB_EXCHANGE", "CA_EXCHANGE"]
 
+    def test_abv_report_has_no_notes(self, tmp_path):
+        # ABV_ACTION checks one slot convention, so there is nothing to note
+        path = write_params(tmp_path, P0_GENERIC)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--relations", "ABV_ACTION", "--params", path,
+                     "--samples", "3", "--out", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["reports"]
+        assert set(report) == {"relation", "samples", "seed", "max_residual", "worst_tuple"}
+
     def test_bad_gamma_delta_exits_2(self, tmp_path, capsys):
         bad = dict(P0_GENERIC, gamma=[1, 0], delta=[-2, 0])
         path = write_params(tmp_path, bad)

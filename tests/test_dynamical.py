@@ -112,6 +112,14 @@ class TestVerifyRelation:
         report = verify_relation(RelationId.CA_EXCHANGE, ctx0, samples=50, seed=3)
         assert report.max_residual <= 1e-11
 
+    def test_abv_reports_the_bethe_vector_convention(self, ctx0):
+        from heun_racah.bethe import abv_residual
+        report = verify_relation(RelationId.ABV_ACTION, ctx0, samples=20, seed=4)
+        assert report.max_residual <= 1e-9
+        w = report.worst_tuple
+        assert report.max_residual == abv_residual(w["u"], w["m"], w["roots"], ctx0)
+        assert "notes" not in report.to_json_dict()
+
     def test_r2_perturbed_constant(self, rep0):
         bad = dataclasses.replace(rep0.params, b=rep0.params.b + 1e-3)
         broken = Representation(params=bad, X=rep0.X, Y=rep0.Y, Z=rep0.Z)
@@ -126,8 +134,8 @@ class TestVerifyRelation:
         for N in (1, 2, 4, 8):
             rep = build_representation(draw_racah_params(rng, N))
             ctx = DynContext(rep=rep, rho=draw_rho(rng))
-            from heun_racah import verify_defining_relations
-            assert max(verify_defining_relations(rep, 1e-10).values()) <= 1e-10
+            from heun_racah import defining_residuals
+            assert max(defining_residuals(rep).values()) <= 1e-10
             for rel in (RelationId.BB_EXCHANGE, RelationId.AB_EXCHANGE):
                 report = verify_relation(rel, ctx, samples=10, seed=N)
                 assert report.max_residual <= 1e-10

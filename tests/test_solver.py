@@ -290,15 +290,18 @@ class TestSolveInhomogeneous:
         assert report.coverage_fraction() == 1.0
 
     def test_u_aux_invariance(self):
+        # on-shell, the eigenvalue at another spectral point is the same, and
+        # the Bethe vector is an eigenvector for it
         rp, ctx, hp = generic_setup(1)
-        cfg = SolverConfig(starts=32, seed=2)
-        r1 = solve_inhomogeneous(hp, rp, ctx, cfg)
-        r2 = solve_inhomogeneous(hp, rp, ctx, cfg, u_aux=1.9 - 1.3j)
-        ev1 = sorted((s.eigenvalue.real, s.eigenvalue.imag) for s in r1.states)
-        ev2 = sorted((s.eigenvalue.real, s.eigenvalue.imag) for s in r2.states)
-        assert len(ev1) == len(ev2)
-        for a, b in zip(ev1, ev2):
-            assert abs(complex(*a) - complex(*b)) <= 1e-7 * max(1, abs(complex(*a)))
+        report = solve_inhomogeneous(hp, rp, ctx, SolverConfig(starts=32, seed=2))
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        W = build_W_parametric(hp, ctx)
+        for s in report.states:
+            ev = system.eigenvalue(1.9 - 1.3j, list(s.roots))
+            assert abs(ev - s.eigenvalue) <= 1e-7 * max(1, abs(s.eigenvalue))
+            v = bethe.bethe_vector(list(s.roots), hp.m_bar, ctx)
+            res = np.linalg.norm(W @ v - ev * v) / (np.linalg.norm(W) * np.linalg.norm(v))
+            assert res <= 1e-8
 
     def test_no_colliding_roots_reported(self):
         rp, ctx, hp = generic_setup(2)
@@ -390,10 +393,10 @@ class TestProblemConsistency:
         assert abs(x * x - roots[1] ** 2) < REJECT_MARGIN
         assert min(abs(x), abs(x - 1), abs(x + 1)) > 1.0
         W_fro = float(np.linalg.norm(W))
-        state, reason = _certify(roots, system, 0, W, W_fro, oracle, None)
-        assert state is None and reason == "pole_margin"
+        entry, reason = _certify(roots, system, 0, W, W_fro, oracle)
+        assert entry is None and reason == "pole_margin"
         # the same x beside a distant partner passes the margin
-        assert _certify([x, 0.4 - 1.9j], system, 0, W, W_fro, oracle, None)[1] != "pole_margin"
+        assert _certify([x, 0.4 - 1.9j], system, 0, W, W_fro, oracle)[1] != "pole_margin"
 
     def test_root_beside_plus_one_is_certified_past_the_margin(self):
         # the swap weight cancels the vacuum pole at x = +-1, so the
@@ -405,5 +408,5 @@ class TestProblemConsistency:
         roots = [1 + 5e-4, 0.4 - 1.9j, 2.3 + 0.5j]
         assert within_margin(system.reference, roots) is not None
         W_fro = float(np.linalg.norm(W))
-        state, reason = _certify(roots, system, 0, W, W_fro, oracle, None)
-        assert state is None and reason == "bethe_residual"
+        entry, reason = _certify(roots, system, 0, W, W_fro, oracle)
+        assert entry is None and reason == "bethe_residual"

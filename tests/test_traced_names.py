@@ -18,7 +18,9 @@ def test_instrumentation_resolves_every_traced_name(monkeypatch):
 
     patches = tracing.Instrumentation(tracing.Tracer()).patches
     patched = {f"{mod.__name__.rsplit('.', 1)[-1]}.{attr}" for mod, attr, _, _ in patches}
+    # verify_relation carries the per-relation spans, draw_until the draw counts
     for name in ("bethe.inhomogeneous_scales", "bethe.unwanted_U",
                  "solver.seed_starts", "solver.build_W_parametric",
-                 "solver.newton_refine"):
+                 "solver.newton_refine", "dynamical.verify_relation",
+                 "sampling.draw_until"):
         assert name in patched

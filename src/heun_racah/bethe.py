@@ -385,11 +385,16 @@ def maba_reduce(u, roots, hp: HeunParams) -> tuple[complex, list[complex]]:
 
     Proven by direct computation for N <= 4; conjectural above.
     """
+    return _reduction(u, roots, hp)[:2]
+
+
+def _reduction(u, roots, hp: HeunParams) -> tuple[complex, list[complex], complex]:
+    """maba_reduce's (tau_u, [tau_1..tau_N]) and the constant c of _tau_shared."""
     N = hp.rp.N
     if len(roots) != N:
         raise ParameterDomainError(f"reduction needs exactly N={N} roots, got {len(roots)}")
     tau = _tau_shared(hp)
-    return _tau_at(u, roots, *tau), _tau_roots(roots, tau)
+    return _tau_at(u, roots, *tau), _tau_roots(roots, tau), tau[1]
 
 
 def maba_identity_residuals(u, roots, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
@@ -402,9 +407,8 @@ def maba_identity_residuals(u, roots, hp: HeunParams, ctx: DynContext) -> tuple[
     A norm that overflows comes out inf, without a warning.
     """
     check_same_problem(hp, ctx)
-    tau_u, tau_list = maba_reduce(u, roots, hp)
+    tau_u, tau_list, c = _reduction(u, roots, hp)
     base, swapped, lhs = _swapped_family(roots, u, hp.m_bar, ctx)
-    _, c, _ = _tau_shared(hp)
     with np.errstate(over="ignore"):
         rhs = tau_u * base
         mag = abs(tau_u) * float(np.linalg.norm(base))

@@ -201,8 +201,10 @@ def cmd_solve(args) -> int:
         print(f"auto mode: {mode}")
     solve = solve_homogeneous if mode == "homogeneous" else solve_inhomogeneous
     report = solve(hp, hp.rp, ctx, cfg)
-    print(f"{report.mode}: {report.distinct} distinct certified state(s) "
-          f"from {report.attempts} starts ({report.converged} converged)")
+    stopped = report.attempts < cfg.starts and report.matched.all()
+    tried = f"{report.attempts} of {cfg.starts}" if stopped else report.attempts
+    print(f"{report.mode}: {report.distinct} distinct certified state(s) from {tried} starts "
+          f"({report.converged} converged{'; every dense eigenvalue matched' if stopped else ''})")
     for s in report.states:
         roots = ", ".join(fmt(x) for x in s.roots) or "(vacuum)"
         print(f"  eigenvalue {fmt(s.eigenvalue)}  roots [{roots}]  "
@@ -248,9 +250,9 @@ def cmd_check_maba(args) -> int:
           f"mean {mean:.12g} worst backward {worst_backward:.12g}")
     if args.out:
         write_output(args.out, dump_json({
-            "N": N, "draws": args.draws, "seed": args.seed, "worst_residual": worst,
-            "mean_residual": mean, "worst_backward_residual": worst_backward,
-            "residuals": residuals}))
+            "N": N, "draws": args.draws, "seed": args.seed, "precision": "float64",
+            "worst_residual": worst, "mean_residual": mean,
+            "worst_backward_residual": worst_backward, "residuals": residuals}))
     overflowed = sum(1 for a, b in zip(residuals, backwards) if not np.isfinite(a + b))
     if overflowed:  # such a draw checked nothing
         print(f"UNDECIDED: {overflowed} of {args.draws} draws give a non-finite residual "
@@ -266,8 +268,8 @@ def cmd_check_maba(args) -> int:
     # result by many orders, which inflates the plain metric with pure
     # cancellation noise at larger N
     verdict = "SUPPORTED" if worst_backward <= 1e-8 else "VIOLATED"
-    print(f"CONJECTURE {verdict} (worst residual {worst:.12g}, "
-          f"worst backward {worst_backward:.12g})")
+    print(f"CONJECTURE {verdict} in double precision (proven only for N <= 4; "
+          f"worst residual {worst:.12g}, worst backward {worst_backward:.12g})")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ on its closed_form pass (residuals and closed-form Jacobian at once),
 then deflation, which drops a root set whose sign orbits {x, -x} repeat a
 certified state's, then certification of each new state against the dense
 eigendecomposition of W, which is entirely independent of the Bethe machinery.
+The starts end early once every dense eigenvalue has a certified state.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -54,7 +55,8 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """A solve's states and its oracle spectrum, kept as arrays: the dense
-    eigenvalues `oracle` and whether a state matched each, `matched`."""
+    eigenvalues `oracle` and whether a state matched each, `matched`.
+    attempts, converged and diagnostics count the starts _solve tried."""
     mode: str
     states: list[BetheState]
     attempts: int
@@ -249,11 +251,16 @@ def _is_duplicate(roots, states) -> bool:
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
+    """Run the seeded starts (one when there are no roots) through Newton,
+    deflation and certification until every oracle eigenvalue is matched;
+    a later start could only repeat a certified orbit set, or give a second
+    root set for an eigenvalue whose eigenvector is already certified."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
     certified: list[tuple[BetheState, int, bool]] = []
+    matched = np.zeros(len(oracle), dtype=bool)
     rejects: Counter = Counter()
     attempts = converged = 0
     for start, reference in seed_starts(system, cfg):
@@ -280,12 +287,13 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
             rejects[reason] += 1
             continue
         certified.append(entry)
+        matched[entry[1]] = True
+        if matched.all():
+            break
 
     certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
                                   tuple((x.real, x.imag) for x in c[0].roots)))
     states = [state for state, _, _ in certified]
-    matched = np.zeros(len(oracle), dtype=bool)
-    matched[[idx for _, idx, _ in certified]] = True
     ambiguous = [state.eigenvalue for state, _, amb in certified if amb]
     report = SolveReport(mode=system.mode, states=states, attempts=attempts,
                          converged=converged, oracle=oracle, matched=matched,

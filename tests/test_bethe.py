@@ -174,6 +174,24 @@ class TestSharedFactors:
                 assert bethe.maba_identity_residuals(u, roots, hp, ctx) \
                     == reference_maba_residuals(roots, u, hp, rp, ctx)
 
+    def test_maba_residuals_build_the_tau_constants_once(self, monkeypatch):
+        rng, rp, ctx, hp = random_setup(93, 3)
+        u, roots = draw_until(
+            rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(3)]),
+            keeping(1e-2, lambda t: maba_reduce(*t, hp)))
+        expected = reference_maba_residuals(roots, u, hp, rp, ctx)
+        calls = []
+        shared = bethe._tau_shared
+
+        def counting(hp):
+            calls.append(hp)
+            return shared(hp)
+        monkeypatch.setattr(bethe, "_tau_shared", counting)
+        assert bethe.maba_identity_residuals(u, roots, hp, ctx) == expected
+        assert calls == [hp]
+        with pytest.raises(ParameterDomainError, match="exactly N=3 roots"):
+            bethe.maba_identity_residuals(u, roots[:2], hp, ctx)
+
     def test_abv_rhs_matches_reference_exactly(self):
         for N in (1, 4, 12):
             rng, rp, ctx, hp = random_setup(100 + N, N)

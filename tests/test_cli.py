@@ -213,6 +213,21 @@ class TestSolveCommand:
         assert payload["bilinear_scale"] == [1.0, 0.0]
         assert payload["bilinear_shift"] == [0.0, 0.0]
 
+    def test_stop_at_full_coverage_is_named(self, tmp_path, capsys):
+        # criterion-8 at N = 2, seed 2 matches all three dense eigenvalues
+        # by its fifth start; seed 0 never matches the third and runs all 64
+        cfg = {"N": 2, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+               "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, cfg)
+        lines = []
+        for seed in ("2", "0"):
+            assert main(["solve", "--mode", "inhomogeneous", "--params", path,
+                         "--seed", seed]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines[0] == ("inhomogeneous: 3 distinct certified state(s) from 5 of 64 "
+                            "starts (5 converged; every dense eigenvalue matched)")
+        assert lines[1].endswith("from 64 starts (64 converged)")
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import heun_racah.cli as cli
         from heun_racah.errors import SolverFailure
@@ -247,11 +262,16 @@ class TestCheckMabaCommand:
         assert "ok: proven range" in capsys.readouterr().out
 
     def test_conjecture_report(self, tmp_path, capsys):
+        # the verdict states the precision it rests on
         path = write_params(tmp_path, self.MABA)
+        out = tmp_path / "maba.json"
         rc = main(["check-maba", "--params", path, "--N", "5",
-                   "--draws", "3", "--seed", "1"])
+                   "--draws", "3", "--seed", "1", "--out", str(out)])
         assert rc == 0
-        assert "CONJECTURE" in capsys.readouterr().out
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert verdict.startswith(
+            "CONJECTURE SUPPORTED in double precision (proven only for N <= 4; ")
+        assert json.loads(out.read_text())["precision"] == "float64"
 
     def test_overflow_is_undecided(self, tmp_path, capsys):
         # at N = 30 on the criterion-8 parameters every residual overflows

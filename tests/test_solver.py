@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from heun_racah.racah import build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
 from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER, NEWTON_TOL,
-                               SolverConfig, _certify, _is_duplicate, newton_refine,
-                               seed_starts, solve_homogeneous, solve_inhomogeneous)
+                               SolveReport, SolverConfig, _certify, _is_duplicate, _solve,
+                               newton_refine, seed_starts, solve_homogeneous,
+                               solve_inhomogeneous)
 
 from conftest import finite_difference_map
 
@@ -136,6 +139,55 @@ def reference_newton_refine(fj, x0):
     return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), MAX_ITER
 
 
+def reference_solve(system, cfg):
+    """solver._solve as it was before the loop stopped at full coverage:
+    every start runs.  The oracle the early stop must lose nothing against.
+    It calls solver.newton_refine, so recorded_newton_calls sees its starts."""
+    W = build_W_parametric(system.hp, system.ctx)
+    W_fro = float(np.linalg.norm(W))
+    oracle = dense_spectrum(W).eigenvalues
+
+    certified = []
+    rejects = Counter()
+    attempts = converged = 0
+    for start, reference in seed_starts(system, cfg):
+        attempts += 1
+        if reference is None:
+            rejects["pole_margin"] += 1
+            continue
+        norms = [1.0 / s for s in reference[1]]
+
+        def fj(x):
+            F, J = system.closed_form(x)
+            return ([v * n for v, n in zip(F, norms)],
+                    [[v * n for v in row] for row, n in zip(J, norms)])
+
+        roots, ok, _its = solver.newton_refine(fj, start)
+        if not ok:
+            rejects["newton"] += 1
+            continue
+        converged += 1
+        if _is_duplicate(roots, (state for state, _, _ in certified)):
+            continue
+        entry, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle)
+        if entry is None:
+            rejects[reason] += 1
+            continue
+        certified.append(entry)
+
+    certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
+                                  tuple((x.real, x.imag) for x in c[0].roots)))
+    matched = np.zeros(len(oracle), dtype=bool)
+    matched[[idx for _, idx, _ in certified]] = True
+    return SolveReport(mode=system.mode, states=[state for state, _, _ in certified],
+                       attempts=attempts, converged=converged, oracle=oracle,
+                       matched=matched,
+                       ambiguous_matches=[state.eigenvalue for state, _, amb in certified
+                                          if amb],
+                       seed=cfg.seed, p_bar=system.p_bar,
+                       diagnostics={"rejected": dict(rejects)} if rejects else {})
+
+
 def recorded_newton_calls(monkeypatch, solve, *args):
     """The (fj, x0) of every newton_refine call a solve makes."""
     calls = []
@@ -164,8 +216,13 @@ class TestNewtonMatchesReference:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_criterion_8_starts(self, monkeypatch, N, seed):
         rp, ctx, hp = generic_setup(N)
+        # at N = 2 a solve can stop once every eigenvalue is matched (seed 2
+        # after 5 starts), so the full-start loop supplies all 64 seed_starts
+        # with the solve's row scales
+        solve = reference_solve if N == 2 else _solve
         self.assert_identical(recorded_newton_calls(
-            monkeypatch, solve_inhomogeneous, hp, rp, ctx, SolverConfig(starts=64, seed=seed)))
+            monkeypatch, solve, BetheSystem(hp, ctx, INHOMOGENEOUS),
+            SolverConfig(starts=64, seed=seed)))
 
     def test_size_cap_starts(self, monkeypatch):
         rp, ctx, hp = homogeneous_setup(N=63)
@@ -331,11 +388,54 @@ class TestSolveInhomogeneous:
         rp, ctx, hp = generic_setup(2)
         report = solve_inhomogeneous(hp, rp, ctx, SolverConfig(starts=32, seed=2))
         assert report.distinct == len(report.states)
-        assert report.converged <= report.attempts == 32
+        assert_counts_starts_tried(report, 32)
         assert len(report.spectrum_coverage) == rp.N + 1
         # no two states with the same root orbits
         for i, a in enumerate(report.states):
             assert not _is_duplicate(a.roots, report.states[:i])
+
+
+def assert_counts_starts_tried(report, starts):
+    """attempts counts the starts tried, fewer than all only at full coverage,
+    and every one tried either converged or was rejected before Newton ended."""
+    rejected = report.diagnostics.get("rejected", {})
+    assert report.converged <= report.attempts <= starts
+    assert report.attempts == starts or report.coverage_fraction() == 1.0
+    assert report.converged + rejected.get("newton", 0) + rejected.get("pole_margin", 0) \
+        == report.attempts
+
+
+STOP_CASES = [(INHOMOGENEOUS, N, seed) for N in (1, 2, 3, 4) for seed in range(4)] \
+    + [(HOMOGENEOUS, N, seed) for N in (1, 2) for seed in range(4)]
+
+
+class TestStopAtFullCoverage:
+    """The loop ends once every dense eigenvalue is matched, and loses nothing
+    the full-start loop finds."""
+
+    @staticmethod
+    def system(mode, N):
+        rp, ctx, hp = generic_setup(N) if mode == INHOMOGENEOUS else homogeneous_setup(N)
+        return BetheSystem(hp, ctx, mode)
+
+    @pytest.mark.parametrize("mode,N,seed", STOP_CASES,
+                             ids=[f"{m[:5]}-N{N}-seed{s}" for m, N, s in STOP_CASES])
+    def test_stop_loses_nothing(self, mode, N, seed):
+        cfg = SolverConfig(starts=64, seed=seed)
+        report = _solve(self.system(mode, N), cfg)
+        full = reference_solve(self.system(mode, N), cfg)
+        for key in ("states", "spectrum_coverage", "ambiguous_matches"):
+            assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
+        assert full.attempts == 64
+        assert_counts_starts_tried(report, 64)
+
+    def test_stop_fires_once_every_eigenvalue_is_matched(self):
+        report = _solve(self.system(INHOMOGENEOUS, 2), SolverConfig(starts=64, seed=2))
+        assert report.attempts == 5 and report.coverage_fraction() == 1.0
+
+    def test_missed_state_runs_every_start(self):
+        report = _solve(self.system(INHOMOGENEOUS, 4), SolverConfig(starts=64, seed=0))
+        assert report.attempts == 64 and report.coverage_fraction() < 1.0
 
 
 def state_with(roots):

@@ -18,8 +18,7 @@ from .heun import (BilinearParams, HeunParams, build_heun_params,
                    build_W_bilinear, build_W_parametric, canonicalize,
                    h_coeffs, integer_p_bar)
 from .bethe import (BetheState, BetheSystem, VacuumCoeffs, bethe_vector, eigenvalue_w,
-                    f1_W, homogeneous_residuals, inhomogeneous_residuals,
-                    inhomogeneous_terms, maba_reduce, psi, unwanted_U,
+                    f1_W, inhomogeneous_residuals, maba_reduce, psi, unwanted_U,
                     vacuum, vacuum_coeffs)
 from .racah import (RacahParams, Representation, build_params,
                     build_representation, defining_residuals)

@@ -32,8 +32,7 @@ import numpy as np
 from .core import guard, vector_residual
 from .dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from .errors import ModeError, ParameterDomainError
-from .heun import (HeunParams, build_W_parametric, check_same_problem, h1_scalar, h2_scalar,
-                   integer_p_bar)
+from .heun import HeunParams, check_same_problem, h1_scalar, h2_scalar, integer_p_bar
 from .racah import RacahParams
 from .sampling import draw_complex, draw_until, within_margin
 
@@ -114,9 +113,9 @@ def vacuum_coeffs(u, m, p: RacahParams, rho) -> VacuumCoeffs:
     return VacuumCoeffs(xi=xi, zeta=zeta)
 
 
-def _root_factors(roots, m_top, ctx: DynContext) -> list[np.ndarray]:
-    """The creation factors B(x_1, m_top) .. B(x_p, m_top - p + 1)."""
-    return [op_B(roots[i - 1], m_top - i + 1, ctx) for i in range(1, len(roots) + 1)]
+def _root_factors(roots, m_top, ctx: DynContext) -> np.ndarray:
+    """The creation factors B(x_1, m_top) .. B(x_p, m_top - p + 1), as one stack."""
+    return op_B(list(roots), [m_top - i + 1 for i in range(1, len(roots) + 1)], ctx)
 
 
 def _chain(factors, v) -> np.ndarray:
@@ -126,61 +125,76 @@ def _chain(factors, v) -> np.ndarray:
     return v
 
 
+def _apply(F, V) -> np.ndarray:
+    """Row k of V multiplied by F, or by F[k] for a stack F: one broadcast
+    product that rounds each row as the single product F[k] @ V[k] does."""
+    return (F @ V[:, :, None])[:, :, 0]
+
+
 def bethe_vector(roots, m_top, ctx: DynContext) -> np.ndarray:
     """Apply B(x_1, m_top) .. B(x_p, m_top - p + 1) to the vacuum."""
     return _chain(_root_factors(roots, m_top, ctx), vacuum(ctx.rep.params.N))
 
 
 def _swapped_family(roots, u, m_top, ctx: DynContext):
-    """bethe_vector of roots, of roots with x_j -> u for each j, and of
-    roots + [u], with each B factor built once and the suffixes shared."""
+    """bethe_vector of roots, a (p, dim) stack of it with x_j -> u for each j,
+    and of roots + [u]: each B factor built once, the suffixes shared and
+    the prefixes applied level by level, factor j to every row needing it."""
     p = len(roots)
     factors = _root_factors(roots, m_top, ctx)
     tails = [vacuum(ctx.rep.params.N)]  # tails[k]: the last k factors applied to |0>
     for f in reversed(factors):
         tails.append(f @ tails[-1])
+    # row j - 1 holds u in slot j, before x_{j+1} .. x_p; j = p + 1 appends u
+    V = _apply(op_B([u] * (p + 1), [m_top - j + 1 for j in range(1, p + 2)], ctx),
+               np.array([tails[max(p - j, 0)] for j in range(1, p + 2)]))
+    for j in range(p - 1, -1, -1):
+        V[j + 1:] = _apply(factors[j], V[j + 1:])
+    return tails[p], V[:p], V[p]
 
-    def u_at(j):  # u in slot j, before x_{j+1} .. x_p; j = p + 1 appends u
-        return _chain(factors[:j - 1], op_B(u, m_top - j + 1, ctx) @ tails[max(p - j, 0)])
 
-    return tails[p], [u_at(j) for j in range(1, p + 1)], u_at(p + 1)
+def _slot_factors(roots, u, m, ctx: DynContext) -> np.ndarray:
+    """(2, p, dim, dim): the root factors of the Bethe vector with top index
+    m, then B(u, m - r + 1), the factor u takes in slot r, built as one stack."""
+    p = len(roots)
+    ms = [m - i + 1 for i in range(1, p + 1)]
+    return op_B(list(roots) + [u] * p, ms + ms, ctx).reshape(2, p, ctx.rep.dim, ctx.rep.dim)
 
 
-def abv_rhs(u, m, roots, ctx: DynContext, root_ops=None) -> np.ndarray:
+def abv_rhs(u, m, roots, ctx: DynContext, ops=None) -> np.ndarray:
     """Right side of the A-on-Bethe-vector expansion, assembled directly.
 
     The swapped factor in slot r is B(u, m - r + 1), the index the Bethe
-    vector gives slot r.  root_ops takes the root factors when the caller
-    has built them already.
+    vector gives slot r.  ops takes _slot_factors(roots, u, m, ctx) when
+    the caller has built it already.  The 2p + 1 chains run level by level.
     """
     p = len(roots)
-    e0 = vacuum(ctx.rep.params.N)
-    if root_ops is None:
-        root_ops = _root_factors(roots, m, ctx)
-    slot_ops = _root_factors([u] * p, m, ctx)
-
-    def chain(slot_index, tail_vec):  # the root factors, slot slot_index holding u
-        return _chain([slot_ops[i] if i + 1 == slot_index else f
-                       for i, f in enumerate(root_ops)], tail_vec)
+    if ops is None:
+        ops = _slot_factors(roots, u, m, ctx)
+    # term 0 is A(u, m - p)|0> under the root factors; term (eps, r) is
+    # A(eps x_r, m - p)|0> under the root factors with u in slot r
+    slots = [0] + [r for _ in (1, -1) for r in range(1, p + 1)]
+    args = [u] + [eps * roots[r - 1] for eps in (1, -1) for r in range(1, p + 1)]
+    V = _apply(op_A(args, [m - p] * len(args), ctx), np.array([vacuum(ctx.rep.params.N)]))
+    for i in range(p, 0, -1):
+        V = _apply(ops[[int(s == i) for s in slots], i - 1], V)
 
     prod_k1 = np.prod([coeff_k1(u, x) for x in roots]) if p else 1.0
-    out = prod_k1 * chain(0, op_A(u, m - p, ctx) @ e0)
-    for eps in (1, -1):
-        for r in range(1, p + 1):
-            xr = eps * roots[r - 1]
-            coef = coeff_k2(u, xr, m, ctx.rho)
-            coef *= np.prod([coeff_k1(xr, roots[l - 1])
-                             for l in range(1, p + 1) if l != r]) if p > 1 else 1.0
-            out = out + coef * chain(r, op_A(xr, m - p, ctx) @ e0)
+    out = prod_k1 * V[0]
+    for k, (r, xr) in enumerate(zip(slots[1:], args[1:]), start=1):
+        coef = coeff_k2(u, xr, m, ctx.rho)
+        coef *= np.prod([coeff_k1(xr, roots[l - 1])
+                         for l in range(1, p + 1) if l != r]) if p > 1 else 1.0
+        out = out + coef * V[k]
     return out
 
 
 def abv_residual(u, m, roots, ctx: DynContext) -> float:
-    """Residual of A(u, m) on the Bethe vector against abv_rhs; the root
+    """Residual of A(u, m) on the Bethe vector against abv_rhs; the B
     factors are built once for both sides."""
-    factors = _root_factors(roots, m, ctx)
-    lhs = op_A(u, m, ctx) @ _chain(factors, vacuum(ctx.rep.params.N))
-    return vector_residual(lhs, abv_rhs(u, m, roots, ctx, factors))
+    ops = _slot_factors(roots, u, m, ctx)
+    lhs = op_A(u, m, ctx) @ _chain(ops[0], vacuum(ctx.rep.params.N))
+    return vector_residual(lhs, abv_rhs(u, m, roots, ctx, ops))
 
 
 def f1_W(v, hp: HeunParams) -> complex:
@@ -335,15 +349,6 @@ def psi(u, p: int, roots, hp: HeunParams) -> tuple[complex, complex]:
     return psi_factored(u, p, roots, hp), psi_summed(u, p, roots, hp)
 
 
-def homogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
-    """The cleared homogeneous Bethe equations: U_r for r = 1..p_bar.
-
-    Solving U_r = 0 directly avoids the removable poles of the equivalent
-    ratio form; the zero sets coincide away from poles.
-    """
-    return BetheSystem(hp, ctx, HOMOGENEOUS).reference(roots)[0]
-
-
 # --------------------------------------------------------------------------
 # reduction of the (N+1)-root vector and the inhomogeneous terms
 
@@ -366,11 +371,11 @@ def _tau_shared(hp: HeunParams):
 def _tau_at(v, others, pref, c, zeros) -> complex:
     """tau of v (u, or a root against the others) from the constants of
     _tau_shared: pref prod_x (c^2 - x^2) / (v^2 - x^2) prod_z (v^2 - z^2)."""
-    tau = pref
+    tau, csq, vsq = pref, c ** 2, v * v
     for x in others:
-        tau *= (c ** 2 - x * x) / guard(v * v - x * x, "tau pole: v^2 = x_k^2")
+        tau *= (csq - x * x) / guard(vsq - x * x, "tau pole: v^2 = x_k^2")
     for z in zeros:
-        tau *= v * v - z * z
+        tau *= vsq - z * z
     return tau
 
 
@@ -428,15 +433,6 @@ def _tau_corrections(tau_list, roots, brackets, rho) -> list[complex]:
     lam, a1, a3 = brackets
     prod = _times_phi(1.0 + 0.0j, roots, rho, a1, a3)
     return [t * rho * lam * prod for t in tau_list]
-
-
-def inhomogeneous_terms(u, roots, hp: HeunParams) -> tuple[complex, list[complex]]:
-    """(w^(i), [U_1^(i)..U_N^(i)]): the corrections from reducing the
-    extension term back onto N-root Bethe vectors."""
-    N = hp.rp.N
-    tau_u, tau_list = maba_reduce(u, roots, hp)
-    w_i = tau_u * psi_factored(u, N, roots, hp)
-    return w_i, _tau_corrections(tau_list, roots, _psi_brackets(N, hp)[0], hp.rho)
 
 
 def inhomogeneous_residuals(roots, hp: HeunParams, ctx: DynContext) -> list[complex]:
@@ -608,7 +604,7 @@ class BetheSystem:
 
 
 # --------------------------------------------------------------------------
-# full action identity and the auxiliary spectral point
+# the auxiliary spectral point
 
 def pick_u_aux(system: BetheSystem, roots, seed: int = 0) -> tuple[complex, complex]:
     """(u, eigenvalue at u) for the first of U_AUX_DEFAULT and seeded draws
@@ -621,27 +617,3 @@ def pick_u_aux(system: BetheSystem, roots, seed: int = 0) -> tuple[complex, comp
         return picked
     return draw_until(np.random.default_rng(seed), lambda r: draw_complex(r, 1.5, 3.5),
                       evaluate)
-
-
-def wv_action_residual(u, roots, hp: HeunParams, ctx: DynContext,
-                       mode: str = HOMOGENEOUS) -> float:
-    """Residual of the full W-action expansion on an (off-shell) Bethe vector.
-
-    In homogeneous form the expansion keeps the explicit extension term;
-    in inhomogeneous form (p = N) the extension is absorbed into the
-    tau-corrected coefficients.
-    """
-    p = len(roots)
-    rho = hp.rho
-    W = build_W_parametric(hp, ctx)
-    V, swapped, extended = _swapped_family(roots, u, hp.m_bar, ctx)
-    inhomogeneous = mode == INHOMOGENEOUS
-    w_i, u_i = inhomogeneous_terms(u, roots, hp) if inhomogeneous else (0, [0] * p)
-    rhs = (eigenvalue_w(u, roots, hp) + w_i) * V
-    for r in range(1, p + 1):
-        coef = (unwanted_U(r, roots, hp) + u_i[r - 1]) \
-            / (rho * (rho - 1) * guard(u * u - roots[r - 1] ** 2, "W action pole: u^2 = x_r^2"))
-        rhs = rhs + coef * swapped[r - 1]
-    if not inhomogeneous:
-        rhs = rhs + psi_factored(u, p, roots, hp) * extended
-    return vector_residual(W @ V, rhs)

@@ -4,7 +4,8 @@ Subcommands: verify (relation residual sweeps), spectrum (dense
 eigenvalues of W), solve (Bethe diagonalization), check-maba (the
 (N+1)-root reduction identity, proven range and conjecture probing).
 
-Exit codes: 0 success, 1 relation violation, 2 parameter or parse error
+Exit codes: 0 success, 1 relation violation (or a verify sweep left
+UNDECIDED: no sampled residual was finite), 2 parameter or parse error
 (including a count option below 1, a negative --seed, a --tol that is
 not a finite number >= 0, an --out or --csv path that cannot be written,
 and parameters that leave no admissible random draw), 3 solver failure.
@@ -157,7 +158,9 @@ def cmd_verify(args) -> int:
         try:
             rep = verify_relation(rel, ctx, samples=args.samples, tol=args.tol,
                                   seed=args.seed)
-            status = "ok"
+            # a sweep without a finite residual reports max residual 0
+            status = f"UNDECIDED ({rep.nonfinite} of {rep.samples} non-finite)" \
+                if rep.undecided else "ok"
         except RelationViolation as exc:
             rep = None
             failures.append(exc)
@@ -169,7 +172,7 @@ def cmd_verify(args) -> int:
     if args.out:
         write_output(args.out, dump_json({"reports": [r.to_json_dict() for r in reports],
                                           "violations": [str(f) for f in failures]}))
-    return EXIT_VIOLATION if failures else EXIT_OK
+    return EXIT_VIOLATION if failures or any(r.undecided for r in reports) else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:

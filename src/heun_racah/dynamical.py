@@ -19,6 +19,7 @@ catalog residual meets its tolerance.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,34 +125,47 @@ def coeff_k2(u, v, m, rho) -> complex:
 
 
 # --------------------------------------------------------------------------
-# operator families
+# operator families: u and m are scalars, or lists for a (k, dim, dim) stack
+
+def _family(u, m, ctx: DynContext, terms, combine) -> np.ndarray:
+    """combine(*terms(u, m)); for lists, combine broadcast over one (k, 1, 1)
+    column per term, so that slice k is bit for bit the scalar call.  One
+    pair takes the scalar call: numpy rounds a product of two size-1 arrays
+    differently from a broadcast one, which would show at dim 1."""
+    if not isinstance(u, list):
+        return combine(*terms(u, m))
+    rows = [terms(a, b) for a, b in zip(u, m, strict=True)]
+    if len(rows) < 2:
+        dim = ctx.rep.dim
+        return combine(*rows[0])[None] if rows else np.empty((0, dim, dim), np.complex128)
+    return combine(*np.array(rows, dtype=np.complex128).T[:, :, None, None])
+
 
 def op_A(u, m, ctx: DynContext) -> np.ndarray:
     """(g0 + g1(u,m) X + g1(-1,m) Y + Z + rho {X,Y}) / (2 m rho - 1)."""
-    rho = ctx.rho
-    den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
-    rep = ctx.rep
-    g0 = coeff_g0(u, m, rep.params, rho)
-    return (g0 * rep.I
-            + coeff_g1(u, m, rho) * rep.X
-            + coeff_g1(-1, m, rho) * rep.Y
-            + rep.Z
-            + rho * rep.XY) / den
+    rho, rep = ctx.rho, ctx.rep
+
+    def terms(u, m):
+        den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
+        return coeff_g0(u, m, rep.params, rho), coeff_g1(u, m, rho), coeff_g1(-1, m, rho), den
+
+    return _family(u, m, ctx, terms, lambda g0, g1x, g1y, den: (
+        g0 * rep.I + g1x * rep.X + g1y * rep.Y + rep.Z + rho * rep.XY) / den)
 
 
 def op_B(u, m, ctx: DynContext) -> np.ndarray:
     """f0 + f1(u,m) X + f1(-1,m) Y + 2m Z + {X,Y}; even in u."""
     rep = ctx.rep
-    return (coeff_f0(u, m, rep.params) * rep.I
-            + coeff_f1(u, m) * rep.X
-            + coeff_f1(-1, m) * rep.Y
-            + 2 * m * rep.Z
-            + rep.XY)
+    return _family(
+        u, m, ctx,
+        lambda u, m: (coeff_f0(u, m, rep.params), coeff_f1(u, m), coeff_f1(-1, m), 2 * m),
+        lambda f0, f1x, f1y, m2: f0 * rep.I + f1x * rep.X + f1y * rep.Y + m2 * rep.Z + rep.XY)
 
 
 def op_C(u, m, ctx: DynContext) -> np.ndarray:
     """C(u,m) = B(u, -m + 1/rho)."""
-    return op_B(u, -m + 1 / ctx.rho, ctx)
+    shift = 1 / ctx.rho
+    return op_B(u, [-x + shift for x in m] if isinstance(m, list) else -m + shift, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -166,15 +180,24 @@ class RelationReport:
     seed: int
     max_residual: float
     worst_tuple: dict | None
+    nonfinite: int  # samples whose residual is NaN or inf
+
+    @property
+    def undecided(self) -> bool:
+        """A sampled sweep in which no residual was finite: it checked nothing."""
+        return RelationId(self.relation) not in DEFINING and self.nonfinite == self.samples
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "relation": self.relation,
             "samples": self.samples,
             "seed": self.seed,
             "max_residual": self.max_residual,
             "worst_tuple": scalars_to_pairs(self.worst_tuple) if self.worst_tuple else None,
         }
+        if self.nonfinite:
+            out["nonfinite"] = self.nonfinite
+        return out
 
 
 def _defining(relation: RelationId):
@@ -189,9 +212,8 @@ def _draw_uvm(rng):
 
 def _sample_bb(rng, ctx):
     u, v, m = _draw_uvm(rng)
-    lhs = op_B(u, m + 1, ctx) @ op_B(v, m, ctx)
-    rhs = op_B(v, m + 1, ctx) @ op_B(u, m, ctx)
-    return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+    B_u1, B_v, B_v1, B_u = op_B([u, v, v, u], [m + 1, m, m + 1, m], ctx)
+    return residual_norm(B_u1 @ B_v, B_v1 @ B_u), {"u": u, "v": v, "m": m}
 
 
 def _sample_ab(rng, ctx):
@@ -199,11 +221,11 @@ def _sample_ab(rng, ctx):
 
     def evaluate(t):
         u, v, m = t
-        lhs = op_A(u, m, ctx) @ op_B(v, m, ctx)
-        rhs = (coeff_k1(u, v) * (op_B(v, m, ctx) @ op_A(u, m - 1, ctx))
-               + op_B(u, m, ctx) @ (coeff_k2(u, v, m, rho) * op_A(v, m - 1, ctx)
-                                    + coeff_k2(u, -v, m, rho) * op_A(-v, m - 1, ctx)))
-        return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+        A_um, A_u, A_v, A_mv = op_A([u, u, v, -v], [m, m - 1, m - 1, m - 1], ctx)
+        B_v, B_u = op_B([v, u], [m, m], ctx)
+        rhs = (coeff_k1(u, v) * (B_v @ A_u)
+               + B_u @ (coeff_k2(u, v, m, rho) * A_v + coeff_k2(u, -v, m, rho) * A_mv))
+        return residual_norm(A_um @ B_v, rhs), {"u": u, "v": v, "m": m}
 
     return draw_until(rng, _draw_uvm, evaluate)
 
@@ -213,11 +235,11 @@ def _sample_ca(rng, ctx):
 
     def evaluate(t):
         u, v, m = t
-        lhs = op_C(v, m, ctx) @ op_A(u, m, ctx)
-        rhs = (coeff_k1(u, v) * (op_A(u, m - 1, ctx) @ op_C(v, m, ctx))
-               + (coeff_k2(u, v, m, rho) * op_A(v, m - 1, ctx)
-                  + coeff_k2(u, -v, m, rho) * op_A(-v, m - 1, ctx)) @ op_C(u, m, ctx))
-        return residual_norm(lhs, rhs), {"u": u, "v": v, "m": m}
+        A_um, A_u, A_v, A_mv = op_A([u, u, v, -v], [m, m - 1, m - 1, m - 1], ctx)
+        C_v, C_u = op_C([v, u], [m, m], ctx)
+        rhs = (coeff_k1(u, v) * (A_u @ C_v)
+               + (coeff_k2(u, v, m, rho) * A_v + coeff_k2(u, -v, m, rho) * A_mv) @ C_u)
+        return residual_norm(C_v @ A_um, rhs), {"u": u, "v": v, "m": m}
 
     return draw_until(rng, _draw_uvm, evaluate)
 
@@ -338,8 +360,9 @@ def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
 
     Draws `samples` random tuples, each redrawn until the evaluation of its
     left and right sides keeps the pole margin, and reports the worst
-    residual (a NaN residual of a draw is never the worst).  R1-R3 take no
-    draw: their one evaluation, with tuple None, is reported as it is.
+    residual (a NaN residual of a draw is never the worst) and the number of
+    non-finite residuals; a sweep with no finite one is undecided.  R1-R3
+    take no draw: their one evaluation, with tuple None, is reported as it is.
     Raises RelationViolation when the reported residual exceeds tol.
     ABV_ACTION checks the slot convention of the Bethe vector itself: the
     swapped root in slot r carries the index m - r + 1.
@@ -349,11 +372,12 @@ def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
         tol = DEFAULT_TOLS[relation]
     rng = np.random.default_rng(seed)
     sampler = SAMPLERS[relation]
-    worst, worst_tuple = 0.0, None
+    worst, worst_tuple, nonfinite = 0.0, None, 0
     for _ in range(1 if relation in DEFINING else samples):
         res, tup = sampler(rng, ctx)
+        nonfinite += not math.isfinite(res)
         if res > worst or tup is None:
             worst, worst_tuple = res, tup
     if worst > tol:
         raise RelationViolation(relation.value, worst, tol, worst_tuple)
-    return RelationReport(relation.value, samples, seed, worst, worst_tuple)
+    return RelationReport(relation.value, samples, seed, worst, worst_tuple, nonfinite)

@@ -153,17 +153,11 @@ def h_coeffs(u, hp: HeunParams) -> tuple[complex, complex, complex]:
     return h1_scalar(u, hp), h1_scalar(-u, hp), h2_scalar(u, hp)
 
 
-def _wa_combination(u, hp: HeunParams, ctx: DynContext) -> np.ndarray:
-    h1p, h1m, h2 = h_coeffs(u, hp)
-    return (h1p * op_A(u, hp.m_bar, ctx)
-            + h1m * op_A(-u, hp.m_bar, ctx)
-            + h2 * ctx.rep.I)
-
-
 def wa_residuals(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
-    """(residual vs the parametric W, u-independence residual between u1 and u2)."""
+    """(residual vs the parametric W, u-independence residual between u1 and u2)
+    of h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u), with the four A's one stack."""
     W = build_W_parametric(hp, ctx)
-    R1 = _wa_combination(u1, hp, ctx)
-    R2 = _wa_combination(u2, hp, ctx)
+    A = op_A([u1, -u1, u2, -u2], [hp.m_bar] * 4, ctx)
+    R1, R2 = (h1p * A[k] + h1m * A[k + 1] + h2 * ctx.rep.I
+              for k, (h1p, h1m, h2) in ((0, h_coeffs(u1, hp)), (2, h_coeffs(u2, hp))))
     return residual_norm(R1, W), residual_norm(R1, R2)
-

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from heun_racah import bethe
-from heun_racah.bethe import (bethe_vector, canonical_roots, eigenvalue_w,
-                              f1_W, homogeneous_residuals,
-                              inhomogeneous_residuals, inhomogeneous_terms,
-                              maba_reduce, psi, unwanted_U, vacuum,
-                              vacuum_coeffs)
+from heun_racah.bethe import (bethe_vector, canonical_roots, eigenvalue_w, f1_W,
+                              inhomogeneous_residuals, maba_reduce, psi, unwanted_U,
+                              vacuum, vacuum_coeffs)
 from heun_racah.core import guard, pole_margin, vector_residual
 from heun_racah.dynamical import DynContext, coeff_k1, coeff_k2, draw_rho, op_A, op_B
 from heun_racah.errors import ModeError, ParameterDomainError
@@ -146,8 +144,37 @@ def reference_abv_rhs(u, m, roots, ctx, middle_step=1):
     return out
 
 
+def plain_chain(pairs, ctx):
+    """B(x_1, m_1) @ .. @ B(x_p, m_p) @ |0> from [(x_1, m_1), ..], one scalar
+    op_B call and one single product per factor."""
+    v = vacuum(ctx.rep.params.N)
+    for x, m in reversed(pairs):
+        v = op_B(x, m, ctx) @ v
+    return v
+
+
 class TestSharedFactors:
     """Sharing B factors across a family of Bethe vectors changes no bit."""
+
+    @pytest.mark.parametrize("N", [0, 1, 4, 12])
+    def test_swapped_family_equals_plain_chains(self, N):
+        # slot i carries the index m_top - i + 1, as that expression rounds,
+        # whatever root it holds
+        rng, rp, ctx, hp = random_setup(120 + N, N)
+        m_top = hp.m_bar
+        for p in range(5):
+            u = draw_complex(rng)
+            roots = [draw_complex(rng) for _ in range(p)]
+            pairs = [(x, m_top - i + 1) for i, x in enumerate(roots, start=1)]
+            base, swapped, extended = bethe._swapped_family(roots, u, m_top, ctx)
+            assert np.array_equal(base, plain_chain(pairs, ctx))
+            assert np.array_equal(bethe_vector(roots, m_top, ctx), base)
+            assert swapped.shape == (p, N + 1)
+            for j in range(1, p + 1):
+                slot = pairs[:j - 1] + [(u, m_top - j + 1)] + pairs[j:]
+                assert np.array_equal(swapped[j - 1], plain_chain(slot, ctx))
+            # slot p + 1: m_top - (p + 1) + 1 rounds differently from m_top - p
+            assert np.array_equal(extended, plain_chain(pairs + [(u, m_top - (p + 1) + 1)], ctx))
 
     def test_swapped_family_equals_bethe_vector(self):
         for N in range(1, 7):
@@ -193,7 +220,7 @@ class TestSharedFactors:
             bethe.maba_identity_residuals(u, roots[:2], hp, ctx)
 
     def test_abv_rhs_matches_reference_exactly(self):
-        for N in (1, 4, 12):
+        for N in (0, 1, 4, 12):
             rng, rp, ctx, hp = random_setup(100 + N, N)
             for p in range(4):
                 u, m = draw_complex(rng), draw_complex(rng)
@@ -204,9 +231,9 @@ class TestSharedFactors:
     def test_abv_residual_builds_each_root_factor_once(self, monkeypatch):
         builds = []
 
-        def counted_op_B(*args):
-            builds.append(args[:2])
-            return op_B(*args)
+        def counted_op_B(u, m, ctx):  # counts each (u, m) pair of a stack
+            builds.extend(zip(u, m) if isinstance(u, list) else [(u, m)])
+            return op_B(u, m, ctx)
 
         for N in (1, 4, 12):
             rng, rp, ctx, hp = random_setup(110 + N, N)
@@ -347,6 +374,11 @@ class TestPsi:
             psi(2.0, 2, [1.5], hp0)
 
 
+def homogeneous_residuals(roots, hp, ctx):
+    """The cleared homogeneous Bethe equations U_r, r = 1..p_bar."""
+    return bethe.BetheSystem(hp, ctx, bethe.HOMOGENEOUS).reference(roots)[0]
+
+
 class TestHomogeneousResiduals:
     def test_mode_error_without_integer_p_bar(self, ctx0, hp0):
         with pytest.raises(ModeError):
@@ -460,6 +492,40 @@ class TestInhomogeneous:
             inhomogeneous_residuals([1.5, 2.5], hp0, ctx0)
 
 
+def inhomogeneous_terms(u, roots, hp):
+    """(w^(i), [U_1^(i)..U_N^(i)]): the corrections from reducing the
+    extension term back onto N-root Bethe vectors."""
+    N = hp.rp.N
+    tau_u, tau_list = maba_reduce(u, roots, hp)
+    w_i = tau_u * bethe.psi_factored(u, N, roots, hp)
+    return w_i, bethe._tau_corrections(tau_list, roots, bethe._psi_brackets(N, hp)[0], hp.rho)
+
+
+def wv_action_residual(u, roots, hp, ctx, mode=bethe.HOMOGENEOUS):
+    """Residual of the full W-action expansion on an (off-shell) Bethe vector.
+
+    In homogeneous form the expansion keeps the explicit extension term;
+    in inhomogeneous form (p = N) the extension is absorbed into the
+    tau-corrected coefficients.  The vectors are _swapped_family's: the
+    Bethe vector, the (p, dim) stack of its swapped vectors, and the
+    vector with u appended.
+    """
+    p = len(roots)
+    rho = hp.rho
+    W = build_W_parametric(hp, ctx)
+    V, swapped, extended = bethe._swapped_family(roots, u, hp.m_bar, ctx)
+    inhomogeneous = mode == bethe.INHOMOGENEOUS
+    w_i, u_i = inhomogeneous_terms(u, roots, hp) if inhomogeneous else (0, [0] * p)
+    rhs = (eigenvalue_w(u, roots, hp) + w_i) * V
+    for r in range(1, p + 1):
+        coef = (unwanted_U(r, roots, hp) + u_i[r - 1]) \
+            / (rho * (rho - 1) * guard(u * u - roots[r - 1] ** 2, "W action pole: u^2 = x_r^2"))
+        rhs = rhs + coef * swapped[r - 1]
+    if not inhomogeneous:
+        rhs = rhs + bethe.psi_factored(u, p, roots, hp) * extended
+    return vector_residual(W @ V, rhs)
+
+
 class TestWVAction:
     def test_full_identity_off_shell(self):
         for seed, N in ((60, 1), (61, 3), (62, 5)):
@@ -467,7 +533,7 @@ class TestWVAction:
             for p in (0, 1, 2, 3):
                 res = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
-                    at_margin(1e-2, lambda t: bethe.wv_action_residual(*t, hp, ctx)))
+                    at_margin(1e-2, lambda t: wv_action_residual(*t, hp, ctx)))
                 assert res <= 1e-9
 
     def test_inhomogeneous_identity_off_shell(self):
@@ -475,7 +541,7 @@ class TestWVAction:
             rng, rp, ctx, hp = random_setup(seed, N)
             res = draw_until(
                 rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
-                at_margin(1e-2, lambda t: bethe.wv_action_residual(
+                at_margin(1e-2, lambda t: wv_action_residual(
                     *t, hp, ctx, mode=bethe.INHOMOGENEOUS)))
             assert res <= 1e-9
 

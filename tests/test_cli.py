@@ -56,6 +56,25 @@ class TestVerifyCommand:
         (report,) = json.loads(out.read_text())["reports"]
         assert set(report) == {"relation", "samples", "seed", "max_residual", "worst_tuple"}
 
+    def test_sweep_without_a_finite_residual_is_undecided(self, tmp_path, capsys):
+        # at N = 40 on the criterion-8 parameters every MABA_REDUCTION
+        # residual overflows to NaN: the sweep checked nothing
+        c8 = {"N": 40, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--relations", "MABA_REDUCTION,BB_EXCHANGE", "--params", path,
+                       "--samples", "10", "--out", str(out)])
+        assert rc == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].startswith("MABA_REDUCTION") \
+            and rows[0].endswith("UNDECIDED (10 of 10 non-finite)")
+        assert rows[1].startswith("BB_EXCHANGE") and rows[1].endswith(" ok")
+        maba, bb = json.loads(out.read_text())["reports"]
+        assert maba["nonfinite"] == 10 and "nonfinite" not in bb
+
     def test_bad_gamma_delta_exits_2(self, tmp_path, capsys):
         bad = dict(P0_GENERIC, gamma=[1, 0], delta=[-2, 0])
         path = write_params(tmp_path, bad)

@@ -5,12 +5,14 @@ import pytest
 
 from heun_racah import (coeff_f0, coeff_f1, coeff_g0, coeff_g1, coeff_k1,
                         coeff_k2, op_A, op_B, op_C, verify_relation)
-from heun_racah.core import residual_norm, vector_residual
+from heun_racah.core import pole_margin, residual_norm, vector_residual
 from heun_racah.dynamical import DynContext, RelationId, draw_rho
 from heun_racah.errors import ParameterDomainError, RelationViolation
 from heun_racah.racah import Representation, build_params, build_representation
-from heun_racah.sampling import draw_racah_params
+from heun_racah.sampling import REJECT_MARGIN, draw_complex, draw_racah_params, draw_until
 from heun_racah.serialize import dump_json
+
+from conftest import keeping
 
 
 class TestCoefficients:
@@ -99,6 +101,41 @@ class TestOperators:
         assert vector_residual(lhs, rhs) <= 1e-11
 
 
+class TestStacks:
+    """A list of (u_k, m_k) pairs builds a stack whose slices are the scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize("N", [0, 1, 4, 12])
+    def test_slices_equal_scalar_calls(self, N):
+        rng = np.random.default_rng(200 + N)
+        ctx = DynContext(rep=build_representation(draw_racah_params(rng, N)),
+                         rho=draw_rho(rng))
+        for op in (op_A, op_B, op_C):
+            for k in (0, 1, 2, 3, 7, 13):
+                us, ms = draw_until(
+                    rng, lambda r: ([draw_complex(r) for _ in range(k)],
+                                    [draw_complex(r) for _ in range(k)]),
+                    keeping(REJECT_MARGIN, lambda t: [op(u, m, ctx) for u, m in zip(*t)]))
+                stack = op(us, ms, ctx)
+                assert stack.shape == (k, N + 1, N + 1)
+                for i in range(k):
+                    assert np.array_equal(stack[i], op(us[i], ms[i], ctx))
+
+    def test_pole_in_a_stack_raises_the_scalar_error(self, ctx0):
+        # the second m sits 1e-4 from 2 m rho = 1: inside the sampling margin
+        us, ms = [1.3, 2.1 + 0.4j, 0.7j], [0.9, 1 / (2 * ctx0.rho) + 1e-4, 1.4]
+        with pole_margin(REJECT_MARGIN):
+            with pytest.raises(ParameterDomainError, match="op_A pole") as scalar:
+                op_A(us[1], ms[1], ctx0)
+            with pytest.raises(ParameterDomainError, match="op_A pole") as stacked:
+                op_A(us, ms, ctx0)
+        assert str(stacked.value) == str(scalar.value)
+        assert op_A(us, ms, ctx0).shape == (3, 2, 2)
+
+    def test_unequal_lengths_are_rejected(self, ctx0):
+        with pytest.raises(ValueError):
+            op_B([1.0, 2.0], [0.5], ctx0)
+
+
 class TestVerifyRelation:
     def test_bb_exchange(self, ctx0):
         report = verify_relation(RelationId.BB_EXCHANGE, ctx0, samples=50, seed=1)
@@ -152,9 +189,43 @@ class TestVerifyRelation:
         assert out["relation"] == "BB_EXCHANGE"
         assert out["samples"] == 3 and out["seed"] == 9
         assert set(out["worst_tuple"]) == {"u", "v", "m"}
+        assert report.nonfinite == 0 and not report.undecided
+
+    def test_non_finite_samples_are_counted(self, ctx0, monkeypatch):
+        from heun_racah import dynamical
+        nan = float("nan")
+
+        def sweep(residuals):
+            draws = iter(residuals)
+            monkeypatch.setitem(dynamical.SAMPLERS, RelationId.BB_EXCHANGE,
+                                lambda rng, ctx: (next(draws), {"u": 1.0}))
+            return verify_relation(RelationId.BB_EXCHANGE, ctx0, samples=len(residuals))
+
+        # a NaN residual is never the worst, but it is counted
+        report = sweep([1e-14, nan, 2e-14, nan])
+        assert report.max_residual == 2e-14 and report.nonfinite == 2
+        assert report.to_json_dict()["nonfinite"] == 2 and not report.undecided
+        report = sweep([nan, nan, nan])
+        assert report.max_residual == 0.0 and report.worst_tuple is None
+        assert report.nonfinite == 3 and report.undecided
+        with pytest.raises(RelationViolation):  # inf is the worst residual
+            sweep([1e-14, float("inf")])
 
 
 class TestSampling:
+    @pytest.mark.parametrize("annulus", [(), (1.5, 3.5)])
+    def test_draws_repeat_the_uniform_formula(self, annulus):
+        # draw_complex takes rng.uniform's arithmetic on rng.random(), so
+        # every seeded draw of earlier versions is unchanged
+        def uniform_formula(rng, rmin=0.5, rmax=5.0):
+            r = rng.uniform(rmin, rmax)
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            return complex(r * np.cos(theta), r * np.sin(theta))
+
+        new, old = np.random.default_rng(5), np.random.default_rng(5)
+        assert all(draw_complex(new, *annulus) == uniform_formula(old, *annulus)
+                   for _ in range(100_000))
+
     def test_exhausted_rejection_is_a_domain_error(self):
         from heun_racah.errors import HeunRacahError
         from heun_racah.core import guard

@@ -18,6 +18,7 @@ from heun_racah.racah import build_params, build_representation
 from heun_racah.solver import SolverConfig, newton_refine, seed_starts
 
 from conftest import finite_difference_map
+from test_bethe import inhomogeneous_terms
 
 CRITERION_8 = (2.2 + 0.4j, 1.3, 0.8, 1.7, 0.9, 2.6)
 # (N, beta, gamma, delta, rho, s1, s2) with an integer root count p_bar:
@@ -44,8 +45,8 @@ def reference(mode, hp, ctx):
     if mode == INHOMOGENEOUS:
         return (lambda x: bethe.inhomogeneous_residuals(x, hp, ctx),
                 lambda x: bethe.inhomogeneous_scales(x, hp, ctx))
-    return (lambda x: bethe.homogeneous_residuals(x, hp, ctx),
-            lambda x: BetheSystem(hp, ctx, HOMOGENEOUS).reference(x)[1])
+    system = BetheSystem(hp, ctx, HOMOGENEOUS)
+    return lambda x: system.reference(x)[0], lambda x: system.reference(x)[1]
 
 
 def cases():
@@ -203,6 +204,6 @@ class TestBetheSystem:
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         for start, (residuals, _) in seed_starts(system, SolverConfig(starts=16, seed=N)):
             for u in (2.37 + 0.91j, -3.1 + 0.2j):
-                _, u_i = bethe.inhomogeneous_terms(u, start, hp)
+                _, u_i = inhomogeneous_terms(u, start, hp)
                 assert residuals == [bethe.unwanted_U(r, start, hp) + u_i[r - 1]
                                      for r in range(1, N + 1)]

@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
             rep = verify_relation(rel, ctx, samples=args.samples, tol=args.tol,
                                   seed=args.seed)
             # a sweep without a finite residual reports max residual 0
-            status = f"UNDECIDED ({rep.nonfinite} of {rep.samples} non-finite)" \
+            status = f"UNDECIDED ({rep.nonfinite} of {rep.evaluations} non-finite)" \
                 if rep.undecided else "ok"
         except RelationViolation as exc:
             rep = None

@@ -183,9 +183,14 @@ class RelationReport:
     nonfinite: int  # samples whose residual is NaN or inf
 
     @property
+    def evaluations(self) -> int:
+        """Residuals the sweep took: one for R1-R3, which take no draw."""
+        return 1 if RelationId(self.relation) in DEFINING else self.samples
+
+    @property
     def undecided(self) -> bool:
-        """A sampled sweep in which no residual was finite: it checked nothing."""
-        return RelationId(self.relation) not in DEFINING and self.nonfinite == self.samples
+        """A sweep in which no residual was finite: it checked nothing."""
+        return self.nonfinite == self.evaluations
 
     def to_json_dict(self) -> dict:
         out = {

@@ -3,9 +3,10 @@
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
 Newton never meets the removable poles of the equivalent ratio equations.
-Each solve builds one bethe.BetheSystem.  Every start goes through Newton
-on its closed_form pass (residuals and closed-form Jacobian at once),
-then deflation, which drops a root set whose sign orbits {x, -x} repeat a
+Each solve builds one bethe.BetheSystem.  Every start goes through damped
+Newton on its closed_form pass (residuals and closed-form Jacobian at once),
+whose line search resumes two halvings above the step it last accepted, then
+deflation, which drops a root set whose sign orbits {x, -x} repeat a
 certified state's, then certification of each new state against the dense
 eigendecomposition of W, which is entirely independent of the Bethe machinery.
 The starts end early once every dense eigenvalue has a certified state.
@@ -104,10 +105,12 @@ class SolveReport:
 def newton_refine(fj, x0):
     """Damped Newton on a map fj(x) -> (F, J), with J = dF/dx at x.
 
-    Returns (x, converged, iterations).  A start is abandoned (converged False)
-    on a pole at the start point, a condition number s_max/s_min of J above
-    1e14, a failed SVD or solve, or thirty failed step halvings.  Convergence
-    means ||F||_inf (one float per evaluation) <= NEWTON_TOL * (1 + ||F(x_start)||_inf).
+    Returns (x, converged, iterations).  The line search takes the first of the
+    steps 2^-k0, 2^-(k0+1), ... that strictly lowers ||F||_inf, with k0 = 0 at
+    first and k0 = max(k - 2, 0) after accepting 2^-k.  A start is abandoned
+    (converged False) on a pole at the start point, cond(J) = s_max/s_min above
+    1e14, a failed SVD or solve, or no decrease down to step 2^-29.  Convergence
+    means ||F||_inf (one float per evaluation) <= NEWTON_TOL * (1 + ||F(x0)||_inf).
     """
     x = np.asarray(x0, dtype=np.complex128).copy()
     out = _try_eval(fj, x)
@@ -115,6 +118,7 @@ def newton_refine(fj, x0):
         return x, False, 0
     F, J, norm = out
     tol = NEWTON_TOL * (1.0 + norm)
+    k0 = 0
     for it in range(MAX_ITER):
         if norm <= tol:
             return x, True, it
@@ -129,11 +133,12 @@ def newton_refine(fj, x0):
             delta = np.linalg.solve(J, -np.asarray(F, dtype=np.complex128))
         except np.linalg.LinAlgError:
             return x, False, it
-        for k in range(MAX_HALVINGS):
+        for k in range(k0, MAX_HALVINGS):
             xt = x + 0.5 ** k * delta
             out = _try_eval(fj, xt)
             if out is not None and out[2] < norm:
                 x, (F, J, norm) = xt, out
+                k0 = max(k - 2, 0)
                 break
         else:
             return x, False, it

@@ -75,6 +75,21 @@ class TestVerifyCommand:
         maba, bb = json.loads(out.read_text())["reports"]
         assert maba["nonfinite"] == 10 and "nonfinite" not in bb
 
+    def test_non_finite_defining_relation_is_undecided(self, tmp_path, capsys, monkeypatch):
+        from heun_racah import dynamical
+        real = dynamical.defining_residuals
+        monkeypatch.setattr(dynamical, "defining_residuals",
+                            lambda rep: dict(real(rep), R2=float("nan")))
+        path = write_params(tmp_path, P0_GENERIC)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--relations", "R1,R2,R3", "--params", path,
+                     "--out", str(out)]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].endswith(" ok") and rows[2].endswith(" ok")
+        assert rows[1].startswith("R2") and rows[1].endswith("UNDECIDED (1 of 1 non-finite)")
+        r1, r2, r3 = json.loads(out.read_text())["reports"]
+        assert r2["nonfinite"] == 1 and "nonfinite" not in r1 and "nonfinite" not in r3
+
     def test_bad_gamma_delta_exits_2(self, tmp_path, capsys):
         bad = dict(P0_GENERIC, gamma=[1, 0], delta=[-2, 0])
         path = write_params(tmp_path, bad)

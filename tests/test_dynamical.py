@@ -211,6 +211,17 @@ class TestVerifyRelation:
         with pytest.raises(RelationViolation):  # inf is the worst residual
             sweep([1e-14, float("inf")])
 
+    def test_non_finite_defining_residual_is_undecided(self, ctx0, monkeypatch):
+        from heun_racah import dynamical
+        residuals = dynamical.defining_residuals(ctx0.rep)
+        monkeypatch.setattr(dynamical, "defining_residuals",
+                            lambda rep: dict(residuals, R2=float("nan")))
+        # R1-R3 make one evaluation, whatever the sample count
+        r1, r2 = (verify_relation(rel, ctx0, samples=50) for rel in (RelationId.R1, RelationId.R2))
+        assert r2.nonfinite == 1 and r2.evaluations == 1 and r2.undecided
+        assert r2.to_json_dict()["nonfinite"] == 1
+        assert not r1.undecided and "nonfinite" not in r1.to_json_dict()
+
 
 class TestSampling:
     @pytest.mark.parametrize("annulus", [(), (1.5, 3.5)])

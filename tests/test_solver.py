@@ -94,11 +94,40 @@ class TestNewtonRefine:
         _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
         assert not ok and its == 0
 
+    def test_line_search_resumes_two_halvings_above_the_last_step(self):
+        # Newton on tanh from 2.5 first accepts the step 1/8, so the next
+        # iteration starts at 1/2; the full-step search starts at 1 again
+        def run(refine):
+            points = []
+
+            def fj(x):
+                points.append(complex(x[0]))
+                return np.tanh(x), [[1 / np.cosh(x[0]) ** 2]]
+            return refine(fj, np.array([2.5 + 0j])), points
+
+        (x, ok, _), points = run(newton_refine)
+        (x_ref, ok_ref, _), points_ref = run(reference_newton_refine)
+        # (first trial step, accepted step) of each iteration; the step is
+        # delta = -tanh(x) cosh(x)^2 = -sinh(2x) / 2 from the iterate x
+        steps, x_k, first = [], points[0], None
+        for p in points[1:]:
+            t = 2.0 ** round(np.log2(((p - x_k) / (-np.sinh(2 * x_k) / 2)).real))
+            first = first or t
+            if abs(np.tanh(p)) < abs(np.tanh(x_k)):
+                steps.append((first, t))
+                x_k, first = p, None
+        assert steps[0] == (1.0, 0.125)
+        for (_, accepted), (first, _) in zip(steps, steps[1:]):
+            assert first == min(1.0, 4 * accepted)
+        assert ok and ok_ref and abs(x[0] - x_ref[0]) < 1e-11
+        assert len(points) < len(points_ref)
+
 
 def reference_newton_refine(fj, x0):
-    """newton_refine as it was before each evaluation took its norm once and
-    the condition number came from the singular values: the oracle the
-    rewrite must match bit for bit."""
+    """newton_refine as it was before its line search resumed near the last
+    accepted step: every iteration backtracks from the full step (and takes
+    norms and the condition number the older way).  The oracle whose
+    certified states and evaluation count the resumed search is held to."""
     def try_eval(x):
         try:
             F, J = fj(x)
@@ -201,33 +230,58 @@ def recorded_newton_calls(monkeypatch, solve, *args):
 
 
 class TestNewtonMatchesReference:
-    """One norm per evaluation and the SVD condition number change no bit."""
+    """The line search that resumes near its last accepted step certifies the
+    states the full-step search certifies, with fewer map evaluations."""
 
-    def assert_identical(self, calls):
-        iterations = []
-        for fj, x0 in calls:
-            x, ok, its = newton_refine(fj, x0)
-            x_ref, ok_ref, its_ref = reference_newton_refine(fj, x0)
-            assert np.array_equal(x, x_ref) and ok == ok_ref and its == its_ref
-            iterations.append(its)
-        assert len(calls) == 64 and max(iterations) > 1  # not vacuous
+    @staticmethod
+    def assert_same_states(report, reference):
+        assert np.array_equal(report.oracle, reference.oracle)
+        assert np.array_equal(report.matched, reference.matched)
+        left = list(reference.states)
+        for state in report.states:
+            same = [k for k, ref in enumerate(left)
+                    if abs(state.eigenvalue - ref.eigenvalue)
+                    <= solver.MATCH_TOL * max(1.0, abs(ref.eigenvalue))
+                    and _is_duplicate(state.roots, [ref])]
+            assert same, f"no reference state matches {state.eigenvalue}"
+            del left[same[0]]
+        assert not left and report.states  # not vacuous
+
+    def assert_outcomes(self, monkeypatch, system, cfg):
+        report = _solve(system, cfg)
+        monkeypatch.setattr(solver, "newton_refine", reference_newton_refine)
+        self.assert_same_states(report, reference_solve(system, cfg))
 
     @pytest.mark.parametrize("seed", [0, 2])
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_criterion_8_starts(self, monkeypatch, N, seed):
         rp, ctx, hp = generic_setup(N)
-        # at N = 2 a solve can stop once every eigenvalue is matched (seed 2
-        # after 5 starts), so the full-start loop supplies all 64 seed_starts
-        # with the solve's row scales
-        solve = reference_solve if N == 2 else _solve
-        self.assert_identical(recorded_newton_calls(
-            monkeypatch, solve, BetheSystem(hp, ctx, INHOMOGENEOUS),
-            SolverConfig(starts=64, seed=seed)))
+        self.assert_outcomes(monkeypatch, BetheSystem(hp, ctx, INHOMOGENEOUS),
+                             SolverConfig(starts=64, seed=seed))
 
     def test_size_cap_starts(self, monkeypatch):
         rp, ctx, hp = homogeneous_setup(N=63)
-        self.assert_identical(recorded_newton_calls(
-            monkeypatch, solve_homogeneous, hp, rp, ctx, SolverConfig(starts=64, seed=0)))
+        self.assert_outcomes(monkeypatch, BetheSystem(hp, ctx, HOMOGENEOUS),
+                             SolverConfig(starts=64, seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_fewer_evaluations_at_N4(self, monkeypatch, seed):
+        # N = 4 misses a state, so a solve records all 64 starts
+        rp, ctx, hp = generic_setup(4)
+        calls = recorded_newton_calls(monkeypatch, _solve, BetheSystem(hp, ctx, INHOMOGENEOUS),
+                                      SolverConfig(starts=64, seed=seed))
+        counts = Counter()
+
+        def counting(key, fj):
+            def counted(x):
+                counts[key] += 1
+                return fj(x)
+            return counted
+        for fj, x0 in calls:
+            newton_refine(counting("resumed", fj), x0)
+            reference_newton_refine(counting("full", fj), x0)
+        assert len(calls) == 64
+        assert counts["resumed"] <= 0.8 * counts["full"]
 
 
 class TestConfigAndMatching:

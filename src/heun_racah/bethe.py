@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import guard, vector_residual
+from .core import guard, on_pole, vector_residual
 from .dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from .errors import ModeError, ParameterDomainError
 from .heun import HeunParams, check_same_problem, h1_scalar, h2_scalar, integer_p_bar
@@ -53,7 +53,7 @@ class VacuumCoeffs:
     zeta: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetheState:
     """A candidate or certified Bethe root configuration.
 
@@ -235,7 +235,9 @@ class SwapWeight:
                (beta^2 - (v-N-2-gamma-delta)^2) (delta + gamma - 2m + v),
 
     so g is finite at v = +-1 and its only poles are the two in the
-    denominator.  Calling it returns (g(v), g'(v)).
+    denominator.  Calling it returns (g(v), g'(v)), guarded at both poles;
+    values(v) gives the pair for an array of points and poles(v) says where
+    the guards would raise.
     """
 
     def __init__(self, hp: HeunParams, m):
@@ -253,7 +255,16 @@ class SwapWeight:
 
     def __call__(self, v) -> tuple[complex, complex]:
         guard(v, "swap weight pole: v = 0")
-        den = guard(self.c3 + 2 - v, "swap weight pole: delta+gamma-2m+2 = v")
+        guard(self.c3 + 2 - v, "swap weight pole: delta+gamma-2m+2 = v")
+        return self.values(v)
+
+    def poles(self, v) -> np.ndarray:
+        """Where the points of an array v meet the guards of __call__."""
+        return on_pole(v) | on_pole(self.c3 + 2 - v)
+
+    def values(self, v):
+        """(g(v), g'(v)) without the guards, for a point or an array of points."""
+        den = self.c3 + 2 - v
         core = self.rho * v + self.core0
         vn, vs = v + self.N, v - self.c2
         # numerator factors and their derivatives, combined by the product rule
@@ -457,9 +468,10 @@ class BetheSystem:
 
     reference(roots) evaluates the scalar maps: F[r] = U_{r+1}, plus
     U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales.
-    closed_form(roots) returns F with J[r][j] = dF[r]/dx_j in one pass, for
-    Newton; certification never uses it.  U_r^(i) does not depend on the
-    auxiliary spectral point, so neither pass takes one.
+    closed_form(roots) takes a stack of root sets and returns, for each, F
+    with J[r][j] = dF[r]/dx_j in one pass, for Newton; certification never
+    uses it.  U_r^(i) does not depend on the auxiliary spectral point, so
+    neither pass takes one.
 
     Each summand is a product of rational factors, so the Jacobian follows
     from their logarithmic derivatives.  With y = +-x_r and d_rl = x_r^2 - x_l^2,
@@ -468,9 +480,7 @@ class BetheSystem:
         U_r^(i) = C Z(x_r) prod_{k != r} (c^2 - x_k^2) / d_rk prod_k phi(x_k),
 
     with C = tau prefactor * rho * lambda, Z(x) = prod_z (x^2 - z^2) over the
-    tau zeros and phi(x) = (a1^2 - rho^2 x^2) / (a3^2 - rho^2 x^2).  A factor
-    that is exactly zero raises ZeroDivisionError, which Newton treats as a
-    pole.
+    tau zeros and phi(x) = (a1^2 - rho^2 x^2) / (a3^2 - rho^2 x^2).
     """
 
     hp: HeunParams
@@ -501,9 +511,9 @@ class BetheSystem:
             p, p_bar = hp.rp.N, None
             tau, brackets = _tau_shared(hp), _psi_brackets(p, hp)[0]
             (pref, cpref, zeros), (lam, a1, a3), rho = tau, brackets, hp.rho
-            # the closed form's constants: C, c^2, the z^2, rho^2, a1^2, a3^2
-            squares = (pref * rho * lam, cpref * cpref, [z * z for z in zeros],
-                       rho * rho, a1 * a1, a3 * a3)
+            # the closed form's constants: C, c^2, rho^2, a1^2, a3^2, the zeros z
+            squares = (pref * rho * lam, cpref * cpref, rho * rho, a1 * a1, a3 * a3,
+                       np.array(zeros, dtype=np.complex128))
         else:
             raise ModeError(f"unknown mode {self.mode!r}")
         for name, value in (("p", p), ("p_bar", p_bar),
@@ -536,71 +546,66 @@ class BetheSystem:
                 * psi_factored(u, self.p, roots, self.hp)
         return value
 
-    def closed_form(self, roots) -> tuple[list[complex], list[list[complex]]]:
-        p = self.p
-        x = [complex(v) for v in roots]
-        weights = [(self.weight(v), self.weight(-v)) for v in x]
-        sq = [v * v for v in x]
-        inv = [[0j] * p for _ in range(p)]
-        for r in range(p):
-            for l in range(r):
-                inv[r][l] = 1 / guard(sq[r] - sq[l], "residual kernel pole: x_r^2 = x_l^2")
-                inv[l][r] = -inv[r][l]
+    def closed_form(self, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F (S, p), J (S, p, p) and a pole mask (S,) for an (S, p) stack of root sets.
 
-        F = [0j] * p
-        J = [[0j] * p for _ in range(p)]
-        for r in range(p):
-            row, inv_r = J[r], inv[r]
-            for eps, (g, dg) in zip((1, -1), weights[r]):
-                y = eps * x[r]
-                prod, dlog_y = 1.0, 0j
-                dlog = [0j] * p
-                for l in range(p):
-                    if l == r:
-                        continue
-                    q = 4 * (y - 1) * inv_r[l]
-                    k = 1 - q
-                    prod *= k
-                    w = inv_r[l] / k
-                    dlog_y += w * (2 * y * q - 4)
-                    dlog[l] = -2 * x[l] * q * w
-                t = g * prod
-                F[r] += t
-                row[r] += eps * (dg * prod + t * dlog_y)
-                for l in range(p):
-                    if l != r:
-                        row[l] += t * dlog[l]
-        if self.squares is not None:
-            self._add_corrections(x, sq, inv, F, J)
-        return F, J
+        A lane is masked where its pass meets a pole: a guarded denominator
+        below the floor of core.guard, read at call time, or a divisor that
+        is exactly zero (a k1 factor and, in inhomogeneous mode,
+        a1^2 - rho^2 x^2, c^2 - x^2 or x^2 - z^2).  A masked lane's F and J
+        are meaningless.  Numpy warnings are silenced inside the pass.
+        """
+        x = np.asarray(roots, dtype=np.complex128)
+        p = x.shape[1]
+        off = ~np.eye(p, dtype=bool)
+        diag = np.arange(p)
+        with np.errstate(all="ignore"):
+            sq = x * x
+            d = sq[:, :, None] - sq[:, None, :]  # d[s, r, l] = x_r^2 - x_l^2
+            inv = np.where(off, 1 / d, 0)
+            y = np.stack([x, -x])  # y[e, s, r] = eps x_r for eps = +1, -1
+            g, dg = self.weight.values(y)
+            q = (4 * (y - 1))[..., None] * inv  # 1 - k1(y, x_l), zero at l = r
+            k = 1 - q
+            w = inv / k
+            prod = k.prod(-1)
+            t = g * prod
+            dlog_y = (w * (2 * y[..., None] * q - 4)).sum(-1)
+            dlog = -2 * x[:, None, :] * q * w
+            F = t[0] + t[1]
+            J = t[0][..., None] * dlog[0] + t[1][..., None] * dlog[1]
+            own = dg * prod + t * dlog_y
+            J[:, diag, diag] += own[0] - own[1]
+            pole = (self.weight.poles(x) | (on_pole(d) & off).any(-1)
+                    | (k == 0).any(-1).any(0)).any(-1)
+            if self.squares is not None:
+                F, J, corrections_pole = self._add_corrections(x, sq, inv, F, J)
+                pole |= corrections_pole
+        return F, J, pole
 
     def _add_corrections(self, x, sq, inv, F, J):
-        """Add U_r^(i) and its derivatives to F and J."""
+        """F and J with U_r^(i) and its derivatives added, and where the
+        corrections meet a pole; for the stack of closed_form, inside its
+        silenced warnings."""
         p = self.p
-        coef, csq, zsq, rho2, a1sq, a3sq = self.squares
-        psi, dlog_c, dlog_phi = 1.0, [], []
-        for v, s in zip(x, sq):
-            num = a1sq - rho2 * s
-            den = guard(a3sq - rho2 * s, "residual kernel pole: a3^2 = rho^2 x^2")
-            psi *= num / den
-            dlog_phi.append(2 * rho2 * v * (1 / den - 1 / num))
-            dlog_c.append(-2 * v / (csq - s))
-        for r in range(p):
-            xr, inv_r = x[r], inv[r]
-            val, dlog_r = coef * psi, dlog_phi[r]
-            for zs in zsq:
-                val *= sq[r] - zs
-                dlog_r += 2 * xr / (sq[r] - zs)
-            for k in range(p):
-                if k != r:
-                    val *= (csq - sq[k]) * inv_r[k]
-                    dlog_r -= 2 * xr * inv_r[k]
-            F[r] += val
-            row = J[r]
-            row[r] += val * dlog_r
-            for j in range(p):
-                if j != r:
-                    row[j] += val * (dlog_c[j] + 2 * x[j] * inv_r[j] + dlog_phi[j])
+        off, diag = ~np.eye(p, dtype=bool), np.arange(p)
+        coef, csq, rho2, a1sq, a3sq, z = self.squares
+        # den and cs vanish where the swap weight has its pole: c = a3 / rho = c3 + 2
+        num = a1sq - rho2 * sq
+        den = a3sq - rho2 * sq
+        cs = csq - sq
+        zd = (x[..., None] - z) * (x[..., None] + z)  # x_r^2 - z^2, exactly 0 at x_r = +-z
+        psi = (num / den).prod(-1)
+        dlog_phi = 2 * rho2 * x * (1 / den - 1 / num)
+        dlog_c = -2 * x / cs
+        val = coef * psi[:, None] * zd.prod(-1) \
+            * np.where(off, cs[:, None, :] * inv, 1).prod(-1)
+        dlog_r = dlog_phi + (2 * x[..., None] / zd).sum(-1) - (2 * x[..., None] * inv).sum(-1)
+        dJ = val[..., None] * (dlog_c[:, None, :] + 2 * x[:, None, :] * inv
+                               + dlog_phi[:, None, :])
+        dJ[:, diag, diag] = val * dlog_r
+        pole = (on_pole(den) | (num == 0) | (cs == 0) | (zd == 0).any(-1)).any(-1)
+        return F + val, J + dJ, pole
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,11 @@ def guard(den, what: str):
     return den
 
 
+def on_pole(den) -> np.ndarray:
+    """Where an array of denominators is below the floor: guard() entry by entry."""
+    return np.abs(den) < _floor
+
+
 @contextmanager
 def pole_margin(margin: float):
     """Raise the floor of guard() to `margin` inside the block (never lower it).

@@ -3,13 +3,16 @@
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
 Newton never meets the removable poles of the equivalent ratio equations.
-Each solve builds one bethe.BetheSystem.  Every start goes through damped
-Newton on its closed_form pass (residuals and closed-form Jacobian at once),
-whose line search resumes two halvings above the step it last accepted, then
+Each solve builds one bethe.BetheSystem.  Its starts run as the lanes of
+one damped Newton (newton_lanes): each round takes one stacked closed_form
+pass (residuals and closed-form Jacobian at once) over every lane still
+searching, and each lane's line search resumes two halvings above the step
+it last accepted.  The lanes come back in start order, each then through
 deflation, which drops a root set whose sign orbits {x, -x} repeat a
 certified state's, then certification of each new state against the dense
 eigendecomposition of W, which is entirely independent of the Bethe machinery.
-The starts end early once every dense eigenvalue has a certified state.
+The starts end early once every dense eigenvalue has a certified state, and
+the lanes still running are abandoned.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -17,8 +20,8 @@ rp must be hp.rp, and BetheSystem matches hp with ctx.
 
 from __future__ import annotations
 
-import cmath
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +56,7 @@ class SolverConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """A solve's states and its oracle spectrum, kept as arrays: the dense
     eigenvalues `oracle` and whether a state matched each, `matched`.
@@ -102,58 +105,123 @@ class SolveReport:
         return out
 
 
+def newton_lanes(fj, starts):
+    """Damped Newton from every start at once, one lane per start.
+
+    fj(X, lanes) evaluates the lanes `lanes` (indices into starts) at the
+    points X, an (n, p) stack, and returns F (n, p), J = dF/dx (n, p, p) and
+    a pole mask (n,).  Each lane keeps newton_refine's rules.  A round makes
+    one batched SVD and solve for the lanes at an accepted point, then one
+    call of fj for every lane still searching along its step.
+
+    A generator: it yields (x, converged, iterations) for each start in
+    start order, as soon as that lane and every lane before it have
+    finished.  Closing it abandons the lanes still running.
+    """
+    if not len(starts):
+        return
+    x = np.array(starts, dtype=np.complex128)
+    F, J, norm = _evaluate(fj, x, np.arange(len(x)))
+    tol = NEWTON_TOL * (1.0 + norm)
+    at_point = np.isfinite(norm)  # a lane whose start is a pole ends at once
+    done = ~at_point
+    searching = np.zeros_like(done)
+    converged = np.zeros_like(done)
+    its, k0, k = (np.zeros(len(x), dtype=int) for _ in range(3))
+    delta = np.zeros_like(x)
+    handed = 0
+    while True:
+        while handed < len(x) and done[handed]:
+            yield x[handed].copy(), bool(converged[handed]), int(its[handed])
+            handed += 1
+        if handed == len(x):
+            return
+        # at an accepted point: converged, out of iterations, or a step
+        at = np.flatnonzero(at_point)
+        at_point[at] = False
+        converged[at] = norm[at] <= tol[at]
+        go = at[~converged[at] & (its[at] < MAX_ITER)]
+        go = go[np.isfinite(J[go]).all(axis=(1, 2))]
+        if go.size:
+            delta[go], ok = _newton_steps(J[go], F[go])
+            go = go[ok]
+        done[at] = True
+        done[go] = False
+        searching[go] = True
+        k[go] = k0[go]
+        # one pass over every searching lane at its trial step 2^-k
+        lanes = np.flatnonzero(searching)
+        if not lanes.size:
+            continue
+        xt = x[lanes] + np.ldexp(1.0, -k[lanes])[:, None] * delta[lanes]
+        Ft, Jt, nt = _evaluate(fj, xt, lanes)
+        accept = nt < norm[lanes]
+        acc, rej = lanes[accept], lanes[~accept]
+        x[acc], F[acc], J[acc], norm[acc] = xt[accept], Ft[accept], Jt[accept], nt[accept]
+        k0[acc] = np.maximum(k[acc] - 2, 0)
+        its[acc] += 1
+        searching[acc] = False
+        at_point[acc] = True
+        k[rej] += 1
+        spent = rej[k[rej] >= MAX_HALVINGS]
+        searching[spent] = False
+        done[spent] = True
+
+
+def _evaluate(fj, X, lanes):
+    """fj's F and J at X with each lane's ||F||_inf, which is inf on a masked
+    lane and wherever F or the norm is not finite."""
+    F, J, pole = fj(X, lanes)
+    with np.errstate(all="ignore"):
+        norm = np.abs(F).max(axis=1, initial=0.0)
+    norm[pole | ~np.isfinite(norm)] = np.inf
+    return F, J, norm
+
+
+def _newton_steps(J, F):
+    """(delta, ok) for a stack of lanes: the steps solve(J, -F), and ok where
+    cond(J) = s_max/s_min is at most COND_LIMIT and neither the SVD nor the
+    solve failed.  When a stacked call fails, the lanes go one by one."""
+    try:
+        with np.errstate(all="ignore"):  # singular J: inf, or NaN when J = 0
+            s = np.linalg.svd(J, compute_uv=False)
+            ok = s[:, 0] / s[:, -1] <= COND_LIMIT
+        delta = np.zeros_like(F)
+        delta[ok] = np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
+        return delta, ok
+    except np.linalg.LinAlgError:
+        if len(J) == 1:
+            return np.zeros_like(F), np.zeros(1, dtype=bool)
+        steps = [_newton_steps(J[i:i + 1], F[i:i + 1]) for i in range(len(J))]
+        return np.concatenate([d for d, _ in steps]), np.concatenate([ok for _, ok in steps])
+
+
 def newton_refine(fj, x0):
-    """Damped Newton on a map fj(x) -> (F, J), with J = dF/dx at x.
+    """Damped Newton from one start on a map fj(x) -> (F, J), with J = dF/dx
+    at x: the one-lane view of newton_lanes.
 
     Returns (x, converged, iterations).  The line search takes the first of the
     steps 2^-k0, 2^-(k0+1), ... that strictly lowers ||F||_inf, with k0 = 0 at
     first and k0 = max(k - 2, 0) after accepting 2^-k.  A start is abandoned
     (converged False) on a pole at the start point, cond(J) = s_max/s_min above
-    1e14, a failed SVD or solve, or no decrease down to step 2^-29.  Convergence
-    means ||F||_inf (one float per evaluation) <= NEWTON_TOL * (1 + ||F(x0)||_inf).
+    1e14, a non-finite J, a failed SVD or solve, or no decrease down to step
+    2^-29.  A map that raises a pole error, or gives a non-finite F, has met
+    a pole.  Convergence means ||F||_inf <= NEWTON_TOL * (1 + ||F(x0)||_inf).
     """
-    x = np.asarray(x0, dtype=np.complex128).copy()
-    out = _try_eval(fj, x)
-    if out is None:
-        return x, False, 0
-    F, J, norm = out
-    tol = NEWTON_TOL * (1.0 + norm)
-    k0 = 0
-    for it in range(MAX_ITER):
-        if norm <= tol:
-            return x, True, it
-        J = np.asarray(J, dtype=np.complex128).reshape(x.size, x.size)
-        if not np.isfinite(J).all():
-            return x, False, it
+    x0 = np.asarray(x0, dtype=np.complex128).ravel()
+    n = x0.size
+
+    def lane(X, _lanes):
         try:
-            with np.errstate(all="ignore"):  # singular J: inf, or NaN when J = 0
-                s = np.linalg.svd(J, compute_uv=False)
-                if not s[0] / s[-1] <= COND_LIMIT:
-                    return x, False, it
-            delta = np.linalg.solve(J, -np.asarray(F, dtype=np.complex128))
-        except np.linalg.LinAlgError:
-            return x, False, it
-        for k in range(k0, MAX_HALVINGS):
-            xt = x + 0.5 ** k * delta
-            out = _try_eval(fj, xt)
-            if out is not None and out[2] < norm:
-                x, (F, J, norm) = xt, out
-                k0 = max(k - 2, 0)
-                break
-        else:
-            return x, False, it
-    return x, norm <= tol, MAX_ITER
+            F, J = fj(X[0])
+        except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
+            return np.zeros((1, n), dtype=np.complex128), \
+                np.zeros((1, n, n), dtype=np.complex128), np.ones(1, dtype=bool)
+        return np.asarray(F, dtype=np.complex128).reshape(1, n), \
+            np.asarray(J, dtype=np.complex128).reshape(1, n, n), np.zeros(1, dtype=bool)
 
-
-def _try_eval(fj, x):
-    """(F, J, ||F||_inf), F and J as fj gave them, or None on a pole or a non-finite F."""
-    try:
-        F, J = fj(x)
-    except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
-        return None
-    if not all(map(cmath.isfinite, F)):  # before max(), which NaN makes order-dependent
-        return None
-    return F, J, max(map(abs, F), default=0.0)
+    with closing(newton_lanes(lane, [x0])) as lanes:
+        return next(lanes)
 
 
 def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
@@ -255,8 +323,22 @@ def _is_duplicate(roots, states) -> bool:
     return any(same_orbits(s.roots) for s in states)
 
 
+def _lanes(system: BetheSystem, starts):
+    """newton_lanes over the starts that kept the pole margin, on the
+    closed form with each lane's rows scaled by its start's scales."""
+    live = [(roots, reference[1]) for roots, reference in starts if reference is not None]
+    norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
+
+    def fj(X, lanes):
+        F, J, pole = system.closed_form(X)
+        n = norms[lanes]
+        return F * n, J * n[:, :, None], pole
+    return newton_lanes(fj, [roots for roots, _ in live])
+
+
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     """Run the seeded starts (one when there are no roots) through Newton,
+    all as lanes of one newton_lanes, then each in start order through
     deflation and certification until every oracle eigenvalue is matched;
     a later start could only repeat a certified orbit set, or give a second
     root set for an eigenvalue whose eigenvector is already certified."""
@@ -268,33 +350,28 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     matched = np.zeros(len(oracle), dtype=bool)
     rejects: Counter = Counter()
     attempts = converged = 0
-    for start, reference in seed_starts(system, cfg):
-        attempts += 1
-        if reference is None:
-            rejects["pole_margin"] += 1
-            continue
-        norms = [1.0 / s for s in reference[1]]
-
-        def fj(x):  # the closed form, row r scaled by norms[r]
-            F, J = system.closed_form(x)
-            return ([v * n for v, n in zip(F, norms)],
-                    [[v * n for v in row] for row, n in zip(J, norms)])
-
-        roots, ok, _its = newton_refine(fj, start)
-        if not ok:
-            rejects["newton"] += 1
-            continue
-        converged += 1
-        if _is_duplicate(roots, (state for state, _, _ in certified)):
-            continue
-        entry, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle)
-        if entry is None:
-            rejects[reason] += 1
-            continue
-        certified.append(entry)
-        matched[entry[1]] = True
-        if matched.all():
-            break
+    starts = seed_starts(system, cfg)
+    with closing(_lanes(system, starts)) as lanes:
+        for _start, reference in starts:
+            attempts += 1
+            if reference is None:
+                rejects["pole_margin"] += 1
+                continue
+            roots, ok, _its = next(lanes)
+            if not ok:
+                rejects["newton"] += 1
+                continue
+            converged += 1
+            if _is_duplicate(roots, (state for state, _, _ in certified)):
+                continue
+            entry, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle)
+            if entry is None:
+                rejects[reason] += 1
+                continue
+            certified.append(entry)
+            matched[entry[1]] = True
+            if matched.all():
+                break
 
     certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
                                   tuple((x.real, x.imag) for x in c[0].roots)))

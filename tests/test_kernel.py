@@ -1,8 +1,11 @@
 """The Bethe system's closed-form residual-and-Jacobian pass against its references.
 
-The references are the scalar residual maps in `bethe` (for values), central
-finite differences and a sympy derivative (for the Jacobian), and Newton on
-a finite-difference Jacobian (for the solver path).
+The pass takes a stack of root sets; `lane_view` reads one lane of it.  The
+references are the scalar residual maps in `bethe` (for values), central
+finite differences and a sympy derivative (for the Jacobian), Newton on a
+finite-difference Jacobian (for the solver path), and `reference_closed_form`,
+the same pass written one root set at a time, which raises at a pole where
+the stacked pass masks the lane (tests/test_properties.py compares the two).
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import sympy as sp
 
 from heun_racah import bethe
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, canonical_roots
+from heun_racah.core import guard
 from heun_racah.dynamical import DynContext
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
@@ -56,10 +60,92 @@ def cases():
         yield pytest.param(HOMOGENEOUS, params, id=f"hom-N{params[0]}-rho{params[4]:.3f}")
 
 
+def lane_view(system):
+    """x -> (F, J) of the stacked pass on the one-lane stack [x]; a masked lane raises."""
+    def kernel(x):
+        F, J, pole = system.closed_form([x])
+        if pole[0]:
+            raise ParameterDomainError("closed form: the lane is masked as a pole")
+        return F[0], J[0]
+    return kernel
+
+
 def kernel_for(mode, params):
     rp, ctx, hp = setup(*params)
     system = BetheSystem(hp, ctx, mode)
-    return system.closed_form, system.p, hp, rp, ctx
+    return lane_view(system), system.p, hp, rp, ctx
+
+
+def reference_closed_form(system, roots):
+    """(F, J) of system.closed_form for one root set, as lists, written as a
+    scalar pass; a pole raises ParameterDomainError (a guarded denominator)
+    or ZeroDivisionError (an exactly zero divisor)."""
+    p = system.p
+    x = [complex(v) for v in roots]
+    weights = [(system.weight(v), system.weight(-v)) for v in x]
+    sq = [v * v for v in x]
+    inv = [[0j] * p for _ in range(p)]
+    for r in range(p):
+        for l in range(r):
+            inv[r][l] = 1 / guard(sq[r] - sq[l], "residual kernel pole: x_r^2 = x_l^2")
+            inv[l][r] = -inv[r][l]
+
+    F = [0j] * p
+    J = [[0j] * p for _ in range(p)]
+    for r in range(p):
+        row, inv_r = J[r], inv[r]
+        for eps, (g, dg) in zip((1, -1), weights[r]):
+            y = eps * x[r]
+            prod, dlog_y = 1.0, 0j
+            dlog = [0j] * p
+            for l in range(p):
+                if l == r:
+                    continue
+                q = 4 * (y - 1) * inv_r[l]
+                k = 1 - q
+                prod *= k
+                w = inv_r[l] / k
+                dlog_y += w * (2 * y * q - 4)
+                dlog[l] = -2 * x[l] * q * w
+            t = g * prod
+            F[r] += t
+            row[r] += eps * (dg * prod + t * dlog_y)
+            for l in range(p):
+                if l != r:
+                    row[l] += t * dlog[l]
+    if system.squares is not None:
+        _add_reference_corrections(system, x, sq, inv, F, J)
+    return F, J
+
+
+def _add_reference_corrections(system, x, sq, inv, F, J):
+    """Add U_r^(i) and its derivatives to F and J."""
+    p = system.p
+    coef, csq, rho2, a1sq, a3sq, _ = system.squares
+    zsq = [z * z for z in system.tau[2]]
+    psi, dlog_c, dlog_phi = 1.0, [], []
+    for v, s in zip(x, sq):
+        num = a1sq - rho2 * s
+        den = guard(a3sq - rho2 * s, "residual kernel pole: a3^2 = rho^2 x^2")
+        psi *= num / den
+        dlog_phi.append(2 * rho2 * v * (1 / den - 1 / num))
+        dlog_c.append(-2 * v / (csq - s))
+    for r in range(p):
+        xr, inv_r = x[r], inv[r]
+        val, dlog_r = coef * psi, dlog_phi[r]
+        for zs in zsq:
+            val *= sq[r] - zs
+            dlog_r += 2 * xr / (sq[r] - zs)
+        for k in range(p):
+            if k != r:
+                val *= (csq - sq[k]) * inv_r[k]
+                dlog_r -= 2 * xr * inv_r[k]
+        F[r] += val
+        row = J[r]
+        row[r] += val * dlog_r
+        for j in range(p):
+            if j != r:
+                row[j] += val * (dlog_c[j] + 2 * x[j] * inv_r[j] + dlog_phi[j])
 
 
 @pytest.mark.parametrize("mode, params", cases())
@@ -140,10 +226,13 @@ def test_jacobian_matches_sympy_at_two_roots():
 @pytest.mark.parametrize("roots", [[1.5, -1.5], [1.5 + 0.5j, 1.5 + 0.5j], [0.0, 2.0],
                                    [2.0, 0.0]])
 def test_poles_raise(mode, params, roots):
-    kernel, p, *_ = kernel_for(mode, params)
-    assert p == 2
+    # the scalar pass raises, and the stacked pass masks the lane beside a regular one
+    rp, ctx, hp = setup(*params)
+    system = BetheSystem(hp, ctx, mode)
+    assert system.p == 2
     with pytest.raises(ParameterDomainError):
-        kernel(roots)
+        reference_closed_form(system, roots)
+    assert system.closed_form([roots, [1.3 - 0.4j, 2.9 + 1.7j]])[2].tolist() == [True, False]
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -157,8 +246,8 @@ def test_newton_agrees_with_finite_difference_jacobian(N):
         norms = np.array([1 / s for s in scales])
 
         def scaled(x):
-            F, J = system.closed_form(list(x))
-            return np.array(F) * norms, np.array(J) * norms[:, None]
+            F, J = lane_view(system)(x)
+            return F * norms, J * norms[:, None]
         x_fd, ok_fd, _ = newton_refine(finite_difference_map(lambda x: scaled(x)[0]), start)
         x_cf, ok_cf, _ = newton_refine(scaled, start)
         assert ok_fd == ok_cf

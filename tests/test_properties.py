@@ -2,6 +2,9 @@
 
 Scalars come from the sampling annulus, and a draw is admissible when the
 formula keeps the package's pole margin, as in every seeded sweep.  The
+stacked closed form is held to its scalar reference on every drawn lane and
+on lanes planted on each kind of pole; values are compared where the pass
+is well conditioned, the pole mask on every lane.  The
 runs are derandomized and keep no example database, so every run of the
 suite checks the same examples.
 """
@@ -11,12 +14,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import identity, pole_margin, residual_norm
 from heun_racah.dynamical import DynContext, op_A, op_B, op_C
 from heun_racah.errors import CanonicalizationError, ParameterDomainError
-from heun_racah.heun import BilinearParams, build_W_bilinear, build_W_parametric, canonicalize
+from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear,
+                             build_W_parametric, canonicalize)
 from heun_racah.racah import build_params, build_representation
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
+
+from test_kernel import reference_closed_form
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -65,3 +72,84 @@ def test_canonicalize_then_rebuild_round_trips(N, r):
     ctx = DynContext(rep=rep, rho=hp.rho)
     rebuilt = scale * build_W_parametric(hp, ctx) + shift * identity(rep.dim)
     assert residual_norm(build_W_bilinear(bp, rep), rebuilt) <= 1e-10
+
+
+def bethe_system(mode, p):
+    """A system with p roots: criterion-8 at N = p (inhomogeneous), or N = 4
+    with rho = 2 / (2p + 5), where gamma = 1, delta = 2 and s1 = 0 give
+    p_bar = 1/rho - 5/2 = p (homogeneous)."""
+    if mode == INHOMOGENEOUS:
+        rp, rho, s1, s2 = build_params(p, 2.2 + 0.4j, 1.3, 0.8), 1.7, 0.9, 2.6
+    else:
+        rp, rho, s1, s2 = build_params(4, 5, 1, 2), 2 / (2 * p + 5), 0, 3
+    ctx = DynContext(rep=build_representation(rp), rho=rho)
+    return BetheSystem(build_heun_params(rho, s1, s2, rp), ctx, mode)
+
+
+SYSTEMS = {(mode, p): bethe_system(mode, p)
+           for mode in (HOMOGENEOUS, INHOMOGENEOUS) for p in range(1, 5)}
+
+
+def planted_poles(system, roots):
+    """roots with one pole planted per kind the system has: x = 0, the swap
+    weight's x = c3 + 2, in inhomogeneous mode a3^2 = rho^2 x^2 and a tau
+    zero x = z (x^2 - z^2 = 0 exactly), and for p >= 2 x_1^2 = x_2^2 and
+    k1(x_1, x_2) = 0 exactly (x_1 = 3, x_2 = 1)."""
+    firsts = [[0j], [system.weight.c3 + 2]]
+    if system.mode == INHOMOGENEOUS:
+        firsts += [[system.brackets[2] / system.hp.rho], [system.tau[2][0]]]
+    if system.p >= 2:
+        firsts += [[roots[0], -roots[0]], [3 + 0j, 1 + 0j]]
+    return [first + list(roots[len(first):]) for first in firsts]
+
+
+def a1_lane(system, roots):
+    """roots with x_1 = a1 / rho, where a1^2 - rho^2 x^2 is exactly zero at
+    some p and not at others: a pole exactly where the scalar pass raises."""
+    return [[system.brackets[1] / system.hp.rho] + list(roots[1:])] \
+        if system.mode == INHOMOGENEOUS else []
+
+
+def smallest_gap(system, roots) -> float:
+    """The smallest |A - B| / (|A| + |B|) over the differences of two terms
+    that the pass divides by: x_r^2 - x_l^2, d_rl - 4 (y - 1) of each k1
+    factor, c3 + 2 -+ x of the swap weight and, in inhomogeneous mode,
+    a1^2, a3^2, c^2 and each z^2 against rho^2 x^2 or x^2.  The two passes
+    round x^2 differently in the last digit, and a difference amplifies that
+    by the inverse of its gap."""
+    x = [complex(v) for v in roots]
+    pairs = [(system.weight.c3 + 2, y) for v in x for y in (v, -v)]
+    pairs += [(u * u, v * v) for i, u in enumerate(x) for v in x[:i]]
+    pairs += [(u * u - v * v, 4 * (y - 1)) for i, u in enumerate(x)
+              for j, v in enumerate(x) if i != j for y in (u, -u)]
+    if system.mode == INHOMOGENEOUS:
+        rho, (_, a1, a3), (_, c, zeros) = system.hp.rho, system.brackets, system.tau
+        pairs += [(a * a, rho * rho * v * v) for a in (a1, a3) for v in x]
+        pairs += [(w * w, v * v) for w in (c, *zeros) for v in x]
+    return min((abs(a - b) / (abs(a) + abs(b)) for a, b in pairs), default=1.0)
+
+
+@PROPERTY
+@given(key=st.sampled_from(sorted(SYSTEMS)), data=st.data())
+def test_stacked_closed_form_is_the_scalar_pass(key, data):
+    system = SYSTEMS[key]
+    drawn = data.draw(st.lists(st.lists(annulus, min_size=system.p, max_size=system.p),
+                               min_size=1, max_size=6))
+    drawn += a1_lane(system, drawn[0])
+    stack = drawn + planted_poles(system, drawn[0])
+    F, J, pole = system.closed_form(stack)
+    assert F.shape == (len(stack), system.p) and J.shape == (len(stack), system.p, system.p)
+    raised = []
+    for roots, F_lane, J_lane in zip(stack, F, J):
+        try:
+            F_ref, J_ref = map(np.array, reference_closed_form(system, roots))
+        except (ParameterDomainError, ZeroDivisionError):
+            raised.append(True)
+            continue
+        raised.append(False)
+        if smallest_gap(system, roots) < 1e-3:
+            continue  # the values are compared where the pass is well conditioned
+        assert np.max(np.abs(F_lane - F_ref)) <= 1e-12 * np.max(np.abs(F_ref))
+        assert np.max(np.abs(J_lane - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
+    assert pole.tolist() == raised
+    assert all(raised[len(drawn):])  # every planted lane is a pole

@@ -14,10 +14,11 @@ from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
 from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER, NEWTON_TOL,
                                SolveReport, SolverConfig, _certify, _is_duplicate, _solve,
-                               newton_refine, seed_starts, solve_homogeneous,
+                               newton_lanes, newton_refine, seed_starts, solve_homogeneous,
                                solve_inhomogeneous)
 
 from conftest import finite_difference_map
+from test_kernel import lane_view, reference_closed_form
 
 
 def homogeneous_setup(N=1, rho=2 / 7, beta=5):
@@ -94,6 +95,18 @@ class TestNewtonRefine:
         _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
         assert not ok and its == 0
 
+    def test_a_step_that_keeps_the_norm_is_never_accepted(self):
+        # ||F|| stays 1 along every step, so no trial lowers it strictly: the
+        # start is abandoned after the start point and the 30 trial steps
+        points = []
+
+        def fj(x):
+            points.append(complex(x[0]))
+            return [1.0 + 0j], [[1.0]]
+        x, ok, its = newton_refine(fj, np.array([0.0 + 0j]))
+        assert not ok and its == 0 and x[0] == 0
+        assert points == [0.0] + [-(0.5 ** k) for k in range(MAX_HALVINGS)]
+
     def test_line_search_resumes_two_halvings_above_the_last_step(self):
         # Newton on tanh from 2.5 first accepts the step 1/8, so the next
         # iteration starts at 1/2; the full-step search starts at 1 again
@@ -168,10 +181,31 @@ def reference_newton_refine(fj, x0):
     return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), MAX_ITER
 
 
-def reference_solve(system, cfg):
-    """solver._solve as it was before the loop stopped at full coverage:
-    every start runs.  The oracle the early stop must lose nothing against.
-    It calls solver.newton_refine, so recorded_newton_calls sees its starts."""
+def scaled_reference_map(system, scales):
+    """The scalar reference_closed_form with row r scaled by 1 / scales[r],
+    as a solve scales each lane's rows."""
+    norms = [1.0 / s for s in scales]
+
+    def fj(x):
+        F, J = reference_closed_form(system, x)
+        return ([v * n for v, n in zip(F, norms)],
+                [[v * n for v in row] for row, n in zip(J, norms)])
+    return fj
+
+
+def scalar_newton(system, starts, refine=reference_newton_refine):
+    """(roots, converged, iterations) of each start that kept the margin,
+    in start order: one scalar Newton per start on the scalar closed form."""
+    for start, reference in starts:
+        if reference is not None:
+            yield refine(scaled_reference_map(system, reference[1]), start)
+
+
+def reference_solve(system, cfg, newton=scalar_newton):
+    """solver._solve without its stop at full coverage: every start runs.
+    newton(system, starts) gives the Newton result of each start that kept
+    the margin, in start order; by default the full-step scalar search, and
+    with solver._lanes a full run of the solve's own lane kernel."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
@@ -179,19 +213,14 @@ def reference_solve(system, cfg):
     certified = []
     rejects = Counter()
     attempts = converged = 0
-    for start, reference in seed_starts(system, cfg):
+    starts = seed_starts(system, cfg)
+    results = newton(system, starts)
+    for start, reference in starts:
         attempts += 1
         if reference is None:
             rejects["pole_margin"] += 1
             continue
-        norms = [1.0 / s for s in reference[1]]
-
-        def fj(x):
-            F, J = system.closed_form(x)
-            return ([v * n for v, n in zip(F, norms)],
-                    [[v * n for v in row] for row, n in zip(J, norms)])
-
-        roots, ok, _its = solver.newton_refine(fj, start)
+        roots, ok, _its = next(results)
         if not ok:
             rejects["newton"] += 1
             continue
@@ -217,21 +246,23 @@ def reference_solve(system, cfg):
                        diagnostics={"rejected": dict(rejects)} if rejects else {})
 
 
-def recorded_newton_calls(monkeypatch, solve, *args):
-    """The (fj, x0) of every newton_refine call a solve makes."""
-    calls = []
+def counted_closed_form(monkeypatch):
+    """A Counter whose "rows" counts the root sets passed to the stacked
+    closed form."""
+    counts = Counter()
+    stacked = BetheSystem.closed_form
 
-    def recording(fj, x0):
-        calls.append((fj, np.array(x0, dtype=np.complex128)))
-        return newton_refine(fj, x0)
-    monkeypatch.setattr(solver, "newton_refine", recording)
-    solve(*args)
-    return calls
+    def counting(self, roots):
+        counts["rows"] += len(roots)
+        return stacked(self, roots)
+    monkeypatch.setattr(BetheSystem, "closed_form", counting)
+    return counts
 
 
 class TestNewtonMatchesReference:
-    """The line search that resumes near its last accepted step certifies the
-    states the full-step search certifies, with fewer map evaluations."""
+    """The lane kernel, whose line search resumes near its last accepted
+    step, certifies the states the scalar full-step search certifies from
+    every start, with fewer map evaluations."""
 
     @staticmethod
     def assert_same_states(report, reference):
@@ -247,41 +278,95 @@ class TestNewtonMatchesReference:
             del left[same[0]]
         assert not left and report.states  # not vacuous
 
-    def assert_outcomes(self, monkeypatch, system, cfg):
-        report = _solve(system, cfg)
-        monkeypatch.setattr(solver, "newton_refine", reference_newton_refine)
-        self.assert_same_states(report, reference_solve(system, cfg))
+    def assert_outcomes(self, system, cfg):
+        self.assert_same_states(_solve(system, cfg), reference_solve(system, cfg))
 
     @pytest.mark.parametrize("seed", [0, 2])
     @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_criterion_8_starts(self, monkeypatch, N, seed):
+    def test_criterion_8_starts(self, N, seed):
         rp, ctx, hp = generic_setup(N)
-        self.assert_outcomes(monkeypatch, BetheSystem(hp, ctx, INHOMOGENEOUS),
+        self.assert_outcomes(BetheSystem(hp, ctx, INHOMOGENEOUS),
                              SolverConfig(starts=64, seed=seed))
 
-    def test_size_cap_starts(self, monkeypatch):
+    def test_size_cap_starts(self):
         rp, ctx, hp = homogeneous_setup(N=63)
-        self.assert_outcomes(monkeypatch, BetheSystem(hp, ctx, HOMOGENEOUS),
-                             SolverConfig(starts=64, seed=0))
+        self.assert_outcomes(BetheSystem(hp, ctx, HOMOGENEOUS), SolverConfig(starts=64, seed=0))
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_fewer_evaluations_at_N4(self, monkeypatch, seed):
-        # N = 4 misses a state, so a solve records all 64 starts
+        # N = 4 misses a state, so a solve runs all 64 starts; each lane row
+        # the stacked pass evaluates is one evaluation of one start
         rp, ctx, hp = generic_setup(4)
-        calls = recorded_newton_calls(monkeypatch, _solve, BetheSystem(hp, ctx, INHOMOGENEOUS),
-                                      SolverConfig(starts=64, seed=seed))
-        counts = Counter()
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        cfg = SolverConfig(starts=64, seed=seed)
+        evaluations = Counter()
 
-        def counting(key, fj):
+        def counting(fj, x0):
             def counted(x):
-                counts[key] += 1
+                evaluations["full"] += 1
                 return fj(x)
-            return counted
-        for fj, x0 in calls:
-            newton_refine(counting("resumed", fj), x0)
-            reference_newton_refine(counting("full", fj), x0)
-        assert len(calls) == 64
-        assert counts["resumed"] <= 0.8 * counts["full"]
+            return reference_newton_refine(counted, x0)
+        for _ in scalar_newton(system, seed_starts(system, cfg), counting):
+            pass
+        rows = counted_closed_form(monkeypatch)
+        assert _solve(system, cfg).attempts == 64
+        assert rows["rows"] <= 0.8 * evaluations["full"]
+
+
+class TestNewtonLanes:
+    """The starts run as the lanes of one Newton and come back in start order."""
+
+    def test_a_lane_waits_for_every_earlier_lane(self):
+        # lane 0 starts farthest from its root, so lanes 1 and 2 finish first
+        targets = np.array([4.0, 9.0, 16.0])
+        calls = []
+
+        def fj(X, lanes):
+            calls.append(lanes.tolist())
+            return X * X - targets[lanes, None], 2 * X[:, :, None], np.zeros(len(X), bool)
+        lanes = newton_lanes(fj, [[1e3 + 0j], [3.5 + 0j], [4.1 + 0j]])
+        x, ok, its = next(lanes)
+        assert ok and abs(x[0] - 2) < 1e-12
+        assert calls[-1] == [0]  # the last rounds stepped lane 0 alone
+        passes = len(calls)
+        rest = list(lanes)
+        assert len(calls) == passes  # the later lanes had finished already
+        assert [(ok, abs(x[0] - root) < 1e-12) for (x, ok, _), root in zip(rest, (3, 4))] \
+            == [(True, True)] * 2
+        assert its > max(its for _, _, its in rest)
+
+    def test_start_order_and_closing(self, monkeypatch):
+        # criterion-8 N = 2 at seed 2 stops after 5 of 64 starts
+        rp, ctx, hp = generic_setup(2)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        cfg = SolverConfig(starts=64, seed=2)
+        starts = seed_starts(system, cfg)
+        assert all(reference is not None for _, reference in starts)
+        counts = counted_closed_form(monkeypatch)
+        lanes = solver._lanes(system, starts)
+        first = [next(lanes) for _ in range(5)]
+        rows = counts["rows"]
+        lanes.close()
+        with pytest.raises(StopIteration):
+            next(lanes)
+        assert counts["rows"] == rows  # closing evaluated no further lane
+        # lane i is start i's Newton: the one-lane view from that start
+        kernel = lane_view(system)
+        for (x, ok, its), (start, (_, scales)) in zip(first, starts):
+            norms = np.array([1 / s for s in scales])
+
+            def one(x):
+                F, J = kernel(x)
+                return F * norms, J * norms[:, None]
+            x1, ok1, its1 = newton_refine(one, start)
+            assert (ok, its) == (ok1, its1)
+            assert np.max(np.abs(x - x1)) <= 1e-12 * np.max(np.abs(x1))
+        # a full run starts the same and evaluates more
+        full = list(solver._lanes(system, starts))
+        assert len(full) == 64 and counts["rows"] > 2 * rows
+        for (x, ok, its), (x_full, ok_full, its_full) in zip(first, full):
+            assert np.array_equal(x, x_full) and (ok, its) == (ok_full, its_full)
+        assert _solve(system, cfg).attempts == 5
 
 
 class TestConfigAndMatching:
@@ -465,7 +550,7 @@ STOP_CASES = [(INHOMOGENEOUS, N, seed) for N in (1, 2, 3, 4) for seed in range(4
 
 class TestStopAtFullCoverage:
     """The loop ends once every dense eigenvalue is matched, and loses nothing
-    the full-start loop finds."""
+    a full run of the same lane kernel finds."""
 
     @staticmethod
     def system(mode, N):
@@ -477,7 +562,7 @@ class TestStopAtFullCoverage:
     def test_stop_loses_nothing(self, mode, N, seed):
         cfg = SolverConfig(starts=64, seed=seed)
         report = _solve(self.system(mode, N), cfg)
-        full = reference_solve(self.system(mode, N), cfg)
+        full = reference_solve(self.system(mode, N), cfg, solver._lanes)
         for key in ("states", "spectrum_coverage", "ambiguous_matches"):
             assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
         assert full.attempts == 64

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import guard, on_pole, vector_residual
-from .dynamical import DynContext, coeff_k1, coeff_k2, op_A, op_B
 from .errors import ModeError, ParameterDomainError
 from .heun import HeunParams, check_same_problem, h1_scalar, h2_scalar, integer_p_bar
-from .racah import RacahParams
+from .racah import DynContext, RacahParams, coeff_k1, coeff_k2, op_A, op_B
 from .sampling import draw_complex, draw_until, within_margin
 
 HOMOGENEOUS = "homogeneous"
@@ -205,6 +204,15 @@ def f1_W(v, hp: HeunParams) -> complex:
         * (1 - 1 / guard(v, "f1_W pole: v = 0"))
 
 
+def _times_k1(out, y, roots, skip=None):
+    """out * k1(y, x_1) .. k1(y, x_p), leaving out root index skip (from 0),
+    multiplied in one at a time in root order."""
+    for l, x in enumerate(roots):
+        if l != skip:
+            out *= coeff_k1(y, x)
+    return out
+
+
 def eigenvalue_w(u, roots, hp: HeunParams) -> complex:
     """Wanted-term coefficient w_p; u-independent on-shell.
 
@@ -217,10 +225,8 @@ def eigenvalue_w(u, roots, hp: HeunParams) -> complex:
     acc = h2_scalar(u, hp)
     for sign in (1, -1):
         su = sign * u
-        term = h1_scalar(su, hp) * vacuum_coeffs(su, hp.m_bar - p, hp.rp, hp.rho).xi
-        for x in roots:
-            term *= coeff_k1(su, x)
-        acc += term
+        acc += _times_k1(h1_scalar(su, hp) * vacuum_coeffs(su, hp.m_bar - p, hp.rp, hp.rho).xi,
+                         su, roots)
     return acc
 
 
@@ -283,15 +289,8 @@ def _unwanted_summands(r: int, roots, weight: SwapWeight) -> list[complex]:
     p = len(roots)
     if not 1 <= r <= p:
         raise ParameterDomainError(f"root index r={r} outside 1..{p}")
-    out = []
-    for eps in (1, -1):
-        xr = eps * roots[r - 1]
-        term = weight(xr)[0]
-        for l in range(1, p + 1):
-            if l != r:
-                term *= coeff_k1(xr, roots[l - 1])
-        out.append(term)
-    return out
+    return [_times_k1(weight(xr)[0], xr, roots, skip=r - 1)
+            for xr in (eps * roots[r - 1] for eps in (1, -1))]
 
 
 def unwanted_U(r: int, roots, hp: HeunParams) -> complex:
@@ -333,18 +332,12 @@ def psi_summed(u, p: int, roots, hp: HeunParams) -> complex:
     out = 0.0 + 0.0j
     for nu in (1, -1):
         su = nu * u
-        inner = vacuum_coeffs(su, m_bar - p, hp.rp, rho).zeta
-        for x in roots:
-            inner *= coeff_k1(su, x)
+        inner = _times_k1(vacuum_coeffs(su, m_bar - p, hp.rp, rho).zeta, su, roots)
         for eps in (1, -1):
-            for t in range(1, p + 1):
-                xt = eps * roots[t - 1]
-                term = vacuum_coeffs(xt, m_bar - p, hp.rp, rho).zeta \
-                    * coeff_k2(su, xt, m_bar, rho)
-                for l in range(1, p + 1):
-                    if l != t:
-                        term *= coeff_k1(xt, roots[l - 1])
-                inner += term
+            for t in range(p):
+                xt = eps * roots[t]
+                inner += _times_k1(vacuum_coeffs(xt, m_bar - p, hp.rp, rho).zeta
+                                   * coeff_k2(su, xt, m_bar, rho), xt, roots, skip=t)
         out += h1_scalar(su, hp) * inner
     return out
 

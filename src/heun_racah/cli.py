@@ -22,13 +22,13 @@ import numpy as np
 
 from .bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
 from .core import dense_spectrum, pole_margin
-from .dynamical import DynContext, RelationId, draw_u_and_roots, verify_relation
+from .dynamical import RelationId, draw_u_and_roots, verify_relation
 from .errors import (CanonicalizationError, DimensionError, ModeError,
                      OracleError, ParameterDomainError, RelationViolation,
                      SolverFailure)
 from .heun import (BilinearParams, build_heun_params, build_W_bilinear,
                    build_W_parametric, canonicalize, integer_p_bar)
-from .racah import build_params, build_representation
+from .racah import DynContext, build_params, build_representation
 from .sampling import REJECT_MARGIN, draw_until
 from .serialize import dump_json, from_pair
 from .solver import SolverConfig, solve_homogeneous, solve_inhomogeneous
@@ -152,6 +152,8 @@ def cmd_verify(args) -> int:
                          for tag in args.relations.split(",") if tag.strip()]
         except ValueError as exc:
             raise ParamFileError(f"unknown relation: {exc}") from exc
+        if not relations:
+            raise ParamFileError("no relation given")
     reports, failures = [], []
     print(f"{'relation':<22} {'samples':>7} {'max residual':>16}  status")
     for rel in relations:

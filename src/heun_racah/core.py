@@ -131,9 +131,11 @@ class SpectrumResult:
 def dense_spectrum(m, want_vectors: bool = False) -> SpectrumResult:
     """Full eigendecomposition of a general (non-Hermitian) complex matrix.
 
-    Raises OracleError if the QR iteration fails to converge or any
-    returned eigenpair misses the backward-error contract; results are
-    never silently truncated.
+    Raises OracleError on a non-finite matrix or if the QR iteration fails
+    to converge; results are never silently truncated.  Only with
+    want_vectors=True are eigenvectors returned and each pair checked
+    against the backward-error contract (ORACLE_TOL relative to ||M||_F);
+    the eigenvalues alone carry no such check.
     """
     a = as_operator(m)
     if not np.all(np.isfinite(a)):

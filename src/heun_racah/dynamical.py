@@ -1,19 +1,17 @@
-"""Dynamical operator families A(u,m), B(u,m), C(u,m) over the Racah algebra.
+"""The relation catalog: every identity the package verifies numerically.
 
-The families depend on a spectral parameter u and a dynamical parameter m
-(both admitted complex) plus one fixed deformation parameter rho, and obey
-exchange relations in which m shifts by one:
+Each identity (RelationId) has one sampler, (rng, ctx) -> (residual,
+tuple), which draws its arguments and evaluates both sides with the
+operator families of racah, the Heun operator of heun and the Bethe
+vectors of bethe; verify_relation is the one seeded sweep, where every
+catalog residual meets its tolerance.  The exchange relations it checks,
+with m shifting by one:
 
     B(u,m+1) B(v,m) = B(v,m+1) B(u,m)
     A(u,m) B(v,m)   = k1(u,v) B(v,m) A(u,m-1)
                       + B(u,m) [k2(u,v,m) A(v,m-1) + k2(u,-v,m) A(-v,m-1)]
     C(v,m) A(u,m)   = k1(u,v) A(u,m-1) C(v,m)
                       + [k2(u,v,m) A(v,m-1) + k2(u,-v,m) A(-v,m-1)] C(u,m)
-
-This module also hosts the catalog of all verifiable identities
-(RelationId): one sampler per identity, each (rng, ctx) -> (residual,
-tuple), and the one seeded sweep verify_relation, which is where every
-catalog residual meets its tolerance.
 """
 
 from __future__ import annotations
@@ -24,34 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bethe import abv_residual, f1_W, maba_identity_residuals, psi, vacuum, vacuum_coeffs
 from .core import guard, residual_norm, vector_residual
 from .errors import RelationViolation
-from .racah import Representation, defining_residuals
+from .heun import build_heun_params, h1_scalar, wa_residuals
+from .racah import (DynContext, check_rho, coeff_k1, coeff_k2, defining_residuals,
+                    op_A, op_B, op_C)
 from .sampling import draw_complex, draw_until
 from .serialize import scalars_to_pairs
 
 
-def check_rho(rho) -> complex:
-    """rho as a complex number; the families and W divide by rho and rho - 1."""
-    rho = complex(rho)
-    guard(rho, "deformation parameter pole: rho = 0")
-    guard(rho - 1, "deformation parameter pole: rho = 1")
-    return rho
-
-
 def draw_rho(rng: np.random.Generator) -> complex:
     return draw_until(rng, draw_complex, check_rho)
-
-
-@dataclass(frozen=True)
-class DynContext:
-    """A representation together with the deformation parameter rho."""
-
-    rep: Representation
-    rho: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", check_rho(self.rho))
 
 
 class RelationId(enum.Enum):
@@ -88,84 +70,6 @@ DEFAULT_TOLS = {
     RelationId.PSI_FACTORED: 1e-10,
     RelationId.MABA_REDUCTION: 1e-8,
 }
-
-
-# --------------------------------------------------------------------------
-# scalar coefficient functions
-
-def coeff_f0(u, m, p) -> complex:
-    return (4 * m * m - 1) * (u * u - 2 * p.b - 1) / 8 - p.d2
-
-
-def coeff_f1(u, m) -> complex:
-    return (4 * m * m - u * u) / 2
-
-
-def coeff_g0(u, m, p, rho) -> complex:
-    """rho f0 + (2 m rho - 1)[(4m - u + 1)(2b + 1 - u^2)/8 - (d1 - d2)/(u - 1)]."""
-    return rho * coeff_f0(u, m, p) + (2 * m * rho - 1) * (
-        (4 * m - u + 1) * (2 * p.b + 1 - u * u) / 8
-        - (p.d1 - p.d2) / guard(u - 1, "coeff_g0 pole: u = 1"))
-
-
-def coeff_g1(u, m, rho) -> complex:
-    return (u - 2 * m) * (2 * m * rho - rho * u - 2) / 2
-
-
-def coeff_k1(u, v) -> complex:
-    """((u-2)^2 - v^2) / (u^2 - v^2)."""
-    return ((u - 2) ** 2 - v * v) / guard(u * u - v * v, "coeff_k1 pole: u^2 = v^2")
-
-
-def coeff_k2(u, v, m, rho) -> complex:
-    """(v-1)(rho(u - v - 4m) + 2) / (v (v-u) (2 m rho - 1))."""
-    return (v - 1) * (rho * (u - v - 4 * m) + 2) / (
-        guard(v, "coeff_k2 pole: v = 0") * guard(v - u, "coeff_k2 pole: v = u")
-        * guard(2 * m * rho - 1, "coeff_k2 pole: 2 m rho = 1"))
-
-
-# --------------------------------------------------------------------------
-# operator families: u and m are scalars, or lists for a (k, dim, dim) stack
-
-def _family(u, m, ctx: DynContext, terms, combine) -> np.ndarray:
-    """combine(*terms(u, m)); for lists, combine broadcast over one (k, 1, 1)
-    column per term, so that slice k is bit for bit the scalar call.  One
-    pair takes the scalar call: numpy rounds a product of two size-1 arrays
-    differently from a broadcast one, which would show at dim 1."""
-    if not isinstance(u, list):
-        return combine(*terms(u, m))
-    rows = [terms(a, b) for a, b in zip(u, m, strict=True)]
-    if len(rows) < 2:
-        dim = ctx.rep.dim
-        return combine(*rows[0])[None] if rows else np.empty((0, dim, dim), np.complex128)
-    return combine(*np.array(rows, dtype=np.complex128).T[:, :, None, None])
-
-
-def op_A(u, m, ctx: DynContext) -> np.ndarray:
-    """(g0 + g1(u,m) X + g1(-1,m) Y + Z + rho {X,Y}) / (2 m rho - 1)."""
-    rho, rep = ctx.rho, ctx.rep
-
-    def terms(u, m):
-        den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
-        return coeff_g0(u, m, rep.params, rho), coeff_g1(u, m, rho), coeff_g1(-1, m, rho), den
-
-    return _family(u, m, ctx, terms, lambda g0, g1x, g1y, den: (
-        g0 * rep.I + g1x * rep.X + g1y * rep.Y + rep.Z + rho * rep.XY) / den)
-
-
-def op_B(u, m, ctx: DynContext) -> np.ndarray:
-    """f0 + f1(u,m) X + f1(-1,m) Y + 2m Z + {X,Y}; even in u."""
-    rep = ctx.rep
-    return _family(
-        u, m, ctx,
-        lambda u, m: (coeff_f0(u, m, rep.params), coeff_f1(u, m), coeff_f1(-1, m), 2 * m),
-        lambda f0, f1x, f1y, m2: f0 * rep.I + f1x * rep.X + f1y * rep.Y + m2 * rep.Z + rep.XY)
-
-
-def op_C(u, m, ctx: DynContext) -> np.ndarray:
-    """C(u,m) = B(u, -m + 1/rho)."""
-    shift = 1 / ctx.rho
-    return op_B(u, [-x + shift for x in m] if isinstance(m, list) else -m + shift, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +156,6 @@ def _sample_ca(rng, ctx):
 def _draw_heun(rng, ctx):
     """Random parametric Heun coefficients (s1, then s2) for this rho; a
     sweep whose formula has the pole 2 m_bar rho = 1 rejects s2 near it."""
-    from .heun import build_heun_params
     return build_heun_params(ctx.rho, draw_complex(rng), draw_complex(rng), ctx.rep.params)
 
 
@@ -262,7 +165,6 @@ def draw_u_and_roots(rng, n: int):
 
 
 def _sample_wa(rng, ctx):
-    from .heun import wa_residuals
 
     def evaluate(t):
         hp, u1, u2 = t
@@ -273,7 +175,6 @@ def _sample_wa(rng, ctx):
 
 
 def _sample_vacuum(rng, ctx):
-    from .bethe import vacuum, vacuum_coeffs
     p = ctx.rep.params
 
     def evaluate(t):
@@ -288,7 +189,6 @@ def _sample_vacuum(rng, ctx):
 
 
 def _sample_abv(rng, ctx):
-    from .bethe import abv_residual
     p = int(rng.integers(0, 4))
 
     def evaluate(t):
@@ -301,8 +201,6 @@ def _sample_abv(rng, ctx):
 
 
 def _sample_combination(rng, ctx):
-    from .bethe import f1_W
-    from .heun import h1_scalar
     rho = ctx.rho
 
     def evaluate(t):
@@ -318,7 +216,6 @@ def _sample_combination(rng, ctx):
 
 
 def _sample_psi(rng, ctx):
-    from .bethe import psi
     p = int(rng.integers(0, 4))
 
     def evaluate(t):
@@ -334,7 +231,6 @@ def _sample_maba(rng, ctx):
     """Backward residual of the reduction identity: the tau-weighted
     summands can dwarf the result for larger N, so the identity check
     normalizes by their magnitudes as well."""
-    from .bethe import maba_identity_residuals
 
     def evaluate(t):
         hp, (u, roots) = t

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import POLE_FLOOR, guard, residual_norm
-from .dynamical import DynContext, check_rho, coeff_g0, op_A
 from .errors import CanonicalizationError, ParameterDomainError
-from .racah import RacahParams, Representation
+from .racah import DynContext, RacahParams, Representation, check_rho, coeff_g0, op_A
 
 
 @dataclass(frozen=True)

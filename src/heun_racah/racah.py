@@ -1,4 +1,5 @@
-"""Finite-dimensional representation of the rank-one Racah algebra.
+"""The rank-one Racah algebra: its finite-dimensional representation and
+the dynamical operator families built on it.
 
 The algebra is generated by X, Y, Z subject to
 
@@ -8,6 +9,12 @@ The algebra is generated by X, Y, Z subject to
 
 realized on C^(N+1) by the recurrence/difference structure of the Racah
 polynomials: X is tridiagonal plus a scalar shift, Y is diagonal, Z = [X, Y].
+
+The families A(u,m), B(u,m), C(u,m) present the algebra through dynamical
+operators: each combines I, X, Y, Z and {X,Y} with scalar coefficients of a
+spectral parameter u, a dynamical parameter m (both complex) and a fixed
+deformation parameter rho, which DynContext carries with the representation.
+The catalog in dynamical checks their exchange relations.
 """
 
 from __future__ import annotations
@@ -136,3 +143,103 @@ def defining_residuals(rep: Representation) -> dict[str, float]:
         "R3": residual_norm(commutator(Y, Z),
                             -2 * (Y @ Y) - 2 * XY + p.b * Y + p.d1 * I),
     }
+
+
+# --------------------------------------------------------------------------
+# the deformation parameter rho and the dynamical operator families
+
+def check_rho(rho) -> complex:
+    """rho as a complex number; the families and W divide by rho and rho - 1."""
+    rho = complex(rho)
+    guard(rho, "deformation parameter pole: rho = 0")
+    guard(rho - 1, "deformation parameter pole: rho = 1")
+    return rho
+
+
+@dataclass(frozen=True)
+class DynContext:
+    """A representation together with the deformation parameter rho."""
+
+    rep: Representation
+    rho: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", check_rho(self.rho))
+
+
+# --------------------------------------------------------------------------
+# scalar coefficient functions
+
+def coeff_f0(u, m, p) -> complex:
+    return (4 * m * m - 1) * (u * u - 2 * p.b - 1) / 8 - p.d2
+
+
+def coeff_f1(u, m) -> complex:
+    return (4 * m * m - u * u) / 2
+
+
+def coeff_g0(u, m, p, rho) -> complex:
+    """rho f0 + (2 m rho - 1)[(4m - u + 1)(2b + 1 - u^2)/8 - (d1 - d2)/(u - 1)]."""
+    return rho * coeff_f0(u, m, p) + (2 * m * rho - 1) * (
+        (4 * m - u + 1) * (2 * p.b + 1 - u * u) / 8
+        - (p.d1 - p.d2) / guard(u - 1, "coeff_g0 pole: u = 1"))
+
+
+def coeff_g1(u, m, rho) -> complex:
+    return (u - 2 * m) * (2 * m * rho - rho * u - 2) / 2
+
+
+def coeff_k1(u, v) -> complex:
+    """((u-2)^2 - v^2) / (u^2 - v^2)."""
+    return ((u - 2) ** 2 - v * v) / guard(u * u - v * v, "coeff_k1 pole: u^2 = v^2")
+
+
+def coeff_k2(u, v, m, rho) -> complex:
+    """(v-1)(rho(u - v - 4m) + 2) / (v (v-u) (2 m rho - 1))."""
+    return (v - 1) * (rho * (u - v - 4 * m) + 2) / (
+        guard(v, "coeff_k2 pole: v = 0") * guard(v - u, "coeff_k2 pole: v = u")
+        * guard(2 * m * rho - 1, "coeff_k2 pole: 2 m rho = 1"))
+
+
+# --------------------------------------------------------------------------
+# operator families: u and m are scalars, or lists for a (k, dim, dim) stack
+
+def _family(u, m, ctx: DynContext, terms, combine) -> np.ndarray:
+    """combine(*terms(u, m)); for lists, combine broadcast over one (k, 1, 1)
+    column per term, so that slice k is bit for bit the scalar call.  One
+    pair takes the scalar call: numpy rounds a product of two size-1 arrays
+    differently from a broadcast one, which would show at dim 1."""
+    if not isinstance(u, list):
+        return combine(*terms(u, m))
+    rows = [terms(a, b) for a, b in zip(u, m, strict=True)]
+    if len(rows) < 2:
+        dim = ctx.rep.dim
+        return combine(*rows[0])[None] if rows else np.empty((0, dim, dim), np.complex128)
+    return combine(*np.array(rows, dtype=np.complex128).T[:, :, None, None])
+
+
+def op_A(u, m, ctx: DynContext) -> np.ndarray:
+    """(g0 + g1(u,m) X + g1(-1,m) Y + Z + rho {X,Y}) / (2 m rho - 1)."""
+    rho, rep = ctx.rho, ctx.rep
+
+    def terms(u, m):
+        den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
+        return coeff_g0(u, m, rep.params, rho), coeff_g1(u, m, rho), coeff_g1(-1, m, rho), den
+
+    return _family(u, m, ctx, terms, lambda g0, g1x, g1y, den: (
+        g0 * rep.I + g1x * rep.X + g1y * rep.Y + rep.Z + rho * rep.XY) / den)
+
+
+def op_B(u, m, ctx: DynContext) -> np.ndarray:
+    """f0 + f1(u,m) X + f1(-1,m) Y + 2m Z + {X,Y}; even in u."""
+    rep = ctx.rep
+    return _family(
+        u, m, ctx,
+        lambda u, m: (coeff_f0(u, m, rep.params), coeff_f1(u, m), coeff_f1(-1, m), 2 * m),
+        lambda f0, f1x, f1y, m2: f0 * rep.I + f1x * rep.X + f1y * rep.Y + m2 * rep.Z + rep.XY)
+
+
+def op_C(u, m, ctx: DynContext) -> np.ndarray:
+    """C(u,m) = B(u, -m + 1/rho)."""
+    shift = 1 / ctx.rho
+    return op_B(u, [-x + shift for x in m] if isinstance(m, list) else -m + shift, ctx)

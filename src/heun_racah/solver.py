@@ -29,10 +29,9 @@ import numpy as np
 from .bethe import (DEFLATION_TOL, BetheState, BetheSystem, HOMOGENEOUS, INHOMOGENEOUS,
                     bethe_vector, canonical_roots, pick_u_aux)
 from .core import dense_spectrum
-from .dynamical import DynContext
 from .errors import ParameterDomainError, SolverFailure
 from .heun import HeunParams, build_W_parametric
-from .racah import RacahParams, y_eigenvalue
+from .racah import DynContext, RacahParams, y_eigenvalue
 from .sampling import REJECT_MARGIN, within_margin
 
 EIGEN_RESIDUAL_TOL = 1e-8

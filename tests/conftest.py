@@ -3,7 +3,7 @@ import pytest
 
 from heun_racah import build_params, build_representation
 from heun_racah.core import pole_margin
-from heun_racah.dynamical import DynContext
+from heun_racah.racah import DynContext
 from heun_racah.heun import build_heun_params
 
 # Reference parameter set used throughout: N=1, beta=5, gamma=1, delta=2,

@@ -13,9 +13,10 @@ import pytest
 from heun_racah import bethe
 from heun_racah.cli import main
 from heun_racah.core import dense_spectrum, vector_residual
-from heun_racah.dynamical import DynContext, RelationId, draw_rho, op_A, verify_relation
+from heun_racah.dynamical import RelationId, draw_rho, verify_relation
 from heun_racah.heun import build_heun_params, build_W_parametric, wa_residuals
-from heun_racah.racah import build_params, build_representation, defining_residuals
+from heun_racah.racah import (DynContext, build_params, build_representation,
+                              defining_residuals, op_A)
 from heun_racah.heun import h_coeffs
 from heun_racah.sampling import draw_complex, draw_racah_params, draw_until
 from heun_racah.solver import SolverConfig, solve_homogeneous, solve_inhomogeneous

@@ -6,10 +6,11 @@ from heun_racah.bethe import (bethe_vector, canonical_roots, eigenvalue_w, f1_W,
                               inhomogeneous_residuals, maba_reduce, psi, unwanted_U,
                               vacuum, vacuum_coeffs)
 from heun_racah.core import guard, pole_margin, vector_residual
-from heun_racah.dynamical import DynContext, coeff_k1, coeff_k2, draw_rho, op_A, op_B
+from heun_racah.dynamical import draw_rho
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric, h1_scalar, h2_scalar
-from heun_racah.racah import build_params, build_representation
+from heun_racah.racah import (DynContext, build_params, build_representation, coeff_k1, coeff_k2,
+                              op_A, op_B)
 from heun_racah.sampling import REJECT_MARGIN, draw_complex, draw_racah_params, draw_until
 
 from conftest import at_margin, keeping
@@ -47,7 +48,6 @@ class TestVacuumCoeffs:
         assert vc.zeta == pytest.approx(-4 / 3)
 
     def test_contract(self, p0, ctx0):
-        from heun_racah.dynamical import op_A, op_B
         e0 = vacuum(p0.N)
         rng = np.random.default_rng(41)
         def residual(t):
@@ -267,7 +267,6 @@ class TestF1W:
             f1_W(0, hp0)
 
     def test_combination_identity(self):
-        from heun_racah.dynamical import coeff_k2
         rng, rp, ctx, hp = random_setup(44, 2)
         rho = ctx.rho
         def sides(t):

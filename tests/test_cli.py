@@ -111,6 +111,14 @@ class TestVerifyCommand:
         path = write_params(tmp_path, P0_GENERIC)
         assert main(["verify", "--relations", "NOT_A_TAG", "--params", path]) == 2
 
+    @pytest.mark.parametrize("tags", [",", " "])
+    def test_empty_relation_list_exits_2(self, tmp_path, capsys, tags):
+        # a list with no tag used to print the table header and exit 0
+        path = write_params(tmp_path, P0_GENERIC)
+        assert main(["verify", "--relations", tags, "--params", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: no relation given" in err
+
     def test_impossible_tolerance_exits_1(self, tmp_path, capsys):
         path = write_params(tmp_path, P0_GENERIC)
         rc = main(["verify", "--relations", "BB_EXCHANGE", "--params", path,
@@ -364,9 +372,8 @@ class TestCheckMabaCommand:
     def test_prefactor_root_branch(self, tmp_path):
         # u pinned at the swap-prefactor root exercises the reduced branch
         from heun_racah import bethe
-        from heun_racah.dynamical import DynContext
         from heun_racah.heun import build_heun_params
-        from heun_racah.racah import build_params, build_representation
+        from heun_racah.racah import DynContext, build_params, build_representation
         rp = build_params(1, 5, 1, 2)
         ctx = DynContext(rep=build_representation(rp), rho=2)
         hp = build_heun_params(2, 1, 3, rp)

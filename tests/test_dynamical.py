@@ -6,9 +6,9 @@ import pytest
 from heun_racah import (coeff_f0, coeff_f1, coeff_g0, coeff_g1, coeff_k1,
                         coeff_k2, op_A, op_B, op_C, verify_relation)
 from heun_racah.core import pole_margin, residual_norm, vector_residual
-from heun_racah.dynamical import DynContext, RelationId, draw_rho
+from heun_racah.dynamical import RelationId, draw_rho
 from heun_racah.errors import ParameterDomainError, RelationViolation
-from heun_racah.racah import Representation, build_params, build_representation
+from heun_racah.racah import DynContext, Representation, build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, draw_complex, draw_racah_params, draw_until
 from heun_racah.serialize import dump_json
 

@@ -4,12 +4,11 @@ import pytest
 from heun_racah import (build_heun_params, build_W_bilinear, build_W_parametric,
                         canonicalize, h_coeffs)
 from heun_racah.core import commutator, identity, residual_norm
-from heun_racah.dynamical import DynContext, draw_rho, op_A
+from heun_racah.dynamical import RelationId, draw_rho, verify_relation
 from heun_racah.errors import (CanonicalizationError, ParameterDomainError,
                                RelationViolation)
-from heun_racah.dynamical import RelationId, verify_relation
 from heun_racah.heun import BilinearParams, h1_scalar, integer_p_bar, wa_residuals
-from heun_racah.racah import build_params, build_representation
+from heun_racah.racah import DynContext, build_params, build_representation, op_A
 from heun_racah.sampling import draw_complex, draw_racah_params, draw_until
 
 from conftest import keeping

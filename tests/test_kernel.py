@@ -15,10 +15,9 @@ import sympy as sp
 from heun_racah import bethe
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, canonical_roots
 from heun_racah.core import guard
-from heun_racah.dynamical import DynContext
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
-from heun_racah.racah import build_params, build_representation
+from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.solver import SolverConfig, newton_refine, seed_starts
 
 from conftest import finite_difference_map

@@ -10,10 +10,9 @@ import pytest
 
 import heun_racah
 from heun_racah.bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
-from heun_racah.dynamical import DynContext
 from heun_racah.errors import ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric
-from heun_racah.racah import build_params, build_representation
+from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.solver import SolverConfig, solve_inhomogeneous
 
 U = 1.9 + 0.3j

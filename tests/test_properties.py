@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import identity, pole_margin, residual_norm
-from heun_racah.dynamical import DynContext, op_A, op_B, op_C
 from heun_racah.errors import CanonicalizationError, ParameterDomainError
 from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear,
                              build_W_parametric, canonicalize)
-from heun_racah.racah import build_params, build_representation
+from heun_racah.racah import DynContext, build_params, build_representation, op_A, op_B, op_C
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
 
 from test_kernel import reference_closed_form

@@ -6,10 +6,9 @@ import pytest
 from heun_racah import bethe, solver
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import dense_spectrum
-from heun_racah.dynamical import DynContext
 from heun_racah.errors import ModeError, ParameterDomainError, SolverFailure
 from heun_racah.heun import build_heun_params, build_W_parametric
-from heun_racah.racah import build_params, build_representation
+from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
 from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER, NEWTON_TOL,

@@ -18,9 +18,12 @@ def test_instrumentation_resolves_every_traced_name(monkeypatch):
 
     patches = tracing.Instrumentation(tracing.Tracer()).patches
     patched = {f"{mod.__name__.rsplit('.', 1)[-1]}.{attr}" for mod, attr, _, _ in patches}
-    # verify_relation carries the per-relation spans, draw_until the draw counts
+    # verify_relation carries the per-relation spans, draw_until the draw counts;
+    # the operator families live in racah, so their spans count every build
+    # only if each module that holds them is patched
     for name in ("bethe.inhomogeneous_scales", "bethe.unwanted_U",
                  "solver.seed_starts", "solver.build_W_parametric",
                  "solver.newton_refine", "dynamical.verify_relation",
-                 "sampling.draw_until"):
+                 "sampling.draw_until", "dynamical.op_A", "dynamical.op_B",
+                 "racah.op_A", "heun.op_A", "bethe.op_B"):
         assert name in patched

@@ -456,8 +456,9 @@ class BetheSystem:
     Construction resolves the root count p once (homogeneous mode: the
     integer p_bar, whose extension prefactor must vanish; inhomogeneous
     mode: N; any other mode is a ModeError) and builds the root-independent
-    constants: the swap weight at m_bar - p and, in inhomogeneous mode
-    only, the tau constants and psi brackets.
+    constants: the swap weight at m_bar - p, the (p, p) off-diagonal mask
+    and diagonal index of the closed form and, in inhomogeneous mode only,
+    the tau constants and psi brackets.
 
     reference(roots) evaluates the scalar maps: F[r] = U_{r+1}, plus
     U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales.
@@ -485,6 +486,8 @@ class BetheSystem:
     tau: tuple | None = field(init=False, repr=False, compare=False)
     brackets: tuple | None = field(init=False, repr=False, compare=False)
     squares: tuple | None = field(init=False, repr=False, compare=False)
+    off: np.ndarray = field(init=False, repr=False, compare=False)  # (p, p): r != l
+    diag: np.ndarray = field(init=False, repr=False, compare=False)  # arange(p)
 
     def __post_init__(self):
         hp = self.hp
@@ -511,7 +514,8 @@ class BetheSystem:
             raise ModeError(f"unknown mode {self.mode!r}")
         for name, value in (("p", p), ("p_bar", p_bar),
                             ("weight", SwapWeight(hp, hp.m_bar - p)),
-                            ("tau", tau), ("brackets", brackets), ("squares", squares)):
+                            ("tau", tau), ("brackets", brackets), ("squares", squares),
+                            ("off", ~np.eye(p, dtype=bool)), ("diag", np.arange(p))):
             object.__setattr__(self, name, value)
 
     def reference(self, roots) -> tuple[list[complex], list[float]]:
@@ -549,9 +553,7 @@ class BetheSystem:
         are meaningless.  Numpy warnings are silenced inside the pass.
         """
         x = np.asarray(roots, dtype=np.complex128)
-        p = x.shape[1]
-        off = ~np.eye(p, dtype=bool)
-        diag = np.arange(p)
+        off, diag = self.off, self.diag
         with np.errstate(all="ignore"):
             sq = x * x
             d = sq[:, :, None] - sq[:, None, :]  # d[s, r, l] = x_r^2 - x_l^2
@@ -580,8 +582,7 @@ class BetheSystem:
         """F and J with U_r^(i) and its derivatives added, and where the
         corrections meet a pole; for the stack of closed_form, inside its
         silenced warnings."""
-        p = self.p
-        off, diag = ~np.eye(p, dtype=bool), np.arange(p)
+        off, diag = self.off, self.diag
         coef, csq, rho2, a1sq, a3sq, z = self.squares
         # den and cs vanish where the swap weight has its pole: c = a3 / rho = c3 + 2
         num = a1sq - rho2 * sq

@@ -84,8 +84,10 @@ def load_params(path: str) -> dict:
         if not isinstance(blk, dict) or set(blk) != BILINEAR_KEYS:
             raise ParamFileError(
                 f"{path}: bilinear block must have exactly keys {sorted(BILINEAR_KEYS)}")
-        out["bilinear"] = BilinearParams(
-            **{k: from_pair(blk[k]) for k in BILINEAR_KEYS})
+        try:
+            out["bilinear"] = BilinearParams(**{k: from_pair(blk[k]) for k in BILINEAR_KEYS})
+        except ValueError as exc:
+            raise ParamFileError(f"{path}: bad value in the bilinear block: {exc}") from exc
     return out
 
 

@@ -19,6 +19,7 @@ The catalog in dynamical checks their exchange relations.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +54,20 @@ def build_params(N: int, beta, gamma, delta) -> RacahParams:
     gamma = complex(gamma)
     delta = complex(delta)
     alpha = complex(-N - 1)
-    b = (beta + delta) * (beta - gamma) + (alpha - delta) * (alpha - gamma) \
-        + delta ** 2 + gamma ** 2 - 2
-    d1 = (gamma ** 2 - delta ** 2) * (2 * beta - gamma + delta) * (gamma + delta - 2 * alpha) / 8
-    d2 = (alpha ** 2 - beta ** 2) * (alpha - beta - 2 * delta) * (2 * gamma - beta - alpha) / 8
+    try:
+        b = (beta + delta) * (beta - gamma) + (alpha - delta) * (alpha - gamma) \
+            + delta ** 2 + gamma ** 2 - 2
+        d1 = (gamma ** 2 - delta ** 2) * (2 * beta - gamma + delta) \
+            * (gamma + delta - 2 * alpha) / 8
+        d2 = (alpha ** 2 - beta ** 2) * (alpha - beta - 2 * delta) \
+            * (2 * gamma - beta - alpha) / 8
+        finite = all(map(cmath.isfinite, (b, d1, d2)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParameterDomainError(
+            f"the structure constants b, d1, d2 are not finite (overflow) at "
+            f"beta={beta}, gamma={gamma}, delta={delta}")
     p = RacahParams(N=N, beta=beta, gamma=gamma, delta=delta,
                     alpha=alpha, b=b, d1=d1, d2=d2)
     for x in range(N + 1):  # guards every denominator 2x+gamma+delta+{0,1,2}

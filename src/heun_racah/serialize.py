@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 
 def to_pair(z) -> list[float]:
@@ -11,13 +12,15 @@ def to_pair(z) -> list[float]:
 
 
 def from_pair(value) -> complex:
-    """Accept a bare number or an [re, im] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """Accept a finite bare number or [re, im] pair; JSON's NaN and Infinity
+    tokens load as floats, and are rejected."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(number, value)):
         return complex(value[0], value[1])
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+    raise ValueError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def scalars_to_pairs(obj):

@@ -6,11 +6,16 @@ Newton never meets the removable poles of the equivalent ratio equations.
 Each solve builds one bethe.BetheSystem.  Its starts run as the lanes of
 one damped Newton (newton_lanes): each round takes one stacked closed_form
 pass (residuals and closed-form Jacobian at once) over every lane still
-searching, and each lane's line search resumes two halvings above the step
-it last accepted.  The lanes come back in start order, each then through
-deflation, which drops a root set whose sign orbits {x, -x} repeat a
-certified state's, then certification of each new state against the dense
-eigendecomposition of W, which is entirely independent of the Bethe machinery.
+searching.  Each lane's line search resumes RESUME = 2 halvings above the
+step it last accepted, and a pass carries a window of RESUME + 1 trial
+steps per lane, so a lane that keeps accepting the same short step tries
+2^-(k-2), 2^-(k-1) and 2^-k in one pass, not three.  The window decides
+exactly as the one-step search does, so the iterates are bit-identical;
+it only trades calls for rows.  The lanes come back in start order, each
+then through deflation, which drops a root set whose sign orbits {x, -x}
+repeat a certified state's, then certification of each new state against
+the dense eigendecomposition of W, which is entirely independent of the
+Bethe machinery.
 The starts end early once every dense eigenvalue has a certified state, and
 the lanes still running are abandoned.
 
@@ -41,6 +46,7 @@ COND_LIMIT = 1e14
 MAX_HALVINGS = 30
 MAX_ITER = 200
 NEWTON_TOL = 1e-12
+RESUME = 2  # a line search resumes RESUME halvings above its last accepted step
 
 
 @dataclass(frozen=True)
@@ -104,19 +110,30 @@ class SolveReport:
         return out
 
 
-def newton_lanes(fj, starts):
+def newton_lanes(fj, starts, trials=1):
     """Damped Newton from every start at once, one lane per start.
 
-    fj(X, lanes) evaluates the lanes `lanes` (indices into starts) at the
-    points X, an (n, p) stack, and returns F (n, p), J = dF/dx (n, p, p) and
-    a pole mask (n,).  Each lane keeps newton_refine's rules.  A round makes
-    one batched SVD and solve for the lanes at an accepted point, then one
-    call of fj for every lane still searching along its step.
+    fj(X, lanes) evaluates the rows X, an (n, p) stack, where lanes[i] is the
+    index into starts of row i's lane, and returns F (n, p), J = dF/dx
+    (n, p, p) and a pole mask (n,).  Each lane keeps newton_refine's rules.
+    A round makes one batched SVD and solve for the lanes at an accepted
+    point, then one call of fj for the window of every lane still searching.
+
+    The window: a searching lane at exponent k sends its next `trials` trial
+    steps 2^-k, ..., 2^-(min(k + trials, MAX_HALVINGS) - 1) in the same
+    call, its rows in step order after those of every earlier lane.  It
+    accepts the first of its rows, in step order, that strictly lowers its
+    ||F||_inf; with none, k advances past the rows it sent.  Every decision
+    is the one of the one-step search (trials=1), so the iterates are
+    bit-identical for any trials >= 1; a larger window spends speculative
+    rows to save calls.
 
     A generator: it yields (x, converged, iterations) for each start in
     start order, as soon as that lane and every lane before it have
     finished.  Closing it abandons the lanes still running.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if not len(starts):
         return
     x = np.array(starts, dtype=np.complex128)
@@ -148,28 +165,34 @@ def newton_lanes(fj, starts):
         done[go] = False
         searching[go] = True
         k[go] = k0[go]
-        # one pass over every searching lane at its trial step 2^-k
+        # one pass over every searching lane's window of trial steps
         lanes = np.flatnonzero(searching)
         if not lanes.size:
             continue
-        xt = x[lanes] + np.ldexp(1.0, -k[lanes])[:, None] * delta[lanes]
-        Ft, Jt, nt = _evaluate(fj, xt, lanes)
-        accept = nt < norm[lanes]
-        acc, rej = lanes[accept], lanes[~accept]
-        x[acc], F[acc], J[acc], norm[acc] = xt[accept], Ft[accept], Jt[accept], nt[accept]
-        k0[acc] = np.maximum(k[acc] - 2, 0)
+        sent = np.minimum(k[lanes] + trials, MAX_HALVINGS) - k[lanes]
+        first = np.cumsum(sent) - sent  # each lane's first row
+        rows = np.repeat(lanes, sent)
+        steps = np.repeat(k[lanes] - first, sent) + np.arange(len(rows))
+        xt = x[rows] + np.ldexp(1.0, -steps)[:, None] * delta[rows]
+        Ft, Jt, nt = _evaluate(fj, xt, rows)
+        better = np.flatnonzero(nt < norm[rows])
+        # rows run in lane order: a lane accepts its first row that lowers the norm
+        take = better[np.diff(rows[better], prepend=-1) != 0]
+        acc = rows[take]
+        x[acc], F[acc], J[acc], norm[acc] = xt[take], Ft[take], Jt[take], nt[take]
+        k0[acc] = np.maximum(steps[take] - RESUME, 0)
         its[acc] += 1
         searching[acc] = False
         at_point[acc] = True
-        k[rej] += 1
-        spent = rej[k[rej] >= MAX_HALVINGS]
+        k[lanes] += sent  # an accepting lane's k is reset before its next window
+        spent = lanes[searching[lanes] & (k[lanes] >= MAX_HALVINGS)]
         searching[spent] = False
         done[spent] = True
 
 
 def _evaluate(fj, X, lanes):
-    """fj's F and J at X with each lane's ||F||_inf, which is inf on a masked
-    lane and wherever F or the norm is not finite."""
+    """fj's F and J at X with each row's ||F||_inf, which is inf on a masked
+    row and wherever F or the norm is not finite."""
     F, J, pole = fj(X, lanes)
     with np.errstate(all="ignore"):
         norm = np.abs(F).max(axis=1, initial=0.0)
@@ -201,7 +224,9 @@ def newton_refine(fj, x0):
 
     Returns (x, converged, iterations).  The line search takes the first of the
     steps 2^-k0, 2^-(k0+1), ... that strictly lowers ||F||_inf, with k0 = 0 at
-    first and k0 = max(k - 2, 0) after accepting 2^-k.  A start is abandoned
+    first and k0 = max(k - RESUME, 0) after accepting 2^-k.  fj is called
+    once per trial step (trials=1): a wider window would spend a whole call
+    on each speculative step.  A start is abandoned
     (converged False) on a pole at the start point, cond(J) = s_max/s_min above
     1e14, a non-finite J, a failed SVD or solve, or no decrease down to step
     2^-29.  A map that raises a pole error, or gives a non-finite F, has met
@@ -324,7 +349,8 @@ def _is_duplicate(roots, states) -> bool:
 
 def _lanes(system: BetheSystem, starts):
     """newton_lanes over the starts that kept the pole margin, on the
-    closed form with each lane's rows scaled by its start's scales."""
+    closed form with each lane's rows scaled by its start's scales; each
+    pass carries RESUME + 1 trial steps per searching lane."""
     live = [(roots, reference[1]) for roots, reference in starts if reference is not None]
     norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
 
@@ -332,7 +358,7 @@ def _lanes(system: BetheSystem, starts):
         F, J, pole = system.closed_form(X)
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
-    return newton_lanes(fj, [roots for roots, _ in live])
+    return newton_lanes(fj, [roots for roots, _ in live], trials=RESUME + 1)
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:

@@ -416,3 +416,33 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert main(argv + [str(target), "--params", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}") and len(err.splitlines()) == 1
+
+
+PARAM_COMMANDS = [["solve"], ["spectrum"], ["verify", "--relations", "R1"], ["check-maba"]]
+
+
+@pytest.mark.parametrize("command", PARAM_COMMANDS)
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_value_exits_2(tmp_path, capsys, command, value):
+    # JSON's Infinity and NaN tokens load as floats: solve ended in a
+    # ValueError traceback from heun.integer_p_bar, verify and check-maba ran
+    path = write_params(tmp_path, dict(P0_GENERIC, s1=[value, 0]))
+    assert main(command + ["--params", path]) == 2
+    err = capsys.readouterr().err
+    assert "bad value for s1" in err and len(err.splitlines()) == 1
+
+
+def test_non_finite_bilinear_value_exits_2(tmp_path, capsys):
+    block = {"r0": [0, 0], "r1": [1, 0], "r2": [float("inf"), 0], "r3": [3, 0], "r4": [1, 0]}
+    path = write_params(tmp_path, dict(P0_GENERIC, bilinear=block))
+    assert main(["spectrum", "--params", path]) == 2
+    assert "bad value in the bilinear block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", PARAM_COMMANDS)
+def test_overflowing_structure_constants_exit_2(tmp_path, capsys, command):
+    # beta ** 2 overflowed into an OverflowError traceback and exit 1
+    path = write_params(tmp_path, dict(P0_GENERIC, beta=[1e300, 0]))
+    assert main(command + ["--params", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the structure constants") and len(err.splitlines()) == 1

@@ -4,7 +4,8 @@ Scalars come from the sampling annulus, and a draw is admissible when the
 formula keeps the package's pole margin, as in every seeded sweep.  The
 stacked closed form is held to its scalar reference on every drawn lane and
 on lanes planted on each kind of pole; values are compared where the pass
-is well conditioned, the pole mask on every lane.  The
+is well conditioned, the pole mask on every lane.  The lane kernel's window
+of trial steps is held bit for bit to its one-step search.  The
 runs are derandomized and keep no example database, so every run of the
 suite checks the same examples.
 """
@@ -21,6 +22,7 @@ from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear
                              build_W_parametric, canonicalize)
 from heun_racah.racah import DynContext, build_params, build_representation, op_A, op_B, op_C
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
+from heun_racah.solver import MAX_HALVINGS, newton_lanes
 
 from test_kernel import reference_closed_form
 
@@ -152,3 +154,68 @@ def test_stacked_closed_form_is_the_scalar_pass(key, data):
         assert np.max(np.abs(J_lane - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
     assert pole.tolist() == raised
     assert all(raised[len(drawn):])  # every planted lane is a pole
+
+
+LANES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+WINDOWS = st.sampled_from([3, 2, 4, MAX_HALVINGS + 1])
+
+
+def assert_window_is_the_one_step_search(fj, starts, trials):
+    """newton_lanes with `trials` trial steps per pass yields, for every lane,
+    bit for bit the one-step search's (x, converged, iterations); every
+    call hands fj one lane index per row, in lane order."""
+    def checked(X, lanes):
+        assert len(lanes) == len(X) and np.all(np.diff(lanes) >= 0)
+        return fj(X, lanes)
+    one_step, window = (list(newton_lanes(checked, starts, trials=t)) for t in (1, trials))
+    assert len(window) == len(one_step) == len(starts)
+    for (x, ok, its), (x1, ok1, its1) in zip(window, one_step):
+        assert np.array_equal(x, x1) and (ok, its) == (ok1, its1)
+
+
+@LANES
+@given(key=st.sampled_from(sorted(SYSTEMS)), trials=WINDOWS, data=st.data())
+def test_window_on_closed_form_stacks(key, trials, data):
+    system = SYSTEMS[key]
+    starts = data.draw(st.lists(st.lists(annulus, min_size=system.p, max_size=system.p),
+                                min_size=1, max_size=6))
+    assert_window_is_the_one_step_search(lambda X, lanes: system.closed_form(X),
+                                         starts, trials)
+
+
+@LANES
+@given(starts=st.lists(st.lists(annulus, min_size=2, max_size=2), min_size=1, max_size=6),
+       every=st.integers(2, 5), trials=WINDOWS)
+def test_window_past_rows_masked_as_poles(starts, every, trials):
+    # Newton on tanh overshoots from a far start, so the search halves; a
+    # hash of the row's point masks about one row in `every` as a pole,
+    # inside windows as well as on their first rows
+    roots = np.array([[1.5 - 0.5j, -0.7 + 1.1j], [0.3 + 0.2j, 2.0 - 1.0j]])
+
+    def fj(X, lanes):
+        T = np.tanh(X - roots[lanes % 2])
+        pole = np.floor(np.abs(X[:, 0]) * 997) % every == 0
+        return T, (1 - T * T)[:, :, None] * np.eye(2), pole
+    assert_window_is_the_one_step_search(fj, starts, trials)
+
+
+@LANES
+@given(lanes=st.lists(st.tuples(st.integers(24, MAX_HALVINGS + 1), st.booleans()),
+                      min_size=1, max_size=6), trials=WINDOWS)
+def test_window_cut_off_by_the_last_halving(lanes, trials):
+    # F = x with J = 0.75 * 2^-e: the first trial step that lowers |F| is
+    # 2^-e, which takes x to about -x/3.  With `grows`, e is one larger on
+    # every odd iteration, told by |x| = |x0| 3^-i, so a window also starts
+    # one step past the last (k0 + 1 = e - 1 on e + 1): windows start at
+    # k = 22..29 and are cut by MAX_HALVINGS, and a lane with e >= 30
+    # finds no step and is spent there
+    x0 = np.array([[1.0 + 0.5j * i] for i in range(len(lanes))])
+    base = np.array([e for e, _ in lanes])
+    grows = np.array([g for _, g in lanes])
+
+    def fj(X, idx):
+        i = np.rint(np.log(np.abs(x0[idx, 0]) / np.abs(X[:, 0])) / np.log(3)).astype(int)
+        e = base[idx] + (grows[idx] & (i % 2 == 1))
+        J = np.ldexp(0.75, -e).astype(np.complex128)[:, None, None]
+        return X.copy(), J, np.zeros(len(X), dtype=bool)
+    assert_window_is_the_one_step_search(fj, list(x0), trials)

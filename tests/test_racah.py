@@ -31,6 +31,15 @@ class TestBuildParams:
         with pytest.raises(ParameterDomainError, match="x=0"):
             build_params(1, 3.7, 1, -2)
 
+    @pytest.mark.parametrize("key", ["beta", "gamma", "delta"])
+    @pytest.mark.parametrize("value", [1e300, 1e160, 1e110])
+    def test_overflowing_constants_are_a_domain_error(self, key, value):
+        # 1e300 ** 2 raises OverflowError; at 1e160 and 1e110 a product or
+        # a cube reaches inf without raising
+        args = {"beta": 5, "gamma": 1, "delta": 2, key: value}
+        with pytest.raises(ParameterDomainError, match="not finite"):
+            build_params(1, **args)
+
     def test_size_cap(self):
         with pytest.raises(ParameterDomainError):
             build_params(64, 5, 1, 2)

@@ -247,12 +247,13 @@ def reference_solve(system, cfg, newton=scalar_newton):
 
 def counted_closed_form(monkeypatch):
     """A Counter whose "rows" counts the root sets passed to the stacked
-    closed form."""
+    closed form, and "passes" its calls."""
     counts = Counter()
     stacked = BetheSystem.closed_form
 
     def counting(self, roots):
         counts["rows"] += len(roots)
+        counts["passes"] += 1
         return stacked(self, roots)
     monkeypatch.setattr(BetheSystem, "closed_form", counting)
     return counts
@@ -292,24 +293,44 @@ class TestNewtonMatchesReference:
         self.assert_outcomes(BetheSystem(hp, ctx, HOMOGENEOUS), SolverConfig(starts=64, seed=0))
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_fewer_evaluations_at_N4(self, monkeypatch, seed):
-        # N = 4 misses a state, so a solve runs all 64 starts; each lane row
-        # the stacked pass evaluates is one evaluation of one start
+    def test_fewer_evaluations_at_N4(self, seed):
+        # N = 4 misses a state, so a solve runs all 64 starts.  The resumed
+        # search evaluates each start's map fewer times than the full-step
+        # one, both run one evaluation at a time on the one-lane view
         rp, ctx, hp = generic_setup(4)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
+        kernel = lane_view(system)
         evaluations = Counter()
+        for start, reference in seed_starts(system, cfg):
+            if reference is None:
+                continue
+            norms = np.array([1 / s for s in reference[1]])
+            for name, refine in (("resumed", newton_refine), ("full", reference_newton_refine)):
+                def counted(x, name=name):
+                    evaluations[name] += 1
+                    F, J = kernel(x)
+                    return F * norms, J * norms[:, None]
+                refine(counted, start)
+        assert evaluations["resumed"] <= 0.8 * evaluations["full"]
 
-        def counting(fj, x0):
-            def counted(x):
-                evaluations["full"] += 1
-                return fj(x)
-            return reference_newton_refine(counted, x0)
-        for _ in scalar_newton(system, seed_starts(system, cfg), counting):
-            pass
-        rows = counted_closed_form(monkeypatch)
-        assert _solve(system, cfg).attempts == 64
-        assert rows["rows"] <= 0.8 * evaluations["full"]
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_window_halves_the_passes_at_N4(self, monkeypatch, seed):
+        # a solve's lanes send RESUME + 1 trial steps per pass: more rows,
+        # in at most half the passes of a one-step search
+        rp, ctx, hp = generic_setup(4)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        cfg = SolverConfig(starts=64, seed=seed)
+        counts = counted_closed_form(monkeypatch)
+        window = _solve(system, cfg)
+        passes = counts["passes"]
+        lanes = solver.newton_lanes
+        monkeypatch.setattr(solver, "newton_lanes",
+                            lambda fj, starts, trials: lanes(fj, starts))
+        one_step = _solve(system, cfg)
+        assert window.attempts == one_step.attempts == 64
+        assert window.to_json_dict() == one_step.to_json_dict()
+        assert passes <= 0.5 * (counts["passes"] - passes)
 
 
 class TestNewtonLanes:
@@ -333,6 +354,13 @@ class TestNewtonLanes:
         assert [(ok, abs(x[0] - root) < 1e-12) for (x, ok, _), root in zip(rest, (3, 4))] \
             == [(True, True)] * 2
         assert its > max(its for _, _, its in rest)
+
+    def test_window_needs_a_trial_step(self):
+        # with no trial step per pass a searching lane would never advance
+        lanes = newton_lanes(lambda X, lanes: (X, X[:, :, None], np.zeros(len(X), bool)),
+                             [[1.0 + 0j]], trials=0)
+        with pytest.raises(ValueError, match="trials"):
+            next(lanes)
 
     def test_start_order_and_closing(self, monkeypatch):
         # criterion-8 N = 2 at seed 2 stops after 5 of 64 starts
@@ -358,8 +386,7 @@ class TestNewtonLanes:
                 F, J = kernel(x)
                 return F * norms, J * norms[:, None]
             x1, ok1, its1 = newton_refine(one, start)
-            assert (ok, its) == (ok1, its1)
-            assert np.max(np.abs(x - x1)) <= 1e-12 * np.max(np.abs(x1))
+            assert (ok, its) == (ok1, its1) and np.array_equal(x, x1)
         # a full run starts the same and evaluates more
         full = list(solver._lanes(system, starts))
         assert len(full) == 64 and counts["rows"] > 2 * rows

@@ -3,7 +3,9 @@
 Operators are plain numpy arrays of shape (dim, dim), dtype complex128,
 with dim capped at 64: this is a desk-scale verification tool, not a
 large-scale eigensolver.  The dense eigendecomposition is the
-independent oracle against which all Bethe-ansatz results are certified.
+independent oracle against which all Bethe-ansatz results are certified;
+a matrix whose imaginary part is exactly zero goes through the real QR
+algorithm, which returns its complex eigenvalues in exact conjugate pairs.
 
 Every pole-bearing denominator of the package's rational formulas goes
 through guard(), so where a pole lies is stated once, by its formula.
@@ -119,6 +121,7 @@ def vector_residual(lhs, rhs) -> float:
 class SpectrumResult:
     """Eigendecomposition sorted by (Re, Im) of the eigenvalues.
 
+    eigenvalues (and eigenvectors) are complex128 whichever solver ran.
     eigenvectors holds unit-norm right eigenvectors as columns when
     requested, and residuals the per-pair backward errors ||M v - lam v||_2.
     """
@@ -131,6 +134,8 @@ class SpectrumResult:
 def dense_spectrum(m, want_vectors: bool = False) -> SpectrumResult:
     """Full eigendecomposition of a general (non-Hermitian) complex matrix.
 
+    A matrix with an exactly zero imaginary part goes to the real QR solver
+    (dgeev, not zgeev): faster, and its non-real eigenvalues pair exactly.
     Raises OracleError on a non-finite matrix or if the QR iteration fails
     to converge; results are never silently truncated.  Only with
     want_vectors=True are eigenvectors returned and each pair checked
@@ -141,20 +146,21 @@ def dense_spectrum(m, want_vectors: bool = False) -> SpectrumResult:
     if not np.all(np.isfinite(a)):
         raise OracleError("matrix has non-finite entries; eigensolver input invalid")
     scale = float(np.linalg.norm(a))
+    qr_input = a if a.imag.any() else a.real
     try:
         if want_vectors:
-            vals, vecs = np.linalg.eig(a)
+            vals, vecs = np.linalg.eig(qr_input)
         else:
-            vals = np.linalg.eigvals(a)
+            vals = np.linalg.eigvals(qr_input)
             vecs = None
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"eigensolver did not converge: {exc}") from exc
 
     order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
+    vals = vals[order].astype(np.complex128, copy=False)
     residuals = None
     if vecs is not None:
-        vecs = vecs[:, order]
+        vecs = vecs[:, order].astype(np.complex128, copy=False)
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
         worst = float(residuals.max())

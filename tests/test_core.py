@@ -13,6 +13,19 @@ def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def tridiagonal(rng, n):
+    """A random real symmetric tridiagonal matrix."""
+    off = rng.standard_normal(n - 1)
+    return np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def assert_same_set(got, want, rtol):
+    """Each of two eigenvalue lists lies within rtol * max|want| of the other."""
+    tol = rtol * np.abs(want).max()
+    for xs, ys in ((got, want), (want, got)):
+        assert max(np.abs(ys - x).min() for x in xs) <= tol
+
+
 class TestCommutator:
     def test_reference_pair(self):
         # hand evaluation: X0 Y0 - Y0 X0
@@ -100,12 +113,14 @@ class TestDenseSpectrum:
         assert key == sorted(key)
 
     def test_vector_residual_contract(self):
+        # complex, real nonsymmetric (complex pairs) and real symmetric (the
+        # real solver returns real vectors): all come back as complex128
         rng = np.random.default_rng(7)
-        M = random_matrix(rng, 9)
-        out = dense_spectrum(M, want_vectors=True)
-        assert out.eigenvectors is not None
-        np.testing.assert_allclose(np.linalg.norm(out.eigenvectors, axis=0), 1.0)
-        assert out.residuals.max() <= 1e-10 * np.linalg.norm(M)
+        for M in (random_matrix(rng, 9), rng.standard_normal((9, 9)), tridiagonal(rng, 12)):
+            out = dense_spectrum(M, want_vectors=True)
+            assert out.eigenvalues.dtype == out.eigenvectors.dtype == np.complex128
+            np.testing.assert_allclose(np.linalg.norm(out.eigenvectors, axis=0), 1.0)
+            assert out.residuals.max() <= 1e-10 * np.linalg.norm(M)
 
     def test_trace_consistency(self):
         rng = np.random.default_rng(8)
@@ -113,6 +128,29 @@ class TestDenseSpectrum:
             M = random_matrix(rng, 7)
             vals = dense_spectrum(M).eigenvalues
             assert abs(vals.sum() - np.trace(M)) <= 1e-11 * max(1.0, abs(np.trace(M)))
+
+    def test_real_matrix_gives_exact_conjugate_pairs(self):
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((8, 8)).astype(np.complex128)
+        vals = dense_spectrum(M).eigenvalues
+        assert vals.dtype == np.complex128
+        assert np.count_nonzero(vals.imag) >= 2
+        np.testing.assert_array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+
+    def test_complex_matrix_keeps_the_complex_solver(self):
+        # one nonzero imaginary entry is enough to stay on the complex path
+        rng = np.random.default_rng(10)
+        for M in (random_matrix(rng, 8), rng.standard_normal((8, 8)) + 0j):
+            M[3, 5] += 1e-300j
+            want = np.linalg.eigvals(M)
+            want = want[np.lexsort((want.imag, want.real))]
+            np.testing.assert_array_equal(dense_spectrum(M).eigenvalues, want)
+
+    def test_real_and_complex_solvers_agree(self):
+        rng = np.random.default_rng(11)
+        for M in (rng.standard_normal((8, 8)), tridiagonal(rng, 12)):
+            assert_same_set(dense_spectrum(M).eigenvalues,
+                            np.linalg.eigvals(M.astype(np.complex128)), rtol=1e-12)
 
     def test_nonfinite_is_surfaced(self):
         M = np.eye(3, dtype=complex)

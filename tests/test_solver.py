@@ -496,6 +496,18 @@ class TestSolveHomogeneous:
         assert abs(roots[0] - 66.4177) < 1e-4
         assert abs(roots[1] - 62.3707j) < 1e-4  # the display sign keeps Im >= 0
 
+    def test_real_W_at_the_size_cap(self):
+        # solve-wide's parameters: W is real, so the oracle comes from the
+        # real solver and pairs its non-real eigenvalues exactly
+        rp, ctx, hp = homogeneous_setup(N=63)
+        assert not build_W_parametric(hp, ctx).imag.any()
+        report = solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=0))
+        got = sorted((s.eigenvalue for s in report.states), key=lambda z: z.real)
+        np.testing.assert_allclose(got, [3077.19517732365, 7227.90482267458], rtol=1e-12)
+        assert report.coverage_fraction() == 2 / 64
+        oracle = report.oracle
+        np.testing.assert_array_equal(np.sort_complex(oracle), np.sort_complex(oracle.conj()))
+
     def test_mode_error_reports_candidates(self):
         rp, ctx, hp = generic_setup(1)
         with pytest.raises(ModeError, match="candidates"):

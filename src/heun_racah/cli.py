@@ -208,10 +208,15 @@ def cmd_solve(args) -> int:
         print(f"auto mode: {mode}")
     solve = solve_homogeneous if mode == "homogeneous" else solve_inhomogeneous
     report = solve(hp, hp.rp, ctx, cfg)
-    stopped = report.attempts < cfg.starts and report.matched.all()
+    # the solve stops at p + 1 matched eigenvalues; with p = 0 one start is drawn
+    goal = report.matched.size if report.p_bar is None else report.p_bar + 1
+    stopped = goal > 1 and report.attempts < cfg.starts \
+        and np.count_nonzero(report.matched) == goal
+    reason = "every dense eigenvalue matched" if report.p_bar is None else \
+        f"the p_bar + 1 = {goal} states the Bethe ansatz gives are certified"
     tried = f"{report.attempts} of {cfg.starts}" if stopped else report.attempts
     print(f"{report.mode}: {report.distinct} distinct certified state(s) from {tried} starts "
-          f"({report.converged} converged{'; every dense eigenvalue matched' if stopped else ''})")
+          f"({report.converged} converged{f'; {reason}' if stopped else ''})")
     for s in report.states:
         roots = ", ".join(fmt(x) for x in s.roots) or "(vacuum)"
         print(f"  eigenvalue {fmt(s.eigenvalue)}  roots [{roots}]  "

@@ -11,13 +11,14 @@ step it last accepted, and a pass carries a window of RESUME + 1 trial
 steps per lane, so a lane that keeps accepting the same short step tries
 2^-(k-2), 2^-(k-1) and 2^-k in one pass, not three.  The window decides
 exactly as the one-step search does, so the iterates are bit-identical;
-it only trades calls for rows.  The lanes come back in start order, each
-then through deflation, which drops a root set whose sign orbits {x, -x}
-repeat a certified state's, then certification of each new state against
-the dense eigendecomposition of W, which is entirely independent of the
-Bethe machinery.
-The starts end early once every dense eigenvalue has a certified state, and
-the lanes still running are abandoned.
+it only trades calls for rows.  Each lane is handed over at the end of
+the round it finishes in, then goes through deflation, which drops a root
+set whose sign orbits {x, -x} repeat a certified state's, then
+certification of each new state against the dense eigendecomposition of
+W, which is entirely independent of the Bethe machinery.  The solve stops
+once p + 1 dense eigenvalues have a certified state, as many as the Bethe
+ansatz gives: all N + 1 in inhomogeneous mode, p_bar + 1 in homogeneous
+mode.  The lanes still running are then abandoned.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -65,7 +66,8 @@ class SolverConfig:
 class SolveReport:
     """A solve's states and its oracle spectrum, kept as arrays: the dense
     eigenvalues `oracle` and whether a state matched each, `matched`.
-    attempts, converged and diagnostics count the starts _solve tried."""
+    attempts, converged and diagnostics count the starts _solve tried: the
+    pole-margin rejects, and the lanes handed over before it stopped."""
     mode: str
     states: list[BetheState]
     attempts: int
@@ -128,9 +130,10 @@ def newton_lanes(fj, starts, trials=1):
     bit-identical for any trials >= 1; a larger window spends speculative
     rows to save calls.
 
-    A generator: it yields (x, converged, iterations) for each start in
-    start order, as soon as that lane and every lane before it have
-    finished.  Closing it abandons the lanes still running.
+    A generator: it yields (index, x, converged, iterations), the index
+    being the lane's place in starts, for each lane at the end of the round
+    it finishes in, after that round's call of fj; lanes finishing in one
+    round come in index order.  Closing it abandons the lanes still running.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,18 +143,15 @@ def newton_lanes(fj, starts, trials=1):
     F, J, norm = _evaluate(fj, x, np.arange(len(x)))
     tol = NEWTON_TOL * (1.0 + norm)
     at_point = np.isfinite(norm)  # a lane whose start is a pole ends at once
-    done = ~at_point
-    searching = np.zeros_like(done)
-    converged = np.zeros_like(done)
+    running = np.ones_like(at_point)  # not yet handed over
+    searching = np.zeros_like(at_point)
+    converged = np.zeros_like(at_point)
     its, k0, k = (np.zeros(len(x), dtype=int) for _ in range(3))
     delta = np.zeros_like(x)
-    handed = 0
-    while True:
-        while handed < len(x) and done[handed]:
-            yield x[handed].copy(), bool(converged[handed]), int(its[handed])
-            handed += 1
-        if handed == len(x):
-            return
+    while running.any():
+        for i in np.flatnonzero(running & ~searching & ~at_point):
+            running[i] = False
+            yield int(i), x[i].copy(), bool(converged[i]), int(its[i])
         # at an accepted point: converged, out of iterations, or a step
         at = np.flatnonzero(at_point)
         at_point[at] = False
@@ -161,8 +161,6 @@ def newton_lanes(fj, starts, trials=1):
         if go.size:
             delta[go], ok = _newton_steps(J[go], F[go])
             go = go[ok]
-        done[at] = True
-        done[go] = False
         searching[go] = True
         k[go] = k0[go]
         # one pass over every searching lane's window of trial steps
@@ -185,9 +183,7 @@ def newton_lanes(fj, starts, trials=1):
         searching[acc] = False
         at_point[acc] = True
         k[lanes] += sent  # an accepting lane's k is reset before its next window
-        spent = lanes[searching[lanes] & (k[lanes] >= MAX_HALVINGS)]
-        searching[spent] = False
-        done[spent] = True
+        searching[lanes[k[lanes] >= MAX_HALVINGS]] = False
 
 
 def _evaluate(fj, X, lanes):
@@ -245,7 +241,8 @@ def newton_refine(fj, x0):
             np.asarray(J, dtype=np.complex128).reshape(1, n, n), np.zeros(1, dtype=bool)
 
     with closing(newton_lanes(lane, [x0])) as lanes:
-        return next(lanes)
+        _, x, ok, its = next(lanes)
+        return x, ok, its
 
 
 def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
@@ -350,7 +347,8 @@ def _is_duplicate(roots, states) -> bool:
 def _lanes(system: BetheSystem, starts):
     """newton_lanes over the starts that kept the pole margin, on the
     closed form with each lane's rows scaled by its start's scales; each
-    pass carries RESUME + 1 trial steps per searching lane."""
+    pass carries RESUME + 1 trial steps per searching lane.  A lane's index
+    is its place among the starts that kept the margin."""
     live = [(roots, reference[1]) for roots, reference in starts if reference is not None]
     norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
 
@@ -362,27 +360,24 @@ def _lanes(system: BetheSystem, starts):
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
-    """Run the seeded starts (one when there are no roots) through Newton,
-    all as lanes of one newton_lanes, then each in start order through
-    deflation and certification until every oracle eigenvalue is matched;
-    a later start could only repeat a certified orbit set, or give a second
-    root set for an eigenvalue whose eigenvector is already certified."""
+    """Draw every start up front (one when there are no roots) and run them
+    all as lanes of one newton_lanes, each lane then through deflation and
+    certification in the order it finishes, until p + 1 oracle eigenvalues
+    are matched: all N + 1 in inhomogeneous mode, the p_bar + 1 states the
+    Bethe ansatz gives in homogeneous mode.  A later lane could only repeat
+    a certified orbit set, or give a second root set for a matched eigenvalue."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
     certified: list[tuple[BetheState, int, bool]] = []
     matched = np.zeros(len(oracle), dtype=bool)
-    rejects: Counter = Counter()
-    attempts = converged = 0
     starts = seed_starts(system, cfg)
+    rejects = Counter("pole_margin" for _, reference in starts if reference is None)
+    attempts, converged = rejects["pole_margin"], 0
     with closing(_lanes(system, starts)) as lanes:
-        for _start, reference in starts:
+        for _index, roots, ok, _its in lanes:
             attempts += 1
-            if reference is None:
-                rejects["pole_margin"] += 1
-                continue
-            roots, ok, _its = next(lanes)
             if not ok:
                 rejects["newton"] += 1
                 continue
@@ -395,7 +390,7 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
                 continue
             certified.append(entry)
             matched[entry[1]] = True
-            if matched.all():
+            if np.count_nonzero(matched) > system.p:
                 break
 
     certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,

@@ -257,7 +257,8 @@ class TestSolveCommand:
 
     def test_stop_at_full_coverage_is_named(self, tmp_path, capsys):
         # criterion-8 at N = 2, seed 2 matches all three dense eigenvalues
-        # by its fifth start; seed 0 never matches the third and runs all 64
+        # by its 17th lane to finish; seed 0 never matches the third and runs
+        # all 64
         cfg = {"N": 2, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
                "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
         path = write_params(tmp_path, cfg)
@@ -266,9 +267,19 @@ class TestSolveCommand:
             assert main(["solve", "--mode", "inhomogeneous", "--params", path,
                          "--seed", seed]) == 0
             lines.append(capsys.readouterr().out.splitlines()[0])
-        assert lines[0] == ("inhomogeneous: 3 distinct certified state(s) from 5 of 64 "
-                            "starts (5 converged; every dense eigenvalue matched)")
+        assert lines[0] == ("inhomogeneous: 3 distinct certified state(s) from 17 of 64 "
+                            "starts (17 converged; every dense eigenvalue matched)")
         assert lines[1].endswith("from 64 starts (64 converged)")
+        # homogeneous at p_bar = 2 stops at the 3 Bethe states, not at all 5
+        # dense eigenvalues; at p_bar = 0 the one start is every start drawn
+        for p_bar, rho in ((2, 2 / 9), (0, 2 / 5)):
+            path = write_params(tmp_path, {**P0_HOMOG, "N": 4, "beta": [11, 0], "rho": [rho, 0]})
+            assert main(["solve", "--mode", "homogeneous", "--params", path]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines[2] == ("homogeneous: 3 distinct certified state(s) from 4 of 64 starts "
+                            "(4 converged; the p_bar + 1 = 3 states the Bethe ansatz gives "
+                            "are certified)")
+        assert lines[3] == "homogeneous: 1 distinct certified state(s) from 1 starts (1 converged)"
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import heun_racah.cli as cli

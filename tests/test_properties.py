@@ -162,14 +162,17 @@ WINDOWS = st.sampled_from([3, 2, 4, MAX_HALVINGS + 1])
 
 def assert_window_is_the_one_step_search(fj, starts, trials):
     """newton_lanes with `trials` trial steps per pass yields, for every lane,
-    bit for bit the one-step search's (x, converged, iterations); every
-    call hands fj one lane index per row, in lane order."""
+    bit for bit the one-step search's (index, x, converged, iterations),
+    compared by index: a lane is handed over at the end of the round it
+    finishes in, so the order follows the rounds.  Every call hands fj one lane index per
+    row, in lane order."""
     def checked(X, lanes):
         assert len(lanes) == len(X) and np.all(np.diff(lanes) >= 0)
         return fj(X, lanes)
-    one_step, window = (list(newton_lanes(checked, starts, trials=t)) for t in (1, trials))
-    assert len(window) == len(one_step) == len(starts)
-    for (x, ok, its), (x1, ok1, its1) in zip(window, one_step):
+    one_step, window = (sorted(newton_lanes(checked, starts, trials=t), key=lambda lane: lane[0])
+                        for t in (1, trials))
+    assert [i for i, *_ in window] == [i for i, *_ in one_step] == list(range(len(starts)))
+    for (_, x, ok, its), (_, x1, ok1, its1) in zip(window, one_step):
         assert np.array_equal(x, x1) and (ok, its) == (ok1, its1)
 
 

@@ -193,33 +193,30 @@ def scaled_reference_map(system, scales):
 
 
 def scalar_newton(system, starts, refine=reference_newton_refine):
-    """(roots, converged, iterations) of each start that kept the margin,
-    in start order: one scalar Newton per start on the scalar closed form."""
-    for start, reference in starts:
-        if reference is not None:
-            yield refine(scaled_reference_map(system, reference[1]), start)
+    """(index, roots, converged, iterations) of each start that kept the
+    margin, in start order, the index counting those starts: one scalar
+    Newton per start on the scalar closed form."""
+    live = [(start, reference) for start, reference in starts if reference is not None]
+    for index, (start, reference) in enumerate(live):
+        yield index, *refine(scaled_reference_map(system, reference[1]), start)
 
 
 def reference_solve(system, cfg, newton=scalar_newton):
-    """solver._solve without its stop at full coverage: every start runs.
-    newton(system, starts) gives the Newton result of each start that kept
-    the margin, in start order; by default the full-step scalar search, and
-    with solver._lanes a full run of the solve's own lane kernel."""
+    """solver._solve without its stop at p + 1 matched eigenvalues: every
+    lane runs and is certified in the order newton(system, starts) hands
+    it over.  By default that is the full-step scalar search in start
+    order; with solver._lanes it is a full run of the solve's own lane
+    kernel, in the order its lanes finish."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
     certified = []
-    rejects = Counter()
-    attempts = converged = 0
     starts = seed_starts(system, cfg)
-    results = newton(system, starts)
-    for start, reference in starts:
+    rejects = Counter("pole_margin" for _, reference in starts if reference is None)
+    attempts, converged = rejects["pole_margin"], 0
+    for _index, roots, ok, _its in newton(system, starts):
         attempts += 1
-        if reference is None:
-            rejects["pole_margin"] += 1
-            continue
-        roots, ok, _its = next(results)
         if not ok:
             rejects["newton"] += 1
             continue
@@ -317,43 +314,78 @@ class TestNewtonMatchesReference:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_window_halves_the_passes_at_N4(self, monkeypatch, seed):
         # a solve's lanes send RESUME + 1 trial steps per pass: more rows,
-        # in at most half the passes of a one-step search
+        # in at most half the passes of a one-step search.  Each lane ends
+        # bit for bit as in the one-step search, though lanes finishing in
+        # other rounds are handed over in another order
         rp, ctx, hp = generic_setup(4)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
         counts = counted_closed_form(monkeypatch)
+        lanes, runs = solver.newton_lanes, []
+
+        def recorded(fj, starts, trials):
+            runs.append([])
+            for lane in lanes(fj, starts, trials):
+                runs[-1].append(lane)
+                yield lane
+        monkeypatch.setattr(solver, "newton_lanes", recorded)
         window = _solve(system, cfg)
         passes = counts["passes"]
-        lanes = solver.newton_lanes
         monkeypatch.setattr(solver, "newton_lanes",
-                            lambda fj, starts, trials: lanes(fj, starts))
+                            lambda fj, starts, trials: recorded(fj, starts, 1))
         one_step = _solve(system, cfg)
         assert window.attempts == one_step.attempts == 64
-        assert window.to_json_dict() == one_step.to_json_dict()
+        assert_same_lanes(*runs)
+        self.assert_same_states(window, one_step)
         assert passes <= 0.5 * (counts["passes"] - passes)
 
 
-class TestNewtonLanes:
-    """The starts run as the lanes of one Newton and come back in start order."""
+def assert_same_lanes(run, other):
+    """Two runs of newton_lanes hand over the same lanes, each with the
+    same (index, x, converged, iterations) bit for bit, in any order."""
+    run, other = (sorted(lanes, key=lambda lane: lane[0]) for lanes in (run, other))
+    assert [lane[0] for lane in run] == [lane[0] for lane in other]
+    for (_, x, ok, its), (_, x1, ok1, its1) in zip(run, other):
+        assert np.array_equal(x, x1) and (ok, its) == (ok1, its1)
 
-    def test_a_lane_waits_for_every_earlier_lane(self):
-        # lane 0 starts farthest from its root, so lanes 1 and 2 finish first
+
+class TestNewtonLanes:
+    """The starts run as the lanes of one Newton, and each lane is handed
+    over, tagged with its index, at the end of the round it finishes in."""
+
+    def test_a_lane_is_handed_over_the_round_it_finishes(self):
+        # lane 0 starts farthest from its root, so lanes 1 and 2 finish first,
+        # lane 2 before lane 1, as it starts the nearer to its root
         targets = np.array([4.0, 9.0, 16.0])
+        starts = [[1e3 + 0j], [3.5 + 0j], [4.1 + 0j]]
         calls = []
 
         def fj(X, lanes):
             calls.append(lanes.tolist())
             return X * X - targets[lanes, None], 2 * X[:, :, None], np.zeros(len(X), bool)
-        lanes = newton_lanes(fj, [[1e3 + 0j], [3.5 + 0j], [4.1 + 0j]])
-        x, ok, its = next(lanes)
-        assert ok and abs(x[0] - 2) < 1e-12
+        lanes = newton_lanes(fj, starts)
+        handed = []
+        for lane in lanes:
+            # the round that found the lane finished ran at most its own pass
+            # after the lane's last step, then handed the lane over
+            last = max(n for n, rows in enumerate(calls) if lane[0] in rows)
+            assert len(calls) - last <= 2
+            handed.append(lane)
+        assert [index for index, *_ in handed] == [2, 1, 0]
         assert calls[-1] == [0]  # the last rounds stepped lane 0 alone
-        passes = len(calls)
-        rest = list(lanes)
-        assert len(calls) == passes  # the later lanes had finished already
-        assert [(ok, abs(x[0] - root) < 1e-12) for (x, ok, _), root in zip(rest, (3, 4))] \
-            == [(True, True)] * 2
-        assert its > max(its for _, _, its in rest)
+        with pytest.raises(StopIteration):
+            next(lanes)
+        for (index, x, ok, its), root in zip(handed, (4, 3, 2)):
+            assert ok and abs(x[0] - root) < 1e-12
+            # lane i is start i's Newton: the one-lane view from that start
+            x1, ok1, its1 = newton_refine(lambda x, t=targets[index]: (x * x - t, [[2 * x[0]]]),
+                                          starts[index])
+            assert (ok, its) == (ok1, its1) and np.array_equal(x, x1)
+        assert handed[-1][3] > max(its for _, _, _, its in handed[:2])
+        # lanes that finish in the same round come in index order
+        tied = newton_lanes(lambda X, lanes: (X * X - 9, 2 * X[:, :, None], np.zeros(len(X), bool)),
+                            [[1e3 + 0j], [3.5 + 0j], [3.5 + 0j]])
+        assert [index for index, *_ in tied] == [1, 2, 0]
 
     def test_window_needs_a_trial_step(self):
         # with no trial step per pass a searching lane would never advance
@@ -362,11 +394,11 @@ class TestNewtonLanes:
         with pytest.raises(ValueError, match="trials"):
             next(lanes)
 
-    def test_start_order_and_closing(self, monkeypatch):
-        # criterion-8 N = 2 at seed 2 stops after 5 of 64 starts
+    def test_start_index_and_closing(self, monkeypatch):
+        # criterion-8 N = 2 at seed 1 stops after 5 of 64 lanes
         rp, ctx, hp = generic_setup(2)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        cfg = SolverConfig(starts=64, seed=2)
+        cfg = SolverConfig(starts=64, seed=1)
         starts = seed_starts(system, cfg)
         assert all(reference is not None for _, reference in starts)
         counts = counted_closed_form(monkeypatch)
@@ -379,7 +411,9 @@ class TestNewtonLanes:
         assert counts["rows"] == rows  # closing evaluated no further lane
         # lane i is start i's Newton: the one-lane view from that start
         kernel = lane_view(system)
-        for (x, ok, its), (start, (_, scales)) in zip(first, starts):
+        assert [index for index, *_ in first] != list(range(5))  # not start order
+        for index, x, ok, its in first:
+            start, (_, scales) = starts[index]
             norms = np.array([1 / s for s in scales])
 
             def one(x):
@@ -387,11 +421,10 @@ class TestNewtonLanes:
                 return F * norms, J * norms[:, None]
             x1, ok1, its1 = newton_refine(one, start)
             assert (ok, its) == (ok1, its1) and np.array_equal(x, x1)
-        # a full run starts the same and evaluates more
+        # a full run hands the same lanes over first and evaluates more
         full = list(solver._lanes(system, starts))
         assert len(full) == 64 and counts["rows"] > 2 * rows
-        for (x, ok, its), (x_full, ok_full, its_full) in zip(first, full):
-            assert np.array_equal(x, x_full) and (ok, its) == (ok_full, its_full)
+        assert_same_lanes(first, full[:5])
         assert _solve(system, cfg).attempts == 5
 
 
@@ -573,11 +606,14 @@ class TestSolveInhomogeneous:
 
 
 def assert_counts_starts_tried(report, starts):
-    """attempts counts the starts tried, fewer than all only at full coverage,
-    and every one tried either converged or was rejected before Newton ended."""
+    """attempts counts the starts tried, fewer than all only once p + 1
+    oracle eigenvalues are matched (every one in inhomogeneous mode,
+    p_bar + 1 in homogeneous mode), and every one tried either converged
+    or was rejected before Newton ended."""
     rejected = report.diagnostics.get("rejected", {})
+    p = report.matched.size - 1 if report.p_bar is None else report.p_bar
     assert report.converged <= report.attempts <= starts
-    assert report.attempts == starts or report.coverage_fraction() == 1.0
+    assert report.attempts == starts or np.count_nonzero(report.matched) == p + 1
     assert report.converged + rejected.get("newton", 0) + rejected.get("pole_margin", 0) \
         == report.attempts
 
@@ -585,30 +621,51 @@ def assert_counts_starts_tried(report, starts):
 STOP_CASES = [(INHOMOGENEOUS, N, seed) for N in (1, 2, 3, 4) for seed in range(4)] \
     + [(HOMOGENEOUS, N, seed) for N in (1, 2) for seed in range(4)]
 
+# (p_bar, N, rho, beta) of homogeneous problems whose full runs certify
+# exactly the p_bar + 1 states, the last being solve-wide's size-cap W
+P_BAR_CASES = [(0, 3, 2 / 5, 11), (1, 3, 2 / 7, 11), (2, 4, 2 / 9, 11), (3, 6, 2 / 11, 11),
+               (1, 63, 2 / 7, 5)]
+
 
 class TestStopAtFullCoverage:
-    """The loop ends once every dense eigenvalue is matched, and loses nothing
-    a full run of the same lane kernel finds."""
+    """The loop ends once p + 1 oracle eigenvalues are matched, and loses
+    nothing a full run of the same lane kernel, in finish order, finds."""
 
     @staticmethod
     def system(mode, N):
         rp, ctx, hp = generic_setup(N) if mode == INHOMOGENEOUS else homogeneous_setup(N)
         return BetheSystem(hp, ctx, mode)
 
+    @staticmethod
+    def assert_stop_loses_nothing(system, cfg):
+        report = _solve(system, cfg)
+        full = reference_solve(system, cfg, solver._lanes)
+        for key in ("states", "spectrum_coverage", "ambiguous_matches"):
+            assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
+        assert full.attempts == len(seed_starts(system, cfg))  # one start when p = 0
+        assert_counts_starts_tried(report, cfg.starts)
+        return report, full
+
     @pytest.mark.parametrize("mode,N,seed", STOP_CASES,
                              ids=[f"{m[:5]}-N{N}-seed{s}" for m, N, s in STOP_CASES])
     def test_stop_loses_nothing(self, mode, N, seed):
-        cfg = SolverConfig(starts=64, seed=seed)
-        report = _solve(self.system(mode, N), cfg)
-        full = reference_solve(self.system(mode, N), cfg, solver._lanes)
-        for key in ("states", "spectrum_coverage", "ambiguous_matches"):
-            assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
-        assert full.attempts == 64
-        assert_counts_starts_tried(report, 64)
+        self.assert_stop_loses_nothing(self.system(mode, N), SolverConfig(starts=64, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("p_bar,N,rho,beta", P_BAR_CASES,
+                             ids=[f"p_bar{p}-N{N}" for p, N, _, _ in P_BAR_CASES])
+    def test_stop_at_the_p_bar_plus_one_bethe_states(self, p_bar, N, rho, beta, seed):
+        rp, ctx, hp = homogeneous_setup(N, rho=rho, beta=beta)
+        system = BetheSystem(hp, ctx, HOMOGENEOUS)
+        assert system.p_bar == p_bar
+        report, full = self.assert_stop_loses_nothing(system, SolverConfig(starts=64, seed=seed))
+        assert full.distinct == report.distinct == p_bar + 1
+        if p_bar:
+            assert report.attempts < full.attempts
 
     def test_stop_fires_once_every_eigenvalue_is_matched(self):
         report = _solve(self.system(INHOMOGENEOUS, 2), SolverConfig(starts=64, seed=2))
-        assert report.attempts == 5 and report.coverage_fraction() == 1.0
+        assert report.attempts == 17 and report.coverage_fraction() == 1.0
 
     def test_missed_state_runs_every_start(self):
         report = _solve(self.system(INHOMOGENEOUS, 4), SolverConfig(starts=64, seed=0))

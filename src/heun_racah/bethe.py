@@ -265,8 +265,8 @@ class SwapWeight:
         return self.values(v)
 
     def poles(self, v) -> np.ndarray:
-        """Where the points of an array v meet the guards of __call__."""
-        return on_pole(v) | on_pole(self.c3 + 2 - v)
+        """Where the root sets of an (S, p) array v meet the guards of __call__."""
+        return (on_pole(v) | on_pole(self.c3 + 2 - v)).any(-1)
 
     def values(self, v):
         """(g(v), g'(v)) without the guards, for a point or an array of points."""
@@ -456,9 +456,8 @@ class BetheSystem:
     Construction resolves the root count p once (homogeneous mode: the
     integer p_bar, whose extension prefactor must vanish; inhomogeneous
     mode: N; any other mode is a ModeError) and builds the root-independent
-    constants: the swap weight at m_bar - p, the (p, p) off-diagonal mask
-    and diagonal index of the closed form and, in inhomogeneous mode only,
-    the tau constants and psi brackets.
+    constants: the swap weight at m_bar - p and, in inhomogeneous mode
+    only, the tau constants and psi brackets.
 
     reference(roots) evaluates the scalar maps: F[r] = U_{r+1}, plus
     U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales.
@@ -486,8 +485,6 @@ class BetheSystem:
     tau: tuple | None = field(init=False, repr=False, compare=False)
     brackets: tuple | None = field(init=False, repr=False, compare=False)
     squares: tuple | None = field(init=False, repr=False, compare=False)
-    off: np.ndarray = field(init=False, repr=False, compare=False)  # (p, p): r != l
-    diag: np.ndarray = field(init=False, repr=False, compare=False)  # arange(p)
 
     def __post_init__(self):
         hp = self.hp
@@ -514,8 +511,7 @@ class BetheSystem:
             raise ModeError(f"unknown mode {self.mode!r}")
         for name, value in (("p", p), ("p_bar", p_bar),
                             ("weight", SwapWeight(hp, hp.m_bar - p)),
-                            ("tau", tau), ("brackets", brackets), ("squares", squares),
-                            ("off", ~np.eye(p, dtype=bool)), ("diag", np.arange(p))):
+                            ("tau", tau), ("brackets", brackets), ("squares", squares)):
             object.__setattr__(self, name, value)
 
     def reference(self, roots) -> tuple[list[complex], list[float]]:
@@ -553,12 +549,13 @@ class BetheSystem:
         are meaningless.  Numpy warnings are silenced inside the pass.
         """
         x = np.asarray(roots, dtype=np.complex128)
-        off, diag = self.off, self.diag
+        S, p = x.shape
         with np.errstate(all="ignore"):
             sq = x * x
             d = sq[:, :, None] - sq[:, None, :]  # d[s, r, l] = x_r^2 - x_l^2
-            inv = np.where(off, 1 / d, 0)
-            y = np.stack([x, -x])  # y[e, s, r] = eps x_r for eps = +1, -1
+            d.reshape(S, p * p)[:, ::p + 1] = np.inf  # no pole at l = r, where 1 / d = 0
+            inv = 1 / d
+            y = np.array([x, -x])  # y[e, s, r] = eps x_r for eps = +1, -1
             g, dg = self.weight.values(y)
             q = (4 * (y - 1))[..., None] * inv  # 1 - k1(y, x_l), zero at l = r
             k = 1 - q
@@ -566,40 +563,42 @@ class BetheSystem:
             prod = k.prod(-1)
             t = g * prod
             dlog_y = (w * (2 * y[..., None] * q - 4)).sum(-1)
-            dlog = -2 * x[:, None, :] * q * w
+            m2x = -2 * x
+            dlog = m2x[:, None, :] * q * w
             F = t[0] + t[1]
             J = t[0][..., None] * dlog[0] + t[1][..., None] * dlog[1]
             own = dg * prod + t * dlog_y
-            J[:, diag, diag] += own[0] - own[1]
-            pole = (self.weight.poles(x) | (on_pole(d) & off).any(-1)
-                    | (k == 0).any(-1).any(0)).any(-1)
+            J.reshape(S, p * p)[:, ::p + 1] += own[0] - own[1]
+            pole = self.weight.poles(x) | on_pole(d).any((1, 2)) | (k == 0).any((0, 2, 3))
             if self.squares is not None:
-                F, J, corrections_pole = self._add_corrections(x, sq, inv, F, J)
-                pole |= corrections_pole
+                pole |= self._add_corrections(x, sq, m2x, inv, F, J)
         return F, J, pole
 
-    def _add_corrections(self, x, sq, inv, F, J):
-        """F and J with U_r^(i) and its derivatives added, and where the
-        corrections meet a pole; for the stack of closed_form, inside its
+    def _add_corrections(self, x, sq, m2x, inv, F, J):
+        """Add U_r^(i) and its derivatives to F and J in place, and say where
+        the corrections meet a pole; for the stack of closed_form, inside its
         silenced warnings."""
-        off, diag = self.off, self.diag
+        S, p = x.shape
         coef, csq, rho2, a1sq, a3sq, z = self.squares
         # den and cs vanish where the swap weight has its pole: c = a3 / rho = c3 + 2
-        num = a1sq - rho2 * sq
-        den = a3sq - rho2 * sq
+        r2sq = rho2 * sq
+        num = a1sq - r2sq
+        den = a3sq - r2sq
         cs = csq - sq
         zd = (x[..., None] - z) * (x[..., None] + z)  # x_r^2 - z^2, exactly 0 at x_r = +-z
         psi = (num / den).prod(-1)
         dlog_phi = 2 * rho2 * x * (1 / den - 1 / num)
-        dlog_c = -2 * x / cs
-        val = coef * psi[:, None] * zd.prod(-1) \
-            * np.where(off, cs[:, None, :] * inv, 1).prod(-1)
-        dlog_r = dlog_phi + (2 * x[..., None] / zd).sum(-1) - (2 * x[..., None] * inv).sum(-1)
-        dJ = val[..., None] * (dlog_c[:, None, :] + 2 * x[:, None, :] * inv
-                               + dlog_phi[:, None, :])
-        dJ[:, diag, diag] = val * dlog_r
-        pole = (on_pole(den) | (num == 0) | (cs == 0) | (zd == 0).any(-1)).any(-1)
-        return F + val, J + dJ, pole
+        dlog_c = m2x / cs
+        factors = cs[:, None, :] * inv
+        factors.reshape(S, p * p)[:, ::p + 1] = 1
+        val = coef * psi[:, None] * zd.prod(-1) * factors.prod(-1)
+        tx = 2 * x
+        dlog_r = dlog_phi + (tx[..., None] / zd).sum(-1) - (tx[..., None] * inv).sum(-1)
+        dJ = val[..., None] * (dlog_c[:, None, :] + tx[:, None, :] * inv + dlog_phi[:, None, :])
+        dJ.reshape(S, p * p)[:, ::p + 1] = val * dlog_r
+        F += val
+        J += dJ
+        return (on_pole(den) | (num == 0) | (cs == 0)).any(-1) | (zd == 0).any((1, 2))
 
 
 # --------------------------------------------------------------------------

@@ -6,20 +6,26 @@ finite differences and a sympy derivative (for the Jacobian), Newton on a
 finite-difference Jacobian (for the solver path), and `reference_closed_form`,
 the same pass written one root set at a time, which raises at a pole where
 the stacked pass masks the lane (tests/test_properties.py compares the two).
+TestMatchesPlainKernel holds the stacked pass and the lane kernel bit for bit
+to the plain kernel of tests/reference_kernel.py.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from heun_racah import bethe
+from heun_racah import bethe, solver
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, canonical_roots
 from heun_racah.core import guard
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
 from heun_racah.racah import DynContext, build_params, build_representation
-from heun_racah.solver import SolverConfig, newton_refine, seed_starts
+from heun_racah.solver import (MAX_HALVINGS, MAX_ITER, RESUME, SolverConfig, newton_lanes,
+                               newton_refine, seed_starts)
 
+import reference_kernel
 from conftest import finite_difference_map
 from test_bethe import inhomogeneous_terms
 
@@ -73,6 +79,26 @@ def kernel_for(mode, params):
     rp, ctx, hp = setup(*params)
     system = BetheSystem(hp, ctx, mode)
     return lane_view(system), system.p, hp, rp, ctx
+
+
+def planted_poles(system, roots):
+    """roots with one pole planted per kind the system has: x = 0, the swap
+    weight's x = c3 + 2, in inhomogeneous mode a3^2 = rho^2 x^2 and a tau
+    zero x = z (x^2 - z^2 = 0 exactly), and for p >= 2 x_1^2 = x_2^2 and
+    k1(x_1, x_2) = 0 exactly (x_1 = 3, x_2 = 1)."""
+    firsts = [[0j], [system.weight.c3 + 2]]
+    if system.mode == INHOMOGENEOUS:
+        firsts += [[system.brackets[2] / system.hp.rho], [system.tau[2][0]]]
+    if system.p >= 2:
+        firsts += [[roots[0], -roots[0]], [3 + 0j, 1 + 0j]]
+    return [first + list(roots[len(first):]) for first in firsts]
+
+
+def a1_lane(system, roots):
+    """roots with x_1 = a1 / rho, where a1^2 - rho^2 x^2 is exactly zero at
+    some p and not at others: a pole exactly where the scalar pass raises."""
+    return [[system.brackets[1] / system.hp.rho] + list(roots[1:])] \
+        if system.mode == INHOMOGENEOUS else []
 
 
 def reference_closed_form(system, roots):
@@ -295,3 +321,171 @@ class TestBetheSystem:
                 _, u_i = inhomogeneous_terms(u, start, hp)
                 assert residuals == [bethe.unwanted_U(r, start, hp) + u_i[r - 1]
                                      for r in range(1, N + 1)]
+
+
+def assert_identical_lanes(got, want):
+    """The same (index, x, converged, iterations) lanes, bit for bit, in the
+    same hand-over order."""
+    assert [lane[0] for lane in got] == [lane[0] for lane in want]
+    for (_, x, ok, its), (_, x1, ok1, its1) in zip(got, want):
+        assert x.tobytes() == x1.tobytes() and (ok, its) == (ok1, its1)
+
+
+def assert_identical_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+class TestMatchesPlainKernel:
+    """closed_form and newton_lanes give, bit for bit, what the plain kernel
+    of tests/reference_kernel.py gives: every F, J and pole mask, and every
+    lane in the same hand-over order."""
+
+    @pytest.mark.parametrize("mode, params", [
+        *cases(), pytest.param(HOMOGENEOUS, (3, 11, 1, 2, 2 / 5, 0, 3), id="hom-N3-p0")])
+    def test_closed_form_on_every_system(self, mode, params):
+        rp, ctx, hp = setup(*params)
+        system = BetheSystem(hp, ctx, mode)
+        rng = np.random.default_rng(7)
+        drawn = [random_roots(rng, system.p) for _ in range(6)]
+        planted = planted_poles(system, drawn[0]) if system.p else []
+        stack = drawn + a1_lane(system, drawn[0]) + planted
+        for rows in (stack, stack[:1], stack[-1:]):
+            assert_identical_arrays(system.closed_form(rows),
+                                    reference_kernel.closed_form(system, rows))
+        # every planted row is a pole
+        assert system.closed_form(stack)[2][len(stack) - len(planted):].all()
+
+    @staticmethod
+    def assert_same_solve_lanes(monkeypatch, system, starts):
+        """solver._lanes and the plain kernel's hand over the same lanes
+        after the same closed_form passes, row for row."""
+        runs = []
+        for owner, lanes in ((BetheSystem, solver._lanes),
+                             (reference_kernel, partial(reference_kernel.lanes, trials=RESUME + 1))):
+            passes, closed_form = [], owner.closed_form
+
+            def recording(system, roots, passes=passes, closed_form=closed_form):
+                passes.append(np.asarray(roots).tobytes())
+                return closed_form(system, roots)
+            monkeypatch.setattr(owner, "closed_form", recording)
+            runs.append((list(lanes(system, starts)), passes))
+        (got, passes), (want, want_passes) = runs
+        assert_identical_lanes(got, want)
+        assert passes == want_passes
+        return got
+
+    @pytest.mark.parametrize("N, seed", [(2, 0), (3, 1), (4, 0), (4, 2)])
+    def test_solve_lanes_at_criterion_8(self, monkeypatch, N, seed):
+        # at seed 2, N = 4, one lane runs to MAX_ITER
+        rp, ctx, hp = setup(N, *CRITERION_8)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        starts = seed_starts(system, SolverConfig(starts=64, seed=seed))
+        got = self.assert_same_solve_lanes(monkeypatch, system, starts)
+        assert len(got) == 64
+        assert any(its == MAX_ITER for *_, its in got) == ((N, seed) == (4, 2))
+
+    @pytest.mark.parametrize("params", [*HOMOGENEOUS_SETS, (63, 5, 1, 2, 2 / 7, 0, 3)],
+                             ids=lambda params: f"N{params[0]}-rho{params[4]:.3f}")
+    def test_solve_lanes_homogeneous(self, monkeypatch, params):
+        rp, ctx, hp = setup(*params)
+        system = BetheSystem(hp, ctx, HOMOGENEOUS)
+        starts = seed_starts(system, SolverConfig(starts=64, seed=3))
+        self.assert_same_solve_lanes(monkeypatch, system, starts)
+
+    @staticmethod
+    def assert_same_run(fj, starts, trials):
+        """Both kernels hand over the same lanes after the same calls of fj,
+        row for row."""
+        runs = []
+        for kernel in (newton_lanes, reference_kernel.newton_lanes):
+            calls = []
+
+            def recording(X, lanes, calls=calls):
+                calls.append((lanes.tolist(), X.tobytes()))
+                return fj(X, lanes)
+            runs.append((list(kernel(recording, starts, trials)), calls))
+        (got, calls), (want, want_calls) = runs
+        assert_identical_lanes(got, want)
+        assert calls == want_calls
+        return got
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, MAX_HALVINGS + 1])
+    def test_lanes_that_reach_max_halvings(self, trials):
+        # F = x with J = 0.75 * 2^-e: the first step that lowers |F| is 2^-e,
+        # which takes x to about -x/3.  e grows by one on every odd iteration
+        # of a growing lane, so its windows start past k0 + 1 and are cut by
+        # MAX_HALVINGS; e >= 30 finds no step, and the lane is spent
+        lanes = [(24, True), (26, False), (27, True), (28, True), (29, False), (30, False),
+                 (31, True), (25, True)]
+        x0 = np.array([[1.0 + 0.5j * i] for i in range(len(lanes))])
+        base = np.array([e for e, _ in lanes])
+        grows = np.array([g for _, g in lanes])
+
+        def fj(X, idx):
+            i = np.rint(np.log(np.abs(x0[idx, 0]) / np.abs(X[:, 0])) / np.log(3)).astype(int)
+            e = base[idx] + (grows[idx] & (i % 2 == 1))
+            J = np.ldexp(0.75, -e).astype(np.complex128)[:, None, None]
+            return X.copy(), J, np.zeros(len(X), dtype=bool)
+        got = self.assert_same_run(fj, list(x0), trials)
+        spent = [its for _, _, ok, its in got if not ok and its < MAX_ITER]
+        assert len(spent) >= 2 and any(ok for _, _, ok, _ in got)
+
+    @pytest.mark.parametrize("trials", [1, 3, 4])
+    def test_lanes_that_reach_max_iter(self, trials):
+        # F = x with J = c: the full step takes x to (1 - 1/c) x.  With
+        # c = 0.52 each step lowers |F| only by the factor 0.923, so the lane
+        # takes full steps until MAX_ITER; with c = 1 it converges at once
+        c = np.array([0.52, 1.0, 0.52, 1.0])
+
+        def fj(X, lanes):
+            J = c[lanes].astype(np.complex128)[:, None, None]
+            return X.copy(), J, np.zeros(len(X), dtype=bool)
+        starts = [[0.7 + 0j], [0.5 + 0.5j], [-1.3 + 2j], [2 - 1j]]
+        got = self.assert_same_run(fj, starts, trials)
+        assert [(index, ok, its) for index, _, ok, its in got] == \
+            [(1, True, 1), (3, True, 1), (0, False, MAX_ITER), (2, False, MAX_ITER)]
+
+    @pytest.mark.parametrize("trials", [1, 3, 5])
+    def test_lanes_on_poles_and_bad_jacobians(self, trials):
+        # Newton on tanh, with rows masked as poles or giving NaN or infinite
+        # F by a hash of the point, and lanes whose J is zero (cond above
+        # COND_LIMIT: lanes 3 and 8) or NaN (lane 4); start 6 is a pole
+        roots = np.array([[1.5 - 0.5j, -0.7 + 1.1j], [0.3 + 0.2j, 2.0 - 1.0j]])
+
+        def fj(X, lanes):
+            with np.errstate(all="ignore"):
+                T = np.tanh(X - roots[lanes % 2])
+                tag = np.floor(np.abs(X[:, 0]) * 997) % 13
+                T[tag == 1] = np.nan
+                T[tag == 2, 1] = np.inf
+                J = (1 - T * T)[:, :, None] * np.eye(2)
+            J[lanes % 5 == 3] = 0
+            J[lanes == 4] = np.nan
+            return T, J, (tag == 3) | (np.abs(X[:, 0]) > 50)
+        rng = np.random.default_rng(11)
+        starts = [list(roots[i % 2] + rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+                  for i in range(12)]
+        starts[6] = [60 + 0j, 1 + 0j]
+        got = self.assert_same_run(fj, starts, trials)
+        assert {index for index, _, _, its in got if its == 0} == {1, 3, 4, 6, 8}
+        assert sum(ok for _, _, ok, _ in got) == 4
+        assert sum(not ok and its > 0 for _, _, ok, its in got) == 3
+
+    def test_lanes_whose_stacked_svd_fails(self, monkeypatch):
+        # a stacked SVD that fails sends the lanes one by one, and a lane
+        # whose own SVD fails is abandoned
+        svd = np.linalg.svd
+
+        def failing(J, compute_uv=True):
+            if (J[:, 0, 0].real < -0.5).any():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(J, compute_uv=compute_uv)
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        targets = np.array([4.0, -9.0, 16.0, -2.0, 1.0])
+
+        def fj(X, lanes):
+            return X * X - targets[lanes, None], 2 * X[:, :, None], np.zeros(len(X), bool)
+        starts = [[3 + 0.5j], [-0.4 + 1j], [5 - 1j], [-0.3 - 0.2j], [0.7 + 0j]]
+        got = self.assert_same_run(fj, starts, 3)
+        assert any(not ok and its < MAX_ITER for _, _, ok, its in got)

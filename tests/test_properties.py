@@ -5,9 +5,10 @@ formula keeps the package's pole margin, as in every seeded sweep.  The
 stacked closed form is held to its scalar reference on every drawn lane and
 on lanes planted on each kind of pole; values are compared where the pass
 is well conditioned, the pole mask on every lane.  The lane kernel's window
-of trial steps is held bit for bit to its one-step search.  The
-runs are derandomized and keep no example database, so every run of the
-suite checks the same examples.
+of trial steps is held bit for bit to its one-step search.  The catalog
+identities BB_EXCHANGE and VACUUM_ACTION hold within their catalog
+tolerances at every admissible draw.  The runs are derandomized and keep
+no example database, so every run of the suite checks the same examples.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
-from heun_racah.core import identity, pole_margin, residual_norm
+from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, vacuum, vacuum_coeffs
+from heun_racah.core import identity, pole_margin, residual_norm, vector_residual
+from heun_racah.dynamical import DEFAULT_TOLS, RelationId
 from heun_racah.errors import CanonicalizationError, ParameterDomainError
 from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear,
                              build_W_parametric, canonicalize)
@@ -24,7 +26,7 @@ from heun_racah.racah import DynContext, build_params, build_representation, op_
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
 from heun_racah.solver import MAX_HALVINGS, newton_lanes
 
-from test_kernel import reference_closed_form
+from test_kernel import a1_lane, planted_poles, reference_closed_form
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -75,6 +77,32 @@ def test_canonicalize_then_rebuild_round_trips(N, r):
     assert residual_norm(build_W_bilinear(bp, rep), rebuilt) <= 1e-10
 
 
+# the criterion-8 problem (rho = 1.7) at N = 0..6
+CRITERION_8 = {N: DynContext(rep=build_representation(build_params(N, 2.2 + 0.4j, 1.3, 0.8)),
+                             rho=1.7) for N in range(7)}
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), u=annulus, v=annulus, m=annulus)
+def test_bb_exchange_holds(N, u, v, m):
+    # B(u, m+1) B(v, m) = B(v, m+1) B(u, m) wherever the four builds keep the margin
+    ctx = CRITERION_8[N]
+    B_u1, B_v, B_v1, B_u = admissible(lambda: op_B([u, v, v, u], [m + 1, m, m + 1, m], ctx))
+    assert residual_norm(B_u1 @ B_v, B_v1 @ B_u) <= DEFAULT_TOLS[RelationId.BB_EXCHANGE]
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), u=annulus, m=annulus)
+def test_vacuum_action_holds(N, u, m):
+    # A(u, m)|0> = xi |0> + zeta B(u, m)|0> wherever both sides keep the margin
+    ctx = CRITERION_8[N]
+    e0 = vacuum(N)
+    vc, A, B = admissible(lambda: (vacuum_coeffs(u, m, ctx.rep.params, ctx.rho),
+                                   op_A(u, m, ctx), op_B(u, m, ctx)))
+    residual = vector_residual(A @ e0, vc.xi * e0 + vc.zeta * (B @ e0))
+    assert residual <= DEFAULT_TOLS[RelationId.VACUUM_ACTION]
+
+
 def bethe_system(mode, p):
     """A system with p roots: criterion-8 at N = p (inhomogeneous), or N = 4
     with rho = 2 / (2p + 5), where gamma = 1, delta = 2 and s1 = 0 give
@@ -89,26 +117,6 @@ def bethe_system(mode, p):
 
 SYSTEMS = {(mode, p): bethe_system(mode, p)
            for mode in (HOMOGENEOUS, INHOMOGENEOUS) for p in range(1, 5)}
-
-
-def planted_poles(system, roots):
-    """roots with one pole planted per kind the system has: x = 0, the swap
-    weight's x = c3 + 2, in inhomogeneous mode a3^2 = rho^2 x^2 and a tau
-    zero x = z (x^2 - z^2 = 0 exactly), and for p >= 2 x_1^2 = x_2^2 and
-    k1(x_1, x_2) = 0 exactly (x_1 = 3, x_2 = 1)."""
-    firsts = [[0j], [system.weight.c3 + 2]]
-    if system.mode == INHOMOGENEOUS:
-        firsts += [[system.brackets[2] / system.hp.rho], [system.tau[2][0]]]
-    if system.p >= 2:
-        firsts += [[roots[0], -roots[0]], [3 + 0j, 1 + 0j]]
-    return [first + list(roots[len(first):]) for first in firsts]
-
-
-def a1_lane(system, roots):
-    """roots with x_1 = a1 / rho, where a1^2 - rho^2 x^2 is exactly zero at
-    some p and not at others: a pole exactly where the scalar pass raises."""
-    return [[system.brackets[1] / system.hp.rho] + list(roots[1:])] \
-        if system.mode == INHOMOGENEOUS else []
 
 
 def smallest_gap(system, roots) -> float:

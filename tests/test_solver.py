@@ -609,13 +609,17 @@ def assert_counts_starts_tried(report, starts):
     """attempts counts the starts tried, fewer than all only once p + 1
     oracle eigenvalues are matched (every one in inhomogeneous mode,
     p_bar + 1 in homogeneous mode), and every one tried either converged
-    or was rejected before Newton ended."""
+    or was rejected before Newton ended: at seeding (pole_margin) or by
+    Newton.  Every other reject, root_margin among them, is certification's,
+    of a lane that converged."""
     rejected = report.diagnostics.get("rejected", {})
     p = report.matched.size - 1 if report.p_bar is None else report.p_bar
     assert report.converged <= report.attempts <= starts
     assert report.attempts == starts or np.count_nonzero(report.matched) == p + 1
     assert report.converged + rejected.get("newton", 0) + rejected.get("pole_margin", 0) \
         == report.attempts
+    assert sum(n for reason, n in rejected.items()
+               if reason not in ("newton", "pole_margin")) <= report.converged
 
 
 STOP_CASES = [(INHOMOGENEOUS, N, seed) for N in (1, 2, 3, 4) for seed in range(4)] \
@@ -662,6 +666,22 @@ class TestStopAtFullCoverage:
         assert full.distinct == report.distinct == p_bar + 1
         if p_bar:
             assert report.attempts < full.attempts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certification_margin_rejects_are_counted_apart(self, seed):
+        # p_bar = 3 at N = 4: every converged lane's roots miss the margin at
+        # certification, which files them as root_margin, not as the seeding
+        # rejects (pole_margin) that never got a lane
+        rp, ctx, hp = homogeneous_setup(4, rho=2 / 11)
+        system = BetheSystem(hp, ctx, HOMOGENEOUS)
+        cfg = SolverConfig(starts=64, seed=seed)
+        full = reference_solve(system, cfg, solver._lanes)
+        rejected = full.diagnostics["rejected"]
+        assert not full.states and "pole_margin" not in rejected
+        assert rejected["root_margin"] == full.converged >= 63
+        assert_counts_starts_tried(full, cfg.starts)
+        with pytest.raises(SolverFailure, match=f"'root_margin': {full.converged}"):
+            _solve(system, cfg)
 
     def test_stop_fires_once_every_eigenvalue_is_matched(self):
         report = _solve(self.system(INHOMOGENEOUS, 2), SolverConfig(starts=64, seed=2))
@@ -717,7 +737,7 @@ class TestProblemConsistency:
             with pytest.raises(ParameterDomainError, match="Racah parameters"):
                 solve(hp, other, ctx, SolverConfig(starts=4, seed=0))
 
-    def test_colliding_roots_rejected_as_pole_margin(self):
+    def test_colliding_roots_rejected_as_root_margin(self):
         rp, ctx, hp = generic_setup(2)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         W = build_W_parametric(hp, ctx)
@@ -728,9 +748,9 @@ class TestProblemConsistency:
         assert min(abs(x), abs(x - 1), abs(x + 1)) > 1.0
         W_fro = float(np.linalg.norm(W))
         entry, reason = _certify(roots, system, 0, W, W_fro, oracle)
-        assert entry is None and reason == "pole_margin"
+        assert entry is None and reason == "root_margin"
         # the same x beside a distant partner passes the margin
-        assert _certify([x, 0.4 - 1.9j], system, 0, W, W_fro, oracle)[1] != "pole_margin"
+        assert _certify([x, 0.4 - 1.9j], system, 0, W, W_fro, oracle)[1] != "root_margin"
 
     def test_root_beside_plus_one_is_certified_past_the_margin(self):
         # the swap weight cancels the vacuum pole at x = +-1, so the

@@ -1,0 +1,39 @@
+"""Op 0 of every benchmark workload passes the benchmark's own output check.
+
+perfbench/workloads.py is loaded read-only from its file: its problem set-up,
+its op and the check it applies to every op's output.  A change to the
+package that breaks that check, or the report every op serializes, fails
+here, in the tier-1 suite, before a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import heun_racah
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_op_0_passes_the_output_check(name):
+    workload = workloads.WORKLOADS[name]
+    problems = workload.setup(heun_racah)
+    report = workload.run(heun_racah, problems, 0, 0)
+    checked = workload.check(heun_racah, problems, 0, report)
+    assert checked.problems == ()
+    assert checked.certified > 0 and checked.coverage > 0
+    assert workload.report_json(heun_racah, report)

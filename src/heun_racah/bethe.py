@@ -265,8 +265,8 @@ class SwapWeight:
         return self.values(v)
 
     def poles(self, v) -> np.ndarray:
-        """Where the root sets of an (S, p) array v meet the guards of __call__."""
-        return (on_pole(v) | on_pole(self.c3 + 2 - v)).any(-1)
+        """Where the root sets of an (S, p) array v meet the guards of __call__ at +-v."""
+        return (on_pole(v) | on_pole(self.c3 + 2 - v) | on_pole(self.c3 + 2 + v)).any(-1)
 
     def values(self, v):
         """(g(v), g'(v)) without the guards, for a point or an array of points."""
@@ -460,11 +460,10 @@ class BetheSystem:
     only, the tau constants and psi brackets.
 
     reference(roots) evaluates the scalar maps: F[r] = U_{r+1}, plus
-    U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales.
-    closed_form(roots) takes a stack of root sets and returns, for each, F
-    with J[r][j] = dF[r]/dx_j in one pass, for Newton; certification never
-    uses it.  U_r^(i) does not depend on the auxiliary spectral point, so
-    neither pass takes one.
+    U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales, for
+    certification.  closed_form(roots) gives, for a stack of root sets, F
+    with J[r][j] = dF[r]/dx_j in one pass, for seeding and Newton.  U_r^(i)
+    does not depend on the auxiliary spectral point, so neither takes one.
 
     Each summand is a product of rational factors, so the Jacobian follows
     from their logarithmic derivatives.  With y = +-x_r and d_rl = x_r^2 - x_l^2,
@@ -539,14 +538,15 @@ class BetheSystem:
                 * psi_factored(u, self.p, roots, self.hp)
         return value
 
-    def closed_form(self, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F (S, p), J (S, p, p) and a pole mask (S,) for an (S, p) stack of root sets.
+    def closed_form(self, roots, scales=False) -> tuple[np.ndarray, ...]:
+        """F (S, p), J (S, p, p) and a pole mask (S,) for an (S, p) stack of root
+        sets, and with scales=True reference's scales (S, p), from the summands.
 
         A lane is masked where its pass meets a pole: a guarded denominator
         below the floor of core.guard, read at call time, or a divisor that
-        is exactly zero (a k1 factor and, in inhomogeneous mode,
-        a1^2 - rho^2 x^2, c^2 - x^2 or x^2 - z^2).  A masked lane's F and J
-        are meaningless.  Numpy warnings are silenced inside the pass.
+        is exactly zero, which reference lets through (a k1 factor and, in
+        inhomogeneous mode, a1^2 - rho^2 x^2, c^2 - x^2 or x^2 - z^2).  A
+        masked lane's F and J are meaningless; numpy warnings are silenced.
         """
         x = np.asarray(roots, dtype=np.complex128)
         S, p = x.shape
@@ -570,14 +570,14 @@ class BetheSystem:
             own = dg * prod + t * dlog_y
             J.reshape(S, p * p)[:, ::p + 1] += own[0] - own[1]
             pole = self.weight.poles(x) | on_pole(d).any((1, 2)) | (k == 0).any((0, 2, 3))
-            if self.squares is not None:
-                pole |= self._add_corrections(x, sq, m2x, inv, F, J)
-        return F, J, pole
+            val = 0 if self.squares is None else self._add_corrections(x, sq, m2x, inv, F, J, pole)
+            # reference's scales: 1 + |t+| + |t-| (+ |U_r^(i)|)
+            return (F, J, pole, 1.0 + np.abs(t).sum(0) + np.abs(val)) if scales else (F, J, pole)
 
-    def _add_corrections(self, x, sq, m2x, inv, F, J):
-        """Add U_r^(i) and its derivatives to F and J in place, and say where
-        the corrections meet a pole; for the stack of closed_form, inside its
-        silenced warnings."""
+    def _add_corrections(self, x, sq, m2x, inv, F, J, pole):
+        """Add U_r^(i) and its derivatives to F and J in place, mark where
+        they meet a pole in pole, and return them; for the stack of
+        closed_form, inside its silenced warnings."""
         S, p = x.shape
         coef, csq, rho2, a1sq, a3sq, z = self.squares
         # den and cs vanish where the swap weight has its pole: c = a3 / rho = c3 + 2
@@ -598,7 +598,8 @@ class BetheSystem:
         dJ.reshape(S, p * p)[:, ::p + 1] = val * dlog_r
         F += val
         J += dJ
-        return (on_pole(den) | (num == 0) | (cs == 0)).any(-1) | (zd == 0).any((1, 2))
+        pole |= (on_pole(den) | (num == 0) | (cs == 0)).any(-1) | (zd == 0).any((1, 2))
+        return val
 
 
 # --------------------------------------------------------------------------

@@ -1,28 +1,27 @@
 """Multistart Newton solver for the Bethe systems, with oracle certification.
 
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
-one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators,
-so Newton never meets the removable poles of the equivalent ratio
-equations.  Each solve builds one bethe.BetheSystem.  Its starts run as
-the lanes of one damped Newton (newton_lanes): each round takes one
-stacked closed_form pass (residuals and closed-form Jacobian at once)
-over every lane still searching.  Each lane's line search resumes
+one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
+Newton never meets the removable poles of the equivalent ratio equations.
+Each solve builds one bethe.BetheSystem, whose closed_form alone runs
+before certification: it filters the starts in one pass (seed_starts), and
+a bound on cond(J) spares most Newton steps the SVD (_newton_steps).  The
+starts run as the lanes of one damped Newton (newton_lanes): each round
+takes one stacked closed_form pass (residuals and closed-form Jacobian at
+once) over every lane still searching.  Each lane's line search resumes
 RESUME = 2 halvings above the step it last accepted, and a pass carries a
-window of RESUME + 1 trial steps per lane, so a lane that keeps accepting the
-same short step tries 2^-(k-2), 2^-(k-1) and 2^-k in one pass, not three.
-The window decides exactly as the one-step search does, so the iterates
-are bit-identical; it only trades calls for rows.  Most passes carry a
-handful of rows, where a round's cost is fixed per numpy call: at 3 rows
-it takes about 0.14 ms, three quarters of it the closed_form pass, and at
-192 rows (64 lanes' first pass) about 1.2 ms (criterion-8 N = 4, one Xeon
-core and BLAS thread).  Each lane is handed over at the end of the round
+window of RESUME + 1 trial steps per lane, so a lane that keeps accepting
+the same short step tries 2^-(k-2), 2^-(k-1) and 2^-k in one pass, not
+three.  The window decides exactly as the one-step search does, so the
+iterates are bit-identical; it only trades calls for rows (the README
+gives a round's cost).  Each lane is handed over at the end of the round
 it finishes in, then goes through deflation, which drops a root set whose
-sign orbits {x, -x} repeat a certified state's, then certification of
-each new state against the dense eigendecomposition of W, which is
-entirely independent of the Bethe machinery.  The solve stops once p + 1
-dense eigenvalues have a certified state, as many as the Bethe ansatz
-gives: all N + 1 in inhomogeneous mode, p_bar + 1 in homogeneous mode.
-The lanes still running are then abandoned.
+sign orbits {x, -x} repeat a certified state's, then certification of each
+new state against the dense eigendecomposition of W, which is entirely
+independent of the Bethe machinery.  Once p + 1 dense eigenvalues have a
+certified state, as many as the Bethe ansatz gives (N + 1 in inhomogeneous
+mode, p_bar + 1 in homogeneous mode), the solve stops and abandons the
+lanes still running.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -38,7 +37,7 @@ import numpy as np
 
 from .bethe import (DEFLATION_TOL, BetheState, BetheSystem, HOMOGENEOUS, INHOMOGENEOUS,
                     bethe_vector, canonical_roots, pick_u_aux)
-from .core import dense_spectrum
+from .core import dense_spectrum, pole_margin
 from .errors import ParameterDomainError, SolverFailure
 from .heun import HeunParams, build_W_parametric
 from .racah import DynContext, RacahParams, y_eigenvalue
@@ -117,14 +116,14 @@ class SolveReport:
         return out
 
 
-def newton_lanes(fj, starts, trials=1):
+def newton_lanes(fj, starts, trials=1, first=None):
     """Damped Newton from every start at once, one lane per start.
 
     fj(X, lanes) evaluates the rows X, an (n, p) stack, where lanes[i] is the
     index into starts of row i's lane, and returns F (n, p), J = dF/dx
-    (n, p, p) and a pole mask (n,).  Each lane keeps newton_refine's rules.
-    A round makes one batched SVD and solve for the lanes at an accepted
-    point, then one call of fj for the window of every lane still searching.
+    (n, p, p) and a pole mask (n,); first, if given, is fj at the starts.
+    Lanes keep newton_refine's rules.  A round makes one _newton_steps for
+    the lanes at accepted points and one fj call for every searching window.
 
     The window: a searching lane at exponent k sends its next `trials` trial
     steps 2^-k, ..., 2^-(min(k + trials, MAX_HALVINGS) - 1) in the same
@@ -145,7 +144,7 @@ def newton_lanes(fj, starts, trials=1):
     if not len(starts):
         return
     x = np.array(starts, dtype=np.complex128)
-    F, J, norm = _evaluate(fj, x, np.arange(len(x)))
+    F, J, norm = _evaluate(fj if first is None else lambda *_: first, x, np.arange(len(x)))
     tol = NEWTON_TOL * (1.0 + norm)
     live = np.isfinite(norm)
     for i in np.flatnonzero(~live):  # a lane whose start is a pole ends at once
@@ -209,14 +208,24 @@ def _evaluate(fj, X, lanes):
 
 
 def _newton_steps(J, F):
-    """(ok, delta) for a stack of lanes: ok where cond(J) = s_max/s_min is at
-    most COND_LIMIT and neither the SVD nor the solve failed, and the steps
-    solve(J, -F) of those lanes.  When a stacked call fails, the lanes go
-    one by one."""
+    """(ok, solve(J, -F) of the ok lanes) for a stack of lanes: ok where
+    s_max/s_min of np.linalg.svd is at most COND_LIMIT and no call failed; a
+    failed stacked SVD or solve sends the lanes one by one.  The SVD runs
+    only where B = ||J||_F ||X||_F, X the computed inv(J), exceeds 1e-2
+    COND_LIMIT (or inv fails).  Rounding (Higham, 2nd ed., ch. 14): X's
+    columns solve (J + dJ_j) x_j = e_j, ||dJ_j|| <= e ||J||, e about p u
+    times the LU growth, so cond_2(J) <= ||J||_F ||J^-1||_F <= B / (1 - e B)
+    <= 2e12 if e <= 5e-13, and the SVD's ratio is that within p u 2e12 < 2%."""
+    try:  # einsum raises no warning: an overflow or inf * 0 leaves the lane to the SVD
+        v, w = (A.reshape(len(A), -1).view(np.float64) for A in (J, np.linalg.inv(J)))
+        ok = np.einsum("ij,ij,i->i", v, v, np.einsum("ij,ij->i", w, w)) <= (1e-2 * COND_LIMIT) ** 2
+    except np.linalg.LinAlgError:
+        ok = np.zeros(len(J), dtype=bool)
     try:
-        s = np.linalg.svd(J, compute_uv=False)
-        with np.errstate(all="ignore"):  # singular J: inf, or NaN when J = 0
-            ok = s[:, 0] / s[:, -1] <= COND_LIMIT
+        if not ok.all():
+            s = np.linalg.svd(J[~ok], compute_uv=False)
+            with np.errstate(all="ignore"):  # singular J: inf, or NaN when J = 0
+                ok[~ok] = s[:, 0] / s[:, -1] <= COND_LIMIT
         return ok, np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(J) == 1:
@@ -233,11 +242,11 @@ def newton_refine(fj, x0):
     steps 2^-k0, 2^-(k0+1), ... that strictly lowers ||F||_inf, with k0 = 0 at
     first and k0 = max(k - RESUME, 0) after accepting 2^-k.  fj is called
     once per trial step (trials=1): a wider window would spend a whole call
-    on each speculative step.  A start is abandoned
-    (converged False) on a pole at the start point, cond(J) = s_max/s_min above
-    1e14, a non-finite J, a failed SVD or solve, or no decrease down to step
-    2^-29.  A map that raises a pole error, or gives a non-finite F, has met
-    a pole.  Convergence means ||F||_inf <= NEWTON_TOL * (1 + ||F(x0)||_inf).
+    on each speculative step.  A start is abandoned (converged False) on a
+    pole at the start point, cond(J) = s_max/s_min above 1e14 (_newton_steps),
+    a non-finite J, a failed SVD or solve, or no decrease down to step 2^-29.
+    A map that raises a pole error, or gives a non-finite F, has met a pole.
+    Convergence means ||F||_inf <= NEWTON_TOL * (1 + ||F(x0)||_inf).
     """
     x0 = np.asarray(x0, dtype=np.complex128).ravel()
     n = x0.size
@@ -265,37 +274,46 @@ def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
             N + 2 + g + d + bt, N + 2 + g + d - bt, shifted]
 
 
-def seed_starts(system: BetheSystem, cfg: SolverConfig) -> list[tuple[list, tuple | None]]:
+def seed_starts(system: BetheSystem, cfg: SolverConfig) -> tuple[list, tuple]:
     """Deterministic multistart seeds: annulus draws mixed with perturbed
-    zeros of the vacuum weight, canonicalized, each paired with the reference
-    pass (residuals, scales) that kept the pole margin there, or with None
-    when 200 redraws never did.  With no roots, the vacuum is the one start."""
+    zeros of the vacuum weight, canonicalized (the vacuum when p = 0), with
+    row scales 1 + |t+| + |t-| (+ |U_r^(i)|), or None after 200 draws miss
+    the pole margin; and closed_form at the kept starts, the lanes' first
+    evaluation.  One closed_form pass under the margin filters a stack of
+    draws, each draw after a miss being its redraw: the starts of a scalar
+    reference filter, though exact zeros of the divisors are masked too."""
     rp = system.hp.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
     rmax = max(1.0, 2.0 * np.sqrt(lam_max))
     guesses = [z for z in _xi_zero_guesses(system) if abs(z) > REJECT_MARGIN]
 
-    starts = []
-    for _ in range(cfg.starts if system.p else 1):
-        for _attempt in range(200):
-            roots = []
-            for _k in range(system.p):
-                # rng.uniform's arithmetic on rng.random(), which costs less per call
-                if guesses and rng.random() < 0.5:
-                    z = guesses[int(rng.integers(len(guesses)))]
-                    z = z * (1 + 0.05 * (rng.standard_normal() + 1j * rng.standard_normal()))
-                else:
-                    r = 0.5 + (rmax - 0.5) * rng.random()
-                    th = 2 * np.pi * rng.random()
-                    z = complex(r * np.cos(th), r * np.sin(th))
-                roots.append(z)
-            roots = list(canonical_roots(roots))
-            reference = within_margin(system.reference, roots)
-            if reference is not None:
-                break
-        starts.append((roots, reference))
-    return starts
+    def draw():
+        roots = []
+        for _k in range(system.p):
+            # rng.uniform's arithmetic on rng.random(), which costs less per call
+            if guesses and rng.random() < 0.5:
+                z = guesses[int(rng.integers(len(guesses)))]
+                z = z * (1 + 0.05 * (rng.standard_normal() + 1j * rng.standard_normal()))
+            else:
+                r = 0.5 + (rmax - 0.5) * rng.random()
+                th = 2 * np.pi * rng.random()
+                z = complex(r * np.cos(th), r * np.sin(th))
+            roots.append(z)
+        return list(canonical_roots(roots))
+
+    count = cfg.starts if system.p else 1
+    starts, passes, misses = [], [], 0  # misses: the draws of the next start that missed
+    while len(starts) < count:  # each draw gives at most one start
+        batch = [draw() for _ in range(count - len(starts))]
+        with pole_margin(REJECT_MARGIN):
+            F, J, pole, scales = system.closed_form(batch, scales=True)
+        for roots, missed, row in zip(batch, pole, scales):
+            misses = (misses + 1) % 200 if missed else 0  # 200 misses reject a start
+            if not misses:
+                starts.append((roots, None if missed else row))
+        passes.append((F[~pole], J[~pole]))
+    return starts, tuple(np.concatenate(arrays) for arrays in zip(*passes))
 
 
 def _match_oracle(value: complex, oracle: np.ndarray):
@@ -356,19 +374,20 @@ def _is_duplicate(roots, states) -> bool:
     return any(same_orbits(s.roots) for s in states)
 
 
-def _lanes(system: BetheSystem, starts):
+def _lanes(system: BetheSystem, starts, first):
     """newton_lanes over the starts that kept the pole margin, on the
-    closed form with each lane's rows scaled by its start's scales; each
-    pass carries RESUME + 1 trial steps per searching lane.  A lane's index
-    is its place among the starts that kept the margin."""
-    live = [(roots, reference[1]) for roots, reference in starts if reference is not None]
+    closed form with each lane's rows scaled by its start's scales and
+    seed_starts' pass (first) as the first evaluation; RESUME + 1 trial
+    steps a pass.  A lane's index is its place among the kept starts."""
+    live = [(roots, scales) for roots, scales in starts if scales is not None]
     norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
 
-    def fj(X, lanes):
-        F, J, pole = system.closed_form(X)
+    def scaled(F, J, pole, lanes):
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
-    return newton_lanes(fj, [roots for roots, _ in live], trials=RESUME + 1)
+    return newton_lanes(lambda X, lanes: scaled(*system.closed_form(X), lanes),
+                        [roots for roots, _ in live], trials=RESUME + 1,
+                        first=scaled(*first, np.zeros(len(live), dtype=bool), slice(None)))
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
@@ -384,10 +403,10 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
 
     certified: list[tuple[BetheState, int, bool]] = []
     matched = np.zeros(len(oracle), dtype=bool)
-    starts = seed_starts(system, cfg)
-    rejects = Counter("pole_margin" for _, reference in starts if reference is None)
+    starts, first = seed_starts(system, cfg)
+    rejects = Counter("pole_margin" for _, scales in starts if scales is None)
     attempts, converged = rejects["pole_margin"], 0
-    with closing(_lanes(system, starts)) as lanes:
+    with closing(_lanes(system, starts, first)) as lanes:
         for _index, roots, ok, _its in lanes:
             attempts += 1
             if not ok:

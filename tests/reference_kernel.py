@@ -1,19 +1,25 @@
-"""The plain lane kernel: a bit-for-bit reference for solver.newton_lanes
-and BetheSystem.closed_form.
+"""The plain lane kernel: a bit-for-bit reference for solver.newton_lanes,
+solver.seed_starts and BetheSystem.closed_form.
 
 The package's kernel cuts the fixed cost of a round: fewer array passes
 for the pole mask, shared temporaries, a table of 2^-k, a fast path for
-whole windows and fewer scatters.  This is the same kernel written
-plainly, with one array operation per step and masks for every lane
-state.  tests/test_kernel.py holds the package's kernel to it bit for bit:
-every F, J and pole mask, and every lane's (index, x, converged,
-iterations) in hand-over order.
+whole windows and fewer scatters, a condition-number bound that spares
+most lanes the SVD, and one stacked start filter.  This is the same kernel
+written plainly, with one array operation per step and masks for every
+lane state, the SVD for every lane, and a scalar reference pass per start.
+tests/test_kernel.py holds the package's kernel to it bit for bit: every
+F, J and pole mask, every Newton step, every start, and every lane's
+(index, x, converged, iterations) in hand-over order.
 """
 
 import numpy as np
 
+from heun_racah import sampling
+from heun_racah.bethe import canonical_roots
 from heun_racah.core import on_pole
-from heun_racah.solver import COND_LIMIT, MAX_HALVINGS, MAX_ITER, NEWTON_TOL, RESUME
+from heun_racah.racah import y_eigenvalue
+from heun_racah.solver import (COND_LIMIT, MAX_HALVINGS, MAX_ITER, NEWTON_TOL, RESUME,
+                               _xi_zero_guesses)
 
 
 def swap_weight_values(weight, v):
@@ -32,7 +38,7 @@ def swap_weight_values(weight, v):
 
 
 def swap_weight_poles(weight, v):
-    return on_pole(v) | on_pole(weight.c3 + 2 - v)
+    return on_pole(v) | on_pole(weight.c3 + 2 - v) | on_pole(weight.c3 + 2 + v)
 
 
 def closed_form(system, roots):
@@ -161,8 +167,9 @@ def _newton_steps(J, F):
 
 def lanes(system, starts, trials):
     """solver._lanes on the plain kernel: the starts that kept the pole
-    margin, each lane's rows scaled by its start's scales."""
-    live = [(roots, reference[1]) for roots, reference in starts if reference is not None]
+    margin, each lane's rows scaled by its start's scales, and a first
+    pass of their own at the starts."""
+    live = [(roots, scales) for roots, scales in starts if scales is not None]
     norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
 
     def fj(X, lanes):
@@ -170,3 +177,38 @@ def lanes(system, starts, trials):
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
     return newton_lanes(fj, [roots for roots, _ in live], trials=trials)
+
+
+def seed_starts(system, cfg, misses=None):
+    """solver.seed_starts as a start-by-start filter: each candidate is kept
+    when the scalar reference pass keeps the pole margin there, and redrawn
+    at once otherwise.  Returns (roots, (residuals, scales)) per start, or
+    (roots, None) after 200 misses; misses, when given, gets each start's
+    count of missed draws."""
+    rp = system.hp.rp
+    rng = np.random.default_rng(cfg.seed)
+    lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
+    rmax = max(1.0, 2.0 * np.sqrt(lam_max))
+    guesses = [z for z in _xi_zero_guesses(system) if abs(z) > sampling.REJECT_MARGIN]
+
+    starts = []
+    for _ in range(cfg.starts if system.p else 1):
+        for attempt in range(200):
+            roots = []
+            for _k in range(system.p):
+                if guesses and rng.random() < 0.5:
+                    z = guesses[int(rng.integers(len(guesses)))]
+                    z = z * (1 + 0.05 * (rng.standard_normal() + 1j * rng.standard_normal()))
+                else:
+                    r = 0.5 + (rmax - 0.5) * rng.random()
+                    th = 2 * np.pi * rng.random()
+                    z = complex(r * np.cos(th), r * np.sin(th))
+                roots.append(z)
+            roots = list(canonical_roots(roots))
+            reference = sampling.within_margin(system.reference, roots)
+            if reference is not None:
+                break
+        if misses is not None:
+            misses.append(attempt + (reference is None))
+        starts.append((roots, reference))
+    return starts

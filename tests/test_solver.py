@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from heun_racah import bethe, solver
+from heun_racah import bethe, sampling, solver
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
 from heun_racah.core import dense_spectrum
 from heun_racah.errors import ModeError, ParameterDomainError, SolverFailure
@@ -88,8 +88,13 @@ class TestNewtonRefine:
         assert np.array_equal(x, x0)
 
     def test_svd_that_fails_abandons_the_start(self, monkeypatch):
+        # an inverse that fails leaves the lane to the SVD, and an SVD that
+        # fails then abandons it; with the SVD alone working, it decides
         def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("did not converge")
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
+        assert ok and its == 1
         monkeypatch.setattr(np.linalg, "svd", failing)
         _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
         assert not ok and its == 0
@@ -192,13 +197,13 @@ def scaled_reference_map(system, scales):
     return fj
 
 
-def scalar_newton(system, starts, refine=reference_newton_refine):
+def scalar_newton(system, starts, _first, refine=reference_newton_refine):
     """(index, roots, converged, iterations) of each start that kept the
     margin, in start order, the index counting those starts: one scalar
     Newton per start on the scalar closed form."""
-    live = [(start, reference) for start, reference in starts if reference is not None]
-    for index, (start, reference) in enumerate(live):
-        yield index, *refine(scaled_reference_map(system, reference[1]), start)
+    live = [(start, scales) for start, scales in starts if scales is not None]
+    for index, (start, scales) in enumerate(live):
+        yield index, *refine(scaled_reference_map(system, scales), start)
 
 
 def reference_solve(system, cfg, newton=scalar_newton):
@@ -206,16 +211,17 @@ def reference_solve(system, cfg, newton=scalar_newton):
     lane runs and is certified in the order newton(system, starts) hands
     it over.  By default that is the full-step scalar search in start
     order; with solver._lanes it is a full run of the solve's own lane
-    kernel, in the order its lanes finish."""
+    kernel, in the order its lanes finish.  newton takes seed_starts'
+    (starts, first)."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
     certified = []
-    starts = seed_starts(system, cfg)
-    rejects = Counter("pole_margin" for _, reference in starts if reference is None)
+    starts, first = seed_starts(system, cfg)
+    rejects = Counter("pole_margin" for _, scales in starts if scales is None)
     attempts, converged = rejects["pole_margin"], 0
-    for _index, roots, ok, _its in newton(system, starts):
+    for _index, roots, ok, _its in newton(system, starts, first):
         attempts += 1
         if not ok:
             rejects["newton"] += 1
@@ -248,10 +254,10 @@ def counted_closed_form(monkeypatch):
     counts = Counter()
     stacked = BetheSystem.closed_form
 
-    def counting(self, roots):
+    def counting(self, roots, **kwargs):
         counts["rows"] += len(roots)
         counts["passes"] += 1
-        return stacked(self, roots)
+        return stacked(self, roots, **kwargs)
     monkeypatch.setattr(BetheSystem, "closed_form", counting)
     return counts
 
@@ -299,10 +305,10 @@ class TestNewtonMatchesReference:
         cfg = SolverConfig(starts=64, seed=seed)
         kernel = lane_view(system)
         evaluations = Counter()
-        for start, reference in seed_starts(system, cfg):
-            if reference is None:
+        for start, scales in seed_starts(system, cfg)[0]:
+            if scales is None:
                 continue
-            norms = np.array([1 / s for s in reference[1]])
+            norms = np.array([1 / s for s in scales])
             for name, refine in (("resumed", newton_refine), ("full", reference_newton_refine)):
                 def counted(x, name=name):
                     evaluations[name] += 1
@@ -323,16 +329,16 @@ class TestNewtonMatchesReference:
         counts = counted_closed_form(monkeypatch)
         lanes, runs = solver.newton_lanes, []
 
-        def recorded(fj, starts, trials):
+        def recorded(fj, starts, trials, first):
             runs.append([])
-            for lane in lanes(fj, starts, trials):
+            for lane in lanes(fj, starts, trials, first):
                 runs[-1].append(lane)
                 yield lane
         monkeypatch.setattr(solver, "newton_lanes", recorded)
         window = _solve(system, cfg)
         passes = counts["passes"]
         monkeypatch.setattr(solver, "newton_lanes",
-                            lambda fj, starts, trials: recorded(fj, starts, 1))
+                            lambda fj, starts, trials, first: recorded(fj, starts, 1, first))
         one_step = _solve(system, cfg)
         assert window.attempts == one_step.attempts == 64
         assert_same_lanes(*runs)
@@ -399,10 +405,10 @@ class TestNewtonLanes:
         rp, ctx, hp = generic_setup(2)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=1)
-        starts = seed_starts(system, cfg)
-        assert all(reference is not None for _, reference in starts)
+        starts, seeding_pass = seed_starts(system, cfg)
+        assert all(scales is not None for _, scales in starts)
         counts = counted_closed_form(monkeypatch)
-        lanes = solver._lanes(system, starts)
+        lanes = solver._lanes(system, starts, seeding_pass)
         first = [next(lanes) for _ in range(5)]
         rows = counts["rows"]
         lanes.close()
@@ -413,7 +419,7 @@ class TestNewtonLanes:
         kernel = lane_view(system)
         assert [index for index, *_ in first] != list(range(5))  # not start order
         for index, x, ok, its in first:
-            start, (_, scales) = starts[index]
+            start, scales = starts[index]
             norms = np.array([1 / s for s in scales])
 
             def one(x):
@@ -422,7 +428,7 @@ class TestNewtonLanes:
             x1, ok1, its1 = newton_refine(one, start)
             assert (ok, its) == (ok1, its1) and np.array_equal(x, x1)
         # a full run hands the same lanes over first and evaluates more
-        full = list(solver._lanes(system, starts))
+        full = list(solver._lanes(system, starts, seeding_pass))
         assert len(full) == 64 and counts["rows"] > 2 * rows
         assert_same_lanes(first, full[:5])
         assert _solve(system, cfg).attempts == 5
@@ -451,28 +457,71 @@ class TestSeedStarts:
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=17, seed=4)
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
-        a = seed_starts(system, cfg)
-        b = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
+        (a, first), (b, again) = (seed_starts(s, cfg) for s in
+                                  (system, BetheSystem(hp, ctx, HOMOGENEOUS)))
         assert len(a) == 17
-        assert a == b
-        # each start carries the reference pass that kept the margin there
-        for roots, reference in a:
-            assert reference == system.reference(roots)
+        assert [roots for roots, _ in a] == [roots for roots, _ in b]
+        assert all(np.array_equal(s, t) for (_, s), (_, t) in zip(a, b))
+        # each start carries the scales of the pass that kept the margin there
+        F, J, pole, scales = system.closed_form([roots for roots, _ in a], scales=True)
+        assert not pole.any() and np.array_equal(np.array([s for _, s in a]), scales)
+        assert all(np.array_equal(u, v) for u, v in zip(first, again))
+        assert np.array_equal(first[0], F) and np.array_equal(first[1], J)
 
     def test_start_that_never_keeps_the_margin_is_rejected(self, monkeypatch):
-        from heun_racah import solver
-        monkeypatch.setattr(solver, "within_margin", lambda evaluate, value: None)
+        # a margin no point keeps: each start misses it in 200 draws, the
+        # start-by-start filter's 600 draws, made in passes of 3, 2 and 1 rows
+        import reference_kernel
+        monkeypatch.setattr(sampling, "REJECT_MARGIN", np.inf)
+        monkeypatch.setattr(solver, "REJECT_MARGIN", np.inf)
         rp, ctx, hp = generic_setup(1)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        assert [ref for _, ref in seed_starts(system, SolverConfig(starts=3))] == [None] * 3
+        cfg = SolverConfig(starts=3, seed=0)
+        counts = counted_closed_form(monkeypatch)
+        starts, (F, J) = seed_starts(system, cfg)
+        assert [scales for _, scales in starts] == [None] * 3 and F.shape == (0, 1)
+        assert (counts["passes"], counts["rows"]) == (366, 600)
+        want = reference_kernel.seed_starts(system, cfg)
+        assert [roots for roots, _ in starts] == [roots for roots, _ in want]
         with pytest.raises(SolverFailure, match="'pole_margin': 3"):
-            solve_inhomogeneous(hp, rp, ctx, SolverConfig(starts=3, seed=0))
+            solve_inhomogeneous(hp, rp, ctx, cfg)
+
+    @pytest.mark.parametrize("mode, N", [(INHOMOGENEOUS, 3), (HOMOGENEOUS, 63)])
+    def test_reference_runs_only_in_certification(self, monkeypatch, mode, N):
+        # seeding and Newton run on the closed form alone: the scalar
+        # reference pass runs inside _certify, after a lane is handed over
+        rp, ctx, hp = generic_setup(N) if mode == INHOMOGENEOUS else homogeneous_setup(N)
+        system = BetheSystem(hp, ctx, mode)
+        calls, certifying, handed = [], [], []
+        reference, certify, lanes = BetheSystem.reference, solver._certify, solver._lanes
+
+        def recorded_reference(self, roots):
+            calls.append((bool(certifying), len(handed)))
+            return reference(self, roots)
+
+        def recorded_certify(*args):
+            certifying.append(True)
+            try:
+                return certify(*args)
+            finally:
+                certifying.pop()
+
+        def recorded_lanes(*args):
+            for lane in lanes(*args):
+                handed.append(lane)
+                yield lane
+        monkeypatch.setattr(BetheSystem, "reference", recorded_reference)
+        monkeypatch.setattr(solver, "_certify", recorded_certify)
+        monkeypatch.setattr(solver, "_lanes", recorded_lanes)
+        report = _solve(system, SolverConfig(starts=64, seed=0))
+        assert report.states and len(calls) >= report.distinct
+        assert all(inside and lanes_handed > 0 for inside, lanes_handed in calls)
 
     def test_includes_vacuum_weight_guesses(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=64, seed=0)
         starts = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
-        flat = [x for roots, _ in starts for x in roots]
+        flat = [x for roots, _ in starts[0] for x in roots]
         for guess in (-rp.N + (rp.beta - rp.gamma + rp.delta),
                       rp.beta + rp.N + 2 + rp.gamma + rp.delta):
             target = bethe.canonical_root(complex(guess))
@@ -646,7 +695,7 @@ class TestStopAtFullCoverage:
         full = reference_solve(system, cfg, solver._lanes)
         for key in ("states", "spectrum_coverage", "ambiguous_matches"):
             assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
-        assert full.attempts == len(seed_starts(system, cfg))  # one start when p = 0
+        assert full.attempts == len(seed_starts(system, cfg)[0])  # one start when p = 0
         assert_counts_starts_tried(report, cfg.starts)
         return report, full
 

@@ -34,6 +34,7 @@ from .errors import ModeError, ParameterDomainError
 from .heun import HeunParams, check_same_problem, h1_scalar, h2_scalar, integer_p_bar
 from .racah import DynContext, RacahParams, coeff_k1, coeff_k2, op_A, op_B
 from .sampling import draw_complex, draw_until, within_margin
+from .serialize import scalars_to_pairs
 
 HOMOGENEOUS = "homogeneous"
 INHOMOGENEOUS = "inhomogeneous"
@@ -69,14 +70,14 @@ class BetheState:
     eigen_residual: float
 
     def to_json_dict(self) -> dict:
-        return {
+        return scalars_to_pairs({
             "mode": self.mode,
-            "roots": [[x.real, x.imag] for x in self.roots],
-            "u_aux": [self.u_aux.real, self.u_aux.imag],
-            "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
-            "bethe_residuals": [[r.real, r.imag] for r in self.bethe_residuals],
+            "roots": self.roots,
+            "u_aux": self.u_aux,
+            "eigenvalue": self.eigenvalue,
+            "bethe_residuals": self.bethe_residuals,
             "eigen_residual": self.eigen_residual,
-        }
+        })
 
 
 def canonical_root(x: complex) -> complex:

@@ -9,7 +9,9 @@ UNDECIDED: no sampled residual was finite), 2 parameter or parse error
 (including a count option below 1, a negative --seed, a --tol that is
 not a finite number >= 0, an --out or --csv path that cannot be written,
 and parameters that leave no admissible random draw), 3 solver failure.
-All output is deterministic given (params, flags, seed).
+All output is deterministic given (params, flags, seed).  main loads the
+parameter file and writes the --out report for every command; each
+cmd_* takes the loaded parameters and returns (exit code, report payload).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
 from .core import dense_spectrum, pole_margin
-from .dynamical import RelationId, draw_u_and_roots, verify_relation
+from .dynamical import DEFAULT_TOLS, RelationId, draw_u_and_roots, verify_relation
 from .errors import (CanonicalizationError, DimensionError, ModeError,
                      OracleError, ParameterDomainError, RelationViolation,
                      SolverFailure)
@@ -143,8 +145,7 @@ def fmt(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
-def cmd_verify(args) -> int:
-    params = load_params(args.params)
+def cmd_verify(args, params):
     _, ctx, _, _ = build_problem(params)
     if args.relations.strip().lower() == "all":
         relations = list(RelationId)
@@ -166,21 +167,17 @@ def cmd_verify(args) -> int:
             status = f"UNDECIDED ({rep.nonfinite} of {rep.evaluations} non-finite)" \
                 if rep.undecided else "ok"
         except RelationViolation as exc:
-            rep = None
             failures.append(exc)
-            status = "VIOLATION"
-            print(f"{rel.value:<22} {args.samples:>7} {exc.residual:>16.12g}  {status}")
+            print(f"{rel.value:<22} {args.samples:>7} {exc.residual:>16.12g}  VIOLATION")
             continue
         reports.append(rep)
         print(f"{rel.value:<22} {rep.samples:>7} {rep.max_residual:>16.12g}  {status}")
-    if args.out:
-        write_output(args.out, dump_json({"reports": [r.to_json_dict() for r in reports],
-                                          "violations": [str(f) for f in failures]}))
-    return EXIT_VIOLATION if failures or any(r.undecided for r in reports) else EXIT_OK
+    code = EXIT_VIOLATION if failures or any(r.undecided for r in reports) else EXIT_OK
+    return code, {"reports": [r.to_json_dict() for r in reports],
+                  "violations": [str(f) for f in failures]}
 
 
-def cmd_spectrum(args) -> int:
-    params = load_params(args.params)
+def cmd_spectrum(args, params):
     hp, ctx, _, _ = build_problem(params)
     W = build_W_bilinear(params["bilinear"], ctx.rep) if "bilinear" in params \
         else build_W_parametric(hp, ctx)
@@ -188,35 +185,25 @@ def cmd_spectrum(args) -> int:
     print(f"eigenvalues ({len(spec.eigenvalues)}):")
     for ev in spec.eigenvalues:
         print(f"  {fmt(ev)}")
-    payload = {"eigenvalues": [[ev.real, ev.imag] for ev in spec.eigenvalues],
-               "trace": [complex(W.trace()).real, complex(W.trace()).imag]}
-    if args.out:
-        write_output(args.out, dump_json(payload))
     if args.csv:
         write_output(args.csv, "\n".join(
             ["re,im"] + [f"{float(ev.real)!r},{float(ev.imag)!r}" for ev in spec.eigenvalues]))
-    return EXIT_OK
+    return EXIT_OK, {"eigenvalues": spec.eigenvalues.tolist(), "trace": complex(W.trace())}
 
 
-def cmd_solve(args) -> int:
-    params = load_params(args.params)
+def cmd_solve(args, params):
     hp, ctx, scale, shift = build_problem(params)
-    cfg = SolverConfig(starts=args.starts, seed=args.seed)
     mode = args.mode
     if mode == "auto":
         mode = "homogeneous" if integer_p_bar(hp) is not None else "inhomogeneous"
         print(f"auto mode: {mode}")
     solve = solve_homogeneous if mode == "homogeneous" else solve_inhomogeneous
-    report = solve(hp, hp.rp, ctx, cfg)
-    # the solve stops at p + 1 matched eigenvalues; with p = 0 one start is drawn
-    goal = report.matched.size if report.p_bar is None else report.p_bar + 1
-    stopped = goal > 1 and report.attempts < cfg.starts \
-        and np.count_nonzero(report.matched) == goal
+    report = solve(hp, hp.rp, ctx, SolverConfig(starts=args.starts, seed=args.seed))
     reason = "every dense eigenvalue matched" if report.p_bar is None else \
-        f"the p_bar + 1 = {goal} states the Bethe ansatz gives are certified"
-    tried = f"{report.attempts} of {cfg.starts}" if stopped else report.attempts
+        f"the p_bar + 1 = {report.p_bar + 1} states the Bethe ansatz gives are certified"
+    tried = f"{report.attempts} of {args.starts}" if report.stopped else report.attempts
     print(f"{report.mode}: {report.distinct} distinct certified state(s) from {tried} starts "
-          f"({report.converged} converged{f'; {reason}' if stopped else ''})")
+          f"({report.converged} converged{f'; {reason}' if report.stopped else ''})")
     for s in report.states:
         roots = ", ".join(fmt(x) for x in s.roots) or "(vacuum)"
         print(f"  eigenvalue {fmt(s.eigenvalue)}  roots [{roots}]  "
@@ -227,15 +214,11 @@ def cmd_solve(args) -> int:
         print(f"  {fmt(ev)}  {'matched' if ok else 'unmatched'}")
     payload = report.to_json_dict()
     if "bilinear" in params:
-        payload["bilinear_scale"] = [scale.real, scale.imag]
-        payload["bilinear_shift"] = [shift.real, shift.imag]
-    if args.out:
-        write_output(args.out, dump_json(payload))
-    return EXIT_OK
+        payload["bilinear_scale"], payload["bilinear_shift"] = scale, shift
+    return EXIT_OK, payload
 
 
-def cmd_check_maba(args) -> int:
-    params = load_params(args.params)
+def cmd_check_maba(args, params):
     N = args.N if args.N is not None else params["N"]
     if N < 1:
         raise ParamFileError("N must be >= 1 for the reduction identity")
@@ -260,29 +243,29 @@ def cmd_check_maba(args) -> int:
     mean = sum(residuals) / len(residuals)
     print(f"N={N} draws={args.draws} worst residual {worst:.12g} "
           f"mean {mean:.12g} worst backward {worst_backward:.12g}")
-    if args.out:
-        write_output(args.out, dump_json({
-            "N": N, "draws": args.draws, "seed": args.seed, "precision": "float64",
-            "worst_residual": worst, "mean_residual": mean,
-            "worst_backward_residual": worst_backward, "residuals": residuals}))
+    payload = {"N": N, "draws": args.draws, "seed": args.seed, "precision": "float64",
+               "worst_residual": worst, "mean_residual": mean,
+               "worst_backward_residual": worst_backward, "residuals": residuals}
     overflowed = sum(1 for a, b in zip(residuals, backwards) if not np.isfinite(a + b))
     if overflowed:  # such a draw checked nothing
         print(f"UNDECIDED: {overflowed} of {args.draws} draws give a non-finite residual "
               "(double precision overflows)")
-        return EXIT_VIOLATION if N <= 4 else EXIT_OK
+        return (EXIT_VIOLATION if N <= 4 else EXIT_OK), payload
+    tol = DEFAULT_TOLS[RelationId.MABA_REDUCTION]
     if N <= 4:
-        if worst > 1e-8:
-            print("FAIL: residual above 1e-8 in the proven range")
-            return EXIT_VIOLATION
+        if worst > tol:
+            print(f"FAIL: residual above {np.format_float_scientific(tol, trim='-', exp_digits=1)} "
+                  "in the proven range")
+            return EXIT_VIOLATION, payload
         print("ok: proven range")
-        return EXIT_OK
+        return EXIT_OK, payload
     # the backward residual decides the verdict: the summands can exceed the
     # result by many orders, which inflates the plain metric with pure
     # cancellation noise at larger N
-    verdict = "SUPPORTED" if worst_backward <= 1e-8 else "VIOLATED"
+    verdict = "SUPPORTED" if worst_backward <= tol else "VIOLATED"
     print(f"CONJECTURE {verdict} in double precision (proven only for N <= 4; "
           f"worst residual {worst:.12g}, worst backward {worst_backward:.12g})")
-    return EXIT_OK
+    return EXIT_OK, payload
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -331,7 +314,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload = args.func(args, load_params(args.params))
+        if args.out:
+            write_output(args.out, dump_json(payload))
+        return code
     except (ParamFileError, ParameterDomainError, CanonicalizationError,
             ModeError, DimensionError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

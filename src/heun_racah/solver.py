@@ -10,9 +10,9 @@ starts run as the lanes of one damped Newton (newton_lanes): each round
 takes one stacked closed_form pass (residuals and closed-form Jacobian at
 once) over every lane still searching.  Each lane's line search resumes
 RESUME = 2 halvings above the step it last accepted, and a pass carries a
-window of RESUME + 1 trial steps per lane, so a lane that keeps accepting
-the same short step tries 2^-(k-2), 2^-(k-1) and 2^-k in one pass, not
-three.  The window decides exactly as the one-step search does, so the
+window of WINDOW = RESUME + 1 trial steps per lane, so a lane that keeps
+accepting the same short step tries 2^-(k-2), 2^-(k-1) and 2^-k in one
+pass, not three.  The window decides exactly as the one-step search does, so the
 iterates are bit-identical; it only trades calls for rows (the README
 gives a round's cost).  Each lane is handed over at the end of the round
 it finishes in, then goes through deflation, which drops a root set whose
@@ -21,7 +21,7 @@ new state against the dense eigendecomposition of W, which is entirely
 independent of the Bethe machinery.  Once p + 1 dense eigenvalues have a
 certified state, as many as the Bethe ansatz gives (N + 1 in inhomogeneous
 mode, p_bar + 1 in homogeneous mode), the solve stops and abandons the
-lanes still running.
+lanes still running; the report's stopped flag says so.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -42,6 +42,7 @@ from .errors import ParameterDomainError, SolverFailure
 from .heun import HeunParams, build_W_parametric
 from .racah import DynContext, RacahParams, y_eigenvalue
 from .sampling import REJECT_MARGIN, within_margin
+from .serialize import scalars_to_pairs
 
 EIGEN_RESIDUAL_TOL = 1e-8
 BETHE_RESIDUAL_TOL = 1e-9
@@ -51,6 +52,7 @@ MAX_HALVINGS = 30
 MAX_ITER = 200
 NEWTON_TOL = 1e-12
 RESUME = 2  # a line search resumes RESUME halvings above its last accepted step
+WINDOW = RESUME + 1  # the trial steps a searching lane sends in one pass
 HALVINGS = np.ldexp(1.0, -np.arange(MAX_HALVINGS))  # the trial step 2^-k at exponent k
 
 
@@ -71,7 +73,9 @@ class SolveReport:
     """A solve's states and its oracle spectrum, kept as arrays: the dense
     eigenvalues `oracle` and whether a state matched each, `matched`.
     attempts, converged and diagnostics count the starts _solve tried: the
-    pole-margin rejects, and the lanes handed over before it stopped."""
+    pole-margin rejects, and the lanes handed over before it stopped.
+    stopped: the solve met its p + 1 goal with lanes still running; it is
+    not part of the JSON report."""
     mode: str
     states: list[BetheState]
     attempts: int
@@ -82,6 +86,7 @@ class SolveReport:
     seed: int = 0
     p_bar: int | None = None
     diagnostics: dict = field(default_factory=dict)
+    stopped: bool = False
 
     @property
     def distinct(self) -> int:
@@ -104,19 +109,18 @@ class SolveReport:
             "converged": self.converged,
             "distinct": self.distinct,
             "states": [s.to_json_dict() for s in self.states],
-            "spectrum_coverage": [
-                {"eigenvalue": [ev.real, ev.imag], "matched": bool(ok)}
-                for ev, ok in self.spectrum_coverage],
-            "ambiguous_matches": [[z.real, z.imag] for z in self.ambiguous_matches],
+            "spectrum_coverage": [{"eigenvalue": ev, "matched": ok}
+                                  for ev, ok in self.spectrum_coverage],
+            "ambiguous_matches": self.ambiguous_matches,
         }
         if self.p_bar is not None:
             out["p_bar"] = self.p_bar
         if self.diagnostics:
             out["diagnostics"] = self.diagnostics
-        return out
+        return scalars_to_pairs(out)
 
 
-def newton_lanes(fj, starts, trials=1, first=None):
+def newton_lanes(fj, starts, first=None):
     """Damped Newton from every start at once, one lane per start.
 
     fj(X, lanes) evaluates the rows X, an (n, p) stack, where lanes[i] is the
@@ -125,22 +129,20 @@ def newton_lanes(fj, starts, trials=1, first=None):
     Lanes keep newton_refine's rules.  A round makes one _newton_steps for
     the lanes at accepted points and one fj call for every searching window.
 
-    The window: a searching lane at exponent k sends its next `trials` trial
-    steps 2^-k, ..., 2^-(min(k + trials, MAX_HALVINGS) - 1) in the same
+    The window: a searching lane at exponent k sends its next WINDOW trial
+    steps 2^-k, ..., 2^-(min(k + WINDOW, MAX_HALVINGS) - 1) in the same
     call, its rows in step order after those of every earlier lane.  It
     accepts the first of its rows, in step order, that strictly lowers its
     ||F||_inf; with none, k advances past the rows it sent.  Every decision
-    is the one of the one-step search (trials=1), so the iterates are
-    bit-identical for any trials >= 1; a larger window spends speculative
-    rows to save calls.
+    is the one of the one-step search, so the iterates are bit-identical to
+    a search that sends one trial step a call; the window spends
+    speculative rows to save calls.
 
     A generator: it yields (index, x, converged, iterations), the index
     being the lane's place in starts, for each lane at the end of the round
     it finishes in, after that round's call of fj; lanes finishing in one
     round come in index order.  Closing it abandons the lanes still running.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not len(starts):
         return
     x = np.array(starts, dtype=np.complex128)
@@ -154,7 +156,7 @@ def newton_lanes(fj, starts, trials=1, first=None):
     its, k = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)  # k: next step 2^-k
     delta = np.zeros_like(x)
     searching = np.zeros(len(x), dtype=bool)
-    window = np.arange(trials)
+    window = np.arange(WINDOW)
     while left:
         done = []  # the lanes that finish in this round
         if at.size:  # at an accepted point: converged, out of iterations, or a step
@@ -169,8 +171,8 @@ def newton_lanes(fj, starts, trials=1, first=None):
         at = lanes[:0]  # a lane reaches a new point only in a pass
         if lanes.size:  # one pass over every searching lane's window of trial steps
             kl = k[lanes]
-            whole = kl.max() < MAX_HALVINGS - trials  # no window is cut, none is the last
-            sent = trials if whole else np.minimum(kl + trials, MAX_HALVINGS) - kl
+            whole = kl.max() < MAX_HALVINGS - WINDOW  # no window is cut, none is the last
+            sent = WINDOW if whole else np.minimum(kl + WINDOW, MAX_HALVINGS) - kl
             rows = lanes.repeat(sent)
             steps = (kl[:, None] + window).ravel() if whole \
                 else (kl - (sent.cumsum() - sent)).repeat(sent) + np.arange(rows.size)
@@ -236,31 +238,33 @@ def _newton_steps(J, F):
 
 def newton_refine(fj, x0):
     """Damped Newton from one start on a map fj(x) -> (F, J), with J = dF/dx
-    at x: the one-lane view of newton_lanes.
+    at x: the one-lane view of newton_lanes, which calls fj once for every
+    row a pass sends.
 
     Returns (x, converged, iterations).  The line search takes the first of the
     steps 2^-k0, 2^-(k0+1), ... that strictly lowers ||F||_inf, with k0 = 0 at
-    first and k0 = max(k - RESUME, 0) after accepting 2^-k.  fj is called
-    once per trial step (trials=1): a wider window would spend a whole call
-    on each speculative step.  A start is abandoned (converged False) on a
-    pole at the start point, cond(J) = s_max/s_min above 1e14 (_newton_steps),
-    a non-finite J, a failed SVD or solve, or no decrease down to step 2^-29.
-    A map that raises a pole error, or gives a non-finite F, has met a pole.
-    Convergence means ||F||_inf <= NEWTON_TOL * (1 + ||F(x0)||_inf).
+    first and k0 = max(k - RESUME, 0) after accepting 2^-k.  A start is
+    abandoned (converged False) on a pole at the start point, cond(J) =
+    s_max/s_min above 1e14 (_newton_steps), a non-finite J, a failed SVD or
+    solve, or no decrease down to step 2^-29.  A map that raises a pole
+    error, or gives a non-finite F, has met a pole.  Convergence means
+    ||F||_inf <= NEWTON_TOL * (1 + ||F(x0)||_inf).
     """
     x0 = np.asarray(x0, dtype=np.complex128).ravel()
     n = x0.size
 
-    def lane(X, _lanes):
-        try:
-            F, J = fj(X[0])
-        except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
-            return np.zeros((1, n), dtype=np.complex128), \
-                np.zeros((1, n, n), dtype=np.complex128), np.ones(1, dtype=bool)
-        return np.asarray(F, dtype=np.complex128).reshape(1, n), \
-            np.asarray(J, dtype=np.complex128).reshape(1, n, n), np.zeros(1, dtype=bool)
+    def rows(X, _lanes):
+        F = np.zeros((len(X), n), dtype=np.complex128)
+        J = np.zeros((len(X), n, n), dtype=np.complex128)
+        pole = np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                F[i], J[i] = fj(x)
+            except (ParameterDomainError, ZeroDivisionError, FloatingPointError, OverflowError):
+                pole[i] = True
+        return F, J, pole
 
-    with closing(newton_lanes(lane, [x0])) as lanes:
+    with closing(newton_lanes(rows, [x0])) as lanes:
         _, x, ok, its = next(lanes)
         return x, ok, its
 
@@ -274,14 +278,17 @@ def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
             N + 2 + g + d + bt, N + 2 + g + d - bt, shifted]
 
 
-def seed_starts(system: BetheSystem, cfg: SolverConfig) -> tuple[list, tuple]:
+def seed_starts(system: BetheSystem, cfg: SolverConfig):
     """Deterministic multistart seeds: annulus draws mixed with perturbed
-    zeros of the vacuum weight, canonicalized (the vacuum when p = 0), with
-    row scales 1 + |t+| + |t-| (+ |U_r^(i)|), or None after 200 draws miss
-    the pole margin; and closed_form at the kept starts, the lanes' first
-    evaluation.  One closed_form pass under the margin filters a stack of
-    draws, each draw after a miss being its redraw: the starts of a scalar
-    reference filter, though exact zeros of the divisors are masked too."""
+    zeros of the vacuum weight, canonicalized (the vacuum when p = 0).
+
+    Returns (x, scales, (F, J), rejected): the kept starts x (K, p), their
+    row scales 1 + |t+| + |t-| (+ |U_r^(i)|) (K, p), closed_form at x, the
+    lanes' first evaluation, and the count of starts rejected as
+    pole_margin after 200 draws missed the margin.  One closed_form pass
+    under the margin filters a stack of draws, each draw after a miss being
+    its redraw: the starts of a scalar reference filter, though exact zeros
+    of the divisors are masked too."""
     rp = system.hp.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
@@ -303,17 +310,20 @@ def seed_starts(system: BetheSystem, cfg: SolverConfig) -> tuple[list, tuple]:
         return list(canonical_roots(roots))
 
     count = cfg.starts if system.p else 1
-    starts, passes, misses = [], [], 0  # misses: the draws of the next start that missed
-    while len(starts) < count:  # each draw gives at most one start
-        batch = [draw() for _ in range(count - len(starts))]
+    found, rejected, misses, passes = 0, 0, 0, []  # misses: the next start's missed draws
+    while found < count:  # each draw gives at most one start
+        batch = np.array([draw() for _ in range(count - found)], dtype=np.complex128)
         with pole_margin(REJECT_MARGIN):
             F, J, pole, scales = system.closed_form(batch, scales=True)
-        for roots, missed, row in zip(batch, pole, scales):
+        for missed in pole.tolist():
             misses = (misses + 1) % 200 if missed else 0  # 200 misses reject a start
             if not misses:
-                starts.append((roots, None if missed else row))
-        passes.append((F[~pole], J[~pole]))
-    return starts, tuple(np.concatenate(arrays) for arrays in zip(*passes))
+                found += 1
+                rejected += missed
+        kept = ~pole
+        passes.append((batch[kept], scales[kept], F[kept], J[kept]))
+    x, scales, F, J = (np.concatenate(arrays) for arrays in zip(*passes))
+    return x, scales, (F, J), rejected
 
 
 def _match_oracle(value: complex, oracle: np.ndarray):
@@ -374,20 +384,17 @@ def _is_duplicate(roots, states) -> bool:
     return any(same_orbits(s.roots) for s in states)
 
 
-def _lanes(system: BetheSystem, starts, first):
-    """newton_lanes over the starts that kept the pole margin, on the
-    closed form with each lane's rows scaled by its start's scales and
-    seed_starts' pass (first) as the first evaluation; RESUME + 1 trial
-    steps a pass.  A lane's index is its place among the kept starts."""
-    live = [(roots, scales) for roots, scales in starts if scales is not None]
-    norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
+def _lanes(system: BetheSystem, x, scales, first):
+    """newton_lanes from the kept starts x on the closed form, with the rows
+    of every pass, seed_starts' pass (first) included, scaled by their
+    lane's start scales.  A lane's index is its row in x."""
+    norms = 1.0 / scales
 
     def scaled(F, J, pole, lanes):
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
-    return newton_lanes(lambda X, lanes: scaled(*system.closed_form(X), lanes),
-                        [roots for roots, _ in live], trials=RESUME + 1,
-                        first=scaled(*first, np.zeros(len(live), dtype=bool), slice(None)))
+    return newton_lanes(lambda X, lanes: scaled(*system.closed_form(X), lanes), x,
+                        first=scaled(*first, np.zeros(len(x), dtype=bool), slice(None)))
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
@@ -403,10 +410,10 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
 
     certified: list[tuple[BetheState, int, bool]] = []
     matched = np.zeros(len(oracle), dtype=bool)
-    starts, first = seed_starts(system, cfg)
-    rejects = Counter("pole_margin" for _, scales in starts if scales is None)
-    attempts, converged = rejects["pole_margin"], 0
-    with closing(_lanes(system, starts, first)) as lanes:
+    x, scales, first, rejected = seed_starts(system, cfg)
+    rejects = Counter({"pole_margin": rejected} if rejected else {})
+    attempts, converged, stopped = rejected, 0, False
+    with closing(_lanes(system, x, scales, first)) as lanes:
         for _index, roots, ok, _its in lanes:
             attempts += 1
             if not ok:
@@ -422,6 +429,7 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
             certified.append(entry)
             matched[entry[1]] = True
             if np.count_nonzero(matched) > system.p:
+                stopped = attempts < rejected + len(x)
                 break
 
     certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
@@ -432,7 +440,8 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
                          converged=converged, oracle=oracle, matched=matched,
                          ambiguous_matches=ambiguous,
                          seed=cfg.seed, p_bar=system.p_bar,
-                         diagnostics={"rejected": dict(rejects)} if rejects else {})
+                         diagnostics={"rejected": dict(rejects)} if rejects else {},
+                         stopped=stopped)
     if not states:
         raise SolverFailure(
             f"{system.mode} solve produced no certifiable state out of {attempts} starts "

@@ -93,7 +93,10 @@ def _add_corrections(system, x, sq, inv, F, J):
 
 
 def newton_lanes(fj, starts, trials=1):
-    """solver.newton_lanes: the same protocol, rules and hand-over order."""
+    """solver.newton_lanes with a window of `trials` trial steps per pass:
+    the same protocol, rules and hand-over order at the package's
+    solver.WINDOW, and the same lanes at any window (trials=1 is the
+    one-step search the property tests compare with)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not len(starts):
@@ -165,18 +168,17 @@ def _newton_steps(J, F):
         return np.concatenate([d for d, _ in steps]), np.concatenate([ok for _, ok in steps])
 
 
-def lanes(system, starts, trials):
-    """solver._lanes on the plain kernel: the starts that kept the pole
-    margin, each lane's rows scaled by its start's scales, and a first
-    pass of their own at the starts."""
-    live = [(roots, scales) for roots, scales in starts if scales is not None]
-    norms = 1.0 / np.array([scales for _, scales in live], dtype=float).reshape(len(live), system.p)
+def lanes(system, x, scales, trials):
+    """solver._lanes on the plain kernel: seed_starts' kept starts x, each
+    lane's rows scaled by its start's scales, and a first pass of its own
+    at the starts."""
+    norms = 1.0 / scales
 
     def fj(X, lanes):
         F, J, pole = closed_form(system, X)
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
-    return newton_lanes(fj, [roots for roots, _ in live], trials=trials)
+    return newton_lanes(fj, x, trials=trials)
 
 
 def seed_starts(system, cfg, misses=None):

@@ -22,7 +22,7 @@ from heun_racah.core import guard
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
 from heun_racah.racah import DynContext, build_params, build_representation
-from heun_racah.solver import (MAX_HALVINGS, MAX_ITER, RESUME, SolverConfig, newton_lanes,
+from heun_racah.solver import (MAX_HALVINGS, MAX_ITER, WINDOW, SolverConfig, newton_lanes,
                                newton_refine, seed_starts)
 
 import reference_kernel
@@ -267,8 +267,9 @@ def test_newton_agrees_with_finite_difference_jacobian(N):
     rp, ctx, hp = setup(N, *CRITERION_8)
     system = BetheSystem(hp, ctx, INHOMOGENEOUS)
     cfg = SolverConfig(starts=64, seed=2)
-    for start, scales in seed_starts(system, cfg)[0]:
-        norms = np.array([1 / s for s in scales])
+    starts, scales, _, _ = seed_starts(system, cfg)
+    for start, row in zip(starts, scales):
+        norms = 1 / row
 
         def scaled(x):
             F, J = lane_view(system)(x)
@@ -316,7 +317,7 @@ class TestBetheSystem:
         u-dependent scalar maps bit for bit."""
         rp, ctx, hp = setup(N, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        for start, _ in seed_starts(system, SolverConfig(starts=16, seed=N))[0]:
+        for start in seed_starts(system, SolverConfig(starts=16, seed=N))[0].tolist():
             residuals = system.reference(start)[0]
             for u in (2.37 + 0.91j, -3.1 + 0.2j):
                 _, u_i = inhomogeneous_terms(u, start, hp)
@@ -340,7 +341,8 @@ def assert_identical_arrays(got, want):
 class TestMatchesPlainKernel:
     """closed_form and newton_lanes give, bit for bit, what the plain kernel
     of tests/reference_kernel.py gives: every F, J and pole mask, and every
-    lane in the same hand-over order."""
+    lane in the same hand-over order at the package's WINDOW (and by index
+    at the plain kernel's other windows)."""
 
     @pytest.mark.parametrize("mode, params", [
         *cases(), pytest.param(HOMOGENEOUS, (3, 11, 1, 2, 2 / 5, 0, 3), id="hom-N3-p0")])
@@ -362,23 +364,22 @@ class TestMatchesPlainKernel:
         """solver._lanes, started from seed_starts' pass, and the plain
         kernel's, which evaluates the starts itself, hand over the same
         lanes after the same closed_form passes of trial steps, row for row."""
-        starts, first = seed_starts(system, cfg)
-        kept = [roots for roots, scales in starts if scales is not None]
+        x, scales, first, _ = seed_starts(system, cfg)
         # the seeding pass at the kept starts is the plain kernel's first pass
-        assert_identical_arrays(first, reference_kernel.closed_form(system, kept)[:2])
+        assert_identical_arrays(first, reference_kernel.closed_form(system, x)[:2])
         runs = []
         for owner, lanes in ((BetheSystem, partial(solver._lanes, first=first)),
-                             (reference_kernel, partial(reference_kernel.lanes, trials=RESUME + 1))):
+                             (reference_kernel, partial(reference_kernel.lanes, trials=WINDOW))):
             passes, closed_form = [], owner.closed_form
 
             def recording(system, roots, passes=passes, closed_form=closed_form):
                 passes.append(np.asarray(roots).tobytes())
                 return closed_form(system, roots)
             monkeypatch.setattr(owner, "closed_form", recording)
-            runs.append((list(lanes(system, starts)), passes))
+            runs.append((list(lanes(system, x, scales)), passes))
         (got, passes), (want, want_passes) = runs
         assert_identical_lanes(got, want)
-        assert want_passes[0] == np.asarray(kept).tobytes() and passes == want_passes[1:]
+        assert want_passes[0] == x.tobytes() and passes == want_passes[1:]
         return got
 
     @pytest.mark.parametrize("N, seed", [(2, 0), (3, 1), (4, 0), (4, 2)])
@@ -399,19 +400,25 @@ class TestMatchesPlainKernel:
 
     @staticmethod
     def assert_same_run(fj, starts, trials):
-        """Both kernels hand over the same lanes after the same calls of fj,
-        row for row."""
+        """The package kernel hands over the lanes of the plain kernel that
+        sends `trials` trial steps a pass.  At the package's WINDOW both
+        hand them over in the same order after the same calls of fj, row for
+        row; at any other window the lanes are the same, by index."""
         runs = []
-        for kernel in (newton_lanes, reference_kernel.newton_lanes):
+        for kernel in (newton_lanes, partial(reference_kernel.newton_lanes, trials=trials)):
             calls = []
 
             def recording(X, lanes, calls=calls):
                 calls.append((lanes.tolist(), X.tobytes()))
                 return fj(X, lanes)
-            runs.append((list(kernel(recording, starts, trials)), calls))
+            runs.append((list(kernel(recording, starts)), calls))
         (got, calls), (want, want_calls) = runs
-        assert_identical_lanes(got, want)
-        assert calls == want_calls
+        if trials == WINDOW:
+            assert_identical_lanes(got, want)
+            assert calls == want_calls
+        else:
+            assert_identical_lanes(*(sorted(lanes, key=lambda lane: lane[0])
+                                     for lanes in (got, want)))
         return got
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, MAX_HALVINGS + 1])
@@ -493,7 +500,7 @@ class TestMatchesPlainKernel:
         def fj(X, lanes):
             return X * X - targets[lanes, None], 2 * X[:, :, None], np.zeros(len(X), bool)
         starts = [[3 + 0.5j], [-0.4 + 1j], [5 - 1j], [-0.3 - 0.2j], [0.7 + 0j]]
-        got = self.assert_same_run(fj, starts, 3)
+        got = self.assert_same_run(fj, starts, WINDOW)
         assert any(not ok and its < MAX_ITER for _, _, ok, its in got)
 
 
@@ -509,8 +516,12 @@ SEEDING_PROBLEMS = [pytest.param(INHOMOGENEOUS, (N,) + CRITERION_8, id=f"inhom-N
 SCALES_RTOL = 1e-12
 
 
-def root_bytes(starts):
-    return [np.asarray(roots, dtype=np.complex128).tobytes() for roots, _ in starts]
+def plain_kept(system, want):
+    """The plain filter's starts as seed_starts gives them: the kept starts
+    (K, p), their scales and the count rejected."""
+    kept = [(roots, ref[1]) for roots, ref in want if ref is not None]
+    x = np.array([roots for roots, _ in kept], dtype=np.complex128).reshape(len(kept), system.p)
+    return x, [scales for _, scales in kept], len(want) - len(kept)
 
 
 class TestSeedsMatchThePlainFilter:
@@ -523,13 +534,14 @@ class TestSeedsMatchThePlainFilter:
         system = BetheSystem(hp, ctx, mode)
         for seed in range(20):
             cfg = SolverConfig(starts=64, seed=seed)
-            starts, (F, J) = seed_starts(system, cfg)
+            x, scales, (F, J), rejected = seed_starts(system, cfg)
             want = reference_kernel.seed_starts(system, cfg)
-            assert root_bytes(starts) == root_bytes(want)
-            assert [scales is None for _, scales in starts] == [ref is None for _, ref in want]
-            for (_, scales), (_, ref) in zip(starts, want):
-                np.testing.assert_allclose(scales, ref[1], rtol=SCALES_RTOL, atol=0)
-            assert F.shape == (len(starts), system.p) and J.shape == F.shape + (system.p,)
+            want_x, want_scales, want_rejected = plain_kept(system, want)
+            assert x.tobytes() == want_x.tobytes() and rejected == want_rejected
+            assert scales.shape == x.shape
+            for row, ref in zip(scales, want_scales, strict=True):
+                np.testing.assert_allclose(row, ref, rtol=SCALES_RTOL, atol=0)
+            assert F.shape == x.shape and J.shape == F.shape + (system.p,)
 
     def test_a_missed_start_is_redrawn_in_the_plain_order(self, monkeypatch):
         # criterion-8 N = 2, seed 10: the first draw of start 43 misses the
@@ -546,19 +558,19 @@ class TestSeedsMatchThePlainFilter:
             rows.append(len(roots))
             return closed_form(self, roots, **kwargs)
         monkeypatch.setattr(BetheSystem, "closed_form", recording)
-        starts, (F, J) = seed_starts(system, cfg)
+        x, scales, (F, J), rejected = seed_starts(system, cfg)
         # 64 draws give 63 starts; one more draw gives start 63
         assert rows == [64, 1]
-        assert root_bytes(starts) == root_bytes(want)
-        assert all(scales is not None for _, scales in starts) and len(F) == 64
+        assert x.tobytes() == plain_kept(system, want)[0].tobytes()
+        assert rejected == 0 and len(x) == len(scales) == len(F) == 64
 
     def test_vacuum_is_the_one_start(self):
         rp, ctx, hp = setup(3, 11, 1, 2, 2 / 5, 0, 3)  # p_bar = 0
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
         assert system.p == 0
         cfg = SolverConfig(starts=64, seed=0)
-        starts, (F, J) = seed_starts(system, cfg)
-        assert [(roots, scales.shape) for roots, scales in starts] == [([], (0,))]
+        x, scales, (F, J), rejected = seed_starts(system, cfg)
+        assert (x.shape, scales.shape, rejected) == ((1, 0), (1, 0), 0)
         assert (F.shape, J.shape) == ((1, 0), (1, 0, 0))
         assert reference_kernel.seed_starts(system, cfg) == [([], ([], []))]
 
@@ -619,7 +631,7 @@ class TestConditionBound:
             raise AssertionError("SVD called")
         rp, ctx, hp = setup(4, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        starts, first = seed_starts(system, SolverConfig(starts=64, seed=0))
-        want = list(reference_kernel.lanes(system, starts, RESUME + 1))
+        x, scales, first, _ = seed_starts(system, SolverConfig(starts=64, seed=0))
+        want = list(reference_kernel.lanes(system, x, scales, WINDOW))
         monkeypatch.setattr(np.linalg, "svd", failing)
-        assert_identical_lanes(list(solver._lanes(system, starts, first)), want)
+        assert_identical_lanes(list(solver._lanes(system, x, scales, first)), want)

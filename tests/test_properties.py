@@ -5,10 +5,11 @@ formula keeps the package's pole margin, as in every seeded sweep.  The
 stacked closed form is held to its scalar reference on every drawn lane and
 on lanes planted on each kind of pole; values are compared where the pass
 is well conditioned, the pole mask on every lane.  The lane kernel's window
-of trial steps is held bit for bit to its one-step search.  The catalog
-identities BB_EXCHANGE and VACUUM_ACTION hold within their catalog
-tolerances at every admissible draw.  The runs are derandomized and keep
-no example database, so every run of the suite checks the same examples.
+of trial steps is held bit for bit to the plain one-step search.  The
+catalog identities BB_EXCHANGE, AB_EXCHANGE, CA_EXCHANGE and VACUUM_ACTION
+hold within their catalog tolerances at every admissible draw.  The runs
+are derandomized and keep no example database, so every run of the suite
+checks the same examples.
 """
 
 import numpy as np
@@ -22,10 +23,12 @@ from heun_racah.dynamical import DEFAULT_TOLS, RelationId
 from heun_racah.errors import CanonicalizationError, ParameterDomainError
 from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear,
                              build_W_parametric, canonicalize)
-from heun_racah.racah import DynContext, build_params, build_representation, op_A, op_B, op_C
+from heun_racah.racah import (DynContext, build_params, build_representation, coeff_k1, coeff_k2,
+                              op_A, op_B, op_C)
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
 from heun_racah.solver import MAX_HALVINGS, newton_lanes
 
+import reference_kernel
 from test_kernel import a1_lane, planted_poles, reference_closed_form
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -89,6 +92,32 @@ def test_bb_exchange_holds(N, u, v, m):
     ctx = CRITERION_8[N]
     B_u1, B_v, B_v1, B_u = admissible(lambda: op_B([u, v, v, u], [m + 1, m, m + 1, m], ctx))
     assert residual_norm(B_u1 @ B_v, B_v1 @ B_u) <= DEFAULT_TOLS[RelationId.BB_EXCHANGE]
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), u=annulus, v=annulus, m=annulus)
+def test_ab_exchange_holds(N, u, v, m):
+    # A(u, m) B(v, m) = k1(u, v) B(v, m) A(u, m-1)
+    #   + B(u, m) [k2(u, v, m) A(v, m-1) + k2(u, -v, m) A(-v, m-1)]
+    ctx = CRITERION_8[N]
+    A_um, A_u, A_v, A_mv, B_v, B_u, k1, k2, k2_mv = admissible(lambda: (
+        *op_A([u, u, v, -v], [m, m - 1, m - 1, m - 1], ctx), *op_B([v, u], [m, m], ctx),
+        coeff_k1(u, v), coeff_k2(u, v, m, ctx.rho), coeff_k2(u, -v, m, ctx.rho)))
+    rhs = k1 * (B_v @ A_u) + B_u @ (k2 * A_v + k2_mv * A_mv)
+    assert residual_norm(A_um @ B_v, rhs) <= DEFAULT_TOLS[RelationId.AB_EXCHANGE]
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), u=annulus, v=annulus, m=annulus)
+def test_ca_exchange_holds(N, u, v, m):
+    # C(v, m) A(u, m) = k1(u, v) A(u, m-1) C(v, m)
+    #   + [k2(u, v, m) A(v, m-1) + k2(u, -v, m) A(-v, m-1)] C(u, m)
+    ctx = CRITERION_8[N]
+    A_um, A_u, A_v, A_mv, C_v, C_u, k1, k2, k2_mv = admissible(lambda: (
+        *op_A([u, u, v, -v], [m, m - 1, m - 1, m - 1], ctx), *op_C([v, u], [m, m], ctx),
+        coeff_k1(u, v), coeff_k2(u, v, m, ctx.rho), coeff_k2(u, -v, m, ctx.rho)))
+    rhs = k1 * (A_u @ C_v) + (k2 * A_v + k2_mv * A_mv) @ C_u
+    assert residual_norm(C_v @ A_um, rhs) <= DEFAULT_TOLS[RelationId.CA_EXCHANGE]
 
 
 @PROPERTY
@@ -165,39 +194,39 @@ def test_stacked_closed_form_is_the_scalar_pass(key, data):
 
 
 LANES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
-WINDOWS = st.sampled_from([3, 2, 4, MAX_HALVINGS + 1])
 
 
-def assert_window_is_the_one_step_search(fj, starts, trials):
-    """newton_lanes with `trials` trial steps per pass yields, for every lane,
-    bit for bit the one-step search's (index, x, converged, iterations),
+def assert_window_is_the_one_step_search(fj, starts):
+    """newton_lanes, with its window of WINDOW trial steps per pass, yields
+    for every lane bit for bit the (index, x, converged, iterations) of the
+    plain kernel's one-step search (tests/reference_kernel.py, trials=1),
     compared by index: a lane is handed over at the end of the round it
-    finishes in, so the order follows the rounds.  Every call hands fj one lane index per
-    row, in lane order."""
+    finishes in, so the order follows the rounds.  Every call hands fj one
+    lane index per row, in lane order."""
     def checked(X, lanes):
         assert len(lanes) == len(X) and np.all(np.diff(lanes) >= 0)
         return fj(X, lanes)
-    one_step, window = (sorted(newton_lanes(checked, starts, trials=t), key=lambda lane: lane[0])
-                        for t in (1, trials))
+    one_step, window = (sorted(run, key=lambda lane: lane[0]) for run in
+                        (reference_kernel.newton_lanes(checked, starts, trials=1),
+                         newton_lanes(checked, starts)))
     assert [i for i, *_ in window] == [i for i, *_ in one_step] == list(range(len(starts)))
     for (_, x, ok, its), (_, x1, ok1, its1) in zip(window, one_step):
         assert np.array_equal(x, x1) and (ok, its) == (ok1, its1)
 
 
 @LANES
-@given(key=st.sampled_from(sorted(SYSTEMS)), trials=WINDOWS, data=st.data())
-def test_window_on_closed_form_stacks(key, trials, data):
+@given(key=st.sampled_from(sorted(SYSTEMS)), data=st.data())
+def test_window_on_closed_form_stacks(key, data):
     system = SYSTEMS[key]
     starts = data.draw(st.lists(st.lists(annulus, min_size=system.p, max_size=system.p),
                                 min_size=1, max_size=6))
-    assert_window_is_the_one_step_search(lambda X, lanes: system.closed_form(X),
-                                         starts, trials)
+    assert_window_is_the_one_step_search(lambda X, lanes: system.closed_form(X), starts)
 
 
 @LANES
 @given(starts=st.lists(st.lists(annulus, min_size=2, max_size=2), min_size=1, max_size=6),
-       every=st.integers(2, 5), trials=WINDOWS)
-def test_window_past_rows_masked_as_poles(starts, every, trials):
+       every=st.integers(2, 5))
+def test_window_past_rows_masked_as_poles(starts, every):
     # Newton on tanh overshoots from a far start, so the search halves; a
     # hash of the row's point masks about one row in `every` as a pole,
     # inside windows as well as on their first rows
@@ -207,13 +236,13 @@ def test_window_past_rows_masked_as_poles(starts, every, trials):
         T = np.tanh(X - roots[lanes % 2])
         pole = np.floor(np.abs(X[:, 0]) * 997) % every == 0
         return T, (1 - T * T)[:, :, None] * np.eye(2), pole
-    assert_window_is_the_one_step_search(fj, starts, trials)
+    assert_window_is_the_one_step_search(fj, starts)
 
 
 @LANES
 @given(lanes=st.lists(st.tuples(st.integers(24, MAX_HALVINGS + 1), st.booleans()),
-                      min_size=1, max_size=6), trials=WINDOWS)
-def test_window_cut_off_by_the_last_halving(lanes, trials):
+                      min_size=1, max_size=6))
+def test_window_cut_off_by_the_last_halving(lanes):
     # F = x with J = 0.75 * 2^-e: the first trial step that lowers |F| is
     # 2^-e, which takes x to about -x/3.  With `grows`, e is one larger on
     # every odd iteration, told by |x| = |x0| 3^-i, so a window also starts
@@ -229,4 +258,4 @@ def test_window_cut_off_by_the_last_halving(lanes, trials):
         e = base[idx] + (grows[idx] & (i % 2 == 1))
         J = np.ldexp(0.75, -e).astype(np.complex128)[:, None, None]
         return X.copy(), J, np.zeros(len(X), dtype=bool)
-    assert_window_is_the_one_step_search(fj, list(x0), trials)
+    assert_window_is_the_one_step_search(fj, list(x0))

@@ -12,10 +12,11 @@ from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
 from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER, NEWTON_TOL,
-                               SolveReport, SolverConfig, _certify, _is_duplicate, _solve,
+                               WINDOW, SolveReport, SolverConfig, _certify, _is_duplicate, _solve,
                                newton_lanes, newton_refine, seed_starts, solve_homogeneous,
                                solve_inhomogeneous)
 
+import reference_kernel
 from conftest import finite_difference_map
 from test_kernel import lane_view, reference_closed_form
 
@@ -64,14 +65,16 @@ class TestNewtonRefine:
         assert not ok
 
     def test_jacobian_comes_from_the_same_pass(self):
-        # one map evaluation per point: the start, then one per accepted step
+        # one map evaluation per row: the start, then the one pass of WINDOW
+        # trial steps, whose first row (the full step) is accepted with its J
         points = []
 
         def fj(x):
             points.append(x.copy())
             return 2 * x - 4, [[2.0]]
         x, ok, its = newton_refine(fj, np.array([10.0 + 0j]))
-        assert ok and its == 1 and len(points) == 2
+        assert ok and its == 1 and len(points) == 1 + WINDOW
+        assert np.array_equal(x, points[1])
 
     def test_nan_after_a_finite_component_is_a_pole(self):
         # max() of [1.0, nan] is 1.0, so the NaN must be seen before the norm
@@ -114,30 +117,35 @@ class TestNewtonRefine:
     def test_line_search_resumes_two_halvings_above_the_last_step(self):
         # Newton on tanh from 2.5 first accepts the step 1/8, so the next
         # iteration starts at 1/2; the full-step search starts at 1 again
-        def run(refine):
-            points = []
+        passes, points_ref = [], []
 
-            def fj(x):
-                points.append(complex(x[0]))
-                return np.tanh(x), [[1 / np.cosh(x[0]) ** 2]]
-            return refine(fj, np.array([2.5 + 0j])), points
+        def fj(X, _lanes):
+            passes.append(X[:, 0].tolist())
+            return np.tanh(X), (1 / np.cosh(X) ** 2)[:, :, None], np.zeros(len(X), bool)
 
-        (x, ok, _), points = run(newton_refine)
-        (x_ref, ok_ref, _), points_ref = run(reference_newton_refine)
+        def fj_ref(x):
+            points_ref.append(complex(x[0]))
+            return np.tanh(x), [[1 / np.cosh(x[0]) ** 2]]
+        [(_, x, ok, _)] = newton_lanes(fj, [[2.5 + 0j]])
+        x_ref, ok_ref, _ = reference_newton_refine(fj_ref, np.array([2.5 + 0j]))
         # (first trial step, accepted step) of each iteration; the step is
-        # delta = -tanh(x) cosh(x)^2 = -sinh(2x) / 2 from the iterate x
-        steps, x_k, first = [], points[0], None
-        for p in points[1:]:
-            t = 2.0 ** round(np.log2(((p - x_k) / (-np.sinh(2 * x_k) / 2)).real))
-            first = first or t
-            if abs(np.tanh(p)) < abs(np.tanh(x_k)):
-                steps.append((first, t))
-                x_k, first = p, None
+        # delta = -tanh(x) cosh(x)^2 = -sinh(2x) / 2 from the iterate x.  A
+        # pass sends the window's steps in order, and the first that lowers
+        # |tanh| is accepted; the rows after it are never looked at
+        steps, (x_k,), first = [], passes[0], None
+        for rows in passes[1:]:
+            for p in rows:
+                t = 2.0 ** round(np.log2(((p - x_k) / (-np.sinh(2 * x_k) / 2)).real))
+                first = first or t
+                if abs(np.tanh(p)) < abs(np.tanh(x_k)):
+                    steps.append((first, t))
+                    x_k, first = p, None
+                    break
         assert steps[0] == (1.0, 0.125)
         for (_, accepted), (first, _) in zip(steps, steps[1:]):
             assert first == min(1.0, 4 * accepted)
         assert ok and ok_ref and abs(x[0] - x_ref[0]) < 1e-11
-        assert len(points) < len(points_ref)
+        assert len(passes) < len(points_ref)
 
 
 def reference_newton_refine(fj, x0):
@@ -185,6 +193,26 @@ def reference_newton_refine(fj, x0):
     return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), MAX_ITER
 
 
+def one_step_refine(fj, x0):
+    """newton_refine's resumed search with one trial step a call: the plain
+    kernel of tests/reference_kernel.py at trials=1 on one lane, fj called
+    once per row; a map that raises a pole error has met a pole."""
+    n = len(x0)
+
+    def rows(X, _lanes):
+        F = np.zeros((len(X), n), dtype=np.complex128)
+        J = np.zeros((len(X), n, n), dtype=np.complex128)
+        pole = np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                F[i], J[i] = fj(x)
+            except ParameterDomainError:
+                pole[i] = True
+        return F, J, pole
+    [(_, x, ok, its)] = reference_kernel.newton_lanes(rows, [x0], trials=1)
+    return x, ok, its
+
+
 def scaled_reference_map(system, scales):
     """The scalar reference_closed_form with row r scaled by 1 / scales[r],
     as a solve scales each lane's rows."""
@@ -197,13 +225,12 @@ def scaled_reference_map(system, scales):
     return fj
 
 
-def scalar_newton(system, starts, _first, refine=reference_newton_refine):
+def scalar_newton(system, x, scales, _first, refine=reference_newton_refine):
     """(index, roots, converged, iterations) of each start that kept the
     margin, in start order, the index counting those starts: one scalar
     Newton per start on the scalar closed form."""
-    live = [(start, scales) for start, scales in starts if scales is not None]
-    for index, (start, scales) in enumerate(live):
-        yield index, *refine(scaled_reference_map(system, scales), start)
+    for index, (start, row) in enumerate(zip(x.tolist(), scales.tolist())):
+        yield index, *refine(scaled_reference_map(system, row), start)
 
 
 def reference_solve(system, cfg, newton=scalar_newton):
@@ -212,16 +239,16 @@ def reference_solve(system, cfg, newton=scalar_newton):
     it over.  By default that is the full-step scalar search in start
     order; with solver._lanes it is a full run of the solve's own lane
     kernel, in the order its lanes finish.  newton takes seed_starts'
-    (starts, first)."""
+    (x, scales, first)."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
 
     certified = []
-    starts, first = seed_starts(system, cfg)
-    rejects = Counter("pole_margin" for _, scales in starts if scales is None)
-    attempts, converged = rejects["pole_margin"], 0
-    for _index, roots, ok, _its in newton(system, starts, first):
+    x, scales, first, rejected = seed_starts(system, cfg)
+    rejects = Counter({"pole_margin": rejected} if rejected else {})
+    attempts, converged = rejected, 0
+    for _index, roots, ok, _its in newton(system, x, scales, first):
         attempts += 1
         if not ok:
             rejects["newton"] += 1
@@ -299,17 +326,16 @@ class TestNewtonMatchesReference:
     def test_fewer_evaluations_at_N4(self, seed):
         # N = 4 misses a state, so a solve runs all 64 starts.  The resumed
         # search evaluates each start's map fewer times than the full-step
-        # one, both run one evaluation at a time on the one-lane view
+        # one, both run one trial step a call on the one-lane view
         rp, ctx, hp = generic_setup(4)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
         kernel = lane_view(system)
         evaluations = Counter()
-        for start, scales in seed_starts(system, cfg)[0]:
-            if scales is None:
-                continue
-            norms = np.array([1 / s for s in scales])
-            for name, refine in (("resumed", newton_refine), ("full", reference_newton_refine)):
+        x, scales, _, _ = seed_starts(system, cfg)
+        for start, row in zip(x, scales):
+            norms = 1 / row
+            for name, refine in (("resumed", one_step_refine), ("full", reference_newton_refine)):
                 def counted(x, name=name):
                     evaluations[name] += 1
                     F, J = kernel(x)
@@ -319,26 +345,29 @@ class TestNewtonMatchesReference:
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_window_halves_the_passes_at_N4(self, monkeypatch, seed):
-        # a solve's lanes send RESUME + 1 trial steps per pass: more rows,
-        # in at most half the passes of a one-step search.  Each lane ends
-        # bit for bit as in the one-step search, though lanes finishing in
-        # other rounds are handed over in another order
+        # a solve's lanes send WINDOW trial steps per pass: more rows, in at
+        # most half the passes of the plain kernel's one-step search (which
+        # makes one more pass, at the starts).  Each lane ends bit for bit
+        # as in the one-step search, though lanes finishing in other rounds
+        # are handed over in another order
         rp, ctx, hp = generic_setup(4)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
         counts = counted_closed_form(monkeypatch)
-        lanes, runs = solver.newton_lanes, []
+        runs = []
 
-        def recorded(fj, starts, trials, first):
-            runs.append([])
-            for lane in lanes(fj, starts, trials, first):
-                runs[-1].append(lane)
-                yield lane
-        monkeypatch.setattr(solver, "newton_lanes", recorded)
+        def recorded(kernel):
+            def run(fj, starts, first):
+                runs.append([])
+                for lane in kernel(fj, starts, first):
+                    runs[-1].append(lane)
+                    yield lane
+            return run
+        monkeypatch.setattr(solver, "newton_lanes", recorded(solver.newton_lanes))
         window = _solve(system, cfg)
         passes = counts["passes"]
-        monkeypatch.setattr(solver, "newton_lanes",
-                            lambda fj, starts, trials, first: recorded(fj, starts, 1, first))
+        monkeypatch.setattr(solver, "newton_lanes", recorded(
+            lambda fj, starts, first: reference_kernel.newton_lanes(fj, starts, trials=1)))
         one_step = _solve(system, cfg)
         assert window.attempts == one_step.attempts == 64
         assert_same_lanes(*runs)
@@ -378,7 +407,7 @@ class TestNewtonLanes:
             assert len(calls) - last <= 2
             handed.append(lane)
         assert [index for index, *_ in handed] == [2, 1, 0]
-        assert calls[-1] == [0]  # the last rounds stepped lane 0 alone
+        assert set(calls[-1]) == {0}  # the last rounds stepped lane 0 alone
         with pytest.raises(StopIteration):
             next(lanes)
         for (index, x, ok, its), root in zip(handed, (4, 3, 2)):
@@ -393,22 +422,15 @@ class TestNewtonLanes:
                             [[1e3 + 0j], [3.5 + 0j], [3.5 + 0j]])
         assert [index for index, *_ in tied] == [1, 2, 0]
 
-    def test_window_needs_a_trial_step(self):
-        # with no trial step per pass a searching lane would never advance
-        lanes = newton_lanes(lambda X, lanes: (X, X[:, :, None], np.zeros(len(X), bool)),
-                             [[1.0 + 0j]], trials=0)
-        with pytest.raises(ValueError, match="trials"):
-            next(lanes)
-
     def test_start_index_and_closing(self, monkeypatch):
         # criterion-8 N = 2 at seed 1 stops after 5 of 64 lanes
         rp, ctx, hp = generic_setup(2)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=1)
-        starts, seeding_pass = seed_starts(system, cfg)
-        assert all(scales is not None for _, scales in starts)
+        x, scales, seeding_pass, rejected = seed_starts(system, cfg)
+        assert rejected == 0 and len(x) == 64
         counts = counted_closed_form(monkeypatch)
-        lanes = solver._lanes(system, starts, seeding_pass)
+        lanes = solver._lanes(system, x, scales, seeding_pass)
         first = [next(lanes) for _ in range(5)]
         rows = counts["rows"]
         lanes.close()
@@ -418,17 +440,16 @@ class TestNewtonLanes:
         # lane i is start i's Newton: the one-lane view from that start
         kernel = lane_view(system)
         assert [index for index, *_ in first] != list(range(5))  # not start order
-        for index, x, ok, its in first:
-            start, scales = starts[index]
-            norms = np.array([1 / s for s in scales])
+        for index, roots, ok, its in first:
+            norms = 1 / scales[index]
 
             def one(x):
                 F, J = kernel(x)
                 return F * norms, J * norms[:, None]
-            x1, ok1, its1 = newton_refine(one, start)
-            assert (ok, its) == (ok1, its1) and np.array_equal(x, x1)
+            x1, ok1, its1 = newton_refine(one, x[index])
+            assert (ok, its) == (ok1, its1) and np.array_equal(roots, x1)
         # a full run hands the same lanes over first and evaluates more
-        full = list(solver._lanes(system, starts, seeding_pass))
+        full = list(solver._lanes(system, x, scales, seeding_pass))
         assert len(full) == 64 and counts["rows"] > 2 * rows
         assert_same_lanes(first, full[:5])
         assert _solve(system, cfg).attempts == 5
@@ -457,32 +478,29 @@ class TestSeedStarts:
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=17, seed=4)
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
-        (a, first), (b, again) = (seed_starts(s, cfg) for s in
-                                  (system, BetheSystem(hp, ctx, HOMOGENEOUS)))
-        assert len(a) == 17
-        assert [roots for roots, _ in a] == [roots for roots, _ in b]
-        assert all(np.array_equal(s, t) for (_, s), (_, t) in zip(a, b))
+        x, scales, (F0, J0), rejected = seed_starts(system, cfg)
+        x1, scales1, (F1, J1), _ = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
+        assert x.shape == scales.shape == (17, 1) and rejected == 0
+        for a, b in ((x, x1), (scales, scales1), (F0, F1), (J0, J1)):
+            assert np.array_equal(a, b)
         # each start carries the scales of the pass that kept the margin there
-        F, J, pole, scales = system.closed_form([roots for roots, _ in a], scales=True)
-        assert not pole.any() and np.array_equal(np.array([s for _, s in a]), scales)
-        assert all(np.array_equal(u, v) for u, v in zip(first, again))
-        assert np.array_equal(first[0], F) and np.array_equal(first[1], J)
+        F, J, pole, rescaled = system.closed_form(x, scales=True)
+        assert not pole.any() and np.array_equal(scales, rescaled)
+        assert np.array_equal(F0, F) and np.array_equal(J0, J)
 
     def test_start_that_never_keeps_the_margin_is_rejected(self, monkeypatch):
         # a margin no point keeps: each start misses it in 200 draws, the
         # start-by-start filter's 600 draws, made in passes of 3, 2 and 1 rows
-        import reference_kernel
         monkeypatch.setattr(sampling, "REJECT_MARGIN", np.inf)
         monkeypatch.setattr(solver, "REJECT_MARGIN", np.inf)
         rp, ctx, hp = generic_setup(1)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=3, seed=0)
         counts = counted_closed_form(monkeypatch)
-        starts, (F, J) = seed_starts(system, cfg)
-        assert [scales for _, scales in starts] == [None] * 3 and F.shape == (0, 1)
+        x, scales, (F, J), rejected = seed_starts(system, cfg)
+        assert rejected == 3 and x.shape == scales.shape == F.shape == (0, 1)
         assert (counts["passes"], counts["rows"]) == (366, 600)
-        want = reference_kernel.seed_starts(system, cfg)
-        assert [roots for roots, _ in starts] == [roots for roots, _ in want]
+        assert [ref for _, ref in reference_kernel.seed_starts(system, cfg)] == [None] * 3
         with pytest.raises(SolverFailure, match="'pole_margin': 3"):
             solve_inhomogeneous(hp, rp, ctx, cfg)
 
@@ -520,8 +538,7 @@ class TestSeedStarts:
     def test_includes_vacuum_weight_guesses(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=64, seed=0)
-        starts = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
-        flat = [x for roots, _ in starts[0] for x in roots]
+        flat = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)[0].ravel()
         for guess in (-rp.N + (rp.beta - rp.gamma + rp.delta),
                       rp.beta + rp.N + 2 + rp.gamma + rp.delta):
             target = bethe.canonical_root(complex(guess))
@@ -695,8 +712,12 @@ class TestStopAtFullCoverage:
         full = reference_solve(system, cfg, solver._lanes)
         for key in ("states", "spectrum_coverage", "ambiguous_matches"):
             assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
-        assert full.attempts == len(seed_starts(system, cfg)[0])  # one start when p = 0
+        x, _, _, rejected = seed_starts(system, cfg)
+        assert full.attempts == len(x) + rejected  # one start when p = 0
         assert_counts_starts_tried(report, cfg.starts)
+        # stopped: the goal was met with lanes still running; not reported in JSON
+        assert report.stopped == (report.attempts < full.attempts) and not full.stopped
+        assert "stopped" not in report.to_json_dict()
         return report, full
 
     @pytest.mark.parametrize("mode,N,seed", STOP_CASES,
@@ -734,11 +755,11 @@ class TestStopAtFullCoverage:
 
     def test_stop_fires_once_every_eigenvalue_is_matched(self):
         report = _solve(self.system(INHOMOGENEOUS, 2), SolverConfig(starts=64, seed=2))
-        assert report.attempts == 17 and report.coverage_fraction() == 1.0
+        assert report.attempts == 17 and report.coverage_fraction() == 1.0 and report.stopped
 
     def test_missed_state_runs_every_start(self):
         report = _solve(self.system(INHOMOGENEOUS, 4), SolverConfig(starts=64, seed=0))
-        assert report.attempts == 64 and report.coverage_fraction() < 1.0
+        assert report.attempts == 64 and report.coverage_fraction() < 1.0 and not report.stopped
 
 
 def state_with(roots):

@@ -25,14 +25,15 @@ Empty products are 1 and empty sums 0 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import guard, on_pole, vector_residual
+from .core import apply_rows, guard, guard_each, norms, on_pole, stack_residuals
 from .errors import ModeError, ParameterDomainError
 from .heun import HeunParams, check_same_problem, h1_scalar, h2_scalar, integer_p_bar
-from .racah import DynContext, RacahParams, coeff_k1, coeff_k2, op_A, op_B
+from .racah import DynContext, RacahParams, a_terms, coeff_k1, coeff_k2, op_B, stack_A
 from .sampling import draw_complex, draw_until, within_margin
 from .serialize import scalars_to_pairs
 
@@ -125,76 +126,99 @@ def _chain(factors, v) -> np.ndarray:
     return v
 
 
-def _apply(F, V) -> np.ndarray:
-    """Row k of V multiplied by F, or by F[k] for a stack F: one broadcast
-    product that rounds each row as the single product F[k] @ V[k] does."""
-    return (F @ V[:, :, None])[:, :, 0]
-
-
 def bethe_vector(roots, m_top, ctx: DynContext) -> np.ndarray:
     """Apply B(x_1, m_top) .. B(x_p, m_top - p + 1) to the vacuum."""
     return _chain(_root_factors(roots, m_top, ctx), vacuum(ctx.rep.params.N))
 
 
-def _swapped_family(roots, u, m_top, ctx: DynContext):
-    """bethe_vector of roots, a (p, dim) stack of it with x_j -> u for each j,
-    and of roots + [u]: each B factor built once, the suffixes shared and
-    the prefixes applied level by level, factor j to every row needing it."""
-    p = len(roots)
-    factors = _root_factors(roots, m_top, ctx)
-    tails = [vacuum(ctx.rep.params.N)]  # tails[k]: the last k factors applied to |0>
-    for f in reversed(factors):
-        tails.append(f @ tails[-1])
-    # row j - 1 holds u in slot j, before x_{j+1} .. x_p; j = p + 1 appends u
-    V = _apply(op_B([u] * (p + 1), [m_top - j + 1 for j in range(1, p + 2)], ctx),
-               np.array([tails[max(p - j, 0)] for j in range(1, p + 2)]))
+def _swapped_families(roots, us, m_tops, ctx: DynContext):
+    """For k samples (roots (k, p), u, m_top): the bethe_vector of roots, a
+    (p, dim) stack of it with x_j -> u for each j, and of roots + [u], each
+    stacked over the samples.  Each B factor is built once, in one stack;
+    the suffixes are shared and the prefixes applied level by level, factor
+    j to every row needing it, and each product rounds as the single one."""
+    k, p, dim = len(roots), len(roots[0]), ctx.rep.dim
+    # per sample: the root factors, then u in slots 1 .. p + 1
+    ops = op_B([x for xs, u in zip(roots, us) for x in (*xs, *[u] * (p + 1))],
+               [m - i + 1 for m in m_tops for i in (*range(1, p + 1), *range(1, p + 2))],
+               ctx).reshape(k, 2 * p + 1, dim, dim)
+    factors = ops[:, :p]
+    tails = [np.tile(vacuum(ctx.rep.params.N), (k, 1))]  # tails[l]: the last l factors on |0>
     for j in range(p - 1, -1, -1):
-        V[j + 1:] = _apply(factors[j], V[j + 1:])
-    return tails[p], V[:p], V[p]
+        tails.append(apply_rows(factors[:, j], tails[-1]))
+    # row j - 1 holds u in slot j, before x_{j+1} .. x_p; j = p + 1 appends u
+    V = apply_rows(ops[:, p:], np.stack([tails[max(p - j, 0)] for j in range(1, p + 2)], 1))
+    for j in range(p - 1, -1, -1):
+        V[:, j + 1:] = apply_rows(factors[:, j, None], V[:, j + 1:])
+    return tails[p], V[:, :p], V[:, p]
 
 
-def _slot_factors(roots, u, m, ctx: DynContext) -> np.ndarray:
-    """(2, p, dim, dim): the root factors of the Bethe vector with top index
-    m, then B(u, m - r + 1), the factor u takes in slot r, built as one stack."""
+def abv_terms(u, m, roots, ctx: DynContext) -> tuple:
+    """The guarded scalars of the A-on-Bethe-vector expansion, as the row
+    that abv_chunk takes: (u, m, roots, the a_terms rows of A(u, m) and
+    of A(y, m - p) for y = u, x_1 .. x_p, -x_1 .. -x_p, and the coefficients
+    of those 2p + 1 terms: the k1 product of the wanted term, then k2 times
+    the k1 product of each swapped one)."""
     p = len(roots)
-    ms = [m - i + 1 for i in range(1, p + 1)]
-    return op_B(list(roots) + [u] * p, ms + ms, ctx).reshape(2, p, ctx.rep.dim, ctx.rep.dim)
+    args = [u] + [eps * x for eps in (1, -1) for x in roots]
+    rows = [a_terms(u, m, ctx)] + [a_terms(y, m - p, ctx) for y in args]
+    coefs = [math.prod([coeff_k1(u, x) for x in roots]) if p else 1.0]
+    for t, y in enumerate(args[1:]):
+        coef = coeff_k2(u, y, m, ctx.rho)
+        coef *= math.prod([coeff_k1(y, x) for l, x in enumerate(roots)
+                           if l != t % p]) if p > 1 else 1.0
+        coefs.append(coef)
+    return u, m, list(roots), rows, coefs
 
 
-def abv_rhs(u, m, roots, ctx: DynContext, ops=None) -> np.ndarray:
-    """Right side of the A-on-Bethe-vector expansion, assembled directly.
-
-    The swapped factor in slot r is B(u, m - r + 1), the index the Bethe
-    vector gives slot r.  ops takes _slot_factors(roots, u, m, ctx) when
-    the caller has built it already.  The 2p + 1 chains run level by level.
-    """
-    p = len(roots)
-    if ops is None:
-        ops = _slot_factors(roots, u, m, ctx)
+def _abv_sides(terms, ctx: DynContext) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) stacks of A(u, m) on the Bethe vector and of its expansion,
+    for abv_terms rows with one root count p.  The swapped factor in slot r
+    is B(u, m - r + 1), the index the Bethe vector gives slot r; the 2p + 1
+    chains of the expansion run level by level."""
+    k, p, dim = len(terms), len(terms[0][2]), ctx.rep.dim
+    ops = op_B([x for u, _, roots, *_ in terms for x in (*roots, *[u] * p)],
+               [m - i + 1 for _, m, *_ in terms for i in (*range(1, p + 1), *range(1, p + 1))],
+               ctx).reshape(k, 2, p, dim, dim)
+    A = stack_A([row for t in terms for row in t[3]], ctx).reshape(k, 2 * p + 2, dim, dim)
+    e0 = vacuum(ctx.rep.params.N)[None]
+    lhs = e0
+    for i in range(p, 0, -1):
+        lhs = apply_rows(ops[:, 0, i - 1], lhs)
+    lhs = apply_rows(A[:, 0], lhs)
     # term 0 is A(u, m - p)|0> under the root factors; term (eps, r) is
     # A(eps x_r, m - p)|0> under the root factors with u in slot r
     slots = [0] + [r for _ in (1, -1) for r in range(1, p + 1)]
-    args = [u] + [eps * roots[r - 1] for eps in (1, -1) for r in range(1, p + 1)]
-    V = _apply(op_A(args, [m - p] * len(args), ctx), np.array([vacuum(ctx.rep.params.N)]))
+    V = apply_rows(A[:, 1:], e0)
     for i in range(p, 0, -1):
-        V = _apply(ops[[int(s == i) for s in slots], i - 1], V)
+        V = apply_rows(ops[:, [int(s == i) for s in slots], i - 1], V)
+    coefs = np.array([t[4] for t in terms], dtype=np.complex128)
+    rhs = coefs[:, :1] * V[:, 0]
+    for j in range(1, 2 * p + 1):
+        rhs = rhs + coefs[:, j:j + 1] * V[:, j]
+    return lhs, rhs
 
-    prod_k1 = np.prod([coeff_k1(u, x) for x in roots]) if p else 1.0
-    out = prod_k1 * V[0]
-    for k, (r, xr) in enumerate(zip(slots[1:], args[1:]), start=1):
-        coef = coeff_k2(u, xr, m, ctx.rho)
-        coef *= np.prod([coeff_k1(xr, roots[l - 1])
-                         for l in range(1, p + 1) if l != r]) if p > 1 else 1.0
-        out = out + coef * V[k]
+
+def abv_chunk(terms, ctx: DynContext) -> list[float]:
+    """vector_residual of A(u, m) on the Bethe vector against its expansion,
+    for each abv_terms row; the rows of one root count share one pass."""
+    out = [0.0] * len(terms)
+    for p in sorted({len(t[2]) for t in terms}):
+        index = [i for i, t in enumerate(terms) if len(t[2]) == p]
+        for i, res in zip(index, stack_residuals(*_abv_sides([terms[i] for i in index], ctx))):
+            out[i] = res
     return out
+
+
+def abv_rhs(u, m, roots, ctx: DynContext) -> np.ndarray:
+    """Right side of the A-on-Bethe-vector expansion, assembled directly."""
+    return _abv_sides([abv_terms(u, m, roots, ctx)], ctx)[1][0]
 
 
 def abv_residual(u, m, roots, ctx: DynContext) -> float:
     """Residual of A(u, m) on the Bethe vector against abv_rhs; the B
     factors are built once for both sides."""
-    ops = _slot_factors(roots, u, m, ctx)
-    lhs = op_A(u, m, ctx) @ _chain(ops[0], vacuum(ctx.rep.params.N))
-    return vector_residual(lhs, abv_rhs(u, m, roots, ctx, ops))
+    return abv_chunk([abv_terms(u, m, roots, ctx)], ctx)[0]
 
 
 def f1_W(v, hp: HeunParams) -> complex:
@@ -327,20 +351,26 @@ def _times_phi(out, roots, rho, a1, a3):
     return out
 
 
-def psi_summed(u, p: int, roots, hp: HeunParams) -> complex:
-    """Unfactored double sum over the vacuum-recursion coefficients."""
+def psi_summed(u, p: int, roots, hp: HeunParams) -> tuple[complex, float]:
+    """The unfactored double sum over the vacuum-recursion coefficients, and
+    the sum of the magnitudes |h1(+-u)| |term| of its summands."""
     rho, m_bar = hp.rho, hp.m_bar
-    out = 0.0 + 0.0j
+    out, mag = 0.0 + 0.0j, 0.0
     for nu in (1, -1):
         su = nu * u
-        inner = _times_k1(vacuum_coeffs(su, m_bar - p, hp.rp, rho).zeta, su, roots)
+        term = _times_k1(vacuum_coeffs(su, m_bar - p, hp.rp, rho).zeta, su, roots)
+        inner, size = term, abs(term)
         for eps in (1, -1):
             for t in range(p):
                 xt = eps * roots[t]
-                inner += _times_k1(vacuum_coeffs(xt, m_bar - p, hp.rp, rho).zeta
-                                   * coeff_k2(su, xt, m_bar, rho), xt, roots, skip=t)
-        out += h1_scalar(su, hp) * inner
-    return out
+                term = _times_k1(vacuum_coeffs(xt, m_bar - p, hp.rp, rho).zeta
+                                 * coeff_k2(su, xt, m_bar, rho), xt, roots, skip=t)
+                inner += term
+                size += abs(term)
+        h1 = h1_scalar(su, hp)
+        out += h1 * inner
+        mag += abs(h1) * size
+    return out, mag
 
 
 def psi(u, p: int, roots, hp: HeunParams) -> tuple[complex, complex]:
@@ -349,9 +379,25 @@ def psi(u, p: int, roots, hp: HeunParams) -> tuple[complex, complex]:
     The two must agree; the factored form is the one whose prefactor zero
     defines the homogeneous root counts p_bar.
     """
+    _check_psi_roots(p, roots)
+    return psi_factored(u, p, roots, hp), psi_summed(u, p, roots, hp)[0]
+
+
+def psi_residual(u, p: int, roots, hp: HeunParams) -> float:
+    """Backward residual of the dual forms of psi: |factored - summed| over
+    max(1, |factored|, the summed form's summand magnitudes).  Near a root
+    the summands can dwarf the result by orders of magnitude, and their
+    rounding with them; the scale measures whether the identity holds
+    rather than how violently the sum cancels."""
+    _check_psi_roots(p, roots)
+    factored = psi_factored(u, p, roots, hp)
+    summed, mag = psi_summed(u, p, roots, hp)
+    return abs(factored - summed) / max(1.0, abs(factored), mag)
+
+
+def _check_psi_roots(p: int, roots) -> None:
     if len(roots) != p:
         raise ParameterDomainError(f"psi expects {p} roots, got {len(roots)}")
-    return psi_factored(u, p, roots, hp), psi_summed(u, p, roots, hp)
 
 
 # --------------------------------------------------------------------------
@@ -376,17 +422,27 @@ def _tau_shared(hp: HeunParams):
 def _tau_at(v, others, pref, c, zeros) -> complex:
     """tau of v (u, or a root against the others) from the constants of
     _tau_shared: pref prod_x (c^2 - x^2) / (v^2 - x^2) prod_z (v^2 - z^2)."""
-    tau, csq, vsq = pref, c ** 2, v * v
-    for x in others:
-        tau *= (csq - x * x) / guard(vsq - x * x, "tau pole: v^2 = x_k^2")
-    for z in zeros:
-        tau *= vsq - z * z
+    return _tau_product(v * v, [x * x for x in others], pref, c ** 2, [z * z for z in zeros])
+
+
+def _tau_product(vsq, sq, pref, csq, zsq) -> complex:
+    """_tau_at from the squares v^2, [x^2 ..], c^2 and [z^2 ..]; its
+    denominators meet the pole margin in one check."""
+    dens = [vsq - s for s in sq]
+    guard_each(dens, "tau pole: v^2 = x_k^2")
+    tau = pref
+    for s, den in zip(sq, dens):
+        tau *= (csq - s) / den
+    for z in zsq:
+        tau *= vsq - z
     return tau
 
 
 def _tau_roots(roots, tau) -> list[complex]:
-    """[tau_1..tau_N]; no spectral point enters."""
-    return [_tau_at(x, [*roots[:j], *roots[j + 1:]], *tau) for j, x in enumerate(roots)]
+    """[tau_1..tau_N]; no spectral point enters.  Each square is taken once."""
+    pref, c, zeros = tau
+    sq, csq, zsq = [x * x for x in roots], c ** 2, [z * z for z in zeros]
+    return [_tau_product(s, sq[:j] + sq[j + 1:], pref, csq, zsq) for j, s in enumerate(sq)]
 
 
 def maba_reduce(u, roots, hp: HeunParams) -> tuple[complex, list[complex]]:
@@ -407,29 +463,51 @@ def _reduction(u, roots, hp: HeunParams) -> tuple[complex, list[complex], comple
     return _tau_at(u, roots, *tau), _tau_roots(roots, tau), tau[1]
 
 
-def maba_identity_residuals(u, roots, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
-    """(plain, backward) residuals of the (N+1)-root reduction identity.
+def maba_terms(u, roots, hp: HeunParams, ctx: DynContext) -> tuple:
+    """The guarded scalars of the reduction identity, as the row that
+    maba_chunk takes: (u, roots, m_bar, tau_u, the coefficient of each
+    swapped vector, (c^2 - u^2) / (x_j^2 - u^2) tau_j)."""
+    check_same_problem(hp, ctx)
+    tau_u, tau_list, c = _reduction(u, roots, hp)
+    coefs = [(c * c - u * u) / guard(x * x - u * u, "reduction pole: x_j^2 = u^2") * tau
+             for x, tau in zip(roots, tau_list)]
+    return u, list(roots), hp.m_bar, tau_u, coefs
+
+
+def maba_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
+    """(plain, backward) residuals of the (N+1)-root reduction identity for
+    each maba_terms row, the Bethe vectors of all rows in one pass.
 
     plain normalizes by the left side only; backward also normalizes by the
     magnitudes of the tau-weighted summands, so it measures whether the
     identity itself holds rather than how violently the right side cancels
     (the summands can exceed the result by many orders for larger N).
-    A norm that overflows comes out inf, without a warning.
+    A norm that overflows comes out inf (or a residual NaN), without a warning.
     """
-    check_same_problem(hp, ctx)
-    tau_u, tau_list, c = _reduction(u, roots, hp)
-    base, swapped, lhs = _swapped_family(roots, u, hp.m_bar, ctx)
-    with np.errstate(over="ignore"):
-        rhs = tau_u * base
-        mag = abs(tau_u) * float(np.linalg.norm(base))
-        for j, (x, v) in enumerate(zip(roots, swapped)):
-            coef = (c * c - u * u) / guard(x * x - u * u, "reduction pole: x_j^2 = u^2") \
-                * tau_list[j]
-            rhs = rhs + coef * v
-            mag += abs(coef) * float(np.linalg.norm(v))
-        err = float(np.linalg.norm(lhs - rhs))
-        lnorm = float(np.linalg.norm(lhs))
-    return err / max(1.0, lnorm), err / max(1.0, lnorm, mag)
+    k = len(terms)
+    base, swapped, lhs = _swapped_families([t[1] for t in terms], [t[0] for t in terms],
+                                           [t[2] for t in terms], ctx)
+    coefs = np.array([[t[3], *t[4]] for t in terms], dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = coefs[:, :1] * base
+        for j in range(swapped.shape[1]):
+            rhs = rhs + coefs[:, j + 1:j + 2] * swapped[:, j]
+        err, lnorm = norms(lhs - rhs).tolist(), norms(lhs).tolist()
+        vectors = np.concatenate([base[:, None], swapped], 1)  # (k, N + 1, dim)
+        vnorm = norms(vectors.reshape(-1, vectors.shape[-1])).reshape(k, -1).tolist()
+    out = []
+    for t, e, l, vn in zip(terms, err, lnorm, vnorm):
+        mag = abs(t[3]) * vn[0]
+        for coef, n in zip(t[4], vn[1:]):
+            mag += abs(coef) * n
+        out.append((e / max(1.0, l), e / max(1.0, l, mag)))
+    return out
+
+
+def maba_identity_residuals(u, roots, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
+    """(plain, backward) residuals of the (N+1)-root reduction identity at
+    one sample (u, roots): maba_chunk of its maba_terms row."""
+    return maba_chunk([maba_terms(u, roots, hp, ctx)], ctx)[0]
 
 
 def _tau_corrections(tau_list, roots, brackets, rho) -> list[complex]:

@@ -39,6 +39,14 @@ def guard(den, what: str):
     return den
 
 
+def guard_each(dens, what: str) -> None:
+    """guard(den, what) for each of dens, in order; one pass over their
+    magnitudes when none is below the floor (a NaN sends them through guard)."""
+    if not all(map(_floor.__le__, map(abs, dens))):
+        for den in dens:
+            guard(den, what)
+
+
 def on_pole(den) -> np.ndarray:
     """Where an array of denominators is below the floor: guard() entry by entry."""
     return np.abs(den) < _floor
@@ -106,6 +114,27 @@ def residual_norm(lhs, rhs) -> float:
     rhs = as_operator(rhs)
     _same_dim(lhs, rhs)
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
+
+
+def apply_rows(F, V) -> np.ndarray:
+    """Row k of V multiplied by F, or by F[k] for a stack F (leading axes
+    broadcast): one stacked product that rounds each row as the single
+    product F[k] @ V[k] does."""
+    return (F @ V[..., None])[..., 0]
+
+
+def norms(a) -> np.ndarray:
+    """np.linalg.norm of each slice a[k] of a stack, bit for bit: the same
+    two dot products of its real and imaginary parts, one stacked product each."""
+    flat = np.ascontiguousarray(a).reshape(len(a), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def stack_residuals(lhs, rhs) -> list[float]:
+    """residual_norm (or vector_residual) of each slice pair of two stacks, bit for bit."""
+    err, scale = norms(lhs - rhs), norms(lhs)
+    return (err / np.where(scale > 1.0, scale, 1.0)).tolist()
 
 
 def vector_residual(lhs, rhs) -> float:

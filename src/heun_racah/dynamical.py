@@ -1,11 +1,21 @@
 """The relation catalog: every identity the package verifies numerically.
 
-Each identity (RelationId) has one sampler, (rng, ctx) -> (residual,
-tuple), which draws its arguments and evaluates both sides with the
-operator families of racah, the Heun operator of heun and the Bethe
-vectors of bethe; verify_relation is the one seeded sweep, where every
-catalog residual meets its tolerance.  The exchange relations it checks,
-with m shifting by one:
+verify_relation is the one seeded sweep, where every catalog residual meets
+its tolerance.  A sampled identity runs in two stages (a Sampler):
+
+- per sample, in plain Python: draw the arguments in the catalog's RNG
+  order and evaluate every guarded scalar of both sides (operator terms,
+  k1/k2, tau, h1) under the pole margin, redrawing until none is within it;
+- per chunk of samples, with numpy: build the operator stacks from those
+  scalars, apply the products and Bethe chains and take each sample's
+  residual.  Every product, sum and norm rounds as the one-sample
+  operation does, so a report does not depend on how samples are chunked.
+
+A chunk's operator stacks hold about CHUNK_BYTES; the scalar-only identities
+(R1-R3, COMBINATION_IDENTITY, PSI_FACTORED) take their residual in the
+first stage.  PSI_FACTORED's is a backward residual, scaled by the
+magnitudes of the summed form's summands as MABA_REDUCTION's is.  The
+exchange relations checked, with m shifting by one:
 
     B(u,m+1) B(v,m) = B(v,m+1) B(u,m)
     A(u,m) B(v,m)   = k1(u,v) B(v,m) A(u,m-1)
@@ -19,15 +29,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .bethe import abv_residual, f1_W, maba_identity_residuals, psi, vacuum, vacuum_coeffs
-from .core import guard, residual_norm, vector_residual
+from .bethe import (abv_chunk, abv_terms, f1_W, maba_chunk, maba_terms, psi_residual, vacuum,
+                    vacuum_coeffs)
+from .core import apply_rows, guard, stack_residuals
 from .errors import RelationViolation
-from .heun import build_heun_params, h1_scalar, wa_residuals
-from .racah import (DynContext, check_rho, coeff_k1, coeff_k2, defining_residuals,
-                    op_A, op_B, op_C)
+from .heun import build_heun_params, h1_scalar, wa_chunk, wa_terms
+from .racah import (DynContext, a_terms, check_rho, coeff_k1, coeff_k2, defining_residuals,
+                    op_B, op_C, stack_A)
+# Not called here (A is built from its guarded rows with stack_A); the
+# benchmark's tracer (perfbench/tracing.py) resolves op_A by this module's name.
+from .racah import op_A  # noqa: F401
 from .sampling import draw_complex, draw_until
 from .serialize import scalars_to_pairs
 
@@ -75,9 +90,10 @@ DEFAULT_TOLS = {
 # --------------------------------------------------------------------------
 # relation catalog
 
-@dataclass
+@dataclass(slots=True)
 class RelationReport:
-    """Outcome of a seeded residual sweep over one relation."""
+    """Outcome of a seeded residual sweep over one relation; slotted, since
+    a caller may keep many (about 100 bytes each, against 350 with a dict)."""
 
     relation: str
     samples: int
@@ -109,9 +125,29 @@ class RelationReport:
         return out
 
 
-def _defining(relation: RelationId):
-    """Sampler of one defining relation; its residual takes no draw."""
-    return lambda rng, ctx: (defining_residuals(ctx.rep)[relation.value], None)
+# The operator stacks of one chunk hold at most about this many bytes, and at
+# least one sample: 7 samples of MABA_REDUCTION at N = 12 (a peak of about
+# 0.6 MB in all), one at N = 63.  A larger chunk takes less time per sample
+# and more memory: at 1 MiB, 4% less and twice the peak.
+CHUNK_BYTES = 1 << 19
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """One identity's two stages.  sample(rng, ctx) draws one tuple, redrawn
+    until its guarded scalars keep the pole margin, and gives (row, tuple);
+    chunk(rows, ctx) gives the residuals of a chunk of rows, or is None when
+    each row is its residual.  operators(N) bounds the dim x dim operators
+    one sample's chunk stage holds, which sizes the chunk."""
+
+    sample: Callable
+    chunk: Callable | None = None
+    operators: Callable[[int], int] = lambda N: 1
+
+
+def _defining(relation: RelationId) -> Sampler:
+    """One defining relation; its residual takes no draw."""
+    return Sampler(lambda rng, ctx: (defining_residuals(ctx.rep)[relation.value], None))
 
 
 def _draw_uvm(rng):
@@ -119,38 +155,56 @@ def _draw_uvm(rng):
     return draw_complex(rng), draw_complex(rng), draw_complex(rng)
 
 
+def _uvm(u, v, m) -> dict:
+    return {"u": u, "v": v, "m": m}
+
+
 def _sample_bb(rng, ctx):
-    u, v, m = _draw_uvm(rng)
-    B_u1, B_v, B_v1, B_u = op_B([u, v, v, u], [m + 1, m, m + 1, m], ctx)
-    return residual_norm(B_u1 @ B_v, B_v1 @ B_u), {"u": u, "v": v, "m": m}
+    u, v, m = _draw_uvm(rng)  # B has no pole: every draw is kept
+    return (u, v, m), _uvm(u, v, m)
 
 
-def _sample_ab(rng, ctx):
+def _bb_chunk(rows, ctx):
+    dim = ctx.rep.dim
+    B = op_B([x for u, v, _ in rows for x in (u, v, v, u)],
+             [x for *_, m in rows for x in (m + 1, m, m + 1, m)], ctx).reshape(-1, 4, dim, dim)
+    return stack_residuals(B[:, 0] @ B[:, 1], B[:, 2] @ B[:, 3])
+
+
+def _exchange_terms(u, v, m, ctx):
+    """The guarded scalars of the AB and CA exchange relations: the rows of
+    A(u, m), A(u, m-1), A(v, m-1), A(-v, m-1), then k1(u, v), k2(u, v, m), k2(u, -v, m)."""
+    rows = [a_terms(a, b, ctx) for a, b in ((u, m), (u, m - 1), (v, m - 1), (-v, m - 1))]
     rho = ctx.rho
-
-    def evaluate(t):
-        u, v, m = t
-        A_um, A_u, A_v, A_mv = op_A([u, u, v, -v], [m, m - 1, m - 1, m - 1], ctx)
-        B_v, B_u = op_B([v, u], [m, m], ctx)
-        rhs = (coeff_k1(u, v) * (B_v @ A_u)
-               + B_u @ (coeff_k2(u, v, m, rho) * A_v + coeff_k2(u, -v, m, rho) * A_mv))
-        return residual_norm(A_um @ B_v, rhs), {"u": u, "v": v, "m": m}
-
-    return draw_until(rng, _draw_uvm, evaluate)
+    return (u, v, m, rows, (coeff_k1(u, v), coeff_k2(u, v, m, rho), coeff_k2(u, -v, m, rho)))
 
 
-def _sample_ca(rng, ctx):
-    rho = ctx.rho
+def _sample_exchange(rng, ctx):
+    return draw_until(rng, _draw_uvm,
+                      lambda t: (_exchange_terms(*t, ctx), _uvm(*t)))
 
-    def evaluate(t):
-        u, v, m = t
-        A_um, A_u, A_v, A_mv = op_A([u, u, v, -v], [m, m - 1, m - 1, m - 1], ctx)
-        C_v, C_u = op_C([v, u], [m, m], ctx)
-        rhs = (coeff_k1(u, v) * (A_u @ C_v)
-               + (coeff_k2(u, v, m, rho) * A_v + coeff_k2(u, -v, m, rho) * A_mv) @ C_u)
-        return residual_norm(C_v @ A_um, rhs), {"u": u, "v": v, "m": m}
 
-    return draw_until(rng, _draw_uvm, evaluate)
+def _exchange_stacks(rows, ctx, family):
+    """A(u,m), A(u,m-1), A(v,m-1), A(-v,m-1), then family(v, m), family(u, m)
+    and the k coefficients as (k, 1, 1) columns, for each row."""
+    dim = ctx.rep.dim
+    A = stack_A([a for *_, rows_a, _ in rows for a in rows_a], ctx).reshape(-1, 4, dim, dim)
+    F = family([x for u, v, *_ in rows for x in (v, u)],
+               [x for _, _, m, *_ in rows for x in (m, m)], ctx).reshape(-1, 2, dim, dim)
+    k = np.array([r[4] for r in rows], dtype=np.complex128)[:, :, None, None]
+    return (*A.transpose(1, 0, 2, 3), *F.transpose(1, 0, 2, 3), *k.transpose(1, 0, 2, 3))
+
+
+def _ab_chunk(rows, ctx):
+    A_um, A_u, A_v, A_mv, B_v, B_u, k1, k2, k2_mv = _exchange_stacks(rows, ctx, op_B)
+    rhs = k1 * (B_v @ A_u) + B_u @ (k2 * A_v + k2_mv * A_mv)
+    return stack_residuals(A_um @ B_v, rhs)
+
+
+def _ca_chunk(rows, ctx):
+    A_um, A_u, A_v, A_mv, C_v, C_u, k1, k2, k2_mv = _exchange_stacks(rows, ctx, op_C)
+    rhs = k1 * (A_u @ C_v) + (k2 * A_v + k2_mv * A_mv) @ C_u
+    return stack_residuals(C_v @ A_um, rhs)
 
 
 def _draw_heun(rng, ctx):
@@ -168,10 +222,15 @@ def _sample_wa(rng, ctx):
 
     def evaluate(t):
         hp, u1, u2 = t
-        return max(wa_residuals(u1, u2, hp, ctx)), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
+        return wa_terms(u1, u2, hp, ctx), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
 
     return draw_until(
         rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), evaluate)
+
+
+def _wa_chunk(rows, ctx):
+    """The larger of the two W-A residuals of each sample."""
+    return [max(pair) for pair in wa_chunk(rows, ctx)]
 
 
 def _sample_vacuum(rng, ctx):
@@ -180,12 +239,18 @@ def _sample_vacuum(rng, ctx):
     def evaluate(t):
         u, m = t
         vc = vacuum_coeffs(u, m, p, ctx.rho)
-        e0 = vacuum(p.N)
-        lhs = op_A(u, m, ctx) @ e0
-        rhs = vc.xi * e0 + vc.zeta * (op_B(u, m, ctx) @ e0)
-        return vector_residual(lhs, rhs), {"u": u, "m": m}
+        return (u, m, a_terms(u, m, ctx), vc.xi, vc.zeta), {"u": u, "m": m}
 
     return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)), evaluate)
+
+
+def _vacuum_chunk(rows, ctx):
+    # A(u, m)|0> = xi |0> + zeta B(u, m)|0>
+    e0 = vacuum(ctx.rep.params.N)[None]
+    lhs = apply_rows(stack_A([r[2] for r in rows], ctx), e0)
+    coefs = np.array([r[3:] for r in rows], dtype=np.complex128)
+    B_e0 = apply_rows(op_B([r[0] for r in rows], [r[1] for r in rows], ctx), e0)
+    return stack_residuals(lhs, coefs[:, :1] * e0 + coefs[:, 1:] * B_e0)
 
 
 def _sample_abv(rng, ctx):
@@ -193,7 +258,7 @@ def _sample_abv(rng, ctx):
 
     def evaluate(t):
         u, m, roots = t
-        return abv_residual(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
+        return abv_terms(u, m, roots, ctx), {"u": u, "m": m, "p": p, "roots": roots}
 
     return draw_until(
         rng, lambda r: (draw_complex(r), draw_complex(r), [draw_complex(r) for _ in range(p)]),
@@ -220,38 +285,40 @@ def _sample_psi(rng, ctx):
 
     def evaluate(t):
         hp, (u, roots) = t
-        factored, summed = psi(u, p, roots, hp)
-        res = abs(factored - summed) / max(1.0, abs(factored))
-        return res, {"u": u, "p": p, "roots": roots, "s1": hp.s1, "s2": hp.s2}
+        return psi_residual(u, p, roots, hp), {"u": u, "p": p, "roots": roots,
+                                               "s1": hp.s1, "s2": hp.s2}
 
     return draw_until(rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, p)), evaluate)
 
 
 def _sample_maba(rng, ctx):
-    """Backward residual of the reduction identity: the tau-weighted
-    summands can dwarf the result for larger N, so the identity check
-    normalizes by their magnitudes as well."""
 
     def evaluate(t):
         hp, (u, roots) = t
-        _, backward = maba_identity_residuals(u, roots, hp, ctx)
-        return backward, {"u": u, "roots": roots, "s2": hp.s2}
+        return maba_terms(u, roots, hp, ctx), {"u": u, "roots": roots, "s2": hp.s2}
 
     return draw_until(
         rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, ctx.rep.params.N)), evaluate)
 
 
+def _maba_chunk(rows, ctx):
+    """Backward residuals of the reduction identity: the tau-weighted
+    summands can dwarf the result for larger N, so the identity check
+    normalizes by their magnitudes as well."""
+    return [backward for _, backward in maba_chunk(rows, ctx)]
+
+
 SAMPLERS = {
     **{relation: _defining(relation) for relation in DEFINING},
-    RelationId.BB_EXCHANGE: _sample_bb,
-    RelationId.AB_EXCHANGE: _sample_ab,
-    RelationId.CA_EXCHANGE: _sample_ca,
-    RelationId.WA_IDENTITY: _sample_wa,
-    RelationId.VACUUM_ACTION: _sample_vacuum,
-    RelationId.ABV_ACTION: _sample_abv,
-    RelationId.COMBINATION_IDENTITY: _sample_combination,
-    RelationId.PSI_FACTORED: _sample_psi,
-    RelationId.MABA_REDUCTION: _sample_maba,
+    RelationId.BB_EXCHANGE: Sampler(_sample_bb, _bb_chunk, lambda N: 6),
+    RelationId.AB_EXCHANGE: Sampler(_sample_exchange, _ab_chunk, lambda N: 10),
+    RelationId.CA_EXCHANGE: Sampler(_sample_exchange, _ca_chunk, lambda N: 10),
+    RelationId.WA_IDENTITY: Sampler(_sample_wa, _wa_chunk, lambda N: 9),
+    RelationId.VACUUM_ACTION: Sampler(_sample_vacuum, _vacuum_chunk, lambda N: 2),
+    RelationId.ABV_ACTION: Sampler(_sample_abv, abv_chunk, lambda N: 14),
+    RelationId.COMBINATION_IDENTITY: Sampler(_sample_combination),
+    RelationId.PSI_FACTORED: Sampler(_sample_psi),
+    RelationId.MABA_REDUCTION: Sampler(_sample_maba, _maba_chunk, lambda N: 2 * N + 1),
 }
 
 
@@ -260,10 +327,12 @@ def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
     """Seeded residual sweep over one cataloged identity.
 
     Draws `samples` random tuples, each redrawn until the evaluation of its
-    left and right sides keeps the pole margin, and reports the worst
-    residual (a NaN residual of a draw is never the worst) and the number of
-    non-finite residuals; a sweep with no finite one is undecided.  R1-R3
-    take no draw: their one evaluation, with tuple None, is reported as it is.
+    guarded scalars keeps the pole margin, and reports the worst residual (a
+    NaN residual of a draw is never the worst) and the number of non-finite
+    residuals; a sweep with no finite one is undecided.  The residuals are
+    taken chunk by chunk, CHUNK_BYTES of operators at a time, after the
+    chunk's draws.  R1-R3 take no draw: their one evaluation, with tuple
+    None, is reported as it is.
     Raises RelationViolation when the reported residual exceeds tol.
     ABV_ACTION checks the slot convention of the Bethe vector itself: the
     swapped root in slot r carries the index m - r + 1.
@@ -273,12 +342,17 @@ def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
         tol = DEFAULT_TOLS[relation]
     rng = np.random.default_rng(seed)
     sampler = SAMPLERS[relation]
+    count = 1 if relation in DEFINING else samples
+    N = ctx.rep.params.N
+    chunk = max(1, CHUNK_BYTES // (16 * ctx.rep.dim ** 2 * sampler.operators(N)))
     worst, worst_tuple, nonfinite = 0.0, None, 0
-    for _ in range(1 if relation in DEFINING else samples):
-        res, tup = sampler(rng, ctx)
-        nonfinite += not math.isfinite(res)
-        if res > worst or tup is None:
-            worst, worst_tuple = res, tup
+    for start in range(0, count, chunk):
+        rows, tuples = zip(*(sampler.sample(rng, ctx) for _ in range(min(chunk, count - start))))
+        residuals = rows if sampler.chunk is None else sampler.chunk(list(rows), ctx)
+        for res, tup in zip(residuals, tuples):
+            nonfinite += not math.isfinite(res)
+            if res > worst or tup is None:
+                worst, worst_tuple = res, tup
     if worst > tol:
         raise RelationViolation(relation.value, worst, tol, worst_tuple)
     return RelationReport(relation.value, samples, seed, worst, worst_tuple, nonfinite)

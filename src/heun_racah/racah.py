@@ -101,7 +101,12 @@ def y_eigenvalue(x, p: RacahParams) -> complex:
 
 @dataclass(frozen=True)
 class Representation:
-    """X, Y, Z on C^(N+1); XY = {X, Y} and the identity I are derived, read-only."""
+    """X, Y, Z on C^(N+1); XY = {X, Y}, the identity I and band are derived, read-only.
+
+    All five are tridiagonal (I and Y diagonal).  band holds their entries on
+    the tridiagonal band, a (1, 3 dim - 2) row each in the order I, X, Y, Z,
+    XY, at the row-major flat positions band_index of a dim x dim matrix.
+    """
 
     params: RacahParams
     X: np.ndarray
@@ -109,9 +114,15 @@ class Representation:
     Z: np.ndarray
     XY: np.ndarray = field(init=False, repr=False, compare=False)
     I: np.ndarray = field(init=False, repr=False, compare=False)
+    band_index: np.ndarray = field(init=False, repr=False, compare=False)
+    band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, value in (("XY", anticommutator(self.X, self.Y)), ("I", identity(self.dim))):
+        XY, I = anticommutator(self.X, self.Y), identity(self.dim)
+        rows = np.arange(self.dim)
+        index = np.flatnonzero(abs(rows[:, None] - rows) <= 1)
+        band = np.array([a.ravel()[index][None] for a in (I, self.X, self.Y, self.Z, XY)])
+        for name, value in (("XY", XY), ("I", I), ("band_index", index), ("band", band)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -213,41 +224,65 @@ def coeff_k2(u, v, m, rho) -> complex:
 
 
 # --------------------------------------------------------------------------
-# operator families: u and m are scalars, or lists for a (k, dim, dim) stack
+# operator families: u and m are scalars, or lists for a (k, dim, dim) stack.
+# A family member combines I, X, Y, Z and {X,Y} with a row of scalar terms;
+# the guarded terms of A come from a_terms, which a caller can evaluate on
+# its own (under a pole margin) and hand to stack_A.
 
-def _family(u, m, ctx: DynContext, terms, combine) -> np.ndarray:
-    """combine(*terms(u, m)); for lists, combine broadcast over one (k, 1, 1)
-    column per term, so that slice k is bit for bit the scalar call.  One
-    pair takes the scalar call: numpy rounds a product of two size-1 arrays
-    differently from a broadcast one, which would show at dim 1."""
+def _stack(rows, rep: Representation, combine) -> np.ndarray:
+    """(k, dim, dim) stack from k rows of four terms: combine(*terms, I, X, Y,
+    Z, XY) on the band entries, one (k, 1) column per term against (1, 3 dim - 2)
+    band rows, scattered into zeros.  Each band entry rounds as in the dense
+    combination of the whole matrices, which holds (signed) zeros off the
+    band.  The operands keep equal ndim: at dim 1, numpy rounds a product of two
+    size-1 arrays of different ndim as Python does, not as the scalar call."""
+    k, dim = len(rows), rep.dim
+    terms = np.array(rows, dtype=np.complex128).reshape(k, 4).T[:, :, None]
+    band = combine(*terms, *rep.band)  # its temporaries are freed before out is made
+    out = np.zeros((k, dim * dim), dtype=np.complex128)
+    out[:, rep.band_index] = band
+    return out.reshape(k, dim, dim)
+
+
+def a_terms(u, m, ctx: DynContext) -> tuple:
+    """(g0(u,m), g1(u,m), g1(-1,m), 2 m rho - 1): the guarded terms of A(u, m)."""
+    rho = ctx.rho
+    den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
+    return coeff_g0(u, m, ctx.rep.params, rho), coeff_g1(u, m, rho), coeff_g1(-1, m, rho), den
+
+
+def stack_A(rows, ctx: DynContext) -> np.ndarray:
+    """A(u_k, m_k) for each row a_terms(u_k, m_k, ctx), as one stack."""
+    rho = ctx.rho
+    return _stack(rows, ctx.rep, lambda g0, g1x, g1y, den, I, X, Y, Z, XY: (
+        g0 * I + g1x * X + g1y * Y + Z + rho * XY) / den)
+
+
+def _family(u, m, ctx: DynContext, terms, stack) -> np.ndarray:
+    """One member from scalars (u, m), or the stack of the pairs of two lists."""
     if not isinstance(u, list):
-        return combine(*terms(u, m))
-    rows = [terms(a, b) for a, b in zip(u, m, strict=True)]
-    if len(rows) < 2:
-        dim = ctx.rep.dim
-        return combine(*rows[0])[None] if rows else np.empty((0, dim, dim), np.complex128)
-    return combine(*np.array(rows, dtype=np.complex128).T[:, :, None, None])
+        return stack([terms(u, m, ctx)], ctx)[0]
+    return stack([terms(a, b, ctx) for a, b in zip(u, m, strict=True)], ctx)
 
 
 def op_A(u, m, ctx: DynContext) -> np.ndarray:
     """(g0 + g1(u,m) X + g1(-1,m) Y + Z + rho {X,Y}) / (2 m rho - 1)."""
-    rho, rep = ctx.rho, ctx.rep
+    return _family(u, m, ctx, a_terms, stack_A)
 
-    def terms(u, m):
-        den = guard(2 * m * rho - 1, "op_A pole: 2 m rho = 1")
-        return coeff_g0(u, m, rep.params, rho), coeff_g1(u, m, rho), coeff_g1(-1, m, rho), den
 
-    return _family(u, m, ctx, terms, lambda g0, g1x, g1y, den: (
-        g0 * rep.I + g1x * rep.X + g1y * rep.Y + rep.Z + rho * rep.XY) / den)
+def _b_terms(u, m, ctx: DynContext) -> tuple:
+    return coeff_f0(u, m, ctx.rep.params), coeff_f1(u, m), coeff_f1(-1, m), 2 * m
+
+
+def _stack_B(rows, ctx: DynContext) -> np.ndarray:
+    return _stack(rows, ctx.rep, lambda f0, f1x, f1y, m2, I, X, Y, Z, XY: (
+        f0 * I + f1x * X + f1y * Y + m2 * Z + XY))
 
 
 def op_B(u, m, ctx: DynContext) -> np.ndarray:
-    """f0 + f1(u,m) X + f1(-1,m) Y + 2m Z + {X,Y}; even in u."""
-    rep = ctx.rep
-    return _family(
-        u, m, ctx,
-        lambda u, m: (coeff_f0(u, m, rep.params), coeff_f1(u, m), coeff_f1(-1, m), 2 * m),
-        lambda f0, f1x, f1y, m2: f0 * rep.I + f1x * rep.X + f1y * rep.Y + m2 * rep.Z + rep.XY)
+    """f0 + f1(u,m) X + f1(-1,m) Y + 2m Z + {X,Y}; even in u.  B has no
+    pole, so its terms are taken where the stack is built."""
+    return _family(u, m, ctx, _b_terms, _stack_B)
 
 
 def op_C(u, m, ctx: DynContext) -> np.ndarray:

@@ -144,6 +144,12 @@ def reference_abv_rhs(u, m, roots, ctx, middle_step=1):
     return out
 
 
+def swapped_family(roots, u, m_top, ctx):
+    """bethe._swapped_families of the one sample (roots, u, m_top)."""
+    base, swapped, extended = bethe._swapped_families([roots], [u], [m_top], ctx)
+    return base[0], swapped[0], extended[0]
+
+
 def plain_chain(pairs, ctx):
     """B(x_1, m_1) @ .. @ B(x_p, m_p) @ |0> from [(x_1, m_1), ..], one scalar
     op_B call and one single product per factor."""
@@ -166,7 +172,7 @@ class TestSharedFactors:
             u = draw_complex(rng)
             roots = [draw_complex(rng) for _ in range(p)]
             pairs = [(x, m_top - i + 1) for i, x in enumerate(roots, start=1)]
-            base, swapped, extended = bethe._swapped_family(roots, u, m_top, ctx)
+            base, swapped, extended = swapped_family(roots, u, m_top, ctx)
             assert np.array_equal(base, plain_chain(pairs, ctx))
             assert np.array_equal(bethe_vector(roots, m_top, ctx), base)
             assert swapped.shape == (p, N + 1)
@@ -183,7 +189,7 @@ class TestSharedFactors:
             for p in range(N + 1):
                 u = draw_complex(rng)
                 roots = [draw_complex(rng) for _ in range(p)]
-                base, swapped, extended = bethe._swapped_family(roots, u, hp.m_bar, ctx)
+                base, swapped, extended = swapped_family(roots, u, hp.m_bar, ctx)
                 assert np.array_equal(base, bethe_vector(roots, hp.m_bar, ctx))
                 assert len(swapped) == p
                 for j, v in enumerate(swapped):
@@ -371,6 +377,53 @@ class TestPsi:
     def test_root_count_mismatch(self, p0, hp0):
         with pytest.raises(ParameterDomainError):
             psi(2.0, 2, [1.5], hp0)
+        with pytest.raises(ParameterDomainError):
+            bethe.psi_residual(2.0, 2, [1.5], hp0)
+
+    # The PSI_FACTORED sample that failed the forward residual: verify-catalog
+    # op 643 at workload seed 12 (sweep seed 3298771751) on criterion-8, N = 12.
+    # u lies 0.01 from the root x_1, and the summed form's summands dwarf psi.
+    NEAR_ROOT = {"u": -0.1469503435603123 - 0.6716782572633025j,
+                 "roots": [-0.15583517772578137 - 0.6771286017043532j,
+                           0.9291048336893457 + 0.8684573532030238j,
+                           0.16280087733984294 + 0.6971503791919277j],
+                 "s1": 4.044090922908691 + 1.5387259935219342j,
+                 "s2": -2.5510864222146585 - 2.7816798678829424j}
+
+    def test_backward_residual_at_a_near_root_sample(self):
+        rp = build_params(12, 2.2 + 0.4j, 1.3, 0.8)
+        s = self.NEAR_ROOT
+        hp = build_heun_params(1.7, s["s1"], s["s2"], rp)
+        u, roots = s["u"], s["roots"]
+        factored, summed = psi(u, 3, roots, hp)
+        _, magnitude = bethe.psi_summed(u, 3, roots, hp)
+        assert magnitude > 1e5 * abs(factored)
+        # the forward residual fails the catalog tolerance; the backward one holds
+        assert abs(factored - summed) / max(1.0, abs(factored)) > 1e-10
+        assert bethe.psi_residual(u, 3, roots, hp) \
+            == abs(factored - summed) / max(1.0, abs(factored), magnitude) < 1e-14
+
+    def test_backward_scale_is_the_summand_magnitudes(self):
+        rng, rp, ctx, hp = random_setup(49, 4)
+        for p in (0, 1, 3):
+            u, roots = draw_until(
+                rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(p)]),
+                keeping(1e-2, lambda t: psi(t[0], p, t[1], hp)))
+            summed, magnitude = bethe.psi_summed(u, p, roots, hp)
+            assert summed == psi(u, p, roots, hp)[1]
+            # |h1(+-u)| times each term of the inner sums, the zeta term first
+            terms = []
+            for su in (u, -u):
+                h1 = abs(h1_scalar(su, hp))
+                zeta = vacuum_coeffs(su, hp.m_bar - p, rp, ctx.rho).zeta
+                terms.append(h1 * abs(zeta * np.prod([coeff_k1(su, x) for x in roots])))
+                for xt in [eps * x for eps in (1, -1) for x in roots]:
+                    others = [x for x in roots if x not in (xt, -xt)]
+                    term = vacuum_coeffs(xt, hp.m_bar - p, rp, ctx.rho).zeta \
+                        * coeff_k2(su, xt, hp.m_bar, ctx.rho) \
+                        * np.prod([coeff_k1(xt, x) for x in others])
+                    terms.append(h1 * abs(term))
+            assert magnitude == pytest.approx(sum(terms), rel=1e-12)
 
 
 def homogeneous_residuals(roots, hp, ctx):
@@ -512,7 +565,7 @@ def wv_action_residual(u, roots, hp, ctx, mode=bethe.HOMOGENEOUS):
     p = len(roots)
     rho = hp.rho
     W = build_W_parametric(hp, ctx)
-    V, swapped, extended = bethe._swapped_family(roots, u, hp.m_bar, ctx)
+    V, swapped, extended = swapped_family(roots, u, hp.m_bar, ctx)
     inhomogeneous = mode == bethe.INHOMOGENEOUS
     w_i, u_i = inhomogeneous_terms(u, roots, hp) if inhomogeneous else (0, [0] * p)
     rhs = (eigenvalue_w(u, roots, hp) + w_i) * V

@@ -302,6 +302,19 @@ class TestSolveCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestPsiNearRoot:
+    def test_verify_passes_at_the_near_root_sample(self, tmp_path, capsys):
+        # sweep seed 3298771751 draws a PSI_FACTORED sample with u 0.01 from
+        # a root, where the summed form's summands dwarf psi by 1e5: the
+        # forward residual read 3.1e-10 there, the backward one reads 1.4e-15
+        c8 = {"N": 12, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        assert main(["verify", "--relations", "PSI_FACTORED", "--params", path,
+                     "--seed", "3298771751"]) == 0
+        assert "PSI_FACTORED                50" in capsys.readouterr().out
+
+
 class TestCheckMabaCommand:
     # s2=4 keeps m_bar off the degenerate values where a tau denominator
     # vanishes identically at small N
@@ -349,6 +362,18 @@ class TestCheckMabaCommand:
             rc = main(["check-maba", "--params", path, "--N", "30", "--draws", "2"])
         assert rc == 0
         assert "UNDECIDED: 2 of 2 draws" in capsys.readouterr().out
+
+    def test_invalid_values_print_no_warning(self, tmp_path, capsys):
+        # at N = 40 the overflowed summands of one of the first 30 draws (seed 0)
+        # meet as inf - inf; the draw is counted UNDECIDED, and numpy must not warn
+        c8 = {"N": 3, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check-maba", "--params", path, "--N", "40", "--draws", "30"])
+        assert rc == 0
+        assert "UNDECIDED: 30 of 30 draws" in capsys.readouterr().out
 
     def test_degenerate_m_bar_exits_2(self, tmp_path, capsys):
         # (rho=2, s2=3) gives m_bar=1/2, killing a tau denominator at N=2

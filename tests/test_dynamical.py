@@ -12,6 +12,7 @@ from heun_racah.racah import DynContext, Representation, build_params, build_rep
 from heun_racah.sampling import REJECT_MARGIN, draw_complex, draw_racah_params, draw_until
 from heun_racah.serialize import dump_json
 
+import reference_catalog
 from conftest import keeping
 
 
@@ -197,8 +198,9 @@ class TestVerifyRelation:
 
         def sweep(residuals):
             draws = iter(residuals)
+            # a one-stage sampler: each drawn row is its residual
             monkeypatch.setitem(dynamical.SAMPLERS, RelationId.BB_EXCHANGE,
-                                lambda rng, ctx: (next(draws), {"u": 1.0}))
+                                dynamical.Sampler(lambda rng, ctx: (next(draws), {"u": 1.0})))
             return verify_relation(RelationId.BB_EXCHANGE, ctx0, samples=len(residuals))
 
         # a NaN residual is never the worst, but it is counted
@@ -277,3 +279,35 @@ class TestSweepEvaluations:
             with pytest.raises(ParameterDomainError, match="1 tries"):
                 sampling.draw_until(None, lambda r: (hp, (u, [x] + roots[1:])), evaluate,
                                     max_tries=1)
+
+
+def sweep_outcome(verify, relation, ctx, samples, seed):
+    """The JSON report of a sweep, or the RelationViolation it raised."""
+    try:
+        return dump_json(verify(relation, ctx, samples=samples, seed=seed).to_json_dict())
+    except RelationViolation as exc:
+        return f"RelationViolation: {exc}"
+
+
+class TestChunkedSweep:
+    """verify_relation's two stages, chunked on banded operator stacks, give
+    the reports of the per-sample sweep on dense builds byte for byte, for
+    every relation, however the samples fall into chunks."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 12])
+    def test_reports_equal_the_per_sample_sweep(self, N, monkeypatch):
+        from heun_racah import dynamical
+        rng = np.random.default_rng(300 + N)
+        criterion_8 = DynContext(rep=build_representation(build_params(N, 2.2 + 0.4j, 1.3, 0.8)),
+                                 rho=1.7)
+        drawn = DynContext(rep=build_representation(draw_racah_params(rng, N)), rho=draw_rho(rng))
+        dim = N + 1
+        # the default bound, one sample per chunk, and chunks of about 3 AB_EXCHANGE samples
+        for chunk_bytes in (dynamical.CHUNK_BYTES, 1, 16 * dim * dim * 30):
+            monkeypatch.setattr(dynamical, "CHUNK_BYTES", chunk_bytes)
+            for ctx in (criterion_8, drawn):
+                for relation in RelationId:
+                    for seed, samples in ((0, 50), (1, 7), (2, 1)):
+                        assert sweep_outcome(verify_relation, relation, ctx, samples, seed) \
+                            == sweep_outcome(reference_catalog.verify_relation, relation, ctx,
+                                             samples, seed)

@@ -6,10 +6,12 @@ stacked closed form is held to its scalar reference on every drawn lane and
 on lanes planted on each kind of pole; values are compared where the pass
 is well conditioned, the pole mask on every lane.  The lane kernel's window
 of trial steps is held bit for bit to the plain one-step search.  The
-catalog identities BB_EXCHANGE, AB_EXCHANGE, CA_EXCHANGE and VACUUM_ACTION
-hold within their catalog tolerances at every admissible draw.  The runs
-are derandomized and keep no example database, so every run of the suite
-checks the same examples.
+catalog identities BB_EXCHANGE, AB_EXCHANGE, CA_EXCHANGE, VACUUM_ACTION,
+WA_IDENTITY, ABV_ACTION and PSI_FACTORED hold within their catalog
+tolerances at every admissible draw; the last three also fail a mutation of
+1e-9 in one of their inputs, at a fixed well-conditioned draw, so the
+tolerance is tight enough to see one.  The runs are derandomized and keep
+no example database, so every run of the suite checks the same examples.
 """
 
 import numpy as np
@@ -17,12 +19,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, vacuum, vacuum_coeffs
+from heun_racah import bethe
+from heun_racah.bethe import (HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, abv_rhs, bethe_vector,
+                              psi_factored, vacuum, vacuum_coeffs)
 from heun_racah.core import identity, pole_margin, residual_norm, vector_residual
 from heun_racah.dynamical import DEFAULT_TOLS, RelationId
 from heun_racah.errors import CanonicalizationError, ParameterDomainError
 from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear,
-                             build_W_parametric, canonicalize)
+                             build_W_parametric, canonicalize, h_coeffs)
 from heun_racah.racah import (DynContext, build_params, build_representation, coeff_k1, coeff_k2,
                               op_A, op_B, op_C)
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
@@ -130,6 +134,91 @@ def test_vacuum_action_holds(N, u, m):
                                    op_A(u, m, ctx), op_B(u, m, ctx)))
     residual = vector_residual(A @ e0, vc.xi * e0 + vc.zeta * (B @ e0))
     assert residual <= DEFAULT_TOLS[RelationId.VACUUM_ACTION]
+
+
+def wa_gap(u1, u2, hp, ctx, mutation=0.0):
+    """The larger residual of h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u)
+    at u1 against W and against itself at u2, with the A's taken at
+    m_bar + mutation."""
+    W = build_W_parametric(hp, ctx)
+    m = hp.m_bar + mutation
+    R1, R2 = (h1p * A_u + h1m * A_mu + h2 * ctx.rep.I
+              for (A_u, A_mu), (h1p, h1m, h2) in
+              ((op_A([u, -u], [m, m], ctx), h_coeffs(u, hp)) for u in (u1, u2)))
+    return max(residual_norm(R1, W), residual_norm(R1, R2))
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), s1=annulus, s2=annulus, u1=annulus, u2=annulus)
+def test_wa_identity_holds(N, s1, s2, u1, u2):
+    # W = h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u), the same at every u
+    ctx = CRITERION_8[N]
+    hp = admissible(lambda: build_heun_params(ctx.rho, s1, s2, ctx.rep.params))
+    assert admissible(lambda: wa_gap(u1, u2, hp, ctx)) <= DEFAULT_TOLS[RelationId.WA_IDENTITY]
+
+
+def test_wa_identity_fails_a_mutation_of_m_bar():
+    ctx = CRITERION_8[3]
+    hp = build_heun_params(ctx.rho, 0.9, 2.6, ctx.rep.params)
+    u1, u2 = 2.1 + 0.7j, -1.3 + 2.4j
+    tol = DEFAULT_TOLS[RelationId.WA_IDENTITY]
+    assert wa_gap(u1, u2, hp, ctx) <= tol < wa_gap(u1, u2, hp, ctx, mutation=1e-9)
+
+
+def abv_gap(u, m, roots, ctx, mutation=0.0):
+    """vector_residual of A(u (1 + mutation), m) on the Bethe vector against
+    the expansion at u."""
+    lhs = op_A(u * (1 + mutation), m, ctx) @ bethe_vector(roots, m, ctx)
+    return vector_residual(lhs, abv_rhs(u, m, roots, ctx))
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), u=annulus, m=annulus,
+       roots=st.lists(annulus, max_size=3))
+def test_abv_action_holds(N, u, m, roots):
+    # A(u, m) on the Bethe vector = its expansion over the wanted and swapped terms
+    ctx = CRITERION_8[N]
+    assert admissible(lambda: abv_gap(u, m, roots, ctx)) <= DEFAULT_TOLS[RelationId.ABV_ACTION]
+
+
+def test_abv_action_fails_a_mutation_of_u():
+    ctx = CRITERION_8[2]
+    u, m, roots = 2.1 + 0.7j, 0.4 - 1.3j, [1.7 + 0.2j, -0.6 + 2.2j]
+    tol = DEFAULT_TOLS[RelationId.ABV_ACTION]
+    assert abv_gap(u, m, roots, ctx) <= tol < abv_gap(u, m, roots, ctx, mutation=1e-9)
+
+
+def psi_gap(u, roots, hp, mutation=0.0):
+    """The backward residual of psi's dual forms, the factored one scaled by
+    1 + mutation: |factored - summed| / max(1, |factored|, summand magnitudes)."""
+    p = len(roots)
+    factored = psi_factored(u, p, roots, hp) * (1 + mutation)
+    summed, magnitude = bethe.psi_summed(u, p, roots, hp)
+    return abs(factored - summed) / max(1.0, abs(factored), magnitude)
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), s1=annulus, s2=annulus, u=annulus,
+       roots=st.lists(annulus, max_size=3))
+def test_psi_factored_holds(N, s1, s2, u, roots):
+    # the factored and summed forms of the extension coefficient agree
+    ctx = CRITERION_8[N]
+    hp = admissible(lambda: build_heun_params(ctx.rho, s1, s2, ctx.rep.params))
+    residual = admissible(lambda: psi_gap(u, roots, hp))
+    assert residual == bethe.psi_residual(u, len(roots), roots, hp)
+    assert residual <= DEFAULT_TOLS[RelationId.PSI_FACTORED]
+
+
+def test_psi_factored_fails_a_mutation_of_the_factored_form():
+    # at a well-conditioned draw, where the summands are within a few times
+    # psi: near a root they can exceed it by orders, and hide the mutation
+    ctx = CRITERION_8[4]
+    hp = build_heun_params(ctx.rho, 0.9, 2.6, ctx.rep.params)
+    u, roots = 2.1 + 0.7j, [1.7 + 0.2j, -0.6 + 2.2j]
+    summed, magnitude = bethe.psi_summed(u, 2, roots, hp)
+    assert magnitude <= 4 * abs(summed)
+    tol = DEFAULT_TOLS[RelationId.PSI_FACTORED]
+    assert psi_gap(u, roots, hp) <= tol < psi_gap(u, roots, hp, mutation=1e-9)
 
 
 def bethe_system(mode, p):

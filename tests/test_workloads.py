@@ -37,3 +37,14 @@ def test_op_0_passes_the_output_check(name):
     assert checked.problems == ()
     assert checked.certified > 0 and checked.coverage > 0
     assert workload.report_json(heun_racah, report)
+
+
+def test_verify_catalog_op_643_at_seed_12_passes_the_output_check():
+    # its PSI_FACTORED sweep (seed 3298771751) draws u 0.01 from a root, where
+    # the forward residual of the dual forms of psi read 3.1e-10 > 1e-10
+    workload = workloads.WORKLOADS["verify-catalog"]
+    ctx = workload.setup(heun_racah)
+    reports = workload.run(heun_racah, ctx, 643, 12)
+    checked = workload.check(heun_racah, ctx, 643, reports)
+    assert checked.problems == ()
+    assert checked.certified == len(heun_racah.RelationId) and checked.coverage == 1.0

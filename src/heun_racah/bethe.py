@@ -279,23 +279,32 @@ class SwapWeight:
         self.p0 = 2 * rho * (rho - 1) * hp.s1
         self.core0 = hp.s2 - rho
         self.N = N
-        self.c1sq = (bt - g + d) ** 2
+        c1 = bt - g + d
+        self.c1sq = c1 ** 2
         self.btsq = bt ** 2
         self.c2 = N + 2 + g + d
         self.c3 = d + g - 2 * m
+        # the zeros of Q, which are those of xi(v, m)
+        self.zeros = (-N + c1, -N - c1, self.c2 + bt, self.c2 - bt, 2 * m - g - d)
+
+    def denominators(self, v):
+        """The two factors of g's denominator besides 8."""
+        return v, self.c3 + 2 - v
 
     def __call__(self, v) -> tuple[complex, complex]:
-        guard(v, "swap weight pole: v = 0")
-        guard(self.c3 + 2 - v, "swap weight pole: delta+gamma-2m+2 = v")
+        d0, d1 = self.denominators(v)
+        guard(d0, "swap weight pole: v = 0")
+        guard(d1, "swap weight pole: delta+gamma-2m+2 = v")
         return self.values(v)
 
     def poles(self, v) -> np.ndarray:
         """Where the root sets of an (S, p) array v meet the guards of __call__ at +-v."""
-        return (on_pole(v) | on_pole(self.c3 + 2 - v) | on_pole(self.c3 + 2 + v)).any(-1)
+        d0, d1 = self.denominators(np.array((v, -v)))
+        return (on_pole(d0) | on_pole(d1)).any((0, -1))
 
     def values(self, v):
         """(g(v), g'(v)) without the guards, for a point or an array of points."""
-        den = self.c3 + 2 - v
+        d0, d1 = self.denominators(v)
         core = self.rho * v + self.core0
         vn, vs = v + self.N, v - self.c2
         # numerator factors and their derivatives, combined by the product rule
@@ -305,8 +314,8 @@ class SwapWeight:
         num = f12 * f34
         dnum = (-2 * self.rho * core * f2 + 2 * vn * f1) * f34 \
             + f12 * (f3 - 2 * vs * f4)
-        scale = 1 / (8 * v * den)
-        return num * scale, (dnum - num / v + num / den) * scale
+        scale = 1 / (8 * d0 * d1)
+        return num * scale, (dnum - num / d0 + num / d1) * scale
 
 
 def _unwanted_summands(r: int, roots, weight: SwapWeight) -> list[complex]:
@@ -482,7 +491,8 @@ def maba_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
     magnitudes of the tau-weighted summands, so it measures whether the
     identity itself holds rather than how violently the right side cancels
     (the summands can exceed the result by many orders for larger N).
-    A norm that overflows comes out inf (or a residual NaN), without a warning.
+    A norm that overflows comes out inf or NaN, without a warning; a backward residual is
+    at most 2 (triangle inequality), so a non-finite one is an overflow and reads NaN.
     """
     k = len(terms)
     base, swapped, lhs = _swapped_families([t[1] for t in terms], [t[0] for t in terms],
@@ -500,7 +510,8 @@ def maba_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
         mag = abs(t[3]) * vn[0]
         for coef, n in zip(t[4], vn[1:]):
             mag += abs(coef) * n
-        out.append((e / max(1.0, l), e / max(1.0, l, mag)))
+        backward = e / max(1.0, l, mag)
+        out.append((e / max(1.0, l), backward if math.isfinite(backward) else math.nan))
     return out
 
 

@@ -22,16 +22,16 @@ import sys
 
 import numpy as np
 
-from .bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
+from .bethe import INHOMOGENEOUS, BetheSystem
 from .core import dense_spectrum, pole_margin
-from .dynamical import DEFAULT_TOLS, RelationId, draw_u_and_roots, verify_relation
+from .dynamical import DEFAULT_TOLS, RelationId, maba_sampler, sweep, verify_relation
 from .errors import (CanonicalizationError, DimensionError, ModeError,
                      OracleError, ParameterDomainError, RelationViolation,
                      SolverFailure)
 from .heun import (BilinearParams, build_heun_params, build_W_bilinear,
                    build_W_parametric, canonicalize, integer_p_bar)
 from .racah import DynContext, build_params, build_representation
-from .sampling import REJECT_MARGIN, draw_until
+from .sampling import REJECT_MARGIN
 from .serialize import dump_json, from_pair
 from .solver import SolverConfig, solve_homogeneous, solve_inhomogeneous
 
@@ -164,8 +164,8 @@ def cmd_verify(args, params):
             rep = verify_relation(rel, ctx, samples=args.samples, tol=args.tol,
                                   seed=args.seed)
             # a sweep without a finite residual reports max residual 0
-            status = f"UNDECIDED ({rep.nonfinite} of {rep.evaluations} non-finite)" \
-                if rep.undecided else "ok"
+            status = f"{'UNDECIDED' if rep.undecided else 'ok'} ({rep.nonfinite} of " \
+                f"{rep.evaluations} non-finite)" if rep.nonfinite else "ok"
         except RelationViolation as exc:
             failures.append(exc)
             print(f"{rel.value:<22} {args.samples:>7} {exc.residual:>16.12g}  VIOLATION")
@@ -230,14 +230,8 @@ def cmd_check_maba(args, params):
         raise ParameterDomainError(
             f"{exc} for these parameters at this N; "
             "perturb s2 (or rho) to move m_bar off the degenerate value") from exc
-    rng = np.random.default_rng(args.seed)
-    residuals, backwards = [], []
-    for _ in range(args.draws):
-        plain, backward = draw_until(
-            rng, lambda r: draw_u_and_roots(r, N),
-            lambda t: maba_identity_residuals(*t, hp, ctx))
-        residuals.append(plain)
-        backwards.append(backward)
+    residuals, backwards = (list(column) for column in zip(
+        *(pair for pair, _ in sweep(maba_sampler(hp), ctx, args.draws, args.seed))))
     # np.max propagates NaN; max() would return whatever the draw order gives
     worst, worst_backward = float(np.max(residuals)), float(np.max(backwards))
     mean = sum(residuals) / len(residuals)

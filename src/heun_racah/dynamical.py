@@ -1,7 +1,8 @@
 """The relation catalog: every identity the package verifies numerically.
 
-verify_relation is the one seeded sweep, where every catalog residual meets
-its tolerance.  A sampled identity runs in two stages (a Sampler):
+sweep is the one seeded residual sweep, which verify_relation (every catalog
+residual within its tolerance) and the check-maba command consume.  A
+sampled identity runs in two stages (a Sampler):
 
 - per sample, in plain Python: draw the arguments in the catalog's RNG
   order and evaluate every guarded scalar of both sides (operator terms,
@@ -38,7 +39,7 @@ from .bethe import (abv_chunk, abv_terms, f1_W, maba_chunk, maba_terms, psi_resi
 from .core import apply_rows, guard, stack_residuals
 from .errors import RelationViolation
 from .heun import build_heun_params, h1_scalar, wa_chunk, wa_terms
-from .racah import (DynContext, a_terms, check_rho, coeff_k1, coeff_k2, defining_residuals,
+from .racah import (DynContext, a_terms, check_rho, coeff_k1, coeff_k2, defining_residual,
                     op_B, op_C, stack_A)
 # Not called here (A is built from its guarded rows with stack_A); the
 # benchmark's tracer (perfbench/tracing.py) resolves op_A by this module's name.
@@ -145,23 +146,26 @@ class Sampler:
     operators: Callable[[int], int] = lambda N: 1
 
 
+def redrawn(draw, evaluate) -> Callable:
+    """A sample(rng, ctx) stage: (row, tuple) = evaluate(t, ctx) for the first
+    t = draw(rng, ctx) whose evaluation keeps the pole margin.  draw_until is
+    looked up when a sample is drawn, so a tracer that replaces it sees every draw."""
+    return lambda rng, ctx: draw_until(rng, lambda r: draw(r, ctx), lambda t: evaluate(t, ctx))
+
+
 def _defining(relation: RelationId) -> Sampler:
     """One defining relation; its residual takes no draw."""
-    return Sampler(lambda rng, ctx: (defining_residuals(ctx.rep)[relation.value], None))
+    return Sampler(lambda rng, ctx: (defining_residual(ctx.rep, relation.value), None))
 
 
-def _draw_uvm(rng):
+def _draw_uvm(rng, ctx=None):
     """(u, v, m) for the exchange relations."""
     return draw_complex(rng), draw_complex(rng), draw_complex(rng)
 
 
-def _uvm(u, v, m) -> dict:
-    return {"u": u, "v": v, "m": m}
-
-
 def _sample_bb(rng, ctx):
     u, v, m = _draw_uvm(rng)  # B has no pole: every draw is kept
-    return (u, v, m), _uvm(u, v, m)
+    return (u, v, m), {"u": u, "v": v, "m": m}
 
 
 def _bb_chunk(rows, ctx):
@@ -171,17 +175,14 @@ def _bb_chunk(rows, ctx):
     return stack_residuals(B[:, 0] @ B[:, 1], B[:, 2] @ B[:, 3])
 
 
-def _exchange_terms(u, v, m, ctx):
-    """The guarded scalars of the AB and CA exchange relations: the rows of
+def _exchange_terms(t, ctx):
+    """The guarded scalars of the AB and CA exchange relations at (u, v, m): the rows of
     A(u, m), A(u, m-1), A(v, m-1), A(-v, m-1), then k1(u, v), k2(u, v, m), k2(u, -v, m)."""
+    u, v, m = t
     rows = [a_terms(a, b, ctx) for a, b in ((u, m), (u, m - 1), (v, m - 1), (-v, m - 1))]
     rho = ctx.rho
-    return (u, v, m, rows, (coeff_k1(u, v), coeff_k2(u, v, m, rho), coeff_k2(u, -v, m, rho)))
-
-
-def _sample_exchange(rng, ctx):
-    return draw_until(rng, _draw_uvm,
-                      lambda t: (_exchange_terms(*t, ctx), _uvm(*t)))
+    return ((u, v, m, rows, (coeff_k1(u, v), coeff_k2(u, v, m, rho), coeff_k2(u, -v, m, rho))),
+            {"u": u, "v": v, "m": m})
 
 
 def _exchange_stacks(rows, ctx, family):
@@ -213,35 +214,25 @@ def _draw_heun(rng, ctx):
     return build_heun_params(ctx.rho, draw_complex(rng), draw_complex(rng), ctx.rep.params)
 
 
+def _draw_heun_pair(rng, ctx):
+    """(hp, u1, u2): Heun coefficients, then two spectral points."""
+    return _draw_heun(rng, ctx), draw_complex(rng), draw_complex(rng)
+
+
 def draw_u_and_roots(rng, n: int):
     """(u, [x_1..x_n]): a spectral point and n roots, drawn in that order."""
     return draw_complex(rng), [draw_complex(rng) for _ in range(n)]
 
 
-def _sample_wa(rng, ctx):
-
-    def evaluate(t):
-        hp, u1, u2 = t
-        return wa_terms(u1, u2, hp, ctx), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
-
-    return draw_until(
-        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), evaluate)
+def _wa_terms(t, ctx):
+    hp, u1, u2 = t
+    return wa_terms(u1, u2, hp, ctx), {"u1": u1, "u2": u2, "s1": hp.s1, "s2": hp.s2}
 
 
-def _wa_chunk(rows, ctx):
-    """The larger of the two W-A residuals of each sample."""
-    return [max(pair) for pair in wa_chunk(rows, ctx)]
-
-
-def _sample_vacuum(rng, ctx):
-    p = ctx.rep.params
-
-    def evaluate(t):
-        u, m = t
-        vc = vacuum_coeffs(u, m, p, ctx.rho)
-        return (u, m, a_terms(u, m, ctx), vc.xi, vc.zeta), {"u": u, "m": m}
-
-    return draw_until(rng, lambda r: (draw_complex(r), draw_complex(r)), evaluate)
+def _vacuum_terms(t, ctx):
+    u, m = t
+    vc = vacuum_coeffs(u, m, ctx.rep.params, ctx.rho)
+    return (u, m, a_terms(u, m, ctx), vc.xi, vc.zeta), {"u": u, "m": m}
 
 
 def _vacuum_chunk(rows, ctx):
@@ -265,19 +256,14 @@ def _sample_abv(rng, ctx):
         evaluate)
 
 
-def _sample_combination(rng, ctx):
+def _combination_residual(t, ctx):
+    hp, u, v = t
     rho = ctx.rho
-
-    def evaluate(t):
-        hp, u, v = t
-        lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
-               + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
-        rhs = f1_W(v, hp) / (rho * (rho - 1)
-                             * guard(u * u - v * v, "combination identity pole: u^2 = v^2"))
-        return abs(lhs - rhs) / max(1.0, abs(lhs)), {"u": u, "v": v, "s1": hp.s1, "s2": hp.s2}
-
-    return draw_until(
-        rng, lambda r: (_draw_heun(r, ctx), draw_complex(r), draw_complex(r)), evaluate)
+    lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
+           + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
+    rhs = f1_W(v, hp) / (rho * (rho - 1)
+                         * guard(u * u - v * v, "combination identity pole: u^2 = v^2"))
+    return abs(lhs - rhs) / max(1.0, abs(lhs)), {"u": u, "v": v, "s1": hp.s1, "s2": hp.s2}
 
 
 def _sample_psi(rng, ctx):
@@ -291,48 +277,64 @@ def _sample_psi(rng, ctx):
     return draw_until(rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, p)), evaluate)
 
 
-def _sample_maba(rng, ctx):
-
-    def evaluate(t):
-        hp, (u, roots) = t
-        return maba_terms(u, roots, hp, ctx), {"u": u, "roots": roots, "s2": hp.s2}
-
-    return draw_until(
-        rng, lambda r: (_draw_heun(r, ctx), draw_u_and_roots(r, ctx.rep.params.N)), evaluate)
+def _maba_terms(t, ctx):
+    hp, (u, roots) = t
+    return maba_terms(u, roots, hp, ctx), {"u": u, "roots": roots, "s2": hp.s2}
 
 
-def _maba_chunk(rows, ctx):
-    """Backward residuals of the reduction identity: the tau-weighted
-    summands can dwarf the result for larger N, so the identity check
-    normalizes by their magnitudes as well."""
-    return [backward for _, backward in maba_chunk(rows, ctx)]
+def maba_sampler(hp) -> Sampler:
+    """The reduction identity at fixed Heun coefficients hp: (u, roots) drawn by
+    draw_u_and_roots, and each sample's (plain, backward) residuals."""
+    return Sampler(redrawn(lambda r, ctx: draw_u_and_roots(r, ctx.rep.params.N),
+                           lambda t, ctx: (maba_terms(*t, hp, ctx), None)),
+                   maba_chunk, SAMPLERS[RelationId.MABA_REDUCTION].operators)
 
 
 SAMPLERS = {
     **{relation: _defining(relation) for relation in DEFINING},
     RelationId.BB_EXCHANGE: Sampler(_sample_bb, _bb_chunk, lambda N: 6),
-    RelationId.AB_EXCHANGE: Sampler(_sample_exchange, _ab_chunk, lambda N: 10),
-    RelationId.CA_EXCHANGE: Sampler(_sample_exchange, _ca_chunk, lambda N: 10),
-    RelationId.WA_IDENTITY: Sampler(_sample_wa, _wa_chunk, lambda N: 9),
-    RelationId.VACUUM_ACTION: Sampler(_sample_vacuum, _vacuum_chunk, lambda N: 2),
+    RelationId.AB_EXCHANGE: Sampler(redrawn(_draw_uvm, _exchange_terms), _ab_chunk, lambda N: 10),
+    RelationId.CA_EXCHANGE: Sampler(redrawn(_draw_uvm, _exchange_terms), _ca_chunk, lambda N: 10),
+    # the larger of the two W-A residuals of each sample
+    RelationId.WA_IDENTITY: Sampler(redrawn(_draw_heun_pair, _wa_terms),
+                                    lambda rows, ctx: [max(pair) for pair in wa_chunk(rows, ctx)],
+                                    lambda N: 9),
+    RelationId.VACUUM_ACTION: Sampler(
+        redrawn(lambda r, ctx: (draw_complex(r), draw_complex(r)), _vacuum_terms),
+        _vacuum_chunk, lambda N: 2),
     RelationId.ABV_ACTION: Sampler(_sample_abv, abv_chunk, lambda N: 14),
-    RelationId.COMBINATION_IDENTITY: Sampler(_sample_combination),
+    RelationId.COMBINATION_IDENTITY: Sampler(redrawn(_draw_heun_pair, _combination_residual)),
     RelationId.PSI_FACTORED: Sampler(_sample_psi),
-    RelationId.MABA_REDUCTION: Sampler(_sample_maba, _maba_chunk, lambda N: 2 * N + 1),
+    # backward residuals: the tau-weighted summands can dwarf the result for
+    # larger N, so the identity check normalizes by their magnitudes as well
+    RelationId.MABA_REDUCTION: Sampler(
+        redrawn(lambda r, ctx: (_draw_heun(r, ctx), draw_u_and_roots(r, ctx.rep.params.N)),
+                _maba_terms),
+        lambda rows, ctx: [backward for _, backward in maba_chunk(rows, ctx)], lambda N: 2 * N + 1),
 }
+
+
+def sweep(sampler: Sampler, ctx: DynContext, count: int, seed: int):
+    """(residual, tuple) of each of count seeded samples, in draw order.
+
+    The samples are taken chunk by chunk, CHUNK_BYTES of operators at a
+    time: each chunk's draws, every one kept off the poles, then the chunk's
+    residuals."""
+    rng = np.random.default_rng(seed)
+    chunk = max(1, CHUNK_BYTES // (16 * ctx.rep.dim ** 2 * sampler.operators(ctx.rep.params.N)))
+    for start in range(0, count, chunk):
+        rows, tuples = zip(*(sampler.sample(rng, ctx) for _ in range(min(chunk, count - start))))
+        yield from zip(rows if sampler.chunk is None else sampler.chunk(list(rows), ctx), tuples)
 
 
 def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
                     tol: float | None = None, seed: int = 0) -> RelationReport:
     """Seeded residual sweep over one cataloged identity.
 
-    Draws `samples` random tuples, each redrawn until the evaluation of its
-    guarded scalars keeps the pole margin, and reports the worst residual (a
-    NaN residual of a draw is never the worst) and the number of non-finite
-    residuals; a sweep with no finite one is undecided.  The residuals are
-    taken chunk by chunk, CHUNK_BYTES of operators at a time, after the
-    chunk's draws.  R1-R3 take no draw: their one evaluation, with tuple
-    None, is reported as it is.
+    Sweeps `samples` random tuples (see sweep) and reports the worst
+    residual (a NaN residual of a draw is never the worst) and the number of
+    non-finite residuals; a sweep with no finite one is undecided.  R1-R3
+    take no draw: their one evaluation, with tuple None, is reported as it is.
     Raises RelationViolation when the reported residual exceeds tol.
     ABV_ACTION checks the slot convention of the Bethe vector itself: the
     swapped root in slot r carries the index m - r + 1.
@@ -340,19 +342,11 @@ def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
     relation = RelationId(relation)
     if tol is None:
         tol = DEFAULT_TOLS[relation]
-    rng = np.random.default_rng(seed)
-    sampler = SAMPLERS[relation]
-    count = 1 if relation in DEFINING else samples
-    N = ctx.rep.params.N
-    chunk = max(1, CHUNK_BYTES // (16 * ctx.rep.dim ** 2 * sampler.operators(N)))
     worst, worst_tuple, nonfinite = 0.0, None, 0
-    for start in range(0, count, chunk):
-        rows, tuples = zip(*(sampler.sample(rng, ctx) for _ in range(min(chunk, count - start))))
-        residuals = rows if sampler.chunk is None else sampler.chunk(list(rows), ctx)
-        for res, tup in zip(residuals, tuples):
-            nonfinite += not math.isfinite(res)
-            if res > worst or tup is None:
-                worst, worst_tuple = res, tup
+    for res, tup in sweep(SAMPLERS[relation], ctx, 1 if relation in DEFINING else samples, seed):
+        nonfinite += not math.isfinite(res)
+        if res > worst or tup is None:
+            worst, worst_tuple = res, tup
     if worst > tol:
         raise RelationViolation(relation.value, worst, tol, worst_tuple)
     return RelationReport(relation.value, samples, seed, worst, worst_tuple, nonfinite)

@@ -154,17 +154,19 @@ def build_representation(p: RacahParams) -> Representation:
     return Representation(params=p, X=X, Y=Y, Z=Z)
 
 
+def defining_residual(rep: Representation, relation: str) -> float:
+    """Residual of one defining relation, R1, R2 or R3."""
+    X, Y, Z, p = rep.X, rep.Y, rep.Z, rep.params
+    if relation == "R1":
+        return residual_norm(commutator(X, Y), Z)
+    if relation == "R2":
+        return residual_norm(commutator(Z, X), -2 * (X @ X) - 2 * rep.XY + p.b * X + p.d2 * rep.I)
+    return residual_norm(commutator(Y, Z), -2 * (Y @ Y) - 2 * rep.XY + p.b * Y + p.d1 * rep.I)
+
+
 def defining_residuals(rep: Representation) -> dict[str, float]:
     """Residuals of the three defining relations, keyed R1, R2, R3."""
-    p = rep.params
-    X, Y, Z, XY, I = rep.X, rep.Y, rep.Z, rep.XY, rep.I
-    return {
-        "R1": residual_norm(commutator(X, Y), Z),
-        "R2": residual_norm(commutator(Z, X),
-                            -2 * (X @ X) - 2 * XY + p.b * X + p.d2 * I),
-        "R3": residual_norm(commutator(Y, Z),
-                            -2 * (Y @ Y) - 2 * XY + p.b * Y + p.d1 * I),
-    }
+    return {relation: defining_residual(rep, relation) for relation in ("R1", "R2", "R3")}
 
 
 # --------------------------------------------------------------------------

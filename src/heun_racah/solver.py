@@ -271,11 +271,7 @@ def newton_refine(fj, x0):
 
 def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
     """Analytic start guesses: zeros of the vacuum weight at index m_bar - p."""
-    rp = system.hp.rp
-    N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
-    shifted = 2 * (system.hp.m_bar - system.p) - g - d
-    return [-N + (bt - g + d), -N - (bt - g + d),
-            N + 2 + g + d + bt, N + 2 + g + d - bt, shifted]
+    return list(system.weight.zeros)
 
 
 def seed_starts(system: BetheSystem, cfg: SolverConfig):

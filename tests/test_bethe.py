@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,31 @@ class TestUnwantedU:
         for h in (1e-9, 1e-9j, -1e-9):
             near = unwanted_U(1, [x_r + h] + rest, hp)
             assert abs(near - at) <= 1e-6 * abs(at)
+
+
+class TestSwapWeight:
+    # criterion-8 at N = 3, weighed at m_bar - 1 as U_r is with one root fewer
+    rp = build_params(3, 2.2 + 0.4j, 1.3, 0.8)
+    hp = build_heun_params(1.7, 0.9, 2.6, rp)
+    weight = bethe.SwapWeight(hp, hp.m_bar - 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("what", ["v = 0", "delta+gamma-2m+2 = v"])
+    def test_each_denominator_is_a_pole_at_plus_and_minus_v(self, what, sign):
+        # U_r weighs g at +x_r and -x_r: a root on either pole is masked
+        w = self.weight
+        pole = 0j if what == "v = 0" else w.c3 + 2
+        x, generic = sign * pole, 1.3 + 0.7j
+        assert w.poles(np.array([[generic, x], [generic, 2.1 - 0.4j]])).tolist() == [True, False]
+        with pytest.raises(ParameterDomainError, match=re.escape(what)):
+            w(pole)
+        assert np.isfinite(w(generic)).all()
+
+    def test_zeros_are_the_vacuum_weight_zeros(self):
+        m = self.hp.m_bar - 1
+        for z in self.weight.zeros:
+            assert abs(vacuum_coeffs(z, m, self.rp, self.hp.rho).xi) <= 1e-12
+            assert abs(self.weight.values(z)[0]) <= 1e-10
 
 
 class TestPsi:

@@ -75,11 +75,25 @@ class TestVerifyCommand:
         maba, bb = json.loads(out.read_text())["reports"]
         assert maba["nonfinite"] == 10 and "nonfinite" not in bb
 
+    def test_overflowed_residuals_beside_finite_ones_are_counted(self, tmp_path, capsys):
+        # at N = 26 on the criterion-8 parameters (seed 0) 24 of 50 MABA_REDUCTION
+        # norms overflow; the other 26 residuals decide the sweep
+        c8 = {"N": 26, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--relations", "MABA_REDUCTION", "--params", path,
+                     "--out", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("MABA_REDUCTION") and row.endswith(" ok (24 of 50 non-finite)")
+        (report,) = json.loads(out.read_text())["reports"]
+        assert report["nonfinite"] == 24 and report["max_residual"] <= 1e-14
+
     def test_non_finite_defining_relation_is_undecided(self, tmp_path, capsys, monkeypatch):
         from heun_racah import dynamical
-        real = dynamical.defining_residuals
-        monkeypatch.setattr(dynamical, "defining_residuals",
-                            lambda rep: dict(real(rep), R2=float("nan")))
+        real = dynamical.defining_residual
+        monkeypatch.setattr(dynamical, "defining_residual",
+                            lambda rep, rel: float("nan") if rel == "R2" else real(rep, rel))
         path = write_params(tmp_path, P0_GENERIC)
         out = tmp_path / "report.json"
         assert main(["verify", "--relations", "R1,R2,R3", "--params", path,
@@ -351,6 +365,19 @@ class TestCheckMabaCommand:
         assert rc == 0
         assert "UNDECIDED: 2 of 2 draws" in out
         assert "CONJECTURE" not in out
+
+    def test_overflowed_backward_residual_reads_nan(self, tmp_path, capsys):
+        # at N = 26 (seed 0) 21 of 50 draws overflow; the worst backward
+        # residual is NaN, never inf, which a true one cannot reach
+        c8 = {"N": 26, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+        path = write_params(tmp_path, c8)
+        out = tmp_path / "maba.json"
+        assert main(["check-maba", "--params", path, "--out", str(out)]) == 0
+        first, verdict = capsys.readouterr().out.splitlines()
+        assert first.endswith("worst backward nan")
+        assert verdict.startswith("UNDECIDED: 21 of 50 draws")
+        assert np.isnan(json.loads(out.read_text())["worst_backward_residual"])
 
     def test_overflow_prints_no_warning(self, tmp_path, capsys):
         # the residual norms overflow at N = 30; numpy must not warn about it

@@ -215,9 +215,9 @@ class TestVerifyRelation:
 
     def test_non_finite_defining_residual_is_undecided(self, ctx0, monkeypatch):
         from heun_racah import dynamical
-        residuals = dynamical.defining_residuals(ctx0.rep)
-        monkeypatch.setattr(dynamical, "defining_residuals",
-                            lambda rep: dict(residuals, R2=float("nan")))
+        real = dynamical.defining_residual
+        monkeypatch.setattr(dynamical, "defining_residual",
+                            lambda rep, rel: float("nan") if rel == "R2" else real(rep, rel))
         # R1-R3 make one evaluation, whatever the sample count
         r1, r2 = (verify_relation(rel, ctx0, samples=50) for rel in (RelationId.R1, RelationId.R2))
         assert r2.nonfinite == 1 and r2.evaluations == 1 and r2.undecided
@@ -311,3 +311,34 @@ class TestChunkedSweep:
                         assert sweep_outcome(verify_relation, relation, ctx, samples, seed) \
                             == sweep_outcome(reference_catalog.verify_relation, relation, ctx,
                                              samples, seed)
+
+
+class TestSweep:
+    """dynamical.sweep also runs check-maba's draws: maba_sampler at a fixed hp."""
+
+    @pytest.mark.parametrize("N", [5, 12, 26])
+    def test_maba_sampler_repeats_the_per_draw_loop(self, N):
+        # one draw_until and one maba_identity_residuals call per draw, as
+        # check-maba made them; at N = 12 the 20 draws fall into 3 chunks
+        from heun_racah import bethe, dynamical
+        from heun_racah.heun import build_heun_params
+        rp = build_params(N, 2.2 + 0.4j, 1.3, 0.8)
+        ctx = DynContext(rep=build_representation(rp), rho=1.7)
+        hp = build_heun_params(1.7, 0.9, 2.6, rp)
+        rng = np.random.default_rng(2)
+        expected = [draw_until(rng, lambda r: dynamical.draw_u_and_roots(r, N),
+                               lambda t: bethe.maba_identity_residuals(*t, hp, ctx))
+                    for _ in range(20)]
+        swept = [pair for pair, tup in dynamical.sweep(dynamical.maba_sampler(hp), ctx, 20, 2)]
+        assert np.array_equal(swept, expected, equal_nan=True)
+
+    def test_an_overflowed_backward_residual_is_nan(self):
+        # criterion-8 at N = 26 (seed 0): 24 of 50 norms overflow; the triangle
+        # inequality bounds a backward residual by 2, so each reads NaN, not inf
+        from heun_racah import dynamical
+        ctx = DynContext(rep=build_representation(build_params(26, 2.2 + 0.4j, 1.3, 0.8)),
+                         rho=1.7)
+        residuals = [res for res, _ in dynamical.sweep(
+            dynamical.SAMPLERS[RelationId.MABA_REDUCTION], ctx, 50, 0)]
+        assert sum(np.isnan(residuals)) == 24 and not np.isinf(residuals).any()
+        assert np.nanmax(residuals) <= 1e-14

@@ -7,11 +7,13 @@ on lanes planted on each kind of pole; values are compared where the pass
 is well conditioned, the pole mask on every lane.  The lane kernel's window
 of trial steps is held bit for bit to the plain one-step search.  The
 catalog identities BB_EXCHANGE, AB_EXCHANGE, CA_EXCHANGE, VACUUM_ACTION,
-WA_IDENTITY, ABV_ACTION and PSI_FACTORED hold within their catalog
-tolerances at every admissible draw; the last three also fail a mutation of
-1e-9 in one of their inputs, at a fixed well-conditioned draw, so the
-tolerance is tight enough to see one.  The runs are derandomized and keep
-no example database, so every run of the suite checks the same examples.
+WA_IDENTITY, ABV_ACTION, PSI_FACTORED, COMBINATION_IDENTITY and
+MABA_REDUCTION hold within their catalog tolerances at every admissible
+draw; the last five also fail a mutation of 1e-9 in one of their inputs
+(1e-7 relative in MABA_REDUCTION's tau_u), at a fixed well-conditioned
+draw, so the tolerance is tight enough to see one.  The runs are
+derandomized and keep no example database, so every run of the suite
+checks the same examples.
 """
 
 import numpy as np
@@ -19,14 +21,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heun_racah import bethe
+from heun_racah import bethe, dynamical
 from heun_racah.bethe import (HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, abv_rhs, bethe_vector,
-                              psi_factored, vacuum, vacuum_coeffs)
-from heun_racah.core import identity, pole_margin, residual_norm, vector_residual
+                              f1_W, maba_reduce, psi_factored, vacuum, vacuum_coeffs)
+from heun_racah.core import guard, identity, pole_margin, residual_norm, vector_residual
 from heun_racah.dynamical import DEFAULT_TOLS, RelationId
 from heun_racah.errors import CanonicalizationError, ParameterDomainError
 from heun_racah.heun import (BilinearParams, build_heun_params, build_W_bilinear,
-                             build_W_parametric, canonicalize, h_coeffs)
+                             build_W_parametric, canonicalize, h1_scalar, h_coeffs)
 from heun_racah.racah import (DynContext, build_params, build_representation, coeff_k1, coeff_k2,
                               op_A, op_B, op_C)
 from heun_racah.sampling import ANNULUS_MAX, ANNULUS_MIN, REJECT_MARGIN
@@ -219,6 +221,73 @@ def test_psi_factored_fails_a_mutation_of_the_factored_form():
     assert magnitude <= 4 * abs(summed)
     tol = DEFAULT_TOLS[RelationId.PSI_FACTORED]
     assert psi_gap(u, roots, hp) <= tol < psi_gap(u, roots, hp, mutation=1e-9)
+
+
+def combination_gap(u, v, hp, rho, mutation=0.0):
+    """The residual of h1(u) k2(u, v, m_bar) + h1(-u) k2(-u, v, m_bar) against
+    f1_W(v) (1 + mutation) / (rho (rho - 1) (u^2 - v^2)), relative to the left side."""
+    lhs = (h1_scalar(u, hp) * coeff_k2(u, v, hp.m_bar, rho)
+           + h1_scalar(-u, hp) * coeff_k2(-u, v, hp.m_bar, rho))
+    rhs = f1_W(v, hp) * (1 + mutation) / (rho * (rho - 1) * guard(u * u - v * v, "u^2 = v^2"))
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+@PROPERTY
+@given(N=st.sampled_from(sorted(CRITERION_8)), s1=annulus, s2=annulus, u=annulus, v=annulus)
+def test_combination_identity_holds(N, s1, s2, u, v):
+    # the h1-weighted k2 pair collapses to the f1_W term
+    ctx = CRITERION_8[N]
+    hp = admissible(lambda: build_heun_params(ctx.rho, s1, s2, ctx.rep.params))
+    residual = admissible(lambda: combination_gap(u, v, hp, ctx.rho))
+    assert residual == dynamical._combination_residual((hp, u, v), ctx)[0]
+    assert residual <= DEFAULT_TOLS[RelationId.COMBINATION_IDENTITY]
+
+
+def test_combination_identity_fails_a_mutation_of_f1w():
+    ctx = CRITERION_8[3]
+    hp = build_heun_params(ctx.rho, 0.9, 2.6, ctx.rep.params)
+    u, v = 2.1 + 0.7j, -1.3 + 2.4j
+    tol = DEFAULT_TOLS[RelationId.COMBINATION_IDENTITY]
+    assert combination_gap(u, v, hp, ctx.rho) <= tol \
+        < combination_gap(u, v, hp, ctx.rho, mutation=1e-9)
+
+
+def maba_gap(u, roots, hp, ctx, mutation=0.0):
+    """The backward residual of the (N+1)-root reduction on one bethe_vector
+    per root list, with tau_u scaled by 1 + mutation: |lhs - rhs| / max(1, |lhs|,
+    sum of |coefficient| |vector| over the summands of rhs)."""
+    tau_u, taus = maba_reduce(u, roots, hp)
+    rp, m = hp.rp, hp.m_bar
+    c = rp.gamma + rp.delta - 2 * m + 2 * rp.N + 2
+    coefs = [tau_u * (1 + mutation)] + [(c * c - u * u) / guard(x * x - u * u, "x^2 = u^2") * t
+                                        for x, t in zip(roots, taus)]
+    vectors = [bethe_vector(roots, m, ctx)] + [bethe_vector(roots[:j] + [u] + roots[j + 1:], m, ctx)
+                                               for j in range(len(roots))]
+    rhs, magnitude = coefs[0] * vectors[0], abs(coefs[0]) * np.linalg.norm(vectors[0])
+    for coef, vector in zip(coefs[1:], vectors[1:]):
+        rhs, magnitude = rhs + coef * vector, magnitude + abs(coef) * np.linalg.norm(vector)
+    lhs = bethe_vector(roots + [u], m, ctx)
+    return np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs), magnitude)
+
+
+@PROPERTY
+@given(N=st.integers(1, 6), s1=annulus, s2=annulus, u=annulus,
+       roots=st.lists(annulus, min_size=6, max_size=6))
+def test_maba_reduction_holds(N, s1, s2, u, roots):
+    # the (N+1)-root Bethe vector is the tau-weighted sum of N-root ones
+    ctx, roots = CRITERION_8[N], roots[:N]
+    hp = admissible(lambda: build_heun_params(ctx.rho, s1, s2, ctx.rep.params))
+    residual = admissible(lambda: maba_gap(u, roots, hp, ctx))
+    assert residual == bethe.maba_identity_residuals(u, roots, hp, ctx)[1]
+    assert residual <= DEFAULT_TOLS[RelationId.MABA_REDUCTION]
+
+
+def test_maba_reduction_fails_a_mutation_of_tau_u():
+    ctx = CRITERION_8[2]
+    hp = build_heun_params(ctx.rho, 0.9, 2.6, ctx.rep.params)
+    u, roots = 2.1 + 0.7j, [1.7 + 0.2j, -0.6 + 2.2j]
+    tol = DEFAULT_TOLS[RelationId.MABA_REDUCTION]
+    assert maba_gap(u, roots, hp, ctx) <= tol < maba_gap(u, roots, hp, ctx, mutation=1e-7)
 
 
 def bethe_system(mode, p):

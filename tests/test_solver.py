@@ -488,6 +488,16 @@ class TestSeedStarts:
         assert not pole.any() and np.array_equal(scales, rescaled)
         assert np.array_equal(F0, F) and np.array_equal(J0, J)
 
+    @pytest.mark.parametrize("mode", [HOMOGENEOUS, INHOMOGENEOUS])
+    def test_zero_guesses_keep_their_expressions(self, mode):
+        # read from the swap weight's constants, bit for bit as written out
+        rp, ctx, hp = homogeneous_setup() if mode == HOMOGENEOUS else generic_setup(3)
+        system = BetheSystem(hp, ctx, mode)
+        N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
+        assert solver._xi_zero_guesses(system) == [
+            -N + (bt - g + d), -N - (bt - g + d), N + 2 + g + d + bt, N + 2 + g + d - bt,
+            2 * (hp.m_bar - system.p) - g - d]
+
     def test_start_that_never_keeps_the_margin_is_rejected(self, monkeypatch):
         # a margin no point keeps: each start misses it in 200 draws, the
         # start-by-start filter's 600 draws, made in passes of 3, 2 and 1 rows

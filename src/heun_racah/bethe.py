@@ -13,7 +13,8 @@ the (N+1)-root reduction identity, adding tau-weighted corrections
 w^(i), U_r^(i).  A BetheSystem fixes one of the two regimes for a solve:
 its closed-form pass gives the solver the cleared equations with their
 Jacobian, and its reference pass evaluates the scalar maps that the
-closed form is tested and certified against.
+closed form is tested and certified against; tq_roots fits the roots of
+the state with a given eigenvalue by the T-Q relation.
 
 Scalar formulas read the problem object hp alone (hp.rp holds the Racah
 parameters) and take a spectral point before the roots: (u, roots).
@@ -627,6 +628,42 @@ class BetheSystem:
             value = value + _tau_at(u, roots, *self.tau) \
                 * psi_factored(u, self.p, roots, self.hp)
         return value
+
+    def tq_roots(self, lam) -> np.ndarray:
+        """The p roots of the state with eigenvalue lam, from the T-Q relation
+
+            lam Q(u) = h2(u) Q(u) + a(u) Q(u - 2) + a(-u) Q(u + 2) + kappa G(u),
+
+        which is eigenvalue() times Q(u) = prod_k (u^2 - x_k^2): a(u) = h1(u)
+        xi(u, m_bar - p) and, in inhomogeneous mode, G(u) the tau and psi
+        factors at no roots, kappa = prod_k (c^2 - x_k^2) phi(x_k) (kappa = 0
+        in homogeneous mode, where G has no column).  Q and kappa are fitted
+        by collocation at 4p + 8 points on the half circle |u| = 10 (the
+        relation at -u is the one at u) in the basis (u^2 / 100)^j: the SVD
+        null vector of the matrix with unit columns, rescaled back.  The
+        roots, with Re >= 0, are 10 sqrt of the zeros of Q in u^2 / 100.
+        A row that meets a pole raises ParameterDomainError, as does a
+        column that is not finite or is zero, or a Q of degree below p."""
+        p, hp = self.p, self.hp
+        m = hp.m_bar - p
+        j = np.arange(p + 1)
+        rows = []
+        for u in 10 * np.exp(1j * np.pi * (np.arange(4 * p + 8) + 0.5) / (4 * p + 8)):
+            a = [h1_scalar(v, hp) * vacuum_coeffs(v, m, hp.rp, hp.rho).xi for v in (u, -u)]
+            row = (lam - h2_scalar(u, hp)) * (u * u / 100) ** j \
+                - a[0] * ((u - 2) ** 2 / 100) ** j - a[1] * ((u + 2) ** 2 / 100) ** j
+            if self.tau is not None:
+                row = np.append(row, -_tau_at(u, [], *self.tau) * psi_factored(u, p, [], hp))
+            rows.append(row)
+        A = np.array(rows, dtype=np.complex128)
+        size = np.linalg.norm(A, axis=0)
+        if not (np.isfinite(A).all() and size.all()):
+            raise ParameterDomainError(
+                f"T-Q fit at eigenvalue {lam}: a column is not finite, or zero")
+        q = (np.linalg.svd(A / size)[2][-1].conj() / size)[:p + 1]
+        if not q[p]:
+            raise ParameterDomainError(f"T-Q fit at eigenvalue {lam}: Q has degree below {p}")
+        return 10 * np.sqrt(np.roots(q[::-1]))
 
     def closed_form(self, roots, scales=False) -> tuple[np.ndarray, ...]:
         """F (S, p), J (S, p, p) and a pole mask (S,) for an (S, p) stack of root

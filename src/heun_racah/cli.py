@@ -204,6 +204,10 @@ def cmd_solve(args, params):
     tried = f"{report.attempts} of {args.starts}" if report.stopped else report.attempts
     print(f"{report.mode}: {report.distinct} distinct certified state(s) from {tried} starts "
           f"({report.converged} converged{f'; {reason}' if report.stopped else ''})")
+    completion = report.diagnostics.get("completion")
+    if completion:
+        print(f"T-Q completion: {completion['certified']} state(s) added for the "
+              f"{completion['fitted']} eigenvalue(s) the starts left unmatched")
     for s in report.states:
         roots = ", ".join(fmt(x) for x in s.roots) or "(vacuum)"
         print(f"  eigenvalue {fmt(s.eigenvalue)}  roots [{roots}]  "

@@ -28,6 +28,11 @@ from .core import anticommutator, commutator, guard, identity, residual_norm, MA
 from .errors import ParameterDomainError
 
 
+# The largest |beta| build_params accepts: on criterion-8 parameters at
+# N = 2, every relation verifies at 1e3, and R2 and the W-A identity fail at 1e4.
+BETA_MAX = 1e3
+
+
 @dataclass(frozen=True)
 class RacahParams:
     """Representation parameters with derived structure constants.
@@ -68,6 +73,11 @@ def build_params(N: int, beta, gamma, delta) -> RacahParams:
         raise ParameterDomainError(
             f"the structure constants b, d1, d2 are not finite (overflow) at "
             f"beta={beta}, gamma={gamma}, delta={delta}")
+    if abs(beta) > BETA_MAX:
+        raise ParameterDomainError(
+            f"|beta| = {abs(beta):.3g} exceeds {BETA_MAX:g}: b, d1 and d2 grow like "
+            f"beta^2 to beta^4, and beyond the bound double precision no longer "
+            f"holds the Racah relations to their tolerances (R2 fails from |beta| = 1e4)")
     p = RacahParams(N=N, beta=beta, gamma=gamma, delta=delta,
                     alpha=alpha, b=b, d1=d1, d2=d2)
     for x in range(N + 1):  # guards every denominator 2x+gamma+delta+{0,1,2}

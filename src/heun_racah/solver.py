@@ -1,4 +1,5 @@
-"""Multistart Newton solver for the Bethe systems, with oracle certification.
+"""Multistart Newton solver for the Bethe systems, completed by the T-Q
+relation, with oracle certification.
 
 The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
@@ -21,7 +22,15 @@ new state against the dense eigendecomposition of W, which is entirely
 independent of the Bethe machinery.  Once p + 1 dense eigenvalues have a
 certified state, as many as the Bethe ansatz gives (N + 1 in inhomogeneous
 mode, p_bar + 1 in homogeneous mode), the solve stops and abandons the
-lanes still running; the report's stopped flag says so.
+lanes still running; the report's stopped flag says so.  A lane ends
+unconverged after MAX_ITER = 50 iterations: every lane that certified a
+state at criterion-8 N <= 5 needed at most 40.
+
+In inhomogeneous mode, when the lanes run out first, the completion
+(complete) fits the roots of each unmatched dense eigenvalue from the T-Q
+relation (BetheSystem.tq_roots), polishes them as lanes and certifies
+them as above; the report's diagnostics record it under "completion".
+The README says why the fit comes after the lanes, not in their place.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -49,7 +58,7 @@ BETHE_RESIDUAL_TOL = 1e-9
 MATCH_TOL = 1e-6
 COND_LIMIT = 1e14
 MAX_HALVINGS = 30
-MAX_ITER = 200
+MAX_ITER = 50
 NEWTON_TOL = 1e-12
 RESUME = 2  # a line search resumes RESUME halvings above its last accepted step
 WINDOW = RESUME + 1  # the trial steps a searching lane sends in one pass
@@ -269,11 +278,6 @@ def newton_refine(fj, x0):
         return x, ok, its
 
 
-def _xi_zero_guesses(system: BetheSystem) -> list[complex]:
-    """Analytic start guesses: zeros of the vacuum weight at index m_bar - p."""
-    return list(system.weight.zeros)
-
-
 def seed_starts(system: BetheSystem, cfg: SolverConfig):
     """Deterministic multistart seeds: annulus draws mixed with perturbed
     zeros of the vacuum weight, canonicalized (the vacuum when p = 0).
@@ -289,7 +293,7 @@ def seed_starts(system: BetheSystem, cfg: SolverConfig):
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
     rmax = max(1.0, 2.0 * np.sqrt(lam_max))
-    guesses = [z for z in _xi_zero_guesses(system) if abs(z) > REJECT_MARGIN]
+    guesses = [z for z in system.weight.zeros if abs(z) > REJECT_MARGIN]
 
     def draw():
         roots = []
@@ -393,13 +397,53 @@ def _lanes(system: BetheSystem, x, scales, first):
                         first=scaled(*first, np.zeros(len(x), dtype=bool), slice(None)))
 
 
+def complete(system: BetheSystem, seed: int, W, W_fro, oracle, certified, matched) -> dict:
+    """Fit the roots of each unmatched oracle eigenvalue by the T-Q relation
+    (BetheSystem.tq_roots), in index order, and certify them: the fits go
+    through seed_starts' margin pass, are polished as the lanes of one
+    _lanes, and each lane's last iterate goes to _certify whatever Newton's
+    verdict, in fit order.  Appends to certified and marks matched in place.
+
+    Returns the diagnostics entry {"fitted", "certified", "rejected"}, where
+    fitted = certified + the rejects: fit_pole (tq_roots raised: a
+    collocation point met a pole, or the fit degenerated), pole_margin,
+    duplicate (a certified state's orbit set) and _certify's reasons."""
+    rejects, fits, targets = Counter(), [], oracle[~matched]
+    for lam in targets:
+        try:
+            fits.append(canonical_roots(system.tq_roots(lam)))
+        except ParameterDomainError:
+            rejects["fit_pole"] += 1
+    x = np.array(fits, dtype=np.complex128).reshape(len(fits), system.p)
+    with pole_margin(REJECT_MARGIN):
+        F, J, pole, scales = system.closed_form(x, scales=True)
+    if pole.any():
+        rejects["pole_margin"] += int(np.count_nonzero(pole))
+    kept = ~pole
+    added = 0
+    for _index, roots, _ok, _its in sorted(_lanes(system, x[kept], scales[kept],
+                                                  (F[kept], J[kept])), key=lambda lane: lane[0]):
+        if _is_duplicate(roots, (state for state, _, _ in certified)):
+            rejects["duplicate"] += 1
+            continue
+        entry, reason = _certify(list(roots), system, seed, W, W_fro, oracle)
+        if entry is None:
+            rejects[reason] += 1
+            continue
+        certified.append(entry)
+        matched[entry[1]] = True
+        added += 1
+    return {"fitted": len(targets), "certified": added, "rejected": dict(rejects)}
+
+
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     """Draw every start up front (one when there are no roots) and run them
     all as lanes of one newton_lanes, each lane then through deflation and
     certification in the order it finishes, until p + 1 oracle eigenvalues
     are matched: all N + 1 in inhomogeneous mode, the p_bar + 1 states the
     Bethe ansatz gives in homogeneous mode.  A later lane could only repeat
-    a certified orbit set, or give a second root set for a matched eigenvalue."""
+    a certified orbit set, or give a second root set for a matched eigenvalue.
+    Inhomogeneous lanes that run out first leave the rest to complete."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
@@ -427,6 +471,10 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
             if np.count_nonzero(matched) > system.p:
                 stopped = attempts < rejected + len(x)
                 break
+    diagnostics = {"rejected": dict(rejects)} if rejects else {}
+    if system.mode == INHOMOGENEOUS and np.count_nonzero(matched) <= system.p:
+        diagnostics["completion"] = complete(system, cfg.seed, W, W_fro, oracle,
+                                             certified, matched)
 
     certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
                                   tuple((x.real, x.imag) for x in c[0].roots)))
@@ -436,12 +484,13 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
                          converged=converged, oracle=oracle, matched=matched,
                          ambiguous_matches=ambiguous,
                          seed=cfg.seed, p_bar=system.p_bar,
-                         diagnostics={"rejected": dict(rejects)} if rejects else {},
-                         stopped=stopped)
+                         diagnostics=diagnostics, stopped=stopped)
     if not states:
+        completion = f"; T-Q completion: {diagnostics['completion']}" \
+            if "completion" in diagnostics else ""
         raise SolverFailure(
             f"{system.mode} solve produced no certifiable state out of {attempts} starts "
-            f"({converged} converged; rejections: {dict(rejects)})")
+            f"({converged} converged; rejections: {dict(rejects)}{completion})")
     return report
 
 

@@ -18,8 +18,7 @@ from heun_racah import sampling
 from heun_racah.bethe import canonical_roots
 from heun_racah.core import on_pole
 from heun_racah.racah import y_eigenvalue
-from heun_racah.solver import (COND_LIMIT, MAX_HALVINGS, MAX_ITER, NEWTON_TOL, RESUME,
-                               _xi_zero_guesses)
+from heun_racah.solver import COND_LIMIT, MAX_HALVINGS, MAX_ITER, NEWTON_TOL, RESUME
 
 
 def swap_weight_values(weight, v):
@@ -191,7 +190,7 @@ def seed_starts(system, cfg, misses=None):
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
     rmax = max(1.0, 2.0 * np.sqrt(lam_max))
-    guesses = [z for z in _xi_zero_guesses(system) if abs(z) > sampling.REJECT_MARGIN]
+    guesses = [z for z in system.weight.zeros if abs(z) > sampling.REJECT_MARGIN]
 
     starts = []
     for _ in range(cfg.starts if system.p else 1):

@@ -271,8 +271,8 @@ class TestSolveCommand:
 
     def test_stop_at_full_coverage_is_named(self, tmp_path, capsys):
         # criterion-8 at N = 2, seed 2 matches all three dense eigenvalues
-        # by its 17th lane to finish; seed 0 never matches the third and runs
-        # all 64
+        # by its 17th lane to finish; seed 0's lanes never match the third,
+        # so all 64 run and the T-Q completion certifies its state
         cfg = {"N": 2, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
                "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
         path = write_params(tmp_path, cfg)
@@ -280,7 +280,11 @@ class TestSolveCommand:
         for seed in ("2", "0"):
             assert main(["solve", "--mode", "inhomogeneous", "--params", path,
                          "--seed", seed]) == 0
-            lines.append(capsys.readouterr().out.splitlines()[0])
+            lines.append(capsys.readouterr().out.splitlines()[:2])
+        (lines[0], last), (lines[1], completion) = lines
+        assert last.startswith("  eigenvalue")
+        assert completion == ("T-Q completion: 1 state(s) added for the 1 eigenvalue(s) "
+                              "the starts left unmatched")
         assert lines[0] == ("inhomogeneous: 3 distinct certified state(s) from 17 of 64 "
                             "starts (17 converged; every dense eigenvalue matched)")
         assert lines[1].endswith("from 64 starts (64 converged)")
@@ -509,3 +513,27 @@ def test_overflowing_structure_constants_exit_2(tmp_path, capsys, command):
     assert main(command + ["--params", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the structure constants") and len(err.splitlines()) == 1
+
+
+CRITERION_8_N2 = {"N": 2, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+                  "rho": [1.7, 0], "s1": [0.9, 0], "s2": [2.6, 0]}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["solve"], ["spectrum"], ["check-maba"]])
+@pytest.mark.parametrize("beta", [1e4, 1e50])
+def test_beta_beyond_the_bound_exits_2(tmp_path, capsys, command, beta):
+    # at 1e4 verify failed R2 and WA_IDENTITY (exit 1); at 1e50 it also
+    # warned of an overflow, and solve exited 3
+    path = write_params(tmp_path, dict(CRITERION_8_N2, beta=[beta, 0]))
+    assert main(command + ["--params", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: |beta| = {beta:.3g} exceeds 1000") and "R2" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_beta_at_the_bound_verifies_and_solves(tmp_path, capsys):
+    path = write_params(tmp_path, dict(CRITERION_8_N2, beta=[1e3, 0]))
+    assert main(["verify", "--params", path]) == 0
+    assert main(["solve", "--params", path]) == 0
+    out = capsys.readouterr().out
+    assert "VIOLATION" not in out and "spectrum coverage: 3/3" in out

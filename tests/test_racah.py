@@ -40,6 +40,15 @@ class TestBuildParams:
         with pytest.raises(ParameterDomainError, match="not finite"):
             build_params(1, **args)
 
+    def test_beta_bound(self):
+        # |beta| up to BETA_MAX builds, on either axis; beyond it, and before
+        # anything overflows, the bound is named
+        for beta in (1e3, -1e3, 1e3j, 600 + 800j):
+            build_params(2, beta, 1.3, 0.8)
+        for beta in (1000.001, 1e3 + 1j, 1e4, 1e50):
+            with pytest.raises(ParameterDomainError, match=r"exceeds 1000: .*R2"):
+                build_params(2, beta, 1.3, 0.8)
+
     def test_size_cap(self):
         with pytest.raises(ParameterDomainError):
             build_params(64, 5, 1, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from heun_racah import bethe, sampling, solver
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem
-from heun_racah.core import dense_spectrum
+from heun_racah.core import dense_spectrum, pole_margin
 from heun_racah.errors import ModeError, ParameterDomainError, SolverFailure
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import DynContext, build_params, build_representation
@@ -233,16 +233,21 @@ def scalar_newton(system, x, scales, _first, refine=reference_newton_refine):
         yield index, *refine(scaled_reference_map(system, row), start)
 
 
+def oracle_of(system):
+    """(W, ||W||_F, the dense eigenvalues) of a system's problem."""
+    W = build_W_parametric(system.hp, system.ctx)
+    return W, float(np.linalg.norm(W)), dense_spectrum(W).eigenvalues
+
+
 def reference_solve(system, cfg, newton=scalar_newton):
     """solver._solve without its stop at p + 1 matched eigenvalues: every
     lane runs and is certified in the order newton(system, starts) hands
     it over.  By default that is the full-step scalar search in start
     order; with solver._lanes it is a full run of the solve's own lane
     kernel, in the order its lanes finish.  newton takes seed_starts'
-    (x, scales, first)."""
-    W = build_W_parametric(system.hp, system.ctx)
-    W_fro = float(np.linalg.norm(W))
-    oracle = dense_spectrum(W).eigenvalues
+    (x, scales, first).  In inhomogeneous mode the eigenvalues the lanes
+    leave unmatched then go to the solve's T-Q completion, solver.complete."""
+    W, W_fro, oracle = oracle_of(system)
 
     certified = []
     x, scales, first, rejected = seed_starts(system, cfg)
@@ -261,18 +266,21 @@ def reference_solve(system, cfg, newton=scalar_newton):
             rejects[reason] += 1
             continue
         certified.append(entry)
+    matched = np.zeros(len(oracle), dtype=bool)
+    matched[[idx for _, idx, _ in certified]] = True
+    diagnostics = {"rejected": dict(rejects)} if rejects else {}
+    if system.mode == INHOMOGENEOUS and np.count_nonzero(matched) <= system.p:
+        diagnostics["completion"] = solver.complete(system, cfg.seed, W, W_fro, oracle,
+                                                    certified, matched)
 
     certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
                                   tuple((x.real, x.imag) for x in c[0].roots)))
-    matched = np.zeros(len(oracle), dtype=bool)
-    matched[[idx for _, idx, _ in certified]] = True
     return SolveReport(mode=system.mode, states=[state for state, _, _ in certified],
                        attempts=attempts, converged=converged, oracle=oracle,
                        matched=matched,
                        ambiguous_matches=[state.eigenvalue for state, _, amb in certified
                                           if amb],
-                       seed=cfg.seed, p_bar=system.p_bar,
-                       diagnostics={"rejected": dict(rejects)} if rejects else {})
+                       seed=cfg.seed, p_bar=system.p_bar, diagnostics=diagnostics)
 
 
 def counted_closed_form(monkeypatch):
@@ -349,7 +357,8 @@ class TestNewtonMatchesReference:
         # most half the passes of the plain kernel's one-step search (which
         # makes one more pass, at the starts).  Each lane ends bit for bit
         # as in the one-step search, though lanes finishing in other rounds
-        # are handed over in another order
+        # are handed over in another order.  Each solve runs two kernels:
+        # the starts' lanes, then the T-Q completion's
         rp, ctx, hp = generic_setup(4)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
@@ -370,7 +379,9 @@ class TestNewtonMatchesReference:
             lambda fj, starts, first: reference_kernel.newton_lanes(fj, starts, trials=1)))
         one_step = _solve(system, cfg)
         assert window.attempts == one_step.attempts == 64
-        assert_same_lanes(*runs)
+        assert len(runs) == 4 and window.diagnostics["completion"]["certified"] >= 1
+        for run, other in zip(runs[:2], runs[2:]):
+            assert_same_lanes(run, other)
         self.assert_same_states(window, one_step)
         assert passes <= 0.5 * (counts["passes"] - passes)
 
@@ -494,7 +505,7 @@ class TestSeedStarts:
         rp, ctx, hp = homogeneous_setup() if mode == HOMOGENEOUS else generic_setup(3)
         system = BetheSystem(hp, ctx, mode)
         N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
-        assert solver._xi_zero_guesses(system) == [
+        assert list(system.weight.zeros) == [
             -N + (bt - g + d), -N - (bt - g + d), N + 2 + g + d + bt, N + 2 + g + d - bt,
             2 * (hp.m_bar - system.p) - g - d]
 
@@ -767,9 +778,120 @@ class TestStopAtFullCoverage:
         report = _solve(self.system(INHOMOGENEOUS, 2), SolverConfig(starts=64, seed=2))
         assert report.attempts == 17 and report.coverage_fraction() == 1.0 and report.stopped
 
-    def test_missed_state_runs_every_start(self):
+    def test_completion_certifies_the_state_the_lanes_miss(self):
+        # N = 4 at seed 0: every lane runs out with one eigenvalue unmatched,
+        # and the T-Q completion fits and certifies its state
         report = _solve(self.system(INHOMOGENEOUS, 4), SolverConfig(starts=64, seed=0))
-        assert report.attempts == 64 and report.coverage_fraction() < 1.0 and not report.stopped
+        assert report.attempts == 64 and not report.stopped
+        assert report.diagnostics["completion"] == {"fitted": 1, "certified": 1, "rejected": {}}
+        assert report.coverage_fraction() == 1.0 and report.distinct == 5
+        assert_counts_starts_tried(report, 64)
+
+
+# beta 5, gamma 1, delta 2, s1 0, s2 3: (rho, N) and the eigenvalues matched
+# at SolverConfig seeds 0-3, None for a SolverFailure
+HOMOGENEOUS_FIXTURES = [(2 / 9, 4, [1, None, 1, 1]), (2 / 9, 6, [2] * 4), (2 / 9, 8, [3] * 4),
+                        (2 / 9, 12, [3] * 4), (2 / 11, 4, [None] * 4),
+                        (2 / 11, 6, [None, 1, None, 1]), (2 / 7, 20, [2] * 4),
+                        (2 / 7, 63, [2] * 4)]
+
+
+class TestTQCompletion:
+    """BetheSystem.tq_roots fits a state's roots from its eigenvalue, and
+    the inhomogeneous solve certifies by it the eigenvalues its lanes miss."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_fit_gives_each_certified_orbit_set(self, N):
+        rp, ctx, hp = generic_setup(N)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        report = _solve(system, SolverConfig(starts=64, seed=0))
+        assert report.distinct == N + 1
+        for state in report.states:
+            roots = system.tq_roots(state.eigenvalue)
+            assert roots.shape == (N,) and _is_duplicate(roots, [state])
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_fit_at_a_perturbed_eigenvalue_is_rejected(self, N):
+        # the fit at each dense eigenvalue certifies unpolished; 1e-3 off it, not
+        rp, ctx, hp = generic_setup(N)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        W, W_fro, oracle = oracle_of(system)
+        for lam in oracle:
+            assert _certify(list(system.tq_roots(lam)), system, 0, W, W_fro, oracle)[1] == "ok"
+            entry, reason = _certify(list(system.tq_roots(lam * (1 + 1e-3))), system, 0, W,
+                                     W_fro, oracle)
+            assert entry is None and reason == "bethe_residual"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_dense_eigenvalue_is_matched(self, seed):
+        # before the completion, N = 3 missed a state at 7 of these 8 seeds,
+        # and N = 8 matched only 6-7 of its 9 eigenvalues
+        for N in range(1, 9):
+            report = _solve(TestStopAtFullCoverage.system(INHOMOGENEOUS, N),
+                            SolverConfig(starts=64, seed=seed))
+            assert report.coverage_fraction() == 1.0, N
+            assert_counts_starts_tried(report, 64)
+            completion = report.diagnostics.get("completion")
+            if completion is not None:
+                assert completion["fitted"] == completion["certified"] \
+                    + sum(completion["rejected"].values())
+
+    @pytest.mark.parametrize("rho, N, matched", HOMOGENEOUS_FIXTURES,
+                             ids=[f"rho{rho:.3f}-N{N}" for rho, N, _ in HOMOGENEOUS_FIXTURES])
+    def test_homogeneous_solves_are_unchanged(self, rho, N, matched):
+        # the completion runs in inhomogeneous mode only
+        rp, ctx, hp = homogeneous_setup(N, rho=rho)
+        for seed, want in enumerate(matched):
+            if want is None:
+                with pytest.raises(SolverFailure):
+                    solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=seed))
+                continue
+            report = solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=seed))
+            assert np.count_nonzero(report.matched) == want and "completion" not in \
+                report.diagnostics
+
+    def test_newton_verdict_does_not_gate_the_completion(self, monkeypatch):
+        # with a Newton target no lane meets, every lane ends unconverged; the
+        # completion's lanes do too, and _certify still certifies their iterates
+        monkeypatch.setattr(solver, "NEWTON_TOL", 0.0)
+        report = _solve(TestStopAtFullCoverage.system(INHOMOGENEOUS, 2),
+                        SolverConfig(starts=64, seed=0))
+        assert report.converged == 0 and report.diagnostics["rejected"] == {"newton": 64}
+        assert report.diagnostics["completion"] == {"fitted": 3, "certified": 3, "rejected": {}}
+        assert report.coverage_fraction() == 1.0
+
+    def test_a_fit_that_meets_a_pole_is_skipped(self, monkeypatch):
+        # a floor above |u| = 10 puts every collocation point on h1's pole at
+        # u = 0: the fit raises, and the solve counts it and reports the rest
+        system = TestStopAtFullCoverage.system(INHOMOGENEOUS, 4)
+        lam = oracle_of(system)[2][0]
+        with pole_margin(11.0), pytest.raises(ParameterDomainError, match="h1 pole"):
+            system.tq_roots(lam)
+        fit = BetheSystem.tq_roots
+
+        def at_floor(self, lam):
+            with pole_margin(11.0):
+                return fit(self, lam)
+        monkeypatch.setattr(BetheSystem, "tq_roots", at_floor)
+        report = _solve(system, SolverConfig(starts=64, seed=0))
+        assert report.diagnostics["completion"] == {"fitted": 1, "certified": 0,
+                                                    "rejected": {"fit_pole": 1}}
+        assert report.coverage_fraction() == 0.8 and report.distinct == 4
+
+    def test_a_fit_that_is_not_finite_is_a_domain_error(self, monkeypatch):
+        system = TestStopAtFullCoverage.system(INHOMOGENEOUS, 2)
+        monkeypatch.setattr(bethe, "h2_scalar", lambda u, hp: complex("nan"))
+        with pytest.raises(ParameterDomainError, match="not finite"):
+            system.tq_roots(1.0)
+
+    def test_homogeneous_fit_has_no_kappa_column(self):
+        # kappa = 0 in homogeneous mode: the fit at solve-wide's two
+        # certified eigenvalues gives their one root
+        rp, ctx, hp = homogeneous_setup(N=63)
+        system = BetheSystem(hp, ctx, HOMOGENEOUS)
+        report = _solve(system, SolverConfig(starts=64, seed=0))
+        for state in report.states:
+            assert _is_duplicate(system.tq_roots(state.eigenvalue), [state])
 
 
 def state_with(roots):

@@ -211,17 +211,6 @@ def abv_chunk(terms, ctx: DynContext) -> list[float]:
     return out
 
 
-def abv_rhs(u, m, roots, ctx: DynContext) -> np.ndarray:
-    """Right side of the A-on-Bethe-vector expansion, assembled directly."""
-    return _abv_sides([abv_terms(u, m, roots, ctx)], ctx)[1][0]
-
-
-def abv_residual(u, m, roots, ctx: DynContext) -> float:
-    """Residual of A(u, m) on the Bethe vector against abv_rhs; the B
-    factors are built once for both sides."""
-    return abv_chunk([abv_terms(u, m, roots, ctx)], ctx)[0]
-
-
 def f1_W(v, hp: HeunParams) -> complex:
     """(2 rho (rho-1) s1 - (rho v - rho + s2 + 1)(rho v - rho + s2 - 1)) (1 - 1/v)."""
     rho, s1, s2 = hp.rho, hp.s1, hp.s2
@@ -514,12 +503,6 @@ def maba_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
         backward = e / max(1.0, l, mag)
         out.append((e / max(1.0, l), backward if math.isfinite(backward) else math.nan))
     return out
-
-
-def maba_identity_residuals(u, roots, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
-    """(plain, backward) residuals of the (N+1)-root reduction identity at
-    one sample (u, roots): maba_chunk of its maba_terms row."""
-    return maba_chunk([maba_terms(u, roots, hp, ctx)], ctx)[0]
 
 
 def _tau_corrections(tau_list, roots, brackets, rho) -> list[complex]:

@@ -169,8 +169,10 @@ def wa_terms(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple:
 
 
 def wa_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
-    """wa_residuals for each wa_terms row, all rows in one pass: every
-    slice rounds as the one-sample operations do."""
+    """(residual vs the parametric W, u-independence residual between u1 and
+    u2) of h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u), for each
+    wa_terms row, the four A's of all rows one stack: every slice rounds as
+    the one-sample operations do."""
     k, dim, rep = len(terms), ctx.rep.dim, ctx.rep
     c = np.array([[*w, *h] for w, _, h in terms], dtype=np.complex128)[:, :, None, None]
     X, Y, Z, I = (a[None] for a in (rep.X, rep.Y, rep.Z, rep.I))
@@ -179,9 +181,3 @@ def wa_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
     R1, R2 = (c[:, j] * A[:, i] + c[:, j + 1] * A[:, i + 1] + c[:, j + 2] * I
               for i, j in ((0, 3), (2, 6)))
     return list(zip(stack_residuals(R1, W), stack_residuals(R1, R2)))
-
-
-def wa_residuals(u1, u2, hp: HeunParams, ctx: DynContext) -> tuple[float, float]:
-    """(residual vs the parametric W, u-independence residual between u1 and u2)
-    of h1(u) A(u, m_bar) + h1(-u) A(-u, m_bar) + h2(u), with the four A's one stack."""
-    return wa_chunk([wa_terms(u1, u2, hp, ctx)], ctx)[0]

@@ -91,11 +91,11 @@ def _add_corrections(system, x, sq, inv, F, J):
     return F + val, J + dJ, pole
 
 
-def newton_lanes(fj, starts, trials=1):
+def newton_lanes(fj, starts, trials=1, budget=MAX_ITER):
     """solver.newton_lanes with a window of `trials` trial steps per pass:
-    the same protocol, rules and hand-over order at the package's
-    solver.WINDOW, and the same lanes at any window (trials=1 is the
-    one-step search the property tests compare with)."""
+    the same protocol, rules, iteration budget and hand-over order at the
+    package's solver.WINDOW, and the same lanes at any window (trials=1 is
+    the one-step search the property tests compare with)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not len(starts):
@@ -116,7 +116,7 @@ def newton_lanes(fj, starts, trials=1):
         at = np.flatnonzero(at_point)
         at_point[at] = False
         converged[at] = norm[at] <= tol[at]
-        go = at[~converged[at] & (its[at] < MAX_ITER)]
+        go = at[~converged[at] & (its[at] < budget)]
         go = go[np.isfinite(J[go]).all(axis=(1, 2))]
         if go.size:
             delta[go], ok = _newton_steps(J[go], F[go])
@@ -167,7 +167,7 @@ def _newton_steps(J, F):
         return np.concatenate([d for d, _ in steps]), np.concatenate([ok for _, ok in steps])
 
 
-def lanes(system, x, scales, trials):
+def lanes(system, x, scales, trials, budget=MAX_ITER):
     """solver._lanes on the plain kernel: seed_starts' kept starts x, each
     lane's rows scaled by its start's scales, and a first pass of its own
     at the starts."""
@@ -177,7 +177,7 @@ def lanes(system, x, scales, trials):
         F, J, pole = closed_form(system, X)
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
-    return newton_lanes(fj, x, trials=trials)
+    return newton_lanes(fj, x, trials=trials, budget=budget)
 
 
 def seed_starts(system, cfg, misses=None):

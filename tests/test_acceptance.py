@@ -14,7 +14,7 @@ from heun_racah import bethe
 from heun_racah.cli import main
 from heun_racah.core import dense_spectrum, vector_residual
 from heun_racah.dynamical import RelationId, draw_rho, verify_relation
-from heun_racah.heun import build_heun_params, build_W_parametric, wa_residuals
+from heun_racah.heun import build_heun_params, build_W_parametric, wa_chunk, wa_terms
 from heun_racah.racah import (DynContext, build_params, build_representation,
                               defining_residuals, op_A)
 from heun_racah.heun import h_coeffs
@@ -79,7 +79,7 @@ def test_criterion_3_wa_identity():
         admissible = keeping(1e-2, lambda u: h_coeffs(u, hp))
         u1 = draw_until(rng, draw_complex, admissible)
         u2 = draw_until(rng, draw_complex, admissible)
-        worst = max(worst, *wa_residuals(u1, u2, hp, ctx))
+        worst = max(worst, *wa_chunk([wa_terms(u1, u2, hp, ctx)], ctx)[0])
     assert worst <= 1e-10
     report(3, f"W expansion + u-independence, 20 draws, N<=8: worst {worst:.3e}")
 
@@ -158,8 +158,8 @@ def test_criterion_6_reduction_identity():
             plain, bwd = draw_until(
                 rng, lambda r: (draw_heun(r, rho, rp), draw_complex(r),
                                 [draw_complex(r) for _ in range(N)]),
-                at_margin(1e-2, lambda t: bethe.maba_identity_residuals(
-                    t[1], t[2], t[0], ctx)))
+                at_margin(1e-2, lambda t: bethe.maba_chunk(
+                    [bethe.maba_terms(t[1], t[2], t[0], ctx)], ctx)[0]))
             worst = max(worst, plain)
             backward = max(backward, bwd)
         worst_by_N[N] = worst

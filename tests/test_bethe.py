@@ -98,7 +98,7 @@ class TestBetheVector:
 
 
 def reference_maba_residuals(roots, u, hp, rp, ctx):
-    """maba_identity_residuals with one bethe_vector per swapped root list."""
+    """maba_chunk of one maba_terms row, with one bethe_vector per swapped root list."""
     tau_u, tau_list = maba_reduce(u, roots, hp)
     lhs = bethe_vector(list(roots) + [u], hp.m_bar, ctx)
     c = rp.gamma + rp.delta - 2 * hp.m_bar + 2 * rp.N + 2
@@ -118,8 +118,9 @@ def reference_maba_residuals(roots, u, hp, rp, ctx):
 
 
 def reference_abv_rhs(u, m, roots, ctx, middle_step=1):
-    """abv_rhs with every B factor rebuilt inside each chain; the swapped
-    slot-r factor is B(u, m - r + middle_step).  abv_rhs is middle_step=1,
+    """The right side of abv_chunk's expansion with every B factor rebuilt
+    inside each chain; the swapped slot-r factor is B(u, m - r +
+    middle_step).  abv_chunk's is middle_step=1,
     the Bethe vector's own index; -1 is the other indexing, kept here so
     that tests can show it fails the identity."""
     p = len(roots)
@@ -206,7 +207,7 @@ class TestSharedFactors:
                 u, roots = draw_until(
                     rng, lambda r: (draw_complex(r), [draw_complex(r) for _ in range(N)]),
                     keeping(1e-2, lambda t: maba_reduce(*t, hp)))
-                assert bethe.maba_identity_residuals(u, roots, hp, ctx) \
+                assert bethe.maba_chunk([bethe.maba_terms(u, roots, hp, ctx)], ctx)[0] \
                     == reference_maba_residuals(roots, u, hp, rp, ctx)
 
     def test_maba_residuals_build_the_tau_constants_once(self, monkeypatch):
@@ -222,10 +223,10 @@ class TestSharedFactors:
             calls.append(hp)
             return shared(hp)
         monkeypatch.setattr(bethe, "_tau_shared", counting)
-        assert bethe.maba_identity_residuals(u, roots, hp, ctx) == expected
+        assert bethe.maba_chunk([bethe.maba_terms(u, roots, hp, ctx)], ctx)[0] == expected
         assert calls == [hp]
         with pytest.raises(ParameterDomainError, match="exactly N=3 roots"):
-            bethe.maba_identity_residuals(u, roots[:2], hp, ctx)
+            bethe.maba_terms(u, roots[:2], hp, ctx)
 
     def test_abv_rhs_matches_reference_exactly(self):
         for N in (0, 1, 4, 12):
@@ -233,7 +234,7 @@ class TestSharedFactors:
             for p in range(4):
                 u, m = draw_complex(rng), draw_complex(rng)
                 roots = [draw_complex(rng) for _ in range(p)]
-                got = bethe.abv_rhs(u, m, roots, ctx)
+                got = bethe._abv_sides([bethe.abv_terms(u, m, roots, ctx)], ctx)[1][0]
                 assert np.array_equal(got, reference_abv_rhs(u, m, roots, ctx))
 
     def test_abv_residual_builds_each_root_factor_once(self, monkeypatch):
@@ -253,7 +254,7 @@ class TestSharedFactors:
                 builds.clear()
                 with monkeypatch.context() as mp:
                     mp.setattr(bethe, "op_B", counted_op_B)
-                    assert bethe.abv_residual(u, m, roots, ctx) == want
+                    assert bethe.abv_chunk([bethe.abv_terms(u, m, roots, ctx)], ctx)[0] == want
                 # p root factors, then p middle-slot factors
                 assert len(builds) == 2 * p
                 assert sum(1 for x, _ in builds if x != u) == p

@@ -151,11 +151,12 @@ class TestVerifyRelation:
         assert report.max_residual <= 1e-11
 
     def test_abv_reports_the_bethe_vector_convention(self, ctx0):
-        from heun_racah.bethe import abv_residual
+        from heun_racah.bethe import abv_chunk, abv_terms
         report = verify_relation(RelationId.ABV_ACTION, ctx0, samples=20, seed=4)
         assert report.max_residual <= 1e-9
         w = report.worst_tuple
-        assert report.max_residual == abv_residual(w["u"], w["m"], w["roots"], ctx0)
+        assert report.max_residual == abv_chunk([abv_terms(w["u"], w["m"], w["roots"], ctx0)],
+                                                ctx0)[0]
         assert "notes" not in report.to_json_dict()
 
     def test_r2_perturbed_constant(self, rep0):
@@ -318,7 +319,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("N", [5, 12, 26])
     def test_maba_sampler_repeats_the_per_draw_loop(self, N):
-        # one draw_until and one maba_identity_residuals call per draw, as
+        # one draw_until and one maba_chunk of one maba_terms row per draw, as
         # check-maba made them; at N = 12 the 20 draws fall into 3 chunks
         from heun_racah import bethe, dynamical
         from heun_racah.heun import build_heun_params
@@ -327,7 +328,8 @@ class TestSweep:
         hp = build_heun_params(1.7, 0.9, 2.6, rp)
         rng = np.random.default_rng(2)
         expected = [draw_until(rng, lambda r: dynamical.draw_u_and_roots(r, N),
-                               lambda t: bethe.maba_identity_residuals(*t, hp, ctx))
+                               lambda t: bethe.maba_chunk([bethe.maba_terms(*t, hp, ctx)],
+                                                          ctx)[0])
                     for _ in range(20)]
         swept = [pair for pair, tup in dynamical.sweep(dynamical.maba_sampler(hp), ctx, 20, 2)]
         assert np.array_equal(swept, expected, equal_nan=True)

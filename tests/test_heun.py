@@ -7,7 +7,7 @@ from heun_racah.core import commutator, identity, residual_norm
 from heun_racah.dynamical import RelationId, draw_rho, verify_relation
 from heun_racah.errors import (CanonicalizationError, ParameterDomainError,
                                RelationViolation)
-from heun_racah.heun import BilinearParams, h1_scalar, integer_p_bar, wa_residuals
+from heun_racah.heun import BilinearParams, h1_scalar, integer_p_bar, wa_chunk, wa_terms
 from heun_racah.racah import DynContext, build_params, build_representation, op_A
 from heun_racah.sampling import draw_complex, draw_racah_params, draw_until
 
@@ -141,10 +141,10 @@ class TestHCoeffs:
 
 class TestVerifyWA:
     def test_reference(self, hp0, ctx0):
-        assert max(wa_residuals(3, 5 + 1j, hp0, ctx0)) <= 1e-10
+        assert max(wa_chunk([wa_terms(3, 5 + 1j, hp0, ctx0)], ctx0)[0]) <= 1e-10
 
     def test_same_u_gives_exact_zero(self, hp0, ctx0):
-        assert wa_residuals(3, 3, hp0, ctx0)[1] == 0.0
+        assert wa_chunk([wa_terms(3, 3, hp0, ctx0)], ctx0)[0][1] == 0.0
 
     def test_h2_perturbation_breaks_it(self, hp0, ctx0):
         u = 3
@@ -156,7 +156,7 @@ class TestVerifyWA:
     def test_violation_raised(self, hp0, ctx0, rep0):
         import dataclasses
         bad = dataclasses.replace(hp0, m_bar=hp0.m_bar + 1e-3)
-        assert wa_residuals(3, 5 + 1j, bad, ctx0)[0] > 1e-10
+        assert wa_chunk([wa_terms(3, 5 + 1j, bad, ctx0)], ctx0)[0][0] > 1e-10
         # W is built from XY and Z, the A expansion from {X, Y} and Z; they
         # agree only when Z = [X, Y], so the catalog sweep raises
         broken = dataclasses.replace(rep0, Z=rep0.Z + 1e-3 * identity(2))
@@ -176,4 +176,4 @@ class TestVerifyWA:
             admissible = keeping(1e-2, lambda u: h_coeffs(u, hp))
             u1 = draw_until(rng, draw_complex, admissible)
             u2 = draw_until(rng, draw_complex, admissible)
-            assert max(wa_residuals(u1, u2, hp, ctx)) <= 1e-10
+            assert max(wa_chunk([wa_terms(u1, u2, hp, ctx)], ctx)[0]) <= 1e-10

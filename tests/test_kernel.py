@@ -22,8 +22,8 @@ from heun_racah.core import guard
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
 from heun_racah.racah import DynContext, build_params, build_representation
-from heun_racah.solver import (MAX_HALVINGS, MAX_ITER, WINDOW, SolverConfig, newton_lanes,
-                               newton_refine, seed_starts)
+from heun_racah.solver import (HANDOVER_ITER, MAX_HALVINGS, MAX_ITER, WINDOW, SolverConfig,
+                               newton_lanes, newton_refine, seed_starts)
 
 import reference_kernel
 from conftest import finite_difference_map
@@ -360,23 +360,26 @@ class TestMatchesPlainKernel:
         assert system.closed_form(stack)[2][len(stack) - len(planted):].all()
 
     @staticmethod
-    def assert_same_solve_lanes(monkeypatch, system, cfg):
+    def assert_same_solve_lanes(monkeypatch, system, cfg, budget=MAX_ITER):
         """solver._lanes, started from seed_starts' pass, and the plain
         kernel's, which evaluates the starts itself, hand over the same
-        lanes after the same closed_form passes of trial steps, row for row."""
+        lanes after the same closed_form passes of trial steps, row for row,
+        each lane given budget iterations."""
         x, scales, first, _ = seed_starts(system, cfg)
         # the seeding pass at the kept starts is the plain kernel's first pass
         assert_identical_arrays(first, reference_kernel.closed_form(system, x)[:2])
         runs = []
-        for owner, lanes in ((BetheSystem, partial(solver._lanes, first=first)),
-                             (reference_kernel, partial(reference_kernel.lanes, trials=WINDOW))):
+        for owner, lanes in ((BetheSystem, partial(solver._lanes, first=first, budget=budget)),
+                             (reference_kernel, partial(reference_kernel.lanes, trials=WINDOW,
+                                                        budget=budget))):
             passes, closed_form = [], owner.closed_form
 
             def recording(system, roots, passes=passes, closed_form=closed_form):
                 passes.append(np.asarray(roots).tobytes())
                 return closed_form(system, roots)
-            monkeypatch.setattr(owner, "closed_form", recording)
-            runs.append((list(lanes(system, x, scales)), passes))
+            with monkeypatch.context() as patched:
+                patched.setattr(owner, "closed_form", recording)
+                runs.append((list(lanes(system, x, scales)), passes))
         (got, passes), (want, want_passes) = runs
         assert_identical_lanes(got, want)
         assert want_passes[0] == x.tobytes() and passes == want_passes[1:]
@@ -387,10 +390,17 @@ class TestMatchesPlainKernel:
         # at N = 3 and 4, lanes run to MAX_ITER: one at (3, 1) and (4, 0), nine at (4, 2)
         rp, ctx, hp = setup(N, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        got = self.assert_same_solve_lanes(monkeypatch, system, SolverConfig(starts=64, seed=seed))
+        cfg = SolverConfig(starts=64, seed=seed)
+        got = self.assert_same_solve_lanes(monkeypatch, system, cfg)
         assert len(got) == 64
         assert sum(its == MAX_ITER for *_, its in got) == {(2, 0): 0, (3, 1): 1, (4, 0): 1,
                                                            (4, 2): 9}[N, seed]
+        # a solve's search lanes stop at HANDOVER_ITER: the 1, 6, 18 and 23
+        # lanes that run past it above end there unconverged
+        got = self.assert_same_solve_lanes(monkeypatch, system, cfg, HANDOVER_ITER)
+        assert len(got) == 64 and max(its for *_, its in got) == HANDOVER_ITER
+        assert sum(its == HANDOVER_ITER and not ok for _, _, ok, its in got) == \
+            {(2, 0): 1, (3, 1): 6, (4, 0): 18, (4, 2): 23}[N, seed]
 
     @pytest.mark.parametrize("params", [*HOMOGENEOUS_SETS, (63, 5, 1, 2, 2 / 7, 0, 3)],
                              ids=lambda params: f"N{params[0]}-rho{params[4]:.3f}")
@@ -400,13 +410,15 @@ class TestMatchesPlainKernel:
         self.assert_same_solve_lanes(monkeypatch, system, SolverConfig(starts=64, seed=3))
 
     @staticmethod
-    def assert_same_run(fj, starts, trials):
+    def assert_same_run(fj, starts, trials, budget=MAX_ITER):
         """The package kernel hands over the lanes of the plain kernel that
-        sends `trials` trial steps a pass.  At the package's WINDOW both
-        hand them over in the same order after the same calls of fj, row for
-        row; at any other window the lanes are the same, by index."""
+        sends `trials` trial steps a pass, both at the iteration budget.  At
+        the package's WINDOW both hand them over in the same order after the
+        same calls of fj, row for row; at any other window the lanes are the
+        same, by index."""
         runs = []
-        for kernel in (newton_lanes, partial(reference_kernel.newton_lanes, trials=trials)):
+        for kernel in (partial(newton_lanes, budget=budget),
+                       partial(reference_kernel.newton_lanes, trials=trials, budget=budget)):
             calls = []
 
             def recording(X, lanes, calls=calls):
@@ -447,16 +459,18 @@ class TestMatchesPlainKernel:
     def test_lanes_that_reach_max_iter(self, trials):
         # F = x with J = c: the full step takes x to (1 - 1/c) x.  With
         # c = 0.52 each step lowers |F| only by the factor 0.923, so the lane
-        # takes full steps until MAX_ITER; with c = 1 it converges at once
+        # takes full steps until MAX_ITER, or a smaller budget; with c = 1 it
+        # converges at once
         c = np.array([0.52, 1.0, 0.52, 1.0])
 
         def fj(X, lanes):
             J = c[lanes].astype(np.complex128)[:, None, None]
             return X.copy(), J, np.zeros(len(X), dtype=bool)
         starts = [[0.7 + 0j], [0.5 + 0.5j], [-1.3 + 2j], [2 - 1j]]
-        got = self.assert_same_run(fj, starts, trials)
-        assert [(index, ok, its) for index, _, ok, its in got] == \
-            [(1, True, 1), (3, True, 1), (0, False, MAX_ITER), (2, False, MAX_ITER)]
+        for budget in (MAX_ITER, 5):
+            got = self.assert_same_run(fj, starts, trials, budget)
+            assert [(index, ok, its) for index, _, ok, its in got] == \
+                [(1, True, 1), (3, True, 1), (0, False, budget), (2, False, budget)]
 
     @pytest.mark.parametrize("trials", [1, 3, 5])
     def test_lanes_on_poles_and_bad_jacobians(self, trials):

@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import heun_racah
-from heun_racah.bethe import INHOMOGENEOUS, BetheSystem, maba_identity_residuals
+from heun_racah.bethe import INHOMOGENEOUS, BetheSystem, maba_chunk, maba_terms
 from heun_racah.errors import ParameterDomainError
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import DynContext, build_params, build_representation
@@ -40,9 +40,9 @@ def test_hp_carries_its_racah_parameters_out_of_its_repr():
 @pytest.mark.parametrize("call", [
     lambda hp, ctx: BetheSystem(hp, ctx, INHOMOGENEOUS),
     lambda hp, ctx: build_W_parametric(hp, ctx),
-    lambda hp, ctx: maba_identity_residuals(U, ROOTS, hp, ctx),
+    lambda hp, ctx: maba_chunk([maba_terms(U, ROOTS, hp, ctx)], ctx),
     lambda hp, ctx: solve_inhomogeneous(hp, hp.rp, ctx, SolverConfig(starts=4)),
-], ids=["BetheSystem", "build_W_parametric", "maba_identity_residuals",
+], ids=["BetheSystem", "build_W_parametric", "maba_terms",
         "solve_inhomogeneous"])
 def test_mismatched_racah_parameters_are_a_domain_error(call):
     hp, ctx = mismatched_problem()
@@ -53,7 +53,7 @@ def test_mismatched_racah_parameters_are_a_domain_error(call):
 def test_matched_problem_evaluates():
     hp = build_heun_params(1.7, 0.9, 2.6, criterion_8(1.3))
     ctx = DynContext(rep=build_representation(criterion_8(1.3)), rho=1.7)
-    plain, backward = maba_identity_residuals(U, ROOTS, hp, ctx)
+    [(plain, backward)] = maba_chunk([maba_terms(U, ROOTS, hp, ctx)], ctx)
     assert plain <= 1e-8 and backward <= 1e-8
 
 

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heun_racah import bethe, dynamical
-from heun_racah.bethe import (HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, abv_rhs, bethe_vector,
+from heun_racah.bethe import (HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, abv_terms, bethe_vector,
                               f1_W, maba_reduce, psi_factored, vacuum, vacuum_coeffs)
 from heun_racah.core import guard, identity, pole_margin, residual_norm, vector_residual
 from heun_racah.dynamical import DEFAULT_TOLS, RelationId
@@ -171,7 +171,7 @@ def abv_gap(u, m, roots, ctx, mutation=0.0):
     """vector_residual of A(u (1 + mutation), m) on the Bethe vector against
     the expansion at u."""
     lhs = op_A(u * (1 + mutation), m, ctx) @ bethe_vector(roots, m, ctx)
-    return vector_residual(lhs, abv_rhs(u, m, roots, ctx))
+    return vector_residual(lhs, bethe._abv_sides([abv_terms(u, m, roots, ctx)], ctx)[1][0])
 
 
 @PROPERTY
@@ -278,7 +278,7 @@ def test_maba_reduction_holds(N, s1, s2, u, roots):
     ctx, roots = CRITERION_8[N], roots[:N]
     hp = admissible(lambda: build_heun_params(ctx.rho, s1, s2, ctx.rep.params))
     residual = admissible(lambda: maba_gap(u, roots, hp, ctx))
-    assert residual == bethe.maba_identity_residuals(u, roots, hp, ctx)[1]
+    assert residual == bethe.maba_chunk([bethe.maba_terms(u, roots, hp, ctx)], ctx)[0][1]
     assert residual <= DEFAULT_TOLS[RelationId.MABA_REDUCTION]
 
 

@@ -335,13 +335,18 @@ def verify_relation(relation: RelationId, ctx: DynContext, samples: int = 50,
     residual (a NaN residual of a draw is never the worst) and the number of
     non-finite residuals; a sweep with no finite one is undecided.  R1-R3
     take no draw: their one evaluation, with tuple None, is reported as it is.
-    Raises RelationViolation when the reported residual exceeds tol.
-    ABV_ACTION checks the slot convention of the Bethe vector itself: the
+    Raises RelationViolation when the reported residual exceeds tol, and
+    ValueError for samples below 1 or a tol that is not finite and >= 0,
+    which would make the check vacuous.  ABV_ACTION checks the slot convention of the Bethe vector itself: the
     swapped root in slot r carries the index m - r + 1.
     """
     relation = RelationId(relation)
     if tol is None:
         tol = DEFAULT_TOLS[relation]
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     worst, worst_tuple, nonfinite = 0.0, None, 0
     for res, tup in sweep(SAMPLERS[relation], ctx, 1 if relation in DEFINING else samples, seed):
         nonfinite += not math.isfinite(res)

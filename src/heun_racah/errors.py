@@ -40,4 +40,4 @@ class ModeError(HeunRacahError):
 
 
 class SolverFailure(HeunRacahError):
-    """No Newton start converged to a certifiable Bethe state."""
+    """No Newton start and no T-Q fit gave a certifiable Bethe state."""

@@ -24,20 +24,17 @@ certified state, as many as the Bethe ansatz gives (N + 1 in inhomogeneous
 mode, p_bar + 1 in homogeneous mode), the solve stops and abandons the
 lanes still running; the report's stopped flag says so.
 
-In inhomogeneous mode, when the lanes run out first, the completion
-(complete) fits the roots of each unmatched dense eigenvalue from the T-Q
-relation (BetheSystem.tq_roots), polishes them as lanes and certifies
-them as above; the report's diagnostics record it under "completion".
-The README says why the fit comes after the lanes, not in their place.
+When the lanes run out first, in either mode, the completion (complete)
+fits the roots of each unmatched dense eigenvalue from the T-Q relation
+(BetheSystem.tq_roots), polishes them as lanes and certifies them as
+above; the report's diagnostics record it under "completion".  The README
+says why the fit comes after the lanes, not in their place.
 
-A lane ends unconverged when its iteration budget runs out.  An
-inhomogeneous solve's search lanes get HANDOVER_ITER = 16, the most any
-lane that certified a state needed at criterion-8 N = 2, 3, 4
-(SolverConfig seeds 0-7: 7, 10 and 16), the range where the paper proves
-the reduction identity; the completion certifies what a stopped lane
-could still have reached.  Homogeneous lanes, which no completion
-follows, and the completion's polish get MAX_ITER = 50: a homogeneous
-lane that certified a state at rho = 2/21, N = 63 needed 32.
+Every lane, the search's and the polish's, ends unconverged after MAX_ITER
+= 16 iterations: the most any lane that certified a state needed at
+criterion-8 N = 2, 3, 4 (SolverConfig seeds 0-7: 7, 10 and 16), the range
+where the paper proves the reduction identity.  The completion certifies
+what a stopped lane could still have reached.
 
 The solve API keeps (hp, rp, ctx, cfg), the signature perfbench calls;
 rp must be hp.rp, and BetheSystem matches hp with ctx.
@@ -65,8 +62,7 @@ BETHE_RESIDUAL_TOL = 1e-9
 MATCH_TOL = 1e-6
 COND_LIMIT = 1e14
 MAX_HALVINGS = 30
-MAX_ITER = 50  # the iteration budget of homogeneous lanes and of the completion's polish
-HANDOVER_ITER = 16  # that of an inhomogeneous solve's search lanes; the completion follows
+MAX_ITER = 16  # the iteration budget of every lane; the completion follows the search
 NEWTON_TOL = 1e-12
 RESUME = 2  # a line search resumes RESUME halvings above its last accepted step
 WINDOW = RESUME + 1  # the trial steps a searching lane sends in one pass
@@ -137,13 +133,13 @@ class SolveReport:
         return scalars_to_pairs(out)
 
 
-def newton_lanes(fj, starts, first=None, budget=MAX_ITER):
+def newton_lanes(fj, starts, first=None):
     """Damped Newton from every start at once, one lane per start.
 
     fj(X, lanes) evaluates the rows X, an (n, p) stack, where lanes[i] is the
     index into starts of row i's lane, and returns F (n, p), J = dF/dx
     (n, p, p) and a pole mask (n,); first, if given, is fj at the starts.
-    Lanes keep newton_refine's rules; a lane ends unconverged after budget
+    Lanes keep newton_refine's rules; a lane ends unconverged after MAX_ITER
     iterations.  A round makes one _newton_steps for the lanes at accepted
     points and one fj call for every searching window.
 
@@ -178,7 +174,7 @@ def newton_lanes(fj, starts, first=None, budget=MAX_ITER):
     while left:
         done = []  # the lanes that finish in this round
         if at.size:  # at an accepted point: converged, out of iterations, or a step
-            go = (norm[at] > tol[at]) & (its[at] < budget) & np.isfinite(J).all(axis=(1, 2))
+            go = (norm[at] > tol[at]) & (its[at] < MAX_ITER) & np.isfinite(J).all(axis=(1, 2))
             if go.any():
                 go[go], step = _newton_steps(J[go], F[go])
                 stepping = at[go]
@@ -393,27 +389,26 @@ def _is_duplicate(roots, states) -> bool:
     return any(same_orbits(s.roots) for s in states)
 
 
-def _lanes(system: BetheSystem, x, scales, first, budget=MAX_ITER):
+def _lanes(system: BetheSystem, x, scales, first):
     """newton_lanes from the kept starts x on the closed form, with the rows
     of every pass, seed_starts' pass (first) included, scaled by their
-    lane's start scales, each lane given budget iterations.  A lane's index
-    is its row in x."""
+    lane's start scales.  A lane's index is its row in x."""
     norms = 1.0 / scales
 
     def scaled(F, J, pole, lanes):
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
     return newton_lanes(lambda X, lanes: scaled(*system.closed_form(X), lanes), x,
-                        first=scaled(*first, np.zeros(len(x), dtype=bool), slice(None)),
-                        budget=budget)
+                        first=scaled(*first, np.zeros(len(x), dtype=bool), slice(None)))
 
 
 def complete(system: BetheSystem, seed: int, W, W_fro, oracle, certified, matched) -> dict:
     """Fit the roots of each unmatched oracle eigenvalue by the T-Q relation
-    (BetheSystem.tq_roots), in index order, and certify them: the fits go
-    through seed_starts' margin pass, are polished as the lanes of one
-    _lanes, and each lane's last iterate goes to _certify whatever Newton's
-    verdict, in fit order.  Appends to certified and marks matched in place.
+    (BetheSystem.tq_roots, kappa = 0 in homogeneous mode), in index order,
+    and certify them: the fits go through seed_starts' margin pass, are
+    polished as the lanes of one _lanes, and each lane's last iterate goes
+    to _certify whatever Newton's verdict, in fit order.  Appends to
+    certified and marks matched in place.
 
     Returns the diagnostics entry {"fitted", "certified", "rejected"}, where
     fitted = certified + the rejects: fit_pole (tq_roots raised: a
@@ -454,8 +449,7 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     are matched: all N + 1 in inhomogeneous mode, the p_bar + 1 states the
     Bethe ansatz gives in homogeneous mode.  A later lane could only repeat
     a certified orbit set, or give a second root set for a matched eigenvalue.
-    Inhomogeneous lanes, given HANDOVER_ITER iterations each, that run out
-    first leave the rest to complete."""
+    When the lanes run out first, complete fits and certifies the rest."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
     oracle = dense_spectrum(W).eigenvalues
@@ -465,8 +459,7 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     x, scales, first, rejected = seed_starts(system, cfg)
     rejects = Counter({"pole_margin": rejected} if rejected else {})
     attempts, converged, stopped = rejected, 0, False
-    budget = HANDOVER_ITER if system.mode == INHOMOGENEOUS else MAX_ITER
-    with closing(_lanes(system, x, scales, first, budget)) as lanes:
+    with closing(_lanes(system, x, scales, first)) as lanes:
         for _index, roots, ok, _its in lanes:
             attempts += 1
             if not ok:
@@ -485,7 +478,7 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
                 stopped = attempts < rejected + len(x)
                 break
     diagnostics = {"rejected": dict(rejects)} if rejects else {}
-    if system.mode == INHOMOGENEOUS and np.count_nonzero(matched) <= system.p:
+    if np.count_nonzero(matched) <= system.p:
         diagnostics["completion"] = complete(system, cfg.seed, W, W_fro, oracle,
                                              certified, matched)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heun_racah import build_params, build_representation
+from heun_racah import build_params, build_representation, solver
 from heun_racah.core import pole_margin
 from heun_racah.racah import DynContext
 from heun_racah.heun import build_heun_params
@@ -32,6 +32,16 @@ def ctx0(rep0):
 @pytest.fixture(scope="session")
 def hp0(p0):
     return build_heun_params(2, 1, 3, p0)
+
+
+@pytest.fixture
+def max_iter(monkeypatch):
+    """A setter of solver.MAX_ITER, every lane's iteration budget, for one
+    test; it returns the budget it set."""
+    def set_budget(budget):
+        monkeypatch.setattr(solver, "MAX_ITER", budget)
+        return budget
+    return set_budget
 
 
 def at_margin(margin, evaluate):

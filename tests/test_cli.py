@@ -299,6 +299,17 @@ class TestSolveCommand:
                             "are certified)")
         assert lines[3] == "homogeneous: 1 distinct certified state(s) from 1 starts (1 converged)"
 
+    def test_homogeneous_completion_certifies_past_the_lanes(self, tmp_path, capsys):
+        # rho = 2/11 at N = 4 (p_bar = 3): every converged lane's roots miss
+        # the margin at certification, and the T-Q completion certifies 3
+        # states, where a solve without it exits 3 (a SolverFailure)
+        path = write_params(tmp_path, {**P0_HOMOG, "N": 4, "rho": [2 / 11, 0]})
+        assert main(["solve", "--mode", "homogeneous", "--params", path]) == 0
+        first, completion = capsys.readouterr().out.splitlines()[:2]
+        assert first == "homogeneous: 3 distinct certified state(s) from 64 starts (63 converged)"
+        assert completion == ("T-Q completion: 3 state(s) added for the 5 eigenvalue(s) "
+                              "the starts left unmatched")
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         import heun_racah.cli as cli
         from heun_racah.errors import SolverFailure

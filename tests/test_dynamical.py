@@ -166,6 +166,23 @@ class TestVerifyRelation:
         with pytest.raises(RelationViolation):
             verify_relation(RelationId.R2, ctx, samples=1, seed=0)
 
+    def test_nan_tol_is_rejected(self, rep0):
+        # R1 on a Z perturbed by 1e-3 has a residual of 1.1e-4, which no
+        # comparison with a NaN tol would flag
+        broken = Representation(params=rep0.params, X=rep0.X, Y=rep0.Y, Z=rep0.Z + 1e-3)
+        ctx = DynContext(rep=broken, rho=2)
+        with pytest.raises(RelationViolation):
+            verify_relation(RelationId.R1, ctx)
+        for tol in (float("nan"), float("inf"), -1e-12):
+            with pytest.raises(ValueError, match="tol"):
+                verify_relation(RelationId.R1, ctx, tol=tol)
+
+    @pytest.mark.parametrize("relation", [RelationId.R1, RelationId.BB_EXCHANGE])
+    def test_sample_count_below_one_is_rejected(self, ctx0, relation):
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples"):
+                verify_relation(relation, ctx0, samples=samples)
+
     def test_defining_implies_exchange(self):
         # forward direction of the equivalence: whenever the defining
         # relations hold, the exchange relations hold too

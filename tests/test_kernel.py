@@ -22,7 +22,7 @@ from heun_racah.core import guard
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
 from heun_racah.racah import DynContext, build_params, build_representation
-from heun_racah.solver import (HANDOVER_ITER, MAX_HALVINGS, MAX_ITER, WINDOW, SolverConfig,
+from heun_racah.solver import (MAX_HALVINGS, MAX_ITER, WINDOW, SolverConfig,
                                newton_lanes, newton_refine, seed_starts)
 
 import reference_kernel
@@ -360,18 +360,18 @@ class TestMatchesPlainKernel:
         assert system.closed_form(stack)[2][len(stack) - len(planted):].all()
 
     @staticmethod
-    def assert_same_solve_lanes(monkeypatch, system, cfg, budget=MAX_ITER):
+    def assert_same_solve_lanes(monkeypatch, system, cfg):
         """solver._lanes, started from seed_starts' pass, and the plain
         kernel's, which evaluates the starts itself, hand over the same
         lanes after the same closed_form passes of trial steps, row for row,
-        each lane given budget iterations."""
+        each lane given solver.MAX_ITER iterations."""
         x, scales, first, _ = seed_starts(system, cfg)
         # the seeding pass at the kept starts is the plain kernel's first pass
         assert_identical_arrays(first, reference_kernel.closed_form(system, x)[:2])
         runs = []
-        for owner, lanes in ((BetheSystem, partial(solver._lanes, first=first, budget=budget)),
+        for owner, lanes in ((BetheSystem, partial(solver._lanes, first=first)),
                              (reference_kernel, partial(reference_kernel.lanes, trials=WINDOW,
-                                                        budget=budget))):
+                                                        budget=solver.MAX_ITER))):
             passes, closed_form = [], owner.closed_form
 
             def recording(system, roots, passes=passes, closed_form=closed_form):
@@ -386,20 +386,23 @@ class TestMatchesPlainKernel:
         return got
 
     @pytest.mark.parametrize("N, seed", [(2, 0), (3, 1), (4, 0), (4, 2)])
-    def test_solve_lanes_at_criterion_8(self, monkeypatch, N, seed):
-        # at N = 3 and 4, lanes run to MAX_ITER: one at (3, 1) and (4, 0), nine at (4, 2)
+    def test_solve_lanes_at_criterion_8(self, monkeypatch, max_iter, N, seed):
+        # at a budget of 50, lanes run to it at N = 3 and 4: one at (3, 1) and
+        # (4, 0), nine at (4, 2)
         rp, ctx, hp = setup(N, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
+        budget = max_iter(50)
         got = self.assert_same_solve_lanes(monkeypatch, system, cfg)
         assert len(got) == 64
-        assert sum(its == MAX_ITER for *_, its in got) == {(2, 0): 0, (3, 1): 1, (4, 0): 1,
-                                                           (4, 2): 9}[N, seed]
-        # a solve's search lanes stop at HANDOVER_ITER: the 1, 6, 18 and 23
-        # lanes that run past it above end there unconverged
-        got = self.assert_same_solve_lanes(monkeypatch, system, cfg, HANDOVER_ITER)
-        assert len(got) == 64 and max(its for *_, its in got) == HANDOVER_ITER
-        assert sum(its == HANDOVER_ITER and not ok for _, _, ok, its in got) == \
+        assert sum(its == budget for *_, its in got) == {(2, 0): 0, (3, 1): 1, (4, 0): 1,
+                                                         (4, 2): 9}[N, seed]
+        # a solve's lanes stop at MAX_ITER: the 1, 6, 18 and 23 lanes that
+        # run past it above end there unconverged
+        max_iter(MAX_ITER)
+        got = self.assert_same_solve_lanes(monkeypatch, system, cfg)
+        assert len(got) == 64 and max(its for *_, its in got) == MAX_ITER
+        assert sum(its == MAX_ITER and not ok for _, _, ok, its in got) == \
             {(2, 0): 1, (3, 1): 6, (4, 0): 18, (4, 2): 23}[N, seed]
 
     @pytest.mark.parametrize("params", [*HOMOGENEOUS_SETS, (63, 5, 1, 2, 2 / 7, 0, 3)],
@@ -410,15 +413,15 @@ class TestMatchesPlainKernel:
         self.assert_same_solve_lanes(monkeypatch, system, SolverConfig(starts=64, seed=3))
 
     @staticmethod
-    def assert_same_run(fj, starts, trials, budget=MAX_ITER):
+    def assert_same_run(fj, starts, trials):
         """The package kernel hands over the lanes of the plain kernel that
-        sends `trials` trial steps a pass, both at the iteration budget.  At
+        sends `trials` trial steps a pass, both at solver.MAX_ITER.  At
         the package's WINDOW both hand them over in the same order after the
         same calls of fj, row for row; at any other window the lanes are the
         same, by index."""
         runs = []
-        for kernel in (partial(newton_lanes, budget=budget),
-                       partial(reference_kernel.newton_lanes, trials=trials, budget=budget)):
+        for kernel in (newton_lanes, partial(reference_kernel.newton_lanes, trials=trials,
+                                             budget=solver.MAX_ITER)):
             calls = []
 
             def recording(X, lanes, calls=calls):
@@ -435,7 +438,7 @@ class TestMatchesPlainKernel:
         return got
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, MAX_HALVINGS + 1])
-    def test_lanes_that_reach_max_halvings(self, trials):
+    def test_lanes_that_reach_max_halvings(self, max_iter, trials):
         # F = x with J = 0.75 * 2^-e: the first step that lowers |F| is 2^-e,
         # which takes x to about -x/3.  e grows by one on every odd iteration
         # of a growing lane, so its windows start past k0 + 1 and are cut by
@@ -451,15 +454,16 @@ class TestMatchesPlainKernel:
             e = base[idx] + (grows[idx] & (i % 2 == 1))
             J = np.ldexp(0.75, -e).astype(np.complex128)[:, None, None]
             return X.copy(), J, np.zeros(len(X), dtype=bool)
+        budget = max_iter(50)
         got = self.assert_same_run(fj, list(x0), trials)
-        spent = [its for _, _, ok, its in got if not ok and its < MAX_ITER]
+        spent = [its for _, _, ok, its in got if not ok and its < budget]
         assert len(spent) >= 2 and any(ok for _, _, ok, _ in got)
 
     @pytest.mark.parametrize("trials", [1, 3, 4])
-    def test_lanes_that_reach_max_iter(self, trials):
+    def test_lanes_that_reach_max_iter(self, max_iter, trials):
         # F = x with J = c: the full step takes x to (1 - 1/c) x.  With
         # c = 0.52 each step lowers |F| only by the factor 0.923, so the lane
-        # takes full steps until MAX_ITER, or a smaller budget; with c = 1 it
+        # takes full steps until MAX_ITER, at 50 or at 5; with c = 1 it
         # converges at once
         c = np.array([0.52, 1.0, 0.52, 1.0])
 
@@ -467,8 +471,9 @@ class TestMatchesPlainKernel:
             J = c[lanes].astype(np.complex128)[:, None, None]
             return X.copy(), J, np.zeros(len(X), dtype=bool)
         starts = [[0.7 + 0j], [0.5 + 0.5j], [-1.3 + 2j], [2 - 1j]]
-        for budget in (MAX_ITER, 5):
-            got = self.assert_same_run(fj, starts, trials, budget)
+        for budget in (50, 5):
+            max_iter(budget)
+            got = self.assert_same_run(fj, starts, trials)
             assert [(index, ok, its) for index, _, ok, its in got] == \
                 [(1, True, 1), (3, True, 1), (0, False, budget), (2, False, budget)]
 

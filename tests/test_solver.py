@@ -11,7 +11,7 @@ from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
 from heun_racah.serialize import dump_json
-from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, HANDOVER_ITER, MAX_HALVINGS, MAX_ITER,
+from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER,
                                NEWTON_TOL, WINDOW, SolveReport, SolverConfig, _certify,
                                _is_duplicate, _solve, newton_lanes, newton_refine, seed_starts,
                                solve_homogeneous, solve_inhomogeneous)
@@ -194,10 +194,11 @@ def reference_newton_refine(fj, x0, budget=MAX_ITER):
     return x, bool(np.max(np.abs(fx)) <= NEWTON_TOL * scale), budget
 
 
-def one_step_refine(fj, x0):
+def one_step_refine(fj, x0, budget=MAX_ITER):
     """newton_refine's resumed search with one trial step a call: the plain
-    kernel of tests/reference_kernel.py at trials=1 on one lane, fj called
-    once per row; a map that raises a pole error has met a pole."""
+    kernel of tests/reference_kernel.py at trials=1 on one lane, for at most
+    budget iterations, fj called once per row; a map that raises a pole
+    error has met a pole."""
     n = len(x0)
 
     def rows(X, _lanes):
@@ -210,7 +211,7 @@ def one_step_refine(fj, x0):
             except ParameterDomainError:
                 pole[i] = True
         return F, J, pole
-    [(_, x, ok, its)] = reference_kernel.newton_lanes(rows, [x0], trials=1)
+    [(_, x, ok, its)] = reference_kernel.newton_lanes(rows, [x0], trials=1, budget=budget)
     return x, ok, its
 
 
@@ -226,12 +227,13 @@ def scaled_reference_map(system, scales):
     return fj
 
 
-def scalar_newton(system, x, scales, _first, budget=MAX_ITER, refine=reference_newton_refine):
+def scalar_newton(system, x, scales, _first, refine=reference_newton_refine):
     """(index, roots, converged, iterations) of each start that kept the
     margin, in start order, the index counting those starts: one scalar
-    Newton per start on the scalar closed form, budget iterations each."""
+    Newton per start on the scalar closed form, solver.MAX_ITER iterations
+    each."""
     for index, (start, row) in enumerate(zip(x.tolist(), scales.tolist())):
-        yield index, *refine(scaled_reference_map(system, row), start, budget)
+        yield index, *refine(scaled_reference_map(system, row), start, solver.MAX_ITER)
 
 
 def oracle_of(system):
@@ -246,17 +248,15 @@ def reference_solve(system, cfg, newton=scalar_newton):
     it over.  By default that is the full-step scalar search in start
     order; with solver._lanes it is a full run of the solve's own lane
     kernel, in the order its lanes finish.  newton takes seed_starts'
-    (x, scales, first) and the solve's iteration budget.  In inhomogeneous
-    mode the eigenvalues the lanes leave unmatched then go to the solve's
-    T-Q completion, solver.complete."""
+    (x, scales, first).  The eigenvalues the lanes leave unmatched then go
+    to the solve's T-Q completion, solver.complete."""
     W, W_fro, oracle = oracle_of(system)
 
     certified = []
     x, scales, first, rejected = seed_starts(system, cfg)
     rejects = Counter({"pole_margin": rejected} if rejected else {})
     attempts, converged = rejected, 0
-    budget = HANDOVER_ITER if system.mode == INHOMOGENEOUS else MAX_ITER
-    for _index, roots, ok, _its in newton(system, x, scales, first, budget):
+    for _index, roots, ok, _its in newton(system, x, scales, first):
         attempts += 1
         if not ok:
             rejects["newton"] += 1
@@ -272,7 +272,7 @@ def reference_solve(system, cfg, newton=scalar_newton):
     matched = np.zeros(len(oracle), dtype=bool)
     matched[[idx for _, idx, _ in certified]] = True
     diagnostics = {"rejected": dict(rejects)} if rejects else {}
-    if system.mode == INHOMOGENEOUS and np.count_nonzero(matched) <= system.p:
+    if np.count_nonzero(matched) <= system.p:
         diagnostics["completion"] = solver.complete(system, cfg.seed, W, W_fro, oracle,
                                                     certified, matched)
 
@@ -334,10 +334,12 @@ class TestNewtonMatchesReference:
         self.assert_outcomes(BetheSystem(hp, ctx, HOMOGENEOUS), SolverConfig(starts=64, seed=0))
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_fewer_evaluations_at_N4(self, seed):
+    def test_fewer_evaluations_at_N4(self, max_iter, seed):
         # N = 4 misses a state, so a solve runs all 64 starts.  The resumed
         # search evaluates each start's map fewer times than the full-step
-        # one, both run one trial step a call on the one-lane view
+        # one, both run one trial step a call on the one-lane view for at
+        # most 50 iterations
+        budget = max_iter(50)
         rp, ctx, hp = generic_setup(4)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
@@ -351,7 +353,7 @@ class TestNewtonMatchesReference:
                     evaluations[name] += 1
                     F, J = kernel(x)
                     return F * norms, J * norms[:, None]
-                refine(counted, start)
+                refine(counted, start, budget)
         assert evaluations["resumed"] <= 0.8 * evaluations["full"]
 
     @pytest.mark.parametrize("seed", [0, 2])
@@ -369,9 +371,9 @@ class TestNewtonMatchesReference:
         runs = []
 
         def recorded(kernel):
-            def run(fj, starts, first, budget):
+            def run(fj, starts, first):
                 runs.append([])
-                for lane in kernel(fj, starts, first, budget):
+                for lane in kernel(fj, starts, first):
                     runs[-1].append(lane)
                     yield lane
             return run
@@ -379,8 +381,7 @@ class TestNewtonMatchesReference:
         window = _solve(system, cfg)
         passes = counts["passes"]
         monkeypatch.setattr(solver, "newton_lanes", recorded(
-            lambda fj, starts, first, budget: reference_kernel.newton_lanes(
-                fj, starts, trials=1, budget=budget)))
+            lambda fj, starts, first: reference_kernel.newton_lanes(fj, starts, trials=1)))
         one_step = _solve(system, cfg)
         assert window.attempts == one_step.attempts == 64
         assert len(runs) == 4 and window.diagnostics["completion"]["certified"] >= 1
@@ -766,17 +767,19 @@ class TestStopAtFullCoverage:
     def test_certification_margin_rejects_are_counted_apart(self, seed):
         # p_bar = 3 at N = 4: every converged lane's roots miss the margin at
         # certification, which files them as root_margin, not as the seeding
-        # rejects (pole_margin) that never got a lane
+        # rejects (pole_margin) that never got a lane.  The T-Q completion
+        # then certifies 3 of the 4 states
         rp, ctx, hp = homogeneous_setup(4, rho=2 / 11)
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=seed)
         full = reference_solve(system, cfg, solver._lanes)
         rejected = full.diagnostics["rejected"]
-        assert not full.states and "pole_margin" not in rejected
-        assert rejected["root_margin"] == full.converged >= 63
+        assert "pole_margin" not in rejected
+        assert rejected["root_margin"] == full.converged == [63, 63, 64, 60][seed]
+        assert full.diagnostics["completion"]["certified"] == full.distinct == 3
         assert_counts_starts_tried(full, cfg.starts)
-        with pytest.raises(SolverFailure, match=f"'root_margin': {full.converged}"):
-            _solve(system, cfg)
+        report = _solve(system, cfg)
+        assert dump_json(report.to_json_dict()) == dump_json(full.to_json_dict())
 
     def test_stop_fires_once_every_eigenvalue_is_matched(self):
         report = _solve(self.system(INHOMOGENEOUS, 2), SolverConfig(starts=64, seed=2))
@@ -793,19 +796,18 @@ class TestStopAtFullCoverage:
 
 
 # beta 5, gamma 1, delta 2, s1 0, s2 3: (rho, N) and the eigenvalues matched
-# at SolverConfig seeds 0-3, None for a SolverFailure.  The last three need
-# lanes past HANDOVER_ITER: a homogeneous budget of 16 matches 2 at seed 1
-# of (2/15, 16) and 4 at seed 2 of (2/21, 63)
-HOMOGENEOUS_FIXTURES = [(2 / 9, 4, [1, None, 1, 1]), (2 / 9, 6, [2] * 4), (2 / 9, 8, [3] * 4),
-                        (2 / 9, 12, [3] * 4), (2 / 11, 4, [None] * 4),
-                        (2 / 11, 6, [None, 1, None, 1]), (2 / 7, 20, [2] * 4),
-                        (2 / 7, 63, [2] * 4), (2 / 15, 16, [4, 3, 3, 2]),
-                        (2 / 15, 63, [5, 5, 4, 4]), (2 / 21, 63, [6, 6, 5, 6])]
+# at SolverConfig seeds 0-3, the completion's included.  (2/15, 63) and
+# (2/21, 63) are full, p_bar + 1 = 6 and 9; ROADMAP item 3 says what fails
+# at the others
+HOMOGENEOUS_FIXTURES = [(2 / 9, 4, [1] * 4), (2 / 9, 6, [2] * 4), (2 / 9, 8, [3] * 4),
+                        (2 / 9, 12, [3] * 4), (2 / 11, 4, [3] * 4), (2 / 11, 6, [1] * 4),
+                        (2 / 7, 20, [2] * 4), (2 / 7, 63, [2] * 4), (2 / 15, 16, [4] * 4),
+                        (2 / 15, 63, [6] * 4), (2 / 21, 63, [9] * 4)]
 
 
 class TestTQCompletion:
     """BetheSystem.tq_roots fits a state's roots from its eigenvalue, and
-    the inhomogeneous solve certifies by it the eigenvalues its lanes miss."""
+    a solve in either mode certifies by it the eigenvalues its lanes miss."""
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_fit_gives_each_certified_orbit_set(self, N):
@@ -850,16 +852,19 @@ class TestTQCompletion:
     @pytest.mark.parametrize("rho, N, matched", HOMOGENEOUS_FIXTURES,
                              ids=[f"rho{rho:.3f}-N{N}" for rho, N, _ in HOMOGENEOUS_FIXTURES])
     def test_homogeneous_solves_are_unchanged(self, rho, N, matched):
-        # the completion runs in inhomogeneous mode only
+        # each fixture keeps its pinned counts; the completion runs whenever
+        # the lanes leave one of the p_bar + 1 Bethe states unmatched
         rp, ctx, hp = homogeneous_setup(N, rho=rho)
         for seed, want in enumerate(matched):
-            if want is None:
-                with pytest.raises(SolverFailure):
-                    solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=seed))
-                continue
             report = solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=seed))
-            assert np.count_nonzero(report.matched) == want and "completion" not in \
-                report.diagnostics
+            assert np.count_nonzero(report.matched) == report.distinct == want
+            assert want <= report.p_bar + 1
+            completion = report.diagnostics.get("completion")
+            assert completion is not None or want == report.p_bar + 1
+            if completion is not None:
+                assert completion["fitted"] == completion["certified"] \
+                    + sum(completion["rejected"].values())
+            assert_counts_starts_tried(report, 64)
 
     def test_newton_verdict_does_not_gate_the_completion(self, monkeypatch):
         # with a Newton target no lane meets, every lane ends unconverged; the
@@ -906,19 +911,19 @@ class TestTQCompletion:
 
 
 class TestIterationBudgets:
-    """An inhomogeneous solve's search lanes stop at HANDOVER_ITER and leave
-    what they miss to the T-Q completion; homogeneous lanes, which no
-    completion follows, and the completion's polish run to MAX_ITER."""
+    """Every lane gets MAX_ITER iterations: a solve's search lanes stop
+    there and leave what they miss to the T-Q completion, whose polish
+    ends well within it."""
 
     @staticmethod
     def recorded(monkeypatch):
-        """The budget of each newton_lanes call, with the lanes it handed over."""
+        """The lanes each newton_lanes call handed over, one list a call."""
         runs, kernel = [], solver.newton_lanes
 
-        def run(fj, starts, first=None, budget=MAX_ITER):
-            runs.append((budget, []))
-            for lane in kernel(fj, starts, first, budget):
-                runs[-1][1].append(lane)
+        def run(fj, starts, first=None):
+            runs.append([])
+            for lane in kernel(fj, starts, first):
+                runs[-1].append(lane)
                 yield lane
         monkeypatch.setattr(solver, "newton_lanes", run)
         return runs
@@ -928,25 +933,18 @@ class TestIterationBudgets:
         runs = self.recorded(monkeypatch)
         report = _solve(TestStopAtFullCoverage.system(INHOMOGENEOUS, 4),
                         SolverConfig(starts=64, seed=seed))
-        assert [budget for budget, _ in runs] == [HANDOVER_ITER, MAX_ITER]
-        (_, lanes), _ = runs
+        lanes, polish = runs
         assert len(lanes) == report.attempts == 64
-        assert max(its for *_, its in lanes) == HANDOVER_ITER
-        assert any(not ok and its == HANDOVER_ITER for _, _, ok, its in lanes)
+        assert max(its for *_, its in lanes) == MAX_ITER
+        assert any(not ok and its == MAX_ITER for _, _, ok, its in lanes)
+        assert polish and max(its for *_, its in polish) < MAX_ITER
         assert report.diagnostics["completion"]["certified"] >= 1
         assert report.coverage_fraction() == 1.0
 
-    @pytest.mark.parametrize("rho, N", [(2 / 7, 63), (2 / 15, 16)])
-    def test_homogeneous_lanes_keep_max_iter(self, monkeypatch, rho, N):
-        runs = self.recorded(monkeypatch)
-        rp, ctx, hp = homogeneous_setup(N, rho=rho)
-        solve_homogeneous(hp, rp, ctx, SolverConfig(starts=64, seed=1))
-        assert [budget for budget, _ in runs] == [MAX_ITER]
-
     def test_handover_budget_is_the_most_needed(self, monkeypatch):
-        # with the search lanes at MAX_ITER, the ones that certify a state at
-        # criterion-8 N = 2, 3, 4, seeds 0-7, need at most 7, 10 and 16
-        # iterations, and the solve at HANDOVER_ITER certifies the same states
+        # with every lane at 50 iterations, the search lanes that certify a
+        # state at criterion-8 N = 2, 3, 4, seeds 0-7, need at most 7, 10 and
+        # 16, and the solve at MAX_ITER certifies the same states
         lanes, certify, complete = solver._lanes, solver._certify, solver.complete
         last = {"its": None, "completing": False}  # the search lane being certified
         needed = []
@@ -975,14 +973,14 @@ class TestIterationBudgets:
                 cfg = SolverConfig(starts=64, seed=seed)
                 handover = _solve(system, cfg)
                 with monkeypatch.context() as patched:
-                    for name, value in (("HANDOVER_ITER", MAX_ITER), ("_lanes", search_lanes),
+                    for name, value in (("MAX_ITER", 50), ("_lanes", search_lanes),
                                         ("_certify", certified), ("complete", completion)):
                         patched.setattr(solver, name, value)
                     full = _solve(system, cfg)
                 TestNewtonMatchesReference.assert_same_states(handover, full)
             most[N] = max(needed)
             needed.clear()
-        assert most == {2: 7, 3: 10, 4: HANDOVER_ITER}
+        assert most == {2: 7, 3: 10, 4: MAX_ITER}
 
 
 def state_with(roots):

@@ -408,7 +408,10 @@ def _tau_shared(hp: HeunParams):
     rp = hp.rp
     N, bt, g, d = rp.N, rp.beta, rp.gamma, rp.delta
     m_bar = hp.m_bar
-    pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
+    try:
+        pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
+    except OverflowError as exc:
+        raise ParameterDomainError(f"tau prefactor overflows at m_bar={m_bar}") from exc
     for k in range(1, N + 1):
         f1 = guard(2 * m_bar - 2 * d - bt - N - 2 * k, "tau pole: 2m-2delta-beta-N-2k = 0")
         f2 = guard(2 * m_bar - 2 * g + bt - N - 2 * k, "tau pole: 2m-2gamma+beta-N-2k = 0")
@@ -627,26 +630,56 @@ class BetheSystem:
         roots, with Re >= 0, are 10 sqrt of the zeros of Q in u^2 / 100.
         A row that meets a pole raises ParameterDomainError, as does a
         column that is not finite or is zero, or a Q of degree below p."""
+        roots, = self.tq_fits([lam])
+        if roots is None:
+            raise ParameterDomainError(
+                f"T-Q fit at eigenvalue {lam}: a column is not finite, or zero, "
+                f"or Q has degree below {self.p}")
+        return roots
+
+    def tq_fits(self, targets) -> list:
+        """tq_roots at each eigenvalue of targets, in one pass: each target's
+        collocation matrix is its own lam times the columns of tq_columns,
+        and one stacked SVD fits every target.  A target whose matrix has a
+        column that is not finite or is zero, or whose Q has degree below p,
+        gets None; a collocation point on a pole raises ParameterDomainError
+        for every target."""
+        p = self.p
+        h2, a, bases, g = self.tq_columns()
+        lam = np.asarray(targets, dtype=np.complex128).reshape(-1, 1, 1)
+        A = (lam - h2[:, None]) * bases[:, 0] - a[:, :1] * bases[:, 1] - a[:, 1:] * bases[:, 2]
+        if g is not None:
+            A = np.concatenate((A, np.broadcast_to(g[:, None], (len(lam), len(g), 1))),
+                               axis=-1)
+        size = np.linalg.norm(A, axis=1)
+        fits, good = [None] * len(lam), np.isfinite(A).all((1, 2)) & size.all(1)
+        if good.any():
+            vh = np.linalg.svd(A[good] / size[good, None, :])[2]
+            for k, q in zip(np.flatnonzero(good).tolist(), vh[:, -1].conj() / size[good]):
+                if q[p]:
+                    fits[k] = 10 * np.sqrt(np.roots(q[p::-1]))
+        return fits
+
+    def tq_columns(self):
+        """The columns of the T-Q collocation that do not depend on lam, at
+        each point u of tq_roots: h2(u) (R,), (a(u), a(-u)) (R, 2), the bases
+        (u^2 / 100)^j, ((u - 2)^2 / 100)^j and ((u + 2)^2 / 100)^j (R, 3, p + 1),
+        and -G(u) (R,) in inhomogeneous mode, else None.  Raises
+        ParameterDomainError where a point meets a pole."""
         p, hp = self.p, self.hp
         m = hp.m_bar - p
         j = np.arange(p + 1)
-        rows = []
-        for u in 10 * np.exp(1j * np.pi * (np.arange(4 * p + 8) + 0.5) / (4 * p + 8)):
-            a = [h1_scalar(v, hp) * vacuum_coeffs(v, m, hp.rp, hp.rho).xi for v in (u, -u)]
-            row = (lam - h2_scalar(u, hp)) * (u * u / 100) ** j \
-                - a[0] * ((u - 2) ** 2 / 100) ** j - a[1] * ((u + 2) ** 2 / 100) ** j
+        points = 10 * np.exp(1j * np.pi * (np.arange(4 * p + 8) + 0.5) / (4 * p + 8))
+        h2, a, bases, g = [], [], [], []
+        for u in points:
+            a.append([h1_scalar(v, hp) * vacuum_coeffs(v, m, hp.rp, hp.rho).xi for v in (u, -u)])
+            h2.append(h2_scalar(u, hp))
+            bases.append([(u * u / 100) ** j, ((u - 2) ** 2 / 100) ** j, ((u + 2) ** 2 / 100) ** j])
             if self.tau is not None:
-                row = np.append(row, -_tau_at(u, [], *self.tau) * psi_factored(u, p, [], hp))
-            rows.append(row)
-        A = np.array(rows, dtype=np.complex128)
-        size = np.linalg.norm(A, axis=0)
-        if not (np.isfinite(A).all() and size.all()):
-            raise ParameterDomainError(
-                f"T-Q fit at eigenvalue {lam}: a column is not finite, or zero")
-        q = (np.linalg.svd(A / size)[2][-1].conj() / size)[:p + 1]
-        if not q[p]:
-            raise ParameterDomainError(f"T-Q fit at eigenvalue {lam}: Q has degree below {p}")
-        return 10 * np.sqrt(np.roots(q[::-1]))
+                g.append(-_tau_at(u, [], *self.tau) * psi_factored(u, p, [], hp))
+        return (np.array(h2, dtype=np.complex128), np.array(a, dtype=np.complex128),
+                np.array(bases, dtype=np.complex128),
+                np.array(g, dtype=np.complex128) if self.tau is not None else None)
 
     def closed_form(self, roots, scales=False) -> tuple[np.ndarray, ...]:
         """F (S, p), J (S, p, p) and a pole mask (S,) for an (S, p) stack of root

@@ -19,6 +19,7 @@ check_same_problem is the one place where hp is matched with a DynContext.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +62,21 @@ class BilinearParams:
 
 
 def build_heun_params(rho, s1, s2, rp: RacahParams) -> HeunParams:
+    """HeunParams on rp; ParameterDomainError where m_bar or a p_bar
+    candidate is not finite (an overflow)."""
     rho, s1, s2 = check_rho(rho), complex(s1), complex(s2)
     guard(s2 - rho, "Heun pole: s2 = rho, where 2 m_bar rho - 1 vanishes")
     m_bar = (s2 - rho + 1) / (2 * rho)
-    disc = np.sqrt(complex(2 * s1 * rho * rho - 2 * s1 * rho + 1))
+    radicand = complex(2 * s1 * rho * rho - 2 * s1 * rho + 1)
     base = 1 - rp.gamma * rho - rp.delta * rho - 2 * rho
+    # Python's complex arithmetic overflows to inf or NaN without a warning;
+    # with these finite, so are the candidates: |disc| < 2e154, and |rho| is
+    # above the pole floor
+    if not all(map(cmath.isfinite, (m_bar, radicand, base))):
+        raise ParameterDomainError(
+            f"m_bar or a root-count candidate p_bar is not finite (overflow) at "
+            f"rho={rho}, s1={s1}, s2={s2}")
+    disc = np.sqrt(radicand)
     return HeunParams(rho=rho, s1=s1, s2=s2, m_bar=m_bar,
                       p_bar_plus=(base + disc) / (2 * rho),
                       p_bar_minus=(base - disc) / (2 * rho), rp=rp)

@@ -26,9 +26,18 @@ lanes still running; the report's stopped flag says so.
 
 When the lanes run out first, in either mode, the completion (complete)
 fits the roots of each unmatched dense eigenvalue from the T-Q relation
-(BetheSystem.tq_roots), polishes them as lanes and certifies them as
-above; the report's diagnostics record it under "completion".  The README
-says why the fit comes after the lanes, not in their place.
+(BetheSystem.tq_fits, one stacked pass), polishes them as lanes and
+certifies them as above; the report's diagnostics record it under
+"completion".  The README says why the fit comes after the lanes, not in
+their place.
+
+A SolveReport holds no Python object per state: each certified state is a
+row of one structured array (SolveReport.rows: roots, bethe_residuals,
+u_aux, eigenvalue, eigen_residual, the matched oracle index and the
+ambiguity flag), and the reject counts are flat tuples.  The BetheState
+list, the matched mask, the diagnostics dict and the JSON report are built
+from them when read, so a report kept after its solve costs about 1.1 KB
+in place of 2.9 KB at criterion-8 N = 2, 3, 4.
 
 Every lane, the search's and the polish's, ends unconverged after MAX_ITER
 = 16 iterations: the most any lane that certified a state needed at
@@ -42,9 +51,11 @@ rp must be hp.rp, and BetheSystem matches hp with ctx.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -81,38 +92,108 @@ class SolverConfig:
             raise ValueError("seed must be >= 0")
 
 
+@functools.cache
+def _row_dtype(p: int) -> np.dtype:
+    """The dtype of SolveReport.rows for p roots: one row per certified state."""
+    return np.dtype([("roots", np.complex128, (p,)), ("bethe_residuals", np.complex128, (p,)),
+                     ("u_aux", np.complex128), ("eigenvalue", np.complex128),
+                     ("eigen_residual", np.float64), ("index", np.int32), ("ambiguous", np.bool_)])
+
+
+def _flat(counts) -> tuple:
+    """A {reason: count} mapping as the flat tuple (reason, count, ...)."""
+    return tuple(chain.from_iterable(counts.items()))
+
+
+def _counts(flat) -> dict:
+    return dict(zip(flat[::2], flat[1::2]))
+
+
 @dataclass(slots=True)
 class SolveReport:
-    """A solve's states and its oracle spectrum, kept as arrays: the dense
-    eigenvalues `oracle` and whether a state matched each, `matched`.
-    attempts, converged and diagnostics count the starts _solve tried: the
+    """A solve's certified states and its oracle spectrum, laid out as the
+    module docstring says: rows, one of _row_dtype(p) per state, sorted by
+    eigenvalue then roots; the dense eigenvalues oracle; the lanes' rejects
+    as the flat tuple rejected = (reason, count, ...) and, when the
+    completion ran, completion = (fitted, certified, reason, count, ...).
+    attempts, converged and rejected count the starts _solve tried: the
     pole-margin rejects, and the lanes handed over before it stopped.
     stopped: the solve met its p + 1 goal with lanes still running; it is
     not part of the JSON report."""
     mode: str
-    states: list[BetheState]
+    rows: np.ndarray
     attempts: int
     converged: int
     oracle: np.ndarray
-    matched: np.ndarray
-    ambiguous_matches: list[complex] = field(default_factory=list)
     seed: int = 0
     p_bar: int | None = None
-    diagnostics: dict = field(default_factory=dict)
+    rejected: tuple = ()
+    completion: tuple | None = None
     stopped: bool = False
+
+    @classmethod
+    def build(cls, system: BetheSystem, seed: int, certified, attempts: int, converged: int,
+              oracle, rejected, completion: dict | None = None, stopped: bool = False):
+        """The report of a solve of system from its certified (state, oracle
+        index, ambiguity flag) triples, in any order, the lanes' rejects
+        {reason: count} and complete's entry, when it ran."""
+        certified = sorted(certified, key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
+                                                     tuple((x.real, x.imag) for x in c[0].roots)))
+        rows = np.array([(s.roots, s.bethe_residuals, s.u_aux, s.eigenvalue, s.eigen_residual,
+                          index, ambiguous) for s, index, ambiguous in certified],
+                        dtype=_row_dtype(system.p))
+        if completion is not None:
+            completion = (completion["fitted"], completion["certified"],
+                          *_flat(completion["rejected"]))
+        return cls(mode=system.mode, rows=rows, attempts=attempts, converged=converged,
+                   oracle=oracle, seed=seed, p_bar=system.p_bar, rejected=_flat(rejected),
+                   completion=completion, stopped=stopped)
+
+    @property
+    def states(self) -> list[BetheState]:
+        """The certified states, with Python complex scalars."""
+        rows = self.rows
+        return [BetheState(roots=tuple(roots), mode=self.mode, u_aux=u_aux, eigenvalue=eigenvalue,
+                           bethe_residuals=tuple(residuals), eigen_residual=eigen_residual)
+                for roots, residuals, u_aux, eigenvalue, eigen_residual in zip(
+                    *(rows[name].tolist() for name in ("roots", "bethe_residuals", "u_aux",
+                                                       "eigenvalue", "eigen_residual")))]
+
+    @property
+    def matched(self) -> np.ndarray:
+        """Whether a state matched each oracle eigenvalue."""
+        matched = np.zeros(self.oracle.size, dtype=bool)
+        matched[self.rows["index"]] = True
+        return matched
+
+    @property
+    def ambiguous_matches(self) -> list[complex]:
+        """The eigenvalues of the states with an ambiguous match."""
+        return self.rows["eigenvalue"][self.rows["ambiguous"]].tolist()
 
     @property
     def distinct(self) -> int:
         """Certified states, each a distinct multiset of sign orbits."""
-        return len(self.states)
+        return len(self.rows)
 
     @property
     def spectrum_coverage(self) -> list[tuple[complex, bool]]:
         """(oracle eigenvalue, matched) pairs."""
-        return [(complex(ev), bool(ok)) for ev, ok in zip(self.oracle, self.matched)]
+        return list(zip(self.oracle.tolist(), self.matched.tolist()))
+
+    @property
+    def diagnostics(self) -> dict:
+        """{"rejected": the lanes' rejects} when there were any, and
+        "completion": {"fitted", "certified", "rejected"} when it ran."""
+        out = {"rejected": _counts(self.rejected)} if self.rejected else {}
+        if self.completion is not None:
+            fitted, certified, *rejected = self.completion
+            out["completion"] = {"fitted": fitted, "certified": certified,
+                                 "rejected": _counts(rejected)}
+        return out
 
     def coverage_fraction(self) -> float:
-        return np.count_nonzero(self.matched) / self.matched.size if self.matched.size else 0.0
+        return np.count_nonzero(self.matched) / self.oracle.size if self.oracle.size else 0.0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -128,8 +209,9 @@ class SolveReport:
         }
         if self.p_bar is not None:
             out["p_bar"] = self.p_bar
-        if self.diagnostics:
-            out["diagnostics"] = self.diagnostics
+        diagnostics = self.diagnostics
+        if diagnostics:
+            out["diagnostics"] = diagnostics
         return scalars_to_pairs(out)
 
 
@@ -404,22 +486,24 @@ def _lanes(system: BetheSystem, x, scales, first):
 
 def complete(system: BetheSystem, seed: int, W, W_fro, oracle, certified, matched) -> dict:
     """Fit the roots of each unmatched oracle eigenvalue by the T-Q relation
-    (BetheSystem.tq_roots, kappa = 0 in homogeneous mode), in index order,
-    and certify them: the fits go through seed_starts' margin pass, are
-    polished as the lanes of one _lanes, and each lane's last iterate goes
-    to _certify whatever Newton's verdict, in fit order.  Appends to
-    certified and marks matched in place.
+    (BetheSystem.tq_fits, one stacked pass; kappa = 0 in homogeneous mode),
+    in index order, and certify them: the fits go through seed_starts'
+    margin pass, are polished as the lanes of one _lanes, and each lane's
+    last iterate goes to _certify whatever Newton's verdict, in fit order.
+    Appends to certified and marks matched in place.
 
     Returns the diagnostics entry {"fitted", "certified", "rejected"}, where
-    fitted = certified + the rejects: fit_pole (tq_roots raised: a
-    collocation point met a pole, or the fit degenerated), pole_margin,
+    fitted = certified + the rejects: fit_pole (no fit: a collocation
+    point met a pole, or the fit degenerated), pole_margin,
     duplicate (a certified state's orbit set) and _certify's reasons."""
-    rejects, fits, targets = Counter(), [], oracle[~matched]
-    for lam in targets:
-        try:
-            fits.append(canonical_roots(system.tq_roots(lam)))
-        except ParameterDomainError:
-            rejects["fit_pole"] += 1
+    rejects, targets = Counter(), oracle[~matched]
+    try:
+        fits = system.tq_fits(targets)
+    except ParameterDomainError:  # a collocation point met a pole: no target fits
+        fits = [None] * len(targets)
+    fits = [canonical_roots(roots) for roots in fits if roots is not None]
+    if len(fits) < len(targets):
+        rejects["fit_pole"] = len(targets) - len(fits)
     x = np.array(fits, dtype=np.complex128).reshape(len(fits), system.p)
     with pole_margin(REJECT_MARGIN):
         F, J, pole, scales = system.closed_form(x, scales=True)
@@ -477,27 +561,16 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
             if np.count_nonzero(matched) > system.p:
                 stopped = attempts < rejected + len(x)
                 break
-    diagnostics = {"rejected": dict(rejects)} if rejects else {}
+    completion = None
     if np.count_nonzero(matched) <= system.p:
-        diagnostics["completion"] = complete(system, cfg.seed, W, W_fro, oracle,
-                                             certified, matched)
-
-    certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
-                                  tuple((x.real, x.imag) for x in c[0].roots)))
-    states = [state for state, _, _ in certified]
-    ambiguous = [state.eigenvalue for state, _, amb in certified if amb]
-    report = SolveReport(mode=system.mode, states=states, attempts=attempts,
-                         converged=converged, oracle=oracle, matched=matched,
-                         ambiguous_matches=ambiguous,
-                         seed=cfg.seed, p_bar=system.p_bar,
-                         diagnostics=diagnostics, stopped=stopped)
-    if not states:
-        completion = f"; T-Q completion: {diagnostics['completion']}" \
-            if "completion" in diagnostics else ""
+        completion = complete(system, cfg.seed, W, W_fro, oracle, certified, matched)
+    if not certified:
+        fits = "" if completion is None else f"; T-Q completion: {completion}"
         raise SolverFailure(
             f"{system.mode} solve produced no certifiable state out of {attempts} starts "
-            f"({converged} converged; rejections: {dict(rejects)}{completion})")
-    return report
+            f"({converged} converged; rejections: {dict(rejects)}{fits})")
+    return SolveReport.build(system, cfg.seed, certified, attempts, converged, oracle,
+                             rejects, completion, stopped)
 
 
 def _system(hp: HeunParams, rp: RacahParams, ctx: DynContext, mode: str) -> BetheSystem:

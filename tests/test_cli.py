@@ -542,6 +542,25 @@ def test_beta_beyond_the_bound_exits_2(tmp_path, capsys, command, beta):
     assert len(err.splitlines()) == 1
 
 
+# (parameter, value, solve mode) of criterion-8 N = 3 problems whose Heun
+# parameters overflow
+HEUN_OVERFLOWS = [("s1", 1e308, "auto"), ("rho", 1e300, "auto"),
+                  ("s2", 1e308, "inhomogeneous"), ("s2", 1e308, "auto")]
+
+
+@pytest.mark.parametrize("name,value,mode", HEUN_OVERFLOWS,
+                         ids=[f"{name}-{mode}" for name, _, mode in HEUN_OVERFLOWS])
+def test_overflowing_heun_parameters_exit_2(tmp_path, capsys, name, value, mode):
+    # s1 = 1e308 and rho = 1e300 gave root-count candidates p_bar that are
+    # not finite (rho = 1e300 with a RuntimeWarning), and heun.integer_p_bar
+    # raised ValueError or OverflowError on them; at s2 = 1e308
+    # bethe._tau_shared raised OverflowError: a traceback and exit 1 each
+    path = write_params(tmp_path, dict(CRITERION_8_N2, N=3, **{name: [value, 0]}))
+    assert main(["solve", "--mode", mode, "--params", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err and len(err.splitlines()) == 1
+
+
 def test_beta_at_the_bound_verifies_and_solves(tmp_path, capsys):
     path = write_params(tmp_path, dict(CRITERION_8_N2, beta=[1e3, 0]))
     assert main(["verify", "--params", path]) == 0

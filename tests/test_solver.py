@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from heun_racah.errors import ModeError, ParameterDomainError, SolverFailure
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
-from heun_racah.serialize import dump_json
+from heun_racah.serialize import dump_json, to_pair
 from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER,
                                NEWTON_TOL, WINDOW, SolveReport, SolverConfig, _certify,
                                _is_duplicate, _solve, newton_lanes, newton_refine, seed_starts,
@@ -271,19 +272,11 @@ def reference_solve(system, cfg, newton=scalar_newton):
         certified.append(entry)
     matched = np.zeros(len(oracle), dtype=bool)
     matched[[idx for _, idx, _ in certified]] = True
-    diagnostics = {"rejected": dict(rejects)} if rejects else {}
+    completion = None
     if np.count_nonzero(matched) <= system.p:
-        diagnostics["completion"] = solver.complete(system, cfg.seed, W, W_fro, oracle,
-                                                    certified, matched)
-
-    certified.sort(key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
-                                  tuple((x.real, x.imag) for x in c[0].roots)))
-    return SolveReport(mode=system.mode, states=[state for state, _, _ in certified],
-                       attempts=attempts, converged=converged, oracle=oracle,
-                       matched=matched,
-                       ambiguous_matches=[state.eigenvalue for state, _, amb in certified
-                                          if amb],
-                       seed=cfg.seed, p_bar=system.p_bar, diagnostics=diagnostics)
+        completion = solver.complete(system, cfg.seed, W, W_fro, oracle, certified, matched)
+    return SolveReport.build(system, cfg.seed, certified, attempts, converged, oracle,
+                             rejects, completion)
 
 
 def counted_closed_form(monkeypatch):
@@ -805,9 +798,49 @@ HOMOGENEOUS_FIXTURES = [(2 / 9, 4, [1] * 4), (2 / 9, 6, [2] * 4), (2 / 9, 8, [3]
                         (2 / 15, 63, [6] * 4), (2 / 21, 63, [9] * 4)]
 
 
+def reference_tq_roots(system, lam):
+    """BetheSystem.tq_roots at one eigenvalue, its collocation matrix built
+    row by row from the scalar formulas: the reference tq_fits is held to."""
+    p, hp = system.p, system.hp
+    m = hp.m_bar - p
+    j = np.arange(p + 1)
+    rows = []
+    for u in 10 * np.exp(1j * np.pi * (np.arange(4 * p + 8) + 0.5) / (4 * p + 8)):
+        a = [bethe.h1_scalar(v, hp) * bethe.vacuum_coeffs(v, m, hp.rp, hp.rho).xi
+             for v in (u, -u)]
+        row = (lam - bethe.h2_scalar(u, hp)) * (u * u / 100) ** j \
+            - a[0] * ((u - 2) ** 2 / 100) ** j - a[1] * ((u + 2) ** 2 / 100) ** j
+        if system.tau is not None:
+            row = np.append(row, -bethe._tau_at(u, [], *system.tau)
+                            * bethe.psi_factored(u, p, [], hp))
+        rows.append(row)
+    A = np.array(rows, dtype=np.complex128)
+    size = np.linalg.norm(A, axis=0)
+    assert np.isfinite(A).all() and size.all()
+    q = (np.linalg.svd(A / size)[2][-1].conj() / size)[:p + 1]
+    assert q[p]
+    return 10 * np.sqrt(np.roots(q[::-1]))
+
+
 class TestTQCompletion:
     """BetheSystem.tq_roots fits a state's roots from its eigenvalue, and
     a solve in either mode certifies by it the eigenvalues its lanes miss."""
+
+    @pytest.mark.parametrize("mode,N,rho", [(INHOMOGENEOUS, N, None) for N in range(2, 7)]
+                             + [(HOMOGENEOUS, 16, 2 / 15)])
+    def test_stacked_fit_matches_the_scalar_fit_bit_for_bit(self, mode, N, rho):
+        # every oracle eigenvalue and a point off each, fitted in one pass
+        rp, ctx, hp = generic_setup(N) if mode == INHOMOGENEOUS \
+            else homogeneous_setup(N, rho=rho)
+        system = BetheSystem(hp, ctx, mode)
+        oracle = oracle_of(system)[2]
+        targets = np.concatenate((oracle, oracle * (1 + 1e-3)))
+        fits = system.tq_fits(targets)
+        assert len(fits) == len(targets)
+        for lam, roots in zip(targets, fits):
+            want = reference_tq_roots(system, lam)
+            assert roots.shape == (system.p,)
+            assert np.array_equal(roots, want) and np.array_equal(system.tq_roots(lam), want)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_fit_gives_each_certified_orbit_set(self, N):
@@ -883,12 +916,12 @@ class TestTQCompletion:
         lam = oracle_of(system)[2][0]
         with pole_margin(11.0), pytest.raises(ParameterDomainError, match="h1 pole"):
             system.tq_roots(lam)
-        fit = BetheSystem.tq_roots
+        fit = BetheSystem.tq_fits
 
-        def at_floor(self, lam):
+        def at_floor(self, targets):
             with pole_margin(11.0):
-                return fit(self, lam)
-        monkeypatch.setattr(BetheSystem, "tq_roots", at_floor)
+                return fit(self, targets)
+        monkeypatch.setattr(BetheSystem, "tq_fits", at_floor)
         report = _solve(system, SolverConfig(starts=64, seed=0))
         assert report.diagnostics["completion"] == {"fitted": 1, "certified": 0,
                                                     "rejected": {"fit_pole": 1}}
@@ -900,6 +933,15 @@ class TestTQCompletion:
         with pytest.raises(ParameterDomainError, match="not finite"):
             system.tq_roots(1.0)
 
+    def test_a_target_that_is_not_finite_gets_no_fit(self):
+        # the check is per target: the rest of the stack is fitted
+        system = TestStopAtFullCoverage.system(INHOMOGENEOUS, 3)
+        lam = oracle_of(system)[2]
+        fits = system.tq_fits([lam[0], complex("nan"), lam[1]])
+        assert fits[1] is None
+        assert np.array_equal(fits[0], system.tq_roots(lam[0]))
+        assert np.array_equal(fits[2], system.tq_roots(lam[1]))
+
     def test_homogeneous_fit_has_no_kappa_column(self):
         # kappa = 0 in homogeneous mode: the fit at solve-wide's two
         # certified eigenvalues gives their one root
@@ -908,6 +950,49 @@ class TestTQCompletion:
         report = _solve(system, SolverConfig(starts=64, seed=0))
         for state in report.states:
             assert _is_duplicate(system.tq_roots(state.eigenvalue), [state])
+
+
+class TestCompactReport:
+    """A report keeps its certified states as the rows of one structured
+    array and its diagnostics as flat tuples; the views are built when
+    read and agree with the JSON report."""
+
+    CASES = [(INHOMOGENEOUS, N) for N in (2, 3, 4)] + [(HOMOGENEOUS, 63)]
+
+    @staticmethod
+    def reachable(report):
+        """Every object gc.get_referents reaches from report, types aside."""
+        seen, todo = {}, [report]
+        while todo:
+            obj = todo.pop()
+            if id(obj) not in seen and not isinstance(obj, type):
+                seen[id(obj)] = obj
+                todo.extend(gc.get_referents(obj))
+        return list(seen.values())
+
+    @pytest.mark.parametrize("mode,N", CASES, ids=[f"{m[:5]}-N{N}" for m, N in CASES])
+    def test_views_agree_with_the_json_report(self, mode, N):
+        # the homogeneous case is solve-wide's problem
+        report = _solve(TestStopAtFullCoverage.system(mode, N), SolverConfig(starts=64, seed=0))
+        held = self.reachable(report)
+        assert not [obj for obj in held if isinstance(obj, (bethe.BetheState, list, dict))]
+        assert any(obj is report.rows for obj in held)
+        out = report.to_json_dict()
+        assert out["distinct"] == report.distinct == len(report.states) > 0
+        assert out["spectrum_coverage"] == [{"eigenvalue": to_pair(ev), "matched": ok}
+                                            for ev, ok in report.spectrum_coverage]
+        assert [entry["matched"] for entry in out["spectrum_coverage"]] \
+            == report.matched.tolist()
+        assert np.count_nonzero(report.matched) == report.coverage_fraction() * len(report.oracle)
+        assert out["ambiguous_matches"] == [to_pair(ev) for ev in report.ambiguous_matches]
+        assert out.get("diagnostics", {}) == report.diagnostics
+        assert_counts_starts_tried(report, 64)
+        for state, entry in zip(report.states, out["states"]):
+            assert entry == state.to_json_dict() and state.mode == mode
+            assert all(type(z) is complex
+                       for z in (*state.roots, *state.bethe_residuals, state.u_aux,
+                                 state.eigenvalue))
+            assert type(state.eigen_residual) is float
 
 
 class TestIterationBudgets:

@@ -7,6 +7,8 @@ here, in the tier-1 suite, before a benchmark run.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ import pytest
 
 import heun_racah
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 
 
 def load_workloads():
@@ -48,3 +51,15 @@ def test_verify_catalog_op_643_at_seed_12_passes_the_output_check():
     checked = workload.check(heun_racah, ctx, 643, reports)
     assert checked.problems == ()
     assert checked.certified == len(heun_racah.RelationId) and checked.coverage == 1.0
+
+
+def test_report_digests_prints_each_op_digest():
+    # tools/report_digests.py, for one op of each workload at one seed
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digests.py"),
+                          "--root", str(ROOT), "--seeds", "3", "--ops", "1"],
+                         capture_output=True, text=True, check=True)
+    digests = json.loads(run.stdout)
+    assert sorted(digests) == sorted(workloads.WORKLOADS)
+    for by_seed in digests.values():
+        assert list(by_seed) == ["3"] and len(by_seed["3"]) == 1
+        assert len(by_seed["3"][0]) == 64 and int(by_seed["3"][0], 16) >= 0

@@ -13,8 +13,8 @@ the (N+1)-root reduction identity, adding tau-weighted corrections
 w^(i), U_r^(i).  A BetheSystem fixes one of the two regimes for a solve:
 its closed-form pass gives the solver the cleared equations with their
 Jacobian, and its reference pass evaluates the scalar maps that the
-closed form is tested and certified against; tq_roots fits the roots of
-the state with a given eigenvalue by the T-Q relation.
+closed form is tested and certified against; tq_fits fits the roots of
+the states with given eigenvalues by the T-Q relation.
 
 Scalar formulas read the problem object hp alone (hp.rp holds the Racah
 parameters) and take a spectral point before the roots: (u, roots).
@@ -372,31 +372,17 @@ def psi_summed(u, p: int, roots, hp: HeunParams) -> tuple[complex, float]:
     return out, mag
 
 
-def psi(u, p: int, roots, hp: HeunParams) -> tuple[complex, complex]:
-    """(factored, summed) evaluations of the extension-term coefficient.
-
-    The two must agree; the factored form is the one whose prefactor zero
-    defines the homogeneous root counts p_bar.
-    """
-    _check_psi_roots(p, roots)
-    return psi_factored(u, p, roots, hp), psi_summed(u, p, roots, hp)[0]
-
-
 def psi_residual(u, p: int, roots, hp: HeunParams) -> float:
     """Backward residual of the dual forms of psi: |factored - summed| over
     max(1, |factored|, the summed form's summand magnitudes).  Near a root
     the summands can dwarf the result by orders of magnitude, and their
     rounding with them; the scale measures whether the identity holds
     rather than how violently the sum cancels."""
-    _check_psi_roots(p, roots)
+    if len(roots) != p:
+        raise ParameterDomainError(f"psi expects {p} roots, got {len(roots)}")
     factored = psi_factored(u, p, roots, hp)
     summed, mag = psi_summed(u, p, roots, hp)
     return abs(factored - summed) / max(1.0, abs(factored), mag)
-
-
-def _check_psi_roots(p: int, roots) -> None:
-    if len(roots) != p:
-        raise ParameterDomainError(f"psi expects {p} roots, got {len(roots)}")
 
 
 # --------------------------------------------------------------------------
@@ -412,9 +398,10 @@ def _tau_shared(hp: HeunParams):
         pref = ((2 * m_bar - N) ** 2 - bt ** 2) / 8
     except OverflowError as exc:
         raise ParameterDomainError(f"tau prefactor overflows at m_bar={m_bar}") from exc
+    advice = " (perturb s2 or rho to move m_bar off it)"
     for k in range(1, N + 1):
-        f1 = guard(2 * m_bar - 2 * d - bt - N - 2 * k, "tau pole: 2m-2delta-beta-N-2k = 0")
-        f2 = guard(2 * m_bar - 2 * g + bt - N - 2 * k, "tau pole: 2m-2gamma+beta-N-2k = 0")
+        f1 = guard(2 * m_bar - 2 * d - bt - N - 2 * k, "tau pole: 2m-2delta-beta-N-2k = 0" + advice)
+        f2 = guard(2 * m_bar - 2 * g + bt - N - 2 * k, "tau pole: 2m-2gamma+beta-N-2k = 0" + advice)
         pref /= f1 * f2
     cpref = g + d - 2 * m_bar + 2 * N + 2
     zeros = [bt - g + d - N + 2 * k for k in range(N + 1)]
@@ -615,8 +602,9 @@ class BetheSystem:
                 * psi_factored(u, self.p, roots, self.hp)
         return value
 
-    def tq_roots(self, lam) -> np.ndarray:
-        """The p roots of the state with eigenvalue lam, from the T-Q relation
+    def tq_fits(self, targets) -> list:
+        """The p roots of the state with eigenvalue lam, for each lam of
+        targets, from the T-Q relation
 
             lam Q(u) = h2(u) Q(u) + a(u) Q(u - 2) + a(-u) Q(u + 2) + kappa G(u),
 
@@ -628,22 +616,12 @@ class BetheSystem:
         relation at -u is the one at u) in the basis (u^2 / 100)^j: the SVD
         null vector of the matrix with unit columns, rescaled back.  The
         roots, with Re >= 0, are 10 sqrt of the zeros of Q in u^2 / 100.
-        A row that meets a pole raises ParameterDomainError, as does a
-        column that is not finite or is zero, or a Q of degree below p."""
-        roots, = self.tq_fits([lam])
-        if roots is None:
-            raise ParameterDomainError(
-                f"T-Q fit at eigenvalue {lam}: a column is not finite, or zero, "
-                f"or Q has degree below {self.p}")
-        return roots
 
-    def tq_fits(self, targets) -> list:
-        """tq_roots at each eigenvalue of targets, in one pass: each target's
-        collocation matrix is its own lam times the columns of tq_columns,
-        and one stacked SVD fits every target.  A target whose matrix has a
-        column that is not finite or is zero, or whose Q has degree below p,
-        gets None; a collocation point on a pole raises ParameterDomainError
-        for every target."""
+        Each target's collocation matrix is its own lam times the columns of
+        tq_columns, and one stacked SVD fits every target.  A target whose
+        matrix has a column that is not finite or is zero, or whose Q has
+        degree below p, gets None; a collocation point on a pole raises
+        ParameterDomainError for every target."""
         p = self.p
         h2, a, bases, g = self.tq_columns()
         lam = np.asarray(targets, dtype=np.complex128).reshape(-1, 1, 1)
@@ -662,7 +640,7 @@ class BetheSystem:
 
     def tq_columns(self):
         """The columns of the T-Q collocation that do not depend on lam, at
-        each point u of tq_roots: h2(u) (R,), (a(u), a(-u)) (R, 2), the bases
+        each point u of tq_fits: h2(u) (R,), (a(u), a(-u)) (R, 2), the bases
         (u^2 / 100)^j, ((u - 2)^2 / 100)^j and ((u + 2)^2 / 100)^j (R, 3, p + 1),
         and -G(u) (R,) in inhomogeneous mode, else None.  Raises
         ParameterDomainError where a point meets a pole."""

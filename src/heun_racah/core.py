@@ -14,17 +14,12 @@ through guard(), so where a pole lies is stated once, by its formula.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, OracleError, ParameterDomainError
 
 MAX_DIM = 64
-
-# Backward-error bound for the eigendecomposition oracle:
-# ||M v - lam v||_2 <= ORACLE_TOL * ||M||_F for every returned pair.
-ORACLE_TOL = 1e-10
 
 # A denominator below this counts as sitting on its pole: the guard is
 # against catastrophic precision loss, not only exact zeros.
@@ -146,56 +141,20 @@ def vector_residual(lhs, rhs) -> float:
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigendecomposition sorted by (Re, Im) of the eigenvalues.
-
-    eigenvalues (and eigenvectors) are complex128 whichever solver ran.
-    eigenvectors holds unit-norm right eigenvectors as columns when
-    requested, and residuals the per-pair backward errors ||M v - lam v||_2.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    residuals: np.ndarray | None
-
-
-def dense_spectrum(m, want_vectors: bool = False) -> SpectrumResult:
-    """Full eigendecomposition of a general (non-Hermitian) complex matrix.
+def dense_spectrum(m) -> np.ndarray:
+    """Eigenvalues of a general (non-Hermitian) complex matrix, complex128,
+    sorted by (Re, Im).
 
     A matrix with an exactly zero imaginary part goes to the real QR solver
     (dgeev, not zgeev): faster, and its non-real eigenvalues pair exactly.
     Raises OracleError on a non-finite matrix or if the QR iteration fails
-    to converge; results are never silently truncated.  Only with
-    want_vectors=True are eigenvectors returned and each pair checked
-    against the backward-error contract (ORACLE_TOL relative to ||M||_F);
-    the eigenvalues alone carry no such check.
+    to converge; results are never silently truncated.
     """
     a = as_operator(m)
     if not np.all(np.isfinite(a)):
         raise OracleError("matrix has non-finite entries; eigensolver input invalid")
-    scale = float(np.linalg.norm(a))
-    qr_input = a if a.imag.any() else a.real
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eig(qr_input)
-        else:
-            vals = np.linalg.eigvals(qr_input)
-            vecs = None
+        vals = np.linalg.eigvals(a if a.imag.any() else a.real)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"eigensolver did not converge: {exc}") from exc
-
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order].astype(np.complex128, copy=False)
-    residuals = None
-    if vecs is not None:
-        vecs = vecs[:, order].astype(np.complex128, copy=False)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-        worst = float(residuals.max())
-        if worst > ORACLE_TOL * max(scale, np.finfo(float).tiny):
-            raise OracleError(
-                f"eigenpair backward error {worst:.3e} exceeds "
-                f"{ORACLE_TOL:.1e} * ||M||_F = {ORACLE_TOL * scale:.3e}"
-            )
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
+    return vals[np.lexsort((vals.imag, vals.real))].astype(np.complex128, copy=False)

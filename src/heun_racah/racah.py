@@ -174,11 +174,6 @@ def defining_residual(rep: Representation, relation: str) -> float:
     return residual_norm(commutator(Y, Z), -2 * (Y @ Y) - 2 * rep.XY + p.b * Y + p.d1 * rep.I)
 
 
-def defining_residuals(rep: Representation) -> dict[str, float]:
-    """Residuals of the three defining relations, keyed R1, R2, R3."""
-    return {relation: defining_residual(rep, relation) for relation in ("R1", "R2", "R3")}
-
-
 # --------------------------------------------------------------------------
 # the deformation parameter rho and the dynamical operator families
 

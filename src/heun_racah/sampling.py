@@ -45,18 +45,19 @@ def within_margin(evaluate, value):
         return None
 
 
-def draw_until(rng: np.random.Generator, draw, evaluate, max_tries: int = MAX_TRIES):
+def draw_until(rng: np.random.Generator, draw, evaluate):
     """evaluate(draw(rng)) for the first draw that keeps the pole margin.
 
-    Raises ParameterDomainError after max_tries rejected draws: the fixed
-    parameters then leave (almost) no admissible region to sample.
+    Raises ParameterDomainError after MAX_TRIES rejected draws (read at call
+    time): the fixed parameters then leave (almost) no admissible region to
+    sample.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         out = within_margin(evaluate, draw(rng))
         if out is not None:
             return out
     raise ParameterDomainError(
-        f"rejection sampling found no admissible draw in {max_tries} tries")
+        f"rejection sampling found no admissible draw in {MAX_TRIES} tries")
 
 
 def draw_racah_params(rng: np.random.Generator, N: int) -> RacahParams:

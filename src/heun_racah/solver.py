@@ -252,7 +252,6 @@ def newton_lanes(fj, starts, first=None):
     its, k = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)  # k: next step 2^-k
     delta = np.zeros_like(x)
     searching = np.zeros(len(x), dtype=bool)
-    window = np.arange(WINDOW)
     while left:
         done = []  # the lanes that finish in this round
         if at.size:  # at an accepted point: converged, out of iterations, or a step
@@ -267,11 +266,9 @@ def newton_lanes(fj, starts, first=None):
         at = lanes[:0]  # a lane reaches a new point only in a pass
         if lanes.size:  # one pass over every searching lane's window of trial steps
             kl = k[lanes]
-            whole = kl.max() < MAX_HALVINGS - WINDOW  # no window is cut, none is the last
-            sent = WINDOW if whole else np.minimum(kl + WINDOW, MAX_HALVINGS) - kl
+            sent = np.minimum(kl + WINDOW, MAX_HALVINGS) - kl
             rows = lanes.repeat(sent)
-            steps = (kl[:, None] + window).ravel() if whole \
-                else (kl - (sent.cumsum() - sent)).repeat(sent) + np.arange(rows.size)
+            steps = (kl - (sent.cumsum() - sent)).repeat(sent) + np.arange(rows.size)
             k[lanes] = kl + sent
             xt = x[rows] + HALVINGS[steps][:, None] * delta[rows]
             Ft, Jt, nt = _evaluate(fj, xt, rows)
@@ -284,10 +281,9 @@ def newton_lanes(fj, starts, first=None):
             its[at] += 1
             k[at] = np.maximum(steps[take] - RESUME, 0)
             searching[at] = False
-            if not whole:
-                spent = lanes[k[lanes] >= MAX_HALVINGS]
-                searching[spent] = False
-                done.append(spent)
+            spent = lanes[k[lanes] >= MAX_HALVINGS]
+            searching[spent] = False
+            done.append(spent)
         if done:
             done = done[0] if len(done) == 1 else np.sort(np.concatenate(done))
             left -= done.size
@@ -487,9 +483,10 @@ def _lanes(system: BetheSystem, x, scales, first):
 def complete(system: BetheSystem, seed: int, W, W_fro, oracle, certified, matched) -> dict:
     """Fit the roots of each unmatched oracle eigenvalue by the T-Q relation
     (BetheSystem.tq_fits, one stacked pass; kappa = 0 in homogeneous mode),
-    in index order, and certify them: the fits go through seed_starts'
-    margin pass, are polished as the lanes of one _lanes, and each lane's
-    last iterate goes to _certify whatever Newton's verdict, in fit order.
+    in index order, and certify them: the fits go through one closed_form
+    pass under the REJECT_MARGIN that seed_starts keeps, are polished as
+    the lanes of one _lanes, and each lane's last iterate goes to _certify
+    whatever Newton's verdict, in fit order.
     Appends to certified and marks matched in place.
 
     Returns the diagnostics entry {"fitted", "certified", "rejected"}, where
@@ -536,7 +533,7 @@ def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
     When the lanes run out first, complete fits and certifies the rest."""
     W = build_W_parametric(system.hp, system.ctx)
     W_fro = float(np.linalg.norm(W))
-    oracle = dense_spectrum(W).eigenvalues
+    oracle = dense_spectrum(W)
 
     certified: list[tuple[BetheState, int, bool]] = []
     matched = np.zeros(len(oracle), dtype=bool)

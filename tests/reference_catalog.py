@@ -22,7 +22,7 @@ from heun_racah.dynamical import (DEFAULT_TOLS, DEFINING, RelationId, RelationRe
 from heun_racah.errors import ParameterDomainError, RelationViolation
 from heun_racah.heun import build_heun_params, check_same_problem, h1_scalar, h_coeffs
 from heun_racah.racah import (coeff_f0, coeff_f1, coeff_g0, coeff_g1, coeff_k1, coeff_k2,
-                              defining_residuals)
+                              defining_residual)
 from heun_racah.sampling import draw_complex, draw_until
 
 
@@ -267,7 +267,7 @@ def _sample_maba(rng, ctx):
 
 SAMPLERS = {
     **{relation: (lambda rng, ctx, relation=relation:
-                  (defining_residuals(ctx.rep)[relation.value], None))
+                  (defining_residual(ctx.rep, relation.value), None))
        for relation in DEFINING},
     RelationId.BB_EXCHANGE: _sample_bb,
     RelationId.AB_EXCHANGE: _sample_ab,

@@ -423,7 +423,18 @@ class TestCheckMabaCommand:
         rc = main(["check-maba", "--params", path, "--N", "2",
                    "--draws", "5", "--seed", "1"])
         assert rc == 2
-        assert "tau" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tau pole" in err and "perturb s2 or rho to move m_bar off it" in err
+
+    def test_overflowing_tau_prefactor_exits_2_without_advice(self, tmp_path, capsys):
+        # s2 = 1e308 puts m_bar near 3e307, where the tau prefactor overflows:
+        # no perturbation of s2 moves m_bar off a pole there
+        c8 = {"N": 3, "beta": [2.2, 0.4], "gamma": [1.3, 0], "delta": [0.8, 0],
+              "rho": [1.7, 0], "s1": [0.9, 0], "s2": [1e308, 0]}
+        path = write_params(tmp_path, c8)
+        assert main(["check-maba", "--params", path, "--draws", "5", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "tau prefactor overflows" in err and "perturb" not in err
 
     def test_bilinear_block_is_canonicalized(self, tmp_path):
         # the block gives rho = 0.5; the check must run on that operator,

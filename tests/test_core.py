@@ -93,46 +93,36 @@ class TestResidualNorm:
 class TestDenseSpectrum:
     def test_diagonal(self):
         out = dense_spectrum(Y0)
-        np.testing.assert_allclose(out.eigenvalues, [3.75, 8.75], atol=1e-13)
+        np.testing.assert_allclose(out, [3.75, 8.75], atol=1e-13)
 
     def test_rotationlike(self):
         # characteristic polynomial lambda^2 + 144 = 0; compare as a set
         # since the +-1e-15 real-part noise makes the tie-break arbitrary
         out = dense_spectrum(Z0)
-        got = sorted(out.eigenvalues, key=lambda v: v.imag)
+        got = sorted(out, key=lambda v: v.imag)
         np.testing.assert_allclose(got, [-12j, 12j], atol=1e-10)
 
     def test_one_by_one(self):
         out = dense_spectrum([[2.5 - 1j]])
-        np.testing.assert_allclose(out.eigenvalues, [2.5 - 1j])
+        np.testing.assert_allclose(out, [2.5 - 1j])
 
     def test_sorting_is_lexicographic(self):
         rng = np.random.default_rng(6)
-        vals = dense_spectrum(random_matrix(rng, 8)).eigenvalues
+        vals = dense_spectrum(random_matrix(rng, 8))
         key = [(v.real, v.imag) for v in vals]
         assert key == sorted(key)
-
-    def test_vector_residual_contract(self):
-        # complex, real nonsymmetric (complex pairs) and real symmetric (the
-        # real solver returns real vectors): all come back as complex128
-        rng = np.random.default_rng(7)
-        for M in (random_matrix(rng, 9), rng.standard_normal((9, 9)), tridiagonal(rng, 12)):
-            out = dense_spectrum(M, want_vectors=True)
-            assert out.eigenvalues.dtype == out.eigenvectors.dtype == np.complex128
-            np.testing.assert_allclose(np.linalg.norm(out.eigenvectors, axis=0), 1.0)
-            assert out.residuals.max() <= 1e-10 * np.linalg.norm(M)
 
     def test_trace_consistency(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             M = random_matrix(rng, 7)
-            vals = dense_spectrum(M).eigenvalues
+            vals = dense_spectrum(M)
             assert abs(vals.sum() - np.trace(M)) <= 1e-11 * max(1.0, abs(np.trace(M)))
 
     def test_real_matrix_gives_exact_conjugate_pairs(self):
         rng = np.random.default_rng(9)
         M = rng.standard_normal((8, 8)).astype(np.complex128)
-        vals = dense_spectrum(M).eigenvalues
+        vals = dense_spectrum(M)
         assert vals.dtype == np.complex128
         assert np.count_nonzero(vals.imag) >= 2
         np.testing.assert_array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
@@ -144,13 +134,15 @@ class TestDenseSpectrum:
             M[3, 5] += 1e-300j
             want = np.linalg.eigvals(M)
             want = want[np.lexsort((want.imag, want.real))]
-            np.testing.assert_array_equal(dense_spectrum(M).eigenvalues, want)
+            np.testing.assert_array_equal(dense_spectrum(M), want)
 
     def test_real_and_complex_solvers_agree(self):
+        # a real symmetric matrix has a real spectrum; it still comes back complex128
         rng = np.random.default_rng(11)
         for M in (rng.standard_normal((8, 8)), tridiagonal(rng, 12)):
-            assert_same_set(dense_spectrum(M).eigenvalues,
-                            np.linalg.eigvals(M.astype(np.complex128)), rtol=1e-12)
+            vals = dense_spectrum(M)
+            assert vals.dtype == np.complex128
+            assert_same_set(vals, np.linalg.eigvals(M.astype(np.complex128)), rtol=1e-12)
 
     def test_nonfinite_is_surfaced(self):
         M = np.eye(3, dtype=complex)

@@ -190,8 +190,8 @@ class TestVerifyRelation:
         for N in (1, 2, 4, 8):
             rep = build_representation(draw_racah_params(rng, N))
             ctx = DynContext(rep=rep, rho=draw_rho(rng))
-            from heun_racah import defining_residuals
-            assert max(defining_residuals(rep).values()) <= 1e-10
+            from heun_racah.racah import defining_residual
+            assert max(defining_residual(rep, r) for r in ("R1", "R2", "R3")) <= 1e-10
             for rel in (RelationId.BB_EXCHANGE, RelationId.AB_EXCHANGE):
                 report = verify_relation(rel, ctx, samples=10, seed=N)
                 assert report.max_residual <= 1e-10
@@ -257,14 +257,15 @@ class TestSampling:
         assert all(draw_complex(new, *annulus) == uniform_formula(old, *annulus)
                    for _ in range(100_000))
 
-    def test_exhausted_rejection_is_a_domain_error(self):
+    def test_exhausted_rejection_is_a_domain_error(self, monkeypatch):
+        from heun_racah import sampling
         from heun_racah.errors import HeunRacahError
         from heun_racah.core import guard
         from heun_racah.sampling import draw_complex, draw_until
         rng = np.random.default_rng(0)
+        monkeypatch.setattr(sampling, "MAX_TRIES", 5)
         with pytest.raises(ParameterDomainError, match="5 tries") as exc:
-            draw_until(rng, draw_complex, lambda value: guard(0.0, "always a pole"),
-                       max_tries=5)
+            draw_until(rng, draw_complex, lambda value: guard(0.0, "always a pole"))
         assert isinstance(exc.value, HeunRacahError)
 
 
@@ -291,12 +292,11 @@ class TestSweepEvaluations:
         evaluate = calls[0]  # the sweep's own; the Heun draw's comes after
         hp = build_heun_params(ctx.rho, tup["s1"], tup["s2"], rp)
         u, roots = tup["u"], tup["roots"]
-        assert sampling.draw_until(None, lambda r: (hp, (u, roots)), evaluate,
-                                   max_tries=1)[1] == tup
+        monkeypatch.setattr(sampling, "MAX_TRIES", 1)
+        assert sampling.draw_until(None, lambda r: (hp, (u, roots)), evaluate)[1] == tup
         for x in (1 + 5e-4, -1 - 5e-4):
             with pytest.raises(ParameterDomainError, match="1 tries"):
-                sampling.draw_until(None, lambda r: (hp, (u, [x] + roots[1:])), evaluate,
-                                    max_tries=1)
+                sampling.draw_until(None, lambda r: (hp, (u, [x] + roots[1:])), evaluate)
 
 
 def sweep_outcome(verify, relation, ctx, samples, seed):

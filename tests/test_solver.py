@@ -240,7 +240,7 @@ def scalar_newton(system, x, scales, _first, refine=reference_newton_refine):
 def oracle_of(system):
     """(W, ||W||_F, the dense eigenvalues) of a system's problem."""
     W = build_W_parametric(system.hp, system.ctx)
-    return W, float(np.linalg.norm(W)), dense_spectrum(W).eigenvalues
+    return W, float(np.linalg.norm(W)), dense_spectrum(W)
 
 
 def reference_solve(system, cfg, newton=scalar_newton):
@@ -586,7 +586,7 @@ class TestSolveHomogeneous:
         report = solve_homogeneous(hp, rp, ctx, SolverConfig(starts=24, seed=5))
         assert report.p_bar == 1
         assert report.distinct >= 1
-        oracle = dense_spectrum(build_W_parametric(hp, ctx)).eigenvalues
+        oracle = dense_spectrum(build_W_parametric(hp, ctx))
         for s in report.states:
             assert len(s.roots) == 1
             assert s.eigen_residual <= 1e-8
@@ -799,7 +799,7 @@ HOMOGENEOUS_FIXTURES = [(2 / 9, 4, [1] * 4), (2 / 9, 6, [2] * 4), (2 / 9, 8, [3]
 
 
 def reference_tq_roots(system, lam):
-    """BetheSystem.tq_roots at one eigenvalue, its collocation matrix built
+    """BetheSystem.tq_fits at one eigenvalue, its collocation matrix built
     row by row from the scalar formulas: the reference tq_fits is held to."""
     p, hp = system.p, system.hp
     m = hp.m_bar - p
@@ -823,7 +823,7 @@ def reference_tq_roots(system, lam):
 
 
 class TestTQCompletion:
-    """BetheSystem.tq_roots fits a state's roots from its eigenvalue, and
+    """BetheSystem.tq_fits fits a state's roots from its eigenvalue, and
     a solve in either mode certifies by it the eigenvalues its lanes miss."""
 
     @pytest.mark.parametrize("mode,N,rho", [(INHOMOGENEOUS, N, None) for N in range(2, 7)]
@@ -840,7 +840,7 @@ class TestTQCompletion:
         for lam, roots in zip(targets, fits):
             want = reference_tq_roots(system, lam)
             assert roots.shape == (system.p,)
-            assert np.array_equal(roots, want) and np.array_equal(system.tq_roots(lam), want)
+            assert np.array_equal(roots, want) and np.array_equal(system.tq_fits([lam])[0], want)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_fit_gives_each_certified_orbit_set(self, N):
@@ -849,7 +849,7 @@ class TestTQCompletion:
         report = _solve(system, SolverConfig(starts=64, seed=0))
         assert report.distinct == N + 1
         for state in report.states:
-            roots = system.tq_roots(state.eigenvalue)
+            roots = system.tq_fits([state.eigenvalue])[0]
             assert roots.shape == (N,) and _is_duplicate(roots, [state])
 
     @pytest.mark.parametrize("N", [2, 3, 4])
@@ -859,9 +859,10 @@ class TestTQCompletion:
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         W, W_fro, oracle = oracle_of(system)
         for lam in oracle:
-            assert _certify(list(system.tq_roots(lam)), system, 0, W, W_fro, oracle)[1] == "ok"
-            entry, reason = _certify(list(system.tq_roots(lam * (1 + 1e-3))), system, 0, W,
-                                     W_fro, oracle)
+            fit, = system.tq_fits([lam])
+            assert _certify(list(fit), system, 0, W, W_fro, oracle)[1] == "ok"
+            off, = system.tq_fits([lam * (1 + 1e-3)])
+            entry, reason = _certify(list(off), system, 0, W, W_fro, oracle)
             assert entry is None and reason == "bethe_residual"
 
     @pytest.mark.parametrize("seed", range(8))
@@ -915,7 +916,7 @@ class TestTQCompletion:
         system = TestStopAtFullCoverage.system(INHOMOGENEOUS, 4)
         lam = oracle_of(system)[2][0]
         with pole_margin(11.0), pytest.raises(ParameterDomainError, match="h1 pole"):
-            system.tq_roots(lam)
+            system.tq_fits([lam])
         fit = BetheSystem.tq_fits
 
         def at_floor(self, targets):
@@ -927,11 +928,10 @@ class TestTQCompletion:
                                                     "rejected": {"fit_pole": 1}}
         assert report.coverage_fraction() == 0.8 and report.distinct == 4
 
-    def test_a_fit_that_is_not_finite_is_a_domain_error(self, monkeypatch):
+    def test_a_fit_that_is_not_finite_is_none(self, monkeypatch):
         system = TestStopAtFullCoverage.system(INHOMOGENEOUS, 2)
         monkeypatch.setattr(bethe, "h2_scalar", lambda u, hp: complex("nan"))
-        with pytest.raises(ParameterDomainError, match="not finite"):
-            system.tq_roots(1.0)
+        assert system.tq_fits([1.0]) == [None]
 
     def test_a_target_that_is_not_finite_gets_no_fit(self):
         # the check is per target: the rest of the stack is fitted
@@ -939,8 +939,8 @@ class TestTQCompletion:
         lam = oracle_of(system)[2]
         fits = system.tq_fits([lam[0], complex("nan"), lam[1]])
         assert fits[1] is None
-        assert np.array_equal(fits[0], system.tq_roots(lam[0]))
-        assert np.array_equal(fits[2], system.tq_roots(lam[1]))
+        assert np.array_equal(fits[0], system.tq_fits([lam[0]])[0])
+        assert np.array_equal(fits[2], system.tq_fits([lam[1]])[0])
 
     def test_homogeneous_fit_has_no_kappa_column(self):
         # kappa = 0 in homogeneous mode: the fit at solve-wide's two
@@ -949,7 +949,7 @@ class TestTQCompletion:
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
         report = _solve(system, SolverConfig(starts=64, seed=0))
         for state in report.states:
-            assert _is_duplicate(system.tq_roots(state.eigenvalue), [state])
+            assert _is_duplicate(system.tq_fits([state.eigenvalue])[0], [state])
 
 
 class TestCompactReport:
@@ -1117,7 +1117,7 @@ class TestProblemConsistency:
         rp, ctx, hp = generic_setup(2)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         W = build_W_parametric(hp, ctx)
-        oracle = dense_spectrum(W).eigenvalues
+        oracle = dense_spectrum(W)
         x = 2.1 + 0.7j
         roots = [x, -x + 1e-5]  # x_1^2 - x_2^2 is about 4e-5
         assert abs(x * x - roots[1] ** 2) < REJECT_MARGIN
@@ -1134,7 +1134,7 @@ class TestProblemConsistency:
         rp, ctx, hp = generic_setup(3)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         W = build_W_parametric(hp, ctx)
-        oracle = dense_spectrum(W).eigenvalues
+        oracle = dense_spectrum(W)
         roots = [1 + 5e-4, 0.4 - 1.9j, 2.3 + 0.5j]
         assert within_margin(system.reference, roots) is not None
         W_fro = float(np.linalg.norm(W))

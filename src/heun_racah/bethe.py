@@ -526,7 +526,7 @@ class BetheSystem:
     reference(roots) evaluates the scalar maps: F[r] = U_{r+1}, plus
     U_{r+1}^(i) in inhomogeneous mode, and their cancellation scales, for
     certification.  closed_form(roots) gives, for a stack of root sets, F
-    with J[r][j] = dF[r]/dx_j in one pass, for seeding and Newton.  U_r^(i)
+    with J[r][j] = dF[r]/dx_j in one pass, for the margin pass and Newton.  U_r^(i)
     does not depend on the auxiliary spectral point, so neither takes one.
 
     Each summand is a product of rational factors, so the Jacobian follows
@@ -659,9 +659,9 @@ class BetheSystem:
                 np.array(bases, dtype=np.complex128),
                 np.array(g, dtype=np.complex128) if self.tau is not None else None)
 
-    def closed_form(self, roots, scales=False) -> tuple[np.ndarray, ...]:
-        """F (S, p), J (S, p, p) and a pole mask (S,) for an (S, p) stack of root
-        sets, and with scales=True reference's scales (S, p), from the summands.
+    def closed_form(self, roots) -> tuple[np.ndarray, ...]:
+        """F (S, p), J (S, p, p), a pole mask (S,) and reference's scales
+        (S, p) for an (S, p) stack of root sets, from the summands.
 
         A lane is masked where its pass meets a pole: a guarded denominator
         below the floor of core.guard, read at call time, or a divisor that
@@ -693,7 +693,7 @@ class BetheSystem:
             pole = self.weight.poles(x) | on_pole(d).any((1, 2)) | (k == 0).any((0, 2, 3))
             val = 0 if self.squares is None else self._add_corrections(x, sq, m2x, inv, F, J, pole)
             # reference's scales: 1 + |t+| + |t-| (+ |U_r^(i)|)
-            return (F, J, pole, 1.0 + np.abs(t).sum(0) + np.abs(val)) if scales else (F, J, pole)
+            return F, J, pole, 1.0 + np.abs(t).sum(0) + np.abs(val)
 
     def _add_corrections(self, x, sq, m2x, inv, F, J, pole):
         """Add U_r^(i) and its derivatives to F and J in place, mark where

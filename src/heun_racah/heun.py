@@ -106,10 +106,17 @@ def check_same_problem(hp: HeunParams, ctx: DynContext) -> None:
 
 
 def _w_terms(hp: HeunParams, ctx: DynContext) -> tuple[complex, complex, complex]:
-    """The coefficients of XY, X and Y in the parametric W."""
+    """The coefficients of XY, X and Y in the parametric W; ParameterDomainError
+    names those that are not finite (an overflow)."""
     check_same_problem(hp, ctx)
     rho, s2 = hp.rho, hp.s2
-    return -2 * rho / (rho - 1), hp.s1, (s2 * s2 - 1) / (2 * rho * (rho - 1))
+    terms = (-2 * rho / (rho - 1), hp.s1, (s2 * s2 - 1) / (2 * rho * (rho - 1)))
+    overflowed = [name for name, c in zip(("XY", "X", "Y"), terms) if not cmath.isfinite(c)]
+    if overflowed:
+        raise ParameterDomainError(
+            f"the W coefficient(s) of {', '.join(overflowed)} are not finite (overflow) at "
+            f"rho={rho}, s1={hp.s1}, s2={s2}")
+    return terms
 
 
 def build_W_parametric(hp: HeunParams, ctx: DynContext) -> np.ndarray:

@@ -5,8 +5,11 @@ The homogeneous system solves U_r(x_1..x_p_bar) = 0 and the inhomogeneous
 one (p = N) solves U_r + U_r^(i) = 0; both are cleared of denominators, so
 Newton never meets the removable poles of the equivalent ratio equations.
 Each solve builds one bethe.BetheSystem, whose closed_form alone runs
-before certification: it filters the starts in one pass (seed_starts), and
-a bound on cond(J) spares most Newton steps the SVD (_newton_steps).  The
+before certification.  Both candidate sources, the random draws of
+seed_starts and the T-Q fits of complete, hand a stack of root sets to
+_lanes, whose first closed_form pass drops the rows within the pole
+margin, and every lane it hands over goes through _admit.  A bound on
+cond(J) spares most Newton steps the SVD (_newton_steps).  The
 starts run as the lanes of one damped Newton (newton_lanes): each round
 takes one stacked closed_form pass (residuals and closed-form Jacobian at
 once) over every lane still searching.  Each lane's line search resumes
@@ -30,14 +33,6 @@ fits the roots of each unmatched dense eigenvalue from the T-Q relation
 certifies them as above; the report's diagnostics record it under
 "completion".  The README says why the fit comes after the lanes, not in
 their place.
-
-A SolveReport holds no Python object per state: each certified state is a
-row of one structured array (SolveReport.rows: roots, bethe_residuals,
-u_aux, eigenvalue, eigen_residual, the matched oracle index and the
-ambiguity flag), and the reject counts are flat tuples.  The BetheState
-list, the matched mask, the diagnostics dict and the JSON report are built
-from them when read, so a report kept after its solve costs about 1.1 KB
-in place of 2.9 KB at criterion-8 N = 2, 3, 4.
 
 Every lane, the search's and the polish's, ends unconverged after MAX_ITER
 = 16 iterations: the most any lane that certified a state needed at
@@ -111,15 +106,16 @@ def _counts(flat) -> dict:
 
 @dataclass(slots=True)
 class SolveReport:
-    """A solve's certified states and its oracle spectrum, laid out as the
-    module docstring says: rows, one of _row_dtype(p) per state, sorted by
+    """A solve's certified states and its oracle spectrum, with no Python
+    object per state: rows, one of _row_dtype(p) per state, sorted by
     eigenvalue then roots; the dense eigenvalues oracle; the lanes' rejects
     as the flat tuple rejected = (reason, count, ...) and, when the
     completion ran, completion = (fitted, certified, reason, count, ...).
     attempts, converged and rejected count the starts _solve tried: the
     pole-margin rejects, and the lanes handed over before it stopped.
     stopped: the solve met its p + 1 goal with lanes still running; it is
-    not part of the JSON report."""
+    not part of the JSON report.  The states, the matched mask, the
+    diagnostics and the JSON report are built from these when read."""
     mode: str
     rows: np.ndarray
     attempts: int
@@ -134,14 +130,12 @@ class SolveReport:
     @classmethod
     def build(cls, system: BetheSystem, seed: int, certified, attempts: int, converged: int,
               oracle, rejected, completion: dict | None = None, stopped: bool = False):
-        """The report of a solve of system from its certified (state, oracle
-        index, ambiguity flag) triples, in any order, the lanes' rejects
-        {reason: count} and complete's entry, when it ran."""
-        certified = sorted(certified, key=lambda c: (c[0].eigenvalue.real, c[0].eigenvalue.imag,
-                                                     tuple((x.real, x.imag) for x in c[0].roots)))
-        rows = np.array([(s.roots, s.bethe_residuals, s.u_aux, s.eigenvalue, s.eigen_residual,
-                          index, ambiguous) for s, index, ambiguous in certified],
-                        dtype=_row_dtype(system.p))
+        """The report of a solve of system from its certified rows (_certify's),
+        in any order, the lanes' rejects {reason: count} and complete's
+        entry, when it ran."""
+        rows = np.array(sorted(certified, key=lambda row: (
+            row[3].real, row[3].imag, tuple((x.real, x.imag) for x in row[0]))),
+            dtype=_row_dtype(system.p))
         if completion is not None:
             completion = (completion["fitted"], completion["certified"],
                           *_flat(completion["rejected"]))
@@ -361,17 +355,11 @@ def newton_refine(fj, x0):
         return x, ok, its
 
 
-def seed_starts(system: BetheSystem, cfg: SolverConfig):
-    """Deterministic multistart seeds: annulus draws mixed with perturbed
-    zeros of the vacuum weight, canonicalized (the vacuum when p = 0).
-
-    Returns (x, scales, (F, J), rejected): the kept starts x (K, p), their
-    row scales 1 + |t+| + |t-| (+ |U_r^(i)|) (K, p), closed_form at x, the
-    lanes' first evaluation, and the count of starts rejected as
-    pole_margin after 200 draws missed the margin.  One closed_form pass
-    under the margin filters a stack of draws, each draw after a miss being
-    its redraw: the starts of a scalar reference filter, though exact zeros
-    of the divisors are masked too."""
+def seed_starts(system: BetheSystem, cfg: SolverConfig) -> np.ndarray:
+    """Deterministic multistart draws: annulus draws mixed with perturbed
+    zeros of the vacuum weight, canonicalized.  Returns the (starts, p)
+    stack of cfg.starts draws, one row (the vacuum) when p = 0; _lanes
+    drops the draws that miss the pole margin."""
     rp = system.hp.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
@@ -390,23 +378,10 @@ def seed_starts(system: BetheSystem, cfg: SolverConfig):
                 th = 2 * np.pi * rng.random()
                 z = complex(r * np.cos(th), r * np.sin(th))
             roots.append(z)
-        return list(canonical_roots(roots))
+        return canonical_roots(roots)
 
-    count = cfg.starts if system.p else 1
-    found, rejected, misses, passes = 0, 0, 0, []  # misses: the next start's missed draws
-    while found < count:  # each draw gives at most one start
-        batch = np.array([draw() for _ in range(count - found)], dtype=np.complex128)
-        with pole_margin(REJECT_MARGIN):
-            F, J, pole, scales = system.closed_form(batch, scales=True)
-        for missed in pole.tolist():
-            misses = (misses + 1) % 200 if missed else 0  # 200 misses reject a start
-            if not misses:
-                found += 1
-                rejected += missed
-        kept = ~pole
-        passes.append((batch[kept], scales[kept], F[kept], J[kept]))
-    x, scales, F, J = (np.concatenate(arrays) for arrays in zip(*passes))
-    return x, scales, (F, J), rejected
+    return np.array([draw() for _ in range(cfg.starts if system.p else 1)],
+                    dtype=np.complex128)
 
 
 def _match_oracle(value: complex, oracle: np.ndarray):
@@ -422,9 +397,10 @@ def _match_oracle(value: complex, oracle: np.ndarray):
 
 
 def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle):
-    """Certify one converged configuration; returns (certified, reason), with
-    certified (state, oracle index, ambiguity flag) or None when rejected."""
-    roots = list(canonical_roots(roots))
+    """Certify one converged configuration; returns (row, reason), with row
+    the report's (roots, bethe_residuals, u_aux, eigenvalue, eigen_residual,
+    oracle index, ambiguity flag), or None when rejected."""
+    roots = canonical_roots(roots)
     reference = within_margin(system.reference, roots)
     if reference is None:
         return None, "root_margin"
@@ -445,16 +421,14 @@ def _certify(roots, system: BetheSystem, seed: int, W, W_fro, oracle):
     idx, ambiguous = _match_oracle(complex(eigenvalue), oracle)
     if idx is None:
         return None, "no_oracle_match"
-    state = BetheState(roots=tuple(roots), mode=system.mode, u_aux=complex(uax),
-                       eigenvalue=complex(eigenvalue),
-                       bethe_residuals=tuple(complex(r) for r in residuals),
-                       eigen_residual=eigen_residual)
-    return (state, idx, ambiguous), "ok"
+    return (roots, tuple(complex(r) for r in residuals), complex(uax), complex(eigenvalue),
+            eigen_residual, idx, ambiguous), "ok"
 
 
-def _is_duplicate(roots, states) -> bool:
-    """Whether roots repeat a state's multiset of sign orbits {x, -x}: they
-    match its roots in some order, each to within DEFLATION_TOL up to sign."""
+def _is_duplicate(roots, root_sets) -> bool:
+    """Whether roots repeat one of root_sets' multisets of sign orbits
+    {x, -x}: they match its roots in some order, each to within
+    DEFLATION_TOL up to sign."""
     def same_orbits(other):
         left = list(other)
         for x in roots:
@@ -464,35 +438,54 @@ def _is_duplicate(roots, states) -> bool:
                 return False
             del left[near[0]]
         return not left
-    return any(same_orbits(s.roots) for s in states)
+    return any(same_orbits(other) for other in root_sets)
 
 
-def _lanes(system: BetheSystem, x, scales, first):
-    """newton_lanes from the kept starts x on the closed form, with the rows
-    of every pass, seed_starts' pass (first) included, scaled by their
-    lane's start scales.  A lane's index is its row in x."""
-    norms = 1.0 / scales
+def _lanes(system: BetheSystem, x):
+    """(lanes, missed): newton_lanes on the closed form from the rows of the
+    (S, p) stack x that keep the pole margin, and the count of rows that
+    miss it.  One closed_form pass under pole_margin(REJECT_MARGIN) filters
+    the rows and is the lanes' first evaluation; the rows of every pass are
+    scaled by their lane's start scales 1 + |t+| + |t-| (+ |U_r^(i)|).  A
+    lane's index is its row among the kept rows of x."""
+    with pole_margin(REJECT_MARGIN):
+        F, J, pole, scales = system.closed_form(x)
+    kept = ~pole
+    norms = 1.0 / scales[kept]
 
     def scaled(F, J, pole, lanes):
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
-    return newton_lanes(lambda X, lanes: scaled(*system.closed_form(X), lanes), x,
-                        first=scaled(*first, np.zeros(len(x), dtype=bool), slice(None)))
+    lanes = newton_lanes(lambda X, lanes: scaled(*system.closed_form(X)[:3], lanes), x[kept],
+                         first=scaled(F[kept], J[kept], pole[kept], slice(None)))
+    return lanes, int(np.count_nonzero(pole))
+
+
+def _admit(roots, system: BetheSystem, seed: int, W, W_fro, oracle, certified, matched) -> str:
+    """The verdict on roots: "duplicate" when they repeat a certified row's
+    sign orbits, else _certify's; a certified row is appended to certified
+    and its oracle eigenvalue marked in matched."""
+    if _is_duplicate(roots, (row[0] for row in certified)):
+        return "duplicate"
+    row, reason = _certify(roots, system, seed, W, W_fro, oracle)
+    if row is not None:
+        certified.append(row)
+        matched[row[5]] = True
+    return reason
 
 
 def complete(system: BetheSystem, seed: int, W, W_fro, oracle, certified, matched) -> dict:
     """Fit the roots of each unmatched oracle eigenvalue by the T-Q relation
     (BetheSystem.tq_fits, one stacked pass; kappa = 0 in homogeneous mode),
-    in index order, and certify them: the fits go through one closed_form
-    pass under the REJECT_MARGIN that seed_starts keeps, are polished as
-    the lanes of one _lanes, and each lane's last iterate goes to _certify
-    whatever Newton's verdict, in fit order.
+    in index order, polish the fits as the lanes of one _lanes and admit
+    each lane's last iterate whatever Newton's verdict, in fit order.
     Appends to certified and marks matched in place.
 
     Returns the diagnostics entry {"fitted", "certified", "rejected"}, where
     fitted = certified + the rejects: fit_pole (no fit: a collocation
-    point met a pole, or the fit degenerated), pole_margin,
-    duplicate (a certified state's orbit set) and _certify's reasons."""
+    point met a pole, or the fit degenerated), pole_margin (a fit _lanes
+    dropped), duplicate (a certified state's orbit set) and _certify's
+    reasons."""
     rejects, targets = Counter(), oracle[~matched]
     try:
         fits = system.tq_fits(targets)
@@ -501,62 +494,50 @@ def complete(system: BetheSystem, seed: int, W, W_fro, oracle, certified, matche
     fits = [canonical_roots(roots) for roots in fits if roots is not None]
     if len(fits) < len(targets):
         rejects["fit_pole"] = len(targets) - len(fits)
-    x = np.array(fits, dtype=np.complex128).reshape(len(fits), system.p)
-    with pole_margin(REJECT_MARGIN):
-        F, J, pole, scales = system.closed_form(x, scales=True)
-    if pole.any():
-        rejects["pole_margin"] += int(np.count_nonzero(pole))
-    kept = ~pole
-    added = 0
-    for _index, roots, _ok, _its in sorted(_lanes(system, x[kept], scales[kept],
-                                                  (F[kept], J[kept])), key=lambda lane: lane[0]):
-        if _is_duplicate(roots, (state for state, _, _ in certified)):
-            rejects["duplicate"] += 1
-            continue
-        entry, reason = _certify(list(roots), system, seed, W, W_fro, oracle)
-        if entry is None:
-            rejects[reason] += 1
-            continue
-        certified.append(entry)
-        matched[entry[1]] = True
-        added += 1
-    return {"fitted": len(targets), "certified": added, "rejected": dict(rejects)}
+    lanes, missed = _lanes(system, np.array(fits, dtype=np.complex128).reshape(len(fits), system.p))
+    if missed:
+        rejects["pole_margin"] = missed
+    rejects.update(_admit(roots, system, seed, W, W_fro, oracle, certified, matched)
+                   for _index, roots, _ok, _its in sorted(lanes, key=lambda lane: lane[0]))
+    return {"fitted": len(targets), "certified": rejects.pop("ok", 0), "rejected": dict(rejects)}
 
 
 def _solve(system: BetheSystem, cfg: SolverConfig) -> SolveReport:
-    """Draw every start up front (one when there are no roots) and run them
-    all as lanes of one newton_lanes, each lane then through deflation and
-    certification in the order it finishes, until p + 1 oracle eigenvalues
-    are matched: all N + 1 in inhomogeneous mode, the p_bar + 1 states the
-    Bethe ansatz gives in homogeneous mode.  A later lane could only repeat
-    a certified orbit set, or give a second root set for a matched eigenvalue.
-    When the lanes run out first, complete fits and certifies the rest."""
+    """Draw every start up front (one when there are no roots) and run the
+    ones that keep the pole margin as lanes of one newton_lanes, each
+    converged lane then admitted in the order it finishes, until p + 1
+    oracle eigenvalues are matched: all N + 1 in inhomogeneous mode, the
+    p_bar + 1 states the Bethe ansatz gives in homogeneous mode.  A later
+    lane could only repeat a certified orbit set, or give a second root set
+    for a matched eigenvalue.  When the lanes run out first, complete fits
+    and certifies the rest.  Raises ParameterDomainError when ||W||_F is
+    not finite, which no residual can be measured against."""
     W = build_W_parametric(system.hp, system.ctx)
-    W_fro = float(np.linalg.norm(W))
+    with np.errstate(over="ignore"):
+        W_fro = float(np.linalg.norm(W))
+    if not np.isfinite(W_fro):
+        raise ParameterDomainError(
+            f"||W||_F overflows at s1={system.hp.s1}, s2={system.hp.s2}, rho={system.hp.rho}: "
+            f"no eigen-residual can be certified against it")
     oracle = dense_spectrum(W)
 
-    certified: list[tuple[BetheState, int, bool]] = []
-    matched = np.zeros(len(oracle), dtype=bool)
-    x, scales, first, rejected = seed_starts(system, cfg)
-    rejects = Counter({"pole_margin": rejected} if rejected else {})
-    attempts, converged, stopped = rejected, 0, False
-    with closing(_lanes(system, x, scales, first)) as lanes:
+    certified, matched = [], np.zeros(len(oracle), dtype=bool)
+    starts = seed_starts(system, cfg)
+    lanes, missed = _lanes(system, starts)
+    rejects = Counter({"pole_margin": missed} if missed else {})
+    attempts, converged, stopped = missed, 0, False
+    with closing(lanes):
         for _index, roots, ok, _its in lanes:
             attempts += 1
             if not ok:
                 rejects["newton"] += 1
                 continue
             converged += 1
-            if _is_duplicate(roots, (state for state, _, _ in certified)):
-                continue
-            entry, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle)
-            if entry is None:
+            reason = _admit(roots, system, cfg.seed, W, W_fro, oracle, certified, matched)
+            if reason not in ("ok", "duplicate"):
                 rejects[reason] += 1
-                continue
-            certified.append(entry)
-            matched[entry[1]] = True
             if np.count_nonzero(matched) > system.p:
-                stopped = attempts < rejected + len(x)
+                stopped = attempts < len(starts)
                 break
     completion = None
     if np.count_nonzero(matched) <= system.p:

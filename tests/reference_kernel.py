@@ -4,12 +4,12 @@ solver.seed_starts and BetheSystem.closed_form.
 The package's kernel cuts the fixed cost of a round: fewer array passes
 for the pole mask, shared temporaries, a table of 2^-k, a fast path for
 whole windows and fewer scatters, a condition-number bound that spares
-most lanes the SVD, and one stacked start filter.  This is the same kernel
+most lanes the SVD, and one stacked margin pass over the starts.  This is the same kernel
 written plainly, with one array operation per step and masks for every
-lane state, the SVD for every lane, and a scalar reference pass per start.
+lane state, the SVD for every lane, and a scalar reference pass per draw.
 tests/test_kernel.py holds the package's kernel to it bit for bit: every
-F, J and pole mask, every Newton step, every start, and every lane's
-(index, x, converged, iterations) in hand-over order.
+F, J, pole mask and scale, every Newton step, every kept draw, and every
+lane's (index, x, converged, iterations) in hand-over order.
 """
 
 import numpy as np
@@ -41,7 +41,8 @@ def swap_weight_poles(weight, v):
 
 
 def closed_form(system, roots):
-    """F (S, p), J (S, p, p) and the pole mask (S,) of system.closed_form."""
+    """F (S, p), J (S, p, p), the pole mask (S,) and the scales (S, p) of
+    system.closed_form."""
     x = np.asarray(roots, dtype=np.complex128)
     off = ~np.eye(system.p, dtype=bool)
     diag = np.arange(system.p)
@@ -64,10 +65,12 @@ def closed_form(system, roots):
         J[:, diag, diag] += own[0] - own[1]
         pole = (swap_weight_poles(system.weight, x) | (on_pole(d) & off).any(-1)
                 | (k == 0).any(-1).any(0)).any(-1)
+        scales = 1.0 + (np.abs(t[0]) + np.abs(t[1]))
         if system.squares is not None:
-            F, J, corrections_pole = _add_corrections(system, x, sq, inv, F, J)
+            F, J, corrections_pole, val = _add_corrections(system, x, sq, inv, F, J)
             pole |= corrections_pole
-    return F, J, pole
+            scales = scales + np.abs(val)
+    return F, J, pole, scales
 
 
 def _add_corrections(system, x, sq, inv, F, J):
@@ -88,7 +91,7 @@ def _add_corrections(system, x, sq, inv, F, J):
                            + dlog_phi[:, None, :])
     dJ[:, diag, diag] = val * dlog_r
     pole = (on_pole(den) | (num == 0) | (cs == 0) | (zd == 0).any(-1)).any(-1)
-    return F + val, J + dJ, pole
+    return F + val, J + dJ, pole, val
 
 
 def newton_lanes(fj, starts, trials=1, budget=MAX_ITER):
@@ -168,24 +171,23 @@ def _newton_steps(J, F):
 
 
 def lanes(system, x, scales, trials, budget=MAX_ITER):
-    """solver._lanes on the plain kernel: seed_starts' kept starts x, each
+    """solver._lanes' lanes on the plain kernel: the kept starts x, each
     lane's rows scaled by its start's scales, and a first pass of its own
     at the starts."""
     norms = 1.0 / scales
 
     def fj(X, lanes):
-        F, J, pole = closed_form(system, X)
+        F, J, pole, _ = closed_form(system, X)
         n = norms[lanes]
         return F * n, J * n[:, :, None], pole
     return newton_lanes(fj, x, trials=trials, budget=budget)
 
 
-def seed_starts(system, cfg, misses=None):
-    """solver.seed_starts as a start-by-start filter: each candidate is kept
-    when the scalar reference pass keeps the pole margin there, and redrawn
-    at once otherwise.  Returns (roots, (residuals, scales)) per start, or
-    (roots, None) after 200 misses; misses, when given, gets each start's
-    count of missed draws."""
+def seed_starts(system, cfg):
+    """solver.seed_starts as a draw-by-draw filter: each draw is kept when
+    the scalar reference pass keeps the pole margin there.  Returns
+    (roots, (residuals, scales)) per draw, or (roots, None) for a draw that
+    misses the margin."""
     rp = system.hp.rp
     rng = np.random.default_rng(cfg.seed)
     lam_max = max(abs(y_eigenvalue(x, rp)) for x in range(rp.N + 1))
@@ -194,22 +196,16 @@ def seed_starts(system, cfg, misses=None):
 
     starts = []
     for _ in range(cfg.starts if system.p else 1):
-        for attempt in range(200):
-            roots = []
-            for _k in range(system.p):
-                if guesses and rng.random() < 0.5:
-                    z = guesses[int(rng.integers(len(guesses)))]
-                    z = z * (1 + 0.05 * (rng.standard_normal() + 1j * rng.standard_normal()))
-                else:
-                    r = 0.5 + (rmax - 0.5) * rng.random()
-                    th = 2 * np.pi * rng.random()
-                    z = complex(r * np.cos(th), r * np.sin(th))
-                roots.append(z)
-            roots = list(canonical_roots(roots))
-            reference = sampling.within_margin(system.reference, roots)
-            if reference is not None:
-                break
-        if misses is not None:
-            misses.append(attempt + (reference is None))
-        starts.append((roots, reference))
+        roots = []
+        for _k in range(system.p):
+            if guesses and rng.random() < 0.5:
+                z = guesses[int(rng.integers(len(guesses)))]
+                z = z * (1 + 0.05 * (rng.standard_normal() + 1j * rng.standard_normal()))
+            else:
+                r = 0.5 + (rmax - 0.5) * rng.random()
+                th = 2 * np.pi * rng.random()
+                z = complex(r * np.cos(th), r * np.sin(th))
+            roots.append(z)
+        roots = list(canonical_roots(roots))
+        starts.append((roots, sampling.within_margin(system.reference, roots)))
     return starts

@@ -572,6 +572,28 @@ def test_overflowing_heun_parameters_exit_2(tmp_path, capsys, name, value, mode)
     assert err.startswith("error: ") and "overflow" in err and len(err.splitlines()) == 1
 
 
+def test_overflowing_W_norm_exits_2(tmp_path, capsys):
+    # ||W||_F overflowed to inf with two RuntimeWarnings, and solve exited 0
+    # with 2 states certified at eigen_residual 0
+    path = write_params(tmp_path, dict(CRITERION_8_N2, N=3, s1=[1e160, 0]))
+    assert main(["solve", "--mode", "inhomogeneous", "--params", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ||W||_F overflows") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["solve"]])
+def test_overflowing_W_coefficient_exits_2(tmp_path, capsys, command):
+    # (s2^2 - 1) / (2 rho (rho - 1)) is not finite: W took NaN entries, with
+    # a RuntimeWarning, before the eigensolver rejected it
+    path = write_params(tmp_path, {"N": 2, "beta": [-4.19, 0], "gamma": [-4.68, 0],
+                                   "delta": [0.5, 0], "rho": [1e13, -1], "s1": [2 / 7, 0],
+                                   "s2": [1e300, 0]})
+    assert main(command + ["--params", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the W coefficient(s) of Y are not finite (overflow)")
+    assert len(err.splitlines()) == 1
+
+
 def test_beta_at_the_bound_verifies_and_solves(tmp_path, capsys):
     path = write_params(tmp_path, dict(CRITERION_8_N2, beta=[1e3, 0]))
     assert main(["verify", "--params", path]) == 0

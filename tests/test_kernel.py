@@ -18,10 +18,11 @@ import sympy as sp
 
 from heun_racah import bethe, solver
 from heun_racah.bethe import HOMOGENEOUS, INHOMOGENEOUS, BetheSystem, canonical_roots
-from heun_racah.core import guard
+from heun_racah.core import guard, pole_margin
 from heun_racah.errors import ModeError, ParameterDomainError
 from heun_racah.heun import build_heun_params
 from heun_racah.racah import DynContext, build_params, build_representation
+from heun_racah.sampling import REJECT_MARGIN
 from heun_racah.solver import (MAX_HALVINGS, MAX_ITER, WINDOW, SolverConfig,
                                newton_lanes, newton_refine, seed_starts)
 
@@ -68,11 +69,20 @@ def cases():
 def lane_view(system):
     """x -> (F, J) of the stacked pass on the one-lane stack [x]; a masked lane raises."""
     def kernel(x):
-        F, J, pole = system.closed_form([x])
+        F, J, pole, _ = system.closed_form([x])
         if pole[0]:
             raise ParameterDomainError("closed form: the lane is masked as a pole")
         return F[0], J[0]
     return kernel
+
+
+def kept_starts(system, starts):
+    """The rows of starts that keep the pole margin, their scales, and the
+    count of rows that miss it: the starts and row scales solver._lanes
+    runs from its margin pass."""
+    with pole_margin(REJECT_MARGIN):
+        _, _, pole, scales = system.closed_form(starts)
+    return starts[~pole], scales[~pole], int(np.count_nonzero(pole))
 
 
 def kernel_for(mode, params):
@@ -267,7 +277,7 @@ def test_newton_agrees_with_finite_difference_jacobian(N):
     rp, ctx, hp = setup(N, *CRITERION_8)
     system = BetheSystem(hp, ctx, INHOMOGENEOUS)
     cfg = SolverConfig(starts=64, seed=2)
-    starts, scales, _, _ = seed_starts(system, cfg)
+    starts, scales, _ = kept_starts(system, seed_starts(system, cfg))
     for start, row in zip(starts, scales):
         norms = 1 / row
 
@@ -317,7 +327,7 @@ class TestBetheSystem:
         u-dependent scalar maps bit for bit."""
         rp, ctx, hp = setup(N, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        for start in seed_starts(system, SolverConfig(starts=16, seed=N))[0].tolist():
+        for start in seed_starts(system, SolverConfig(starts=16, seed=N)).tolist():
             residuals = system.reference(start)[0]
             for u in (2.37 + 0.91j, -3.1 + 0.2j):
                 _, u_i = inhomogeneous_terms(u, start, hp)
@@ -361,28 +371,32 @@ class TestMatchesPlainKernel:
 
     @staticmethod
     def assert_same_solve_lanes(monkeypatch, system, cfg):
-        """solver._lanes, started from seed_starts' pass, and the plain
-        kernel's, which evaluates the starts itself, hand over the same
-        lanes after the same closed_form passes of trial steps, row for row,
-        each lane given solver.MAX_ITER iterations."""
-        x, scales, first, _ = seed_starts(system, cfg)
-        # the seeding pass at the kept starts is the plain kernel's first pass
-        assert_identical_arrays(first, reference_kernel.closed_form(system, x)[:2])
+        """solver._lanes, started from its margin pass over seed_starts'
+        draws, and the plain kernel's, which evaluates the kept starts
+        itself, hand over the same lanes after the same closed_form passes
+        of trial steps, row for row, each lane given solver.MAX_ITER
+        iterations."""
+        starts = seed_starts(system, cfg)
+        x, scales, _ = kept_starts(system, starts)
         runs = []
-        for owner, lanes in ((BetheSystem, partial(solver._lanes, first=first)),
-                             (reference_kernel, partial(reference_kernel.lanes, trials=WINDOW,
-                                                        budget=solver.MAX_ITER))):
+        for owner, lanes in ((BetheSystem, lambda system: solver._lanes(system, starts)[0]),
+                             (reference_kernel, partial(reference_kernel.lanes, x=x, scales=scales,
+                                                        trials=WINDOW, budget=solver.MAX_ITER))):
             passes, closed_form = [], owner.closed_form
 
             def recording(system, roots, passes=passes, closed_form=closed_form):
-                passes.append(np.asarray(roots).tobytes())
-                return closed_form(system, roots)
+                passes.append((np.asarray(roots).tobytes(), closed_form(system, roots)))
+                return passes[-1][1]
             with monkeypatch.context() as patched:
                 patched.setattr(owner, "closed_form", recording)
-                runs.append((list(lanes(system, x, scales)), passes))
+                runs.append((list(lanes(system)), passes))
         (got, passes), (want, want_passes) = runs
         assert_identical_lanes(got, want)
-        assert want_passes[0] == x.tobytes() and passes == want_passes[1:]
+        # the margin pass at the kept starts is the plain kernel's first pass
+        (margin_rows, (F, J, pole, _)), (first_rows, first) = passes[0], want_passes[0]
+        assert margin_rows == starts.tobytes() and first_rows == x.tobytes()
+        assert_identical_arrays((F[~pole], J[~pole]), first[:2])
+        assert [rows for rows, _ in passes[1:]] == [rows for rows, _ in want_passes[1:]]
         return got
 
     @pytest.mark.parametrize("N, seed", [(2, 0), (3, 1), (4, 0), (4, 2)])
@@ -536,61 +550,67 @@ SEEDING_PROBLEMS = [pytest.param(INHOMOGENEOUS, (N,) + CRITERION_8, id=f"inhom-N
 SCALES_RTOL = 1e-12
 
 
-def plain_kept(system, want):
-    """The plain filter's starts as seed_starts gives them: the kept starts
-    (K, p), their scales and the count rejected."""
-    kept = [(roots, ref[1]) for roots, ref in want if ref is not None]
-    x = np.array([roots for roots, _ in kept], dtype=np.complex128).reshape(len(kept), system.p)
-    return x, [scales for _, scales in kept], len(want) - len(kept)
+def margin_pass(monkeypatch, system, starts):
+    """_lanes(system, starts)'s margin pass, (F, J, pole, scales), after
+    checking that it is the one pass before a lane runs, at starts, and
+    that _lanes counts the rows its pole mask drops as missed."""
+    passes, closed_form = [], BetheSystem.closed_form
+
+    def recording(self, roots):
+        passes.append((roots, closed_form(self, roots)))
+        return passes[-1][1]
+    with monkeypatch.context() as patched:
+        patched.setattr(BetheSystem, "closed_form", recording)
+        _, missed = solver._lanes(system, starts)
+    [(rows, margin)] = passes
+    assert rows is starts and missed == np.count_nonzero(margin[2])
+    return margin
 
 
 class TestSeedsMatchThePlainFilter:
-    """seed_starts' one stacked filter gives, bit for bit, the starts of the
-    start-by-start filter in tests/reference_kernel.py, redraws included."""
+    """seed_starts gives, bit for bit, the draws of the draw-by-draw filter
+    in tests/reference_kernel.py, and the margin pass of _lanes drops the
+    draws that filter's scalar reference pass drops."""
 
     @pytest.mark.parametrize("mode, params", SEEDING_PROBLEMS)
-    def test_starts_are_the_plain_filters(self, mode, params):
+    def test_starts_are_the_plain_filters(self, monkeypatch, mode, params):
         rp, ctx, hp = setup(*params)
         system = BetheSystem(hp, ctx, mode)
         for seed in range(20):
             cfg = SolverConfig(starts=64, seed=seed)
-            x, scales, (F, J), rejected = seed_starts(system, cfg)
+            starts = seed_starts(system, cfg)
             want = reference_kernel.seed_starts(system, cfg)
-            want_x, want_scales, want_rejected = plain_kept(system, want)
-            assert x.tobytes() == want_x.tobytes() and rejected == want_rejected
-            assert scales.shape == x.shape
-            for row, ref in zip(scales, want_scales, strict=True):
-                np.testing.assert_allclose(row, ref, rtol=SCALES_RTOL, atol=0)
-            assert F.shape == x.shape and J.shape == F.shape + (system.p,)
+            assert starts.dtype == np.complex128 and starts.shape == (64, system.p)
+            assert starts.tobytes() == np.array([roots for roots, _ in want],
+                                                dtype=np.complex128).tobytes()
+            F, J, pole, scales = margin_pass(monkeypatch, system, starts)
+            assert pole.tolist() == [ref is None for _, ref in want]
+            assert scales.shape == F.shape == starts.shape and J.shape == F.shape + (system.p,)
+            for row, (_, ref) in zip(scales[~pole], [w for w in want if w[1] is not None],
+                                     strict=True):
+                np.testing.assert_allclose(row, ref[1], rtol=SCALES_RTOL, atol=0)
 
-    def test_a_missed_start_is_redrawn_in_the_plain_order(self, monkeypatch):
-        # criterion-8 N = 2, seed 10: the first draw of start 43 misses the
-        # margin, so the next draw is start 43's, not start 44's
+    def test_a_missed_draw_gets_no_lane(self, monkeypatch):
+        # criterion-8 N = 2, seed 10: draw 43 misses the margin, and is not
+        # redrawn: 64 draws run 63 lanes
         rp, ctx, hp = setup(2, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=10)
-        misses = []
-        want = reference_kernel.seed_starts(system, cfg, misses)
-        assert [(i, m) for i, m in enumerate(misses) if m] == [(43, 1)]
-        rows, closed_form = [], BetheSystem.closed_form
+        want = reference_kernel.seed_starts(system, cfg)
+        assert [i for i, (_, ref) in enumerate(want) if ref is None] == [43]
+        starts = seed_starts(system, cfg)
+        assert len(starts) == 64
+        pole = margin_pass(monkeypatch, system, starts)[2]
+        assert pole.nonzero()[0].tolist() == [43]
 
-        def recording(self, roots, **kwargs):
-            rows.append(len(roots))
-            return closed_form(self, roots, **kwargs)
-        monkeypatch.setattr(BetheSystem, "closed_form", recording)
-        x, scales, (F, J), rejected = seed_starts(system, cfg)
-        # 64 draws give 63 starts; one more draw gives start 63
-        assert rows == [64, 1]
-        assert x.tobytes() == plain_kept(system, want)[0].tobytes()
-        assert rejected == 0 and len(x) == len(scales) == len(F) == 64
-
-    def test_vacuum_is_the_one_start(self):
+    def test_vacuum_is_the_one_start(self, monkeypatch):
         rp, ctx, hp = setup(3, 11, 1, 2, 2 / 5, 0, 3)  # p_bar = 0
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
         assert system.p == 0
         cfg = SolverConfig(starts=64, seed=0)
-        x, scales, (F, J), rejected = seed_starts(system, cfg)
-        assert (x.shape, scales.shape, rejected) == ((1, 0), (1, 0), 0)
+        starts = seed_starts(system, cfg)
+        F, J, pole, scales = margin_pass(monkeypatch, system, starts)
+        assert (starts.shape, scales.shape, pole.tolist()) == ((1, 0), (1, 0), [False])
         assert (F.shape, J.shape) == ((1, 0), (1, 0, 0))
         assert reference_kernel.seed_starts(system, cfg) == [([], ([], []))]
 
@@ -651,7 +671,8 @@ class TestConditionBound:
             raise AssertionError("SVD called")
         rp, ctx, hp = setup(4, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
-        x, scales, first, _ = seed_starts(system, SolverConfig(starts=64, seed=0))
+        starts = seed_starts(system, SolverConfig(starts=64, seed=0))
+        x, scales, _ = kept_starts(system, starts)
         want = list(reference_kernel.lanes(system, x, scales, WINDOW))
         monkeypatch.setattr(np.linalg, "svd", failing)
-        assert_identical_lanes(list(solver._lanes(system, x, scales, first)), want)
+        assert_identical_lanes(list(solver._lanes(system, starts)[0]), want)

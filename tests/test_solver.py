@@ -19,7 +19,7 @@ from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER
 
 import reference_kernel
 from conftest import finite_difference_map
-from test_kernel import lane_view, reference_closed_form
+from test_kernel import kept_starts, lane_view, reference_closed_form
 
 
 def homogeneous_setup(N=1, rho=2 / 7, beta=5):
@@ -228,13 +228,14 @@ def scaled_reference_map(system, scales):
     return fj
 
 
-def scalar_newton(system, x, scales, _first, refine=reference_newton_refine):
-    """(index, roots, converged, iterations) of each start that kept the
-    margin, in start order, the index counting those starts: one scalar
-    Newton per start on the scalar closed form, solver.MAX_ITER iterations
-    each."""
-    for index, (start, row) in enumerate(zip(x.tolist(), scales.tolist())):
-        yield index, *refine(scaled_reference_map(system, row), start, solver.MAX_ITER)
+def scalar_newton(system, starts, refine=reference_newton_refine):
+    """solver._lanes' (lanes, missed) by one scalar Newton per start that
+    keeps the margin, on the scalar closed form, solver.MAX_ITER iterations
+    each: the lanes (index, roots, converged, iterations) in start order,
+    the index counting those starts."""
+    x, scales, missed = kept_starts(system, starts)
+    return ((index, *refine(scaled_reference_map(system, row), start, solver.MAX_ITER))
+            for index, (start, row) in enumerate(zip(x.tolist(), scales.tolist()))), missed
 
 
 def oracle_of(system):
@@ -245,38 +246,46 @@ def oracle_of(system):
 
 def reference_solve(system, cfg, newton=scalar_newton):
     """solver._solve without its stop at p + 1 matched eigenvalues: every
-    lane runs and is certified in the order newton(system, starts) hands
-    it over.  By default that is the full-step scalar search in start
-    order; with solver._lanes it is a full run of the solve's own lane
-    kernel, in the order its lanes finish.  newton takes seed_starts'
-    (x, scales, first).  The eigenvalues the lanes leave unmatched then go
-    to the solve's T-Q completion, solver.complete."""
+    lane runs and is admitted in the order newton(system, seed_starts(...))
+    hands it over, newton returning (lanes, missed) as solver._lanes does.
+    By default that is the full-step scalar search in start order; with
+    solver._lanes it is a full run of the solve's own lane kernel, in the
+    order its lanes finish.  The eigenvalues the lanes leave unmatched then
+    go to the solve's T-Q completion, solver.complete."""
     W, W_fro, oracle = oracle_of(system)
 
-    certified = []
-    x, scales, first, rejected = seed_starts(system, cfg)
-    rejects = Counter({"pole_margin": rejected} if rejected else {})
-    attempts, converged = rejected, 0
-    for _index, roots, ok, _its in newton(system, x, scales, first):
+    certified, matched = [], np.zeros(len(oracle), dtype=bool)
+    lanes, missed = newton(system, seed_starts(system, cfg))
+    rejects = Counter({"pole_margin": missed} if missed else {})
+    attempts, converged = missed, 0
+    for _index, roots, ok, _its in lanes:
         attempts += 1
         if not ok:
             rejects["newton"] += 1
             continue
         converged += 1
-        if _is_duplicate(roots, (state for state, _, _ in certified)):
-            continue
-        entry, reason = _certify(list(roots), system, cfg.seed, W, W_fro, oracle)
-        if entry is None:
+        reason = solver._admit(roots, system, cfg.seed, W, W_fro, oracle, certified, matched)
+        if reason not in ("ok", "duplicate"):
             rejects[reason] += 1
-            continue
-        certified.append(entry)
-    matched = np.zeros(len(oracle), dtype=bool)
-    matched[[idx for _, idx, _ in certified]] = True
     completion = None
     if np.count_nonzero(matched) <= system.p:
         completion = solver.complete(system, cfg.seed, W, W_fro, oracle, certified, matched)
     return SolveReport.build(system, cfg.seed, certified, attempts, converged, oracle,
                              rejects, completion)
+
+
+def tapping(lanes, tap):
+    """solver._lanes as lanes runs it, calling tap(lane) on each lane as it
+    is handed over."""
+    def tapped(*args):
+        found, missed = lanes(*args)
+
+        def handed():
+            for lane in found:
+                tap(lane)
+                yield lane
+        return handed(), missed
+    return tapped
 
 
 def counted_closed_form(monkeypatch):
@@ -285,10 +294,10 @@ def counted_closed_form(monkeypatch):
     counts = Counter()
     stacked = BetheSystem.closed_form
 
-    def counting(self, roots, **kwargs):
+    def counting(self, roots):
         counts["rows"] += len(roots)
         counts["passes"] += 1
-        return stacked(self, roots, **kwargs)
+        return stacked(self, roots)
     monkeypatch.setattr(BetheSystem, "closed_form", counting)
     return counts
 
@@ -307,7 +316,7 @@ class TestNewtonMatchesReference:
             same = [k for k, ref in enumerate(left)
                     if abs(state.eigenvalue - ref.eigenvalue)
                     <= solver.MATCH_TOL * max(1.0, abs(ref.eigenvalue))
-                    and _is_duplicate(state.roots, [ref])]
+                    and _is_duplicate(state.roots, [ref.roots])]
             assert same, f"no reference state matches {state.eigenvalue}"
             del left[same[0]]
         assert not left and report.states  # not vacuous
@@ -338,7 +347,7 @@ class TestNewtonMatchesReference:
         cfg = SolverConfig(starts=64, seed=seed)
         kernel = lane_view(system)
         evaluations = Counter()
-        x, scales, _, _ = seed_starts(system, cfg)
+        x, scales, _ = kept_starts(system, seed_starts(system, cfg))
         for start, row in zip(x, scales):
             norms = 1 / row
             for name, refine in (("resumed", one_step_refine), ("full", reference_newton_refine)):
@@ -436,10 +445,11 @@ class TestNewtonLanes:
         rp, ctx, hp = generic_setup(2)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=64, seed=1)
-        x, scales, seeding_pass, rejected = seed_starts(system, cfg)
-        assert rejected == 0 and len(x) == 64
+        starts = seed_starts(system, cfg)
+        x, scales, missed = kept_starts(system, starts)
+        assert missed == 0 and len(x) == 64
         counts = counted_closed_form(monkeypatch)
-        lanes = solver._lanes(system, x, scales, seeding_pass)
+        lanes, _ = solver._lanes(system, starts)
         first = [next(lanes) for _ in range(5)]
         rows = counts["rows"]
         lanes.close()
@@ -458,7 +468,7 @@ class TestNewtonLanes:
             x1, ok1, its1 = newton_refine(one, x[index])
             assert (ok, its) == (ok1, its1) and np.array_equal(roots, x1)
         # a full run hands the same lanes over first and evaluates more
-        full = list(solver._lanes(system, x, scales, seeding_pass))
+        full = list(solver._lanes(system, starts)[0])
         assert len(full) == 64 and counts["rows"] > 2 * rows
         assert_same_lanes(first, full[:5])
         assert _solve(system, cfg).attempts == 5
@@ -483,19 +493,25 @@ class TestConfigAndMatching:
 
 
 class TestSeedStarts:
-    def test_count_and_determinism(self):
+    def test_count_and_determinism(self, monkeypatch):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=17, seed=4)
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
-        x, scales, (F0, J0), rejected = seed_starts(system, cfg)
-        x1, scales1, (F1, J1), _ = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)
-        assert x.shape == scales.shape == (17, 1) and rejected == 0
-        for a, b in ((x, x1), (scales, scales1), (F0, F1), (J0, J1)):
-            assert np.array_equal(a, b)
-        # each start carries the scales of the pass that kept the margin there
-        F, J, pole, rescaled = system.closed_form(x, scales=True)
-        assert not pole.any() and np.array_equal(scales, rescaled)
-        assert np.array_equal(F0, F) and np.array_equal(J0, J)
+        starts = seed_starts(system, cfg)
+        assert starts.shape == (17, 1) and starts.dtype == np.complex128
+        assert np.array_equal(starts, seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg))
+        # the lanes start at the draws, from the margin pass there, each
+        # lane's rows scaled by the scales of that pass
+        runs = []
+        monkeypatch.setattr(solver, "newton_lanes",
+                            lambda fj, x, first: runs.append((x, first)) or iter(()))
+        _, missed = solver._lanes(system, starts)
+        [(x, first)] = runs
+        F, J, pole, scales = system.closed_form(starts)
+        assert missed == 0 and not pole.any() and np.array_equal(x, starts)
+        norms = 1.0 / scales
+        for got, want in zip(first, (F * norms, J * norms[:, :, None], pole), strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", [HOMOGENEOUS, INHOMOGENEOUS])
     def test_zero_guesses_keep_their_expressions(self, mode):
@@ -508,20 +524,36 @@ class TestSeedStarts:
             2 * (hp.m_bar - system.p) - g - d]
 
     def test_start_that_never_keeps_the_margin_is_rejected(self, monkeypatch):
-        # a margin no point keeps: each start misses it in 200 draws, the
-        # start-by-start filter's 600 draws, made in passes of 3, 2 and 1 rows
+        # a margin no point keeps: every draw misses it in the one margin
+        # pass, as in the draw-by-draw filter, and gets no lane
         monkeypatch.setattr(sampling, "REJECT_MARGIN", np.inf)
         monkeypatch.setattr(solver, "REJECT_MARGIN", np.inf)
         rp, ctx, hp = generic_setup(1)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         cfg = SolverConfig(starts=3, seed=0)
         counts = counted_closed_form(monkeypatch)
-        x, scales, (F, J), rejected = seed_starts(system, cfg)
-        assert rejected == 3 and x.shape == scales.shape == F.shape == (0, 1)
-        assert (counts["passes"], counts["rows"]) == (366, 600)
+        lanes, missed = solver._lanes(system, seed_starts(system, cfg))
+        assert missed == 3 and list(lanes) == []
+        assert (counts["passes"], counts["rows"]) == (1, 3)
         assert [ref for _, ref in reference_kernel.seed_starts(system, cfg)] == [None] * 3
         with pytest.raises(SolverFailure, match="'pole_margin': 3"):
             solve_inhomogeneous(hp, rp, ctx, cfg)
+
+    def test_a_draw_that_misses_the_margin_gets_no_lane(self):
+        # criterion-8 N = 2, seed 10: draw 43 misses the margin.  It is not
+        # redrawn: it counts as a pole_margin reject and as an attempt
+        rp, ctx, hp = generic_setup(2)
+        system = BetheSystem(hp, ctx, INHOMOGENEOUS)
+        cfg = SolverConfig(starts=64, seed=10)
+        starts = seed_starts(system, cfg)
+        lanes, missed = solver._lanes(system, starts)
+        assert len(starts) == 64 and missed == 1
+        assert sorted(index for index, *_ in lanes) == list(range(63))
+        assert np.array_equal(kept_starts(system, starts)[0], np.delete(starts, 43, axis=0))
+        report = _solve(system, cfg)
+        assert (report.attempts, report.diagnostics) == (8, {"rejected": {"pole_margin": 1}})
+        assert report.coverage_fraction() == 1.0 and report.stopped
+        assert_counts_starts_tried(report, 64)
 
     @pytest.mark.parametrize("mode, N", [(INHOMOGENEOUS, 3), (HOMOGENEOUS, 63)])
     def test_reference_runs_only_in_certification(self, monkeypatch, mode, N):
@@ -543,13 +575,9 @@ class TestSeedStarts:
             finally:
                 certifying.pop()
 
-        def recorded_lanes(*args):
-            for lane in lanes(*args):
-                handed.append(lane)
-                yield lane
         monkeypatch.setattr(BetheSystem, "reference", recorded_reference)
         monkeypatch.setattr(solver, "_certify", recorded_certify)
-        monkeypatch.setattr(solver, "_lanes", recorded_lanes)
+        monkeypatch.setattr(solver, "_lanes", tapping(lanes, handed.append))
         report = _solve(system, SolverConfig(starts=64, seed=0))
         assert report.states and len(calls) >= report.distinct
         assert all(inside and lanes_handed > 0 for inside, lanes_handed in calls)
@@ -557,7 +585,7 @@ class TestSeedStarts:
     def test_includes_vacuum_weight_guesses(self):
         rp, ctx, hp = homogeneous_setup()
         cfg = SolverConfig(starts=64, seed=0)
-        flat = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg)[0].ravel()
+        flat = seed_starts(BetheSystem(hp, ctx, HOMOGENEOUS), cfg).ravel()
         for guess in (-rp.N + (rp.beta - rp.gamma + rp.delta),
                       rp.beta + rp.N + 2 + rp.gamma + rp.delta):
             target = bethe.canonical_root(complex(guess))
@@ -663,6 +691,15 @@ class TestSolveInhomogeneous:
                 for y in s.roots[:i]:
                     assert abs(x * x - y * y) >= REJECT_MARGIN
 
+    def test_overflowing_W_norm_is_a_domain_error(self):
+        # W is finite, but ||W||_F overflowed to inf: every eigen-residual
+        # read 0, and two states certified against it
+        rp, ctx, _ = generic_setup(3)
+        hp = build_heun_params(1.7, 1e160, 2.6, rp)
+        assert np.isfinite(build_W_parametric(hp, ctx)).all()
+        with pytest.raises(ParameterDomainError, match="overflows"):
+            solve_inhomogeneous(hp, rp, ctx, SolverConfig())
+
     def test_tau_pole_parameters_are_a_domain_error(self):
         # rho = 2, s2 = 3 give m_bar = 1/2, where a tau denominator vanishes
         # at N = 2 whatever the roots
@@ -687,7 +724,7 @@ class TestSolveInhomogeneous:
         assert len(report.spectrum_coverage) == rp.N + 1
         # no two states with the same root orbits
         for i, a in enumerate(report.states):
-            assert not _is_duplicate(a.roots, report.states[:i])
+            assert not _is_duplicate(a.roots, [b.roots for b in report.states[:i]])
 
 
 def assert_counts_starts_tried(report, starts):
@@ -731,8 +768,7 @@ class TestStopAtFullCoverage:
         full = reference_solve(system, cfg, solver._lanes)
         for key in ("states", "spectrum_coverage", "ambiguous_matches"):
             assert dump_json(report.to_json_dict()[key]) == dump_json(full.to_json_dict()[key])
-        x, _, _, rejected = seed_starts(system, cfg)
-        assert full.attempts == len(x) + rejected  # one start when p = 0
+        assert full.attempts == len(seed_starts(system, cfg))  # one start when p = 0
         assert_counts_starts_tried(report, cfg.starts)
         # stopped: the goal was met with lanes still running; not reported in JSON
         assert report.stopped == (report.attempts < full.attempts) and not full.stopped
@@ -850,7 +886,7 @@ class TestTQCompletion:
         assert report.distinct == N + 1
         for state in report.states:
             roots = system.tq_fits([state.eigenvalue])[0]
-            assert roots.shape == (N,) and _is_duplicate(roots, [state])
+            assert roots.shape == (N,) and _is_duplicate(roots, [state.roots])
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_fit_at_a_perturbed_eigenvalue_is_rejected(self, N):
@@ -949,7 +985,7 @@ class TestTQCompletion:
         system = BetheSystem(hp, ctx, HOMOGENEOUS)
         report = _solve(system, SolverConfig(starts=64, seed=0))
         for state in report.states:
-            assert _is_duplicate(system.tq_fits([state.eigenvalue])[0], [state])
+            assert _is_duplicate(system.tq_fits([state.eigenvalue])[0], [state.roots])
 
 
 class TestCompactReport:
@@ -1034,10 +1070,8 @@ class TestIterationBudgets:
         last = {"its": None, "completing": False}  # the search lane being certified
         needed = []
 
-        def search_lanes(*args):
-            for lane in lanes(*args):
-                last["its"] = None if last["completing"] else lane[3]
-                yield lane
+        def search_lane(lane):
+            last["its"] = None if last["completing"] else lane[3]
 
         def certified(*args):
             entry, reason = certify(*args)
@@ -1058,7 +1092,7 @@ class TestIterationBudgets:
                 cfg = SolverConfig(starts=64, seed=seed)
                 handover = _solve(system, cfg)
                 with monkeypatch.context() as patched:
-                    for name, value in (("MAX_ITER", 50), ("_lanes", search_lanes),
+                    for name, value in (("MAX_ITER", 50), ("_lanes", tapping(lanes, search_lane)),
                                         ("_certify", certified), ("complete", completion)):
                         patched.setattr(solver, name, value)
                     full = _solve(system, cfg)
@@ -1068,23 +1102,18 @@ class TestIterationBudgets:
         assert most == {2: 7, 3: 10, 4: MAX_ITER}
 
 
-def state_with(roots):
-    return bethe.BetheState(roots=tuple(roots), mode=HOMOGENEOUS, u_aux=0j, eigenvalue=0j,
-                            bethe_residuals=(), eigen_residual=0.0)
-
-
 class TestDeflation:
     ROOTS = (1.3 - 0.4j, 2.9 + 1.7j, -0.2 + 3.1j)
 
     def test_permuted_and_sign_flipped_roots_are_one_state(self):
         x, y, z = self.ROOTS
-        known = [state_with(self.ROOTS)]
+        known = [self.ROOTS]
         for roots in ([y, z, x], [-x, y, -z], [-z, -y, -x]):
             assert _is_duplicate(roots, known)
 
     def test_distinct_orbits_are_kept(self):
         x, y, z = self.ROOTS
-        known = [state_with(self.ROOTS)]
+        known = [self.ROOTS]
         assert not _is_duplicate([x, y, z + 2 * DEFLATION_TOL], known)
         assert not _is_duplicate([x, y, y], known)  # a multiset: y cannot match twice
         assert not _is_duplicate([x, y], known)
@@ -1101,7 +1130,7 @@ class TestDeflation:
         first = bethe.canonical_roots([a + 1e-13, b - 1e-13])
         second = bethe.canonical_roots([a - 1e-13, b + 1e-13])
         assert first[0].imag * second[0].imag < 0  # the sorted order differs
-        assert _is_duplicate(second, [state_with(first)])
+        assert _is_duplicate(second, [first])
 
 
 class TestProblemConsistency:

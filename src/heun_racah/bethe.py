@@ -36,7 +36,6 @@ from .errors import ModeError, ParameterDomainError
 from .heun import HeunParams, check_same_problem, h1_scalar, h2_scalar, integer_p_bar
 from .racah import DynContext, RacahParams, a_terms, coeff_k1, coeff_k2, op_B, stack_A
 from .sampling import draw_complex, draw_until, within_margin
-from .serialize import scalars_to_pairs
 
 HOMOGENEOUS = "homogeneous"
 INHOMOGENEOUS = "inhomogeneous"
@@ -70,16 +69,6 @@ class BetheState:
     eigenvalue: complex
     bethe_residuals: tuple
     eigen_residual: float
-
-    def to_json_dict(self) -> dict:
-        return scalars_to_pairs({
-            "mode": self.mode,
-            "roots": self.roots,
-            "u_aux": self.u_aux,
-            "eigenvalue": self.eigenvalue,
-            "bethe_residuals": self.bethe_residuals,
-            "eigen_residual": self.eigen_residual,
-        })
 
 
 def canonical_root(x: complex) -> complex:
@@ -471,14 +460,14 @@ def maba_chunk(terms, ctx: DynContext) -> list[tuple[float, float]]:
     magnitudes of the tau-weighted summands, so it measures whether the
     identity itself holds rather than how violently the right side cancels
     (the summands can exceed the result by many orders for larger N).
-    A norm that overflows comes out inf or NaN, without a warning; a backward residual is
-    at most 2 (triangle inequality), so a non-finite one is an overflow and reads NaN.
+    A vector or norm that overflows comes out inf or NaN, without a warning; a backward
+    residual is at most 2 (triangle inequality), so a non-finite one is an overflow and reads NaN.
     """
     k = len(terms)
-    base, swapped, lhs = _swapped_families([t[1] for t in terms], [t[0] for t in terms],
-                                           [t[2] for t in terms], ctx)
     coefs = np.array([[t[3], *t[4]] for t in terms], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
+        base, swapped, lhs = _swapped_families([t[1] for t in terms], [t[0] for t in terms],
+                                               [t[2] for t in terms], ctx)
         rhs = coefs[:, :1] * base
         for j in range(swapped.shape[1]):
             rhs = rhs + coefs[:, j + 1:j + 2] * swapped[:, j]

@@ -158,14 +158,9 @@ def _defining(relation: RelationId) -> Sampler:
     return Sampler(lambda rng, ctx: (defining_residual(ctx.rep, relation.value), None))
 
 
-def _draw_uvm(rng, ctx=None):
+def _draw_uvm(rng, ctx):
     """(u, v, m) for the exchange relations."""
     return draw_complex(rng), draw_complex(rng), draw_complex(rng)
-
-
-def _sample_bb(rng, ctx):
-    u, v, m = _draw_uvm(rng)  # B has no pole: every draw is kept
-    return (u, v, m), {"u": u, "v": v, "m": m}
 
 
 def _bb_chunk(rows, ctx):
@@ -292,7 +287,9 @@ def maba_sampler(hp) -> Sampler:
 
 SAMPLERS = {
     **{relation: _defining(relation) for relation in DEFINING},
-    RelationId.BB_EXCHANGE: Sampler(_sample_bb, _bb_chunk, lambda N: 6),
+    # B has no pole: every draw is kept
+    RelationId.BB_EXCHANGE: Sampler(redrawn(_draw_uvm, lambda t, ctx: (t, dict(zip("uvm", t)))),
+                                    _bb_chunk, lambda N: 6),
     RelationId.AB_EXCHANGE: Sampler(redrawn(_draw_uvm, _exchange_terms), _ab_chunk, lambda N: 10),
     RelationId.CA_EXCHANGE: Sampler(redrawn(_draw_uvm, _exchange_terms), _ca_chunk, lambda N: 10),
     # the larger of the two W-A residuals of each sample

@@ -14,7 +14,7 @@ class ParameterDomainError(HeunRacahError):
 
 
 class OracleError(HeunRacahError):
-    """The dense eigensolver failed or missed its backward-error contract."""
+    """The dense eigensolver got a non-finite matrix or did not converge."""
 
 
 class RelationViolation(HeunRacahError):

@@ -28,9 +28,6 @@ from .core import POLE_FLOOR, guard, stack_residuals
 from .errors import CanonicalizationError, ParameterDomainError
 from .racah import (DynContext, RacahParams, Representation, a_terms, check_rho, coeff_g0,
                     stack_A)
-# Not called here (A is built from its guarded rows with stack_A); the
-# benchmark's tracer (perfbench/tracing.py) wraps op_A in every module holding it.
-from .racah import op_A  # noqa: F401
 
 
 @dataclass(frozen=True)

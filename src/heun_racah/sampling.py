@@ -1,10 +1,12 @@
 """Seeded random draws kept off the poles of the formulas they feed.
 
-All verification sweeps and solver multistarts share these helpers so
-that every randomized result is reproducible from its seed.  Scalars are
-drawn uniformly in modulus from an annulus in the complex plane.  A draw
-is kept when the formula it feeds evaluates with every guarded
-denominator at least REJECT_MARGIN off its pole (core.pole_margin), and
+Every verification sweep draws with these helpers, so that every
+randomized result is reproducible from its seed.  The solver uses them
+in certification (within_margin) and in bethe.pick_u_aux (draw_until);
+its multistarts (solver.seed_starts) draw with a generator of their own.
+Scalars are drawn uniformly in modulus from an annulus in the complex
+plane.  A draw is kept when every guarded denominator of the formula it
+feeds is at least REJECT_MARGIN off its pole (core.pole_margin), and
 redrawn otherwise; no list of denominators is kept beside the formula.
 """
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -196,7 +196,7 @@ class SolveReport:
             "attempts": self.attempts,
             "converged": self.converged,
             "distinct": self.distinct,
-            "states": [s.to_json_dict() for s in self.states],
+            "states": [asdict(s) for s in self.states],
             "spectrum_coverage": [{"eigenvalue": ev, "matched": ok}
                                   for ev, ok in self.spectrum_coverage],
             "ambiguous_matches": self.ambiguous_matches,
@@ -297,23 +297,18 @@ def _evaluate(fj, X, lanes):
 
 def _newton_steps(J, F):
     """(ok, solve(J, -F) of the ok lanes) for a stack of lanes: ok where
-    s_max/s_min of np.linalg.svd is at most COND_LIMIT and no call failed; a
-    failed stacked SVD or solve sends the lanes one by one.  The SVD runs
-    only where B = ||J||_F ||X||_F, X the computed inv(J), exceeds 1e-2
-    COND_LIMIT (or inv fails).  Rounding (Higham, 2nd ed., ch. 14): X's
-    columns solve (J + dJ_j) x_j = e_j, ||dJ_j|| <= e ||J||, e about p u
-    times the LU growth, so cond_2(J) <= ||J||_F ||J^-1||_F <= B / (1 - e B)
-    <= 2e12 if e <= 5e-13, and the SVD's ratio is that within p u 2e12 < 2%."""
-    try:  # einsum raises no warning: an overflow or inf * 0 leaves the lane to the SVD
-        v, w = (A.reshape(len(A), -1).view(np.float64) for A in (J, np.linalg.inv(J)))
-        ok = np.einsum("ij,ij,i->i", v, v, np.einsum("ij,ij->i", w, w)) <= (1e-2 * COND_LIMIT) ** 2
-    except np.linalg.LinAlgError:
-        ok = np.zeros(len(J), dtype=bool)
+    np.linalg.cond(J) = s_max/s_min is at most COND_LIMIT and no call
+    failed; a failed stacked SVD or solve sends the lanes one by one.  The
+    SVD runs only where B = np.linalg.cond(J, "fro") = ||J||_F ||X||_F, X
+    the computed inv(J) (B = inf where it fails), exceeds 1e-2 COND_LIMIT.
+    Rounding (Higham, 2nd ed., ch. 14): X's columns solve (J + dJ_j) x_j =
+    e_j, ||dJ_j|| <= e ||J||, e about p u times the LU growth, so cond_2(J)
+    <= ||J||_F ||J^-1||_F <= B / (1 - e B) <= 2e12 if e <= 5e-13, and the
+    SVD's ratio is that within p u 2e12 < 2%."""
+    ok = np.linalg.cond(J, "fro") <= 1e-2 * COND_LIMIT
     try:
-        if not ok.all():
-            s = np.linalg.svd(J[~ok], compute_uv=False)
-            with np.errstate(all="ignore"):  # singular J: inf, or NaN when J = 0
-                ok[~ok] = s[:, 0] / s[:, -1] <= COND_LIMIT
+        if not ok.all():  # cond is inf for a singular J, J = 0 too
+            ok[~ok] = np.linalg.cond(J[~ok]) <= COND_LIMIT
         return ok, np.linalg.solve(J[ok], -F[ok][..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(J) == 1:

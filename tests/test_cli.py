@@ -417,6 +417,20 @@ class TestCheckMabaCommand:
         assert rc == 0
         assert "UNDECIDED: 30 of 30 draws" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, rc, verdict", [
+        (["verify", "--relations", "MABA_REDUCTION", "--samples", "2"], 1,
+         "UNDECIDED (2 of 2 non-finite)"),
+        (["check-maba", "--draws", "2"], 0, "UNDECIDED: 2 of 2 draws")], ids=["verify", "check-maba"])
+    def test_overflowing_vectors_print_no_warning(self, tmp_path, capsys, command, rc, verdict):
+        # at N = 63 the Bethe vectors overflow as they are built, before any norm
+        params = {"N": 63, "beta": [5, 0], "gamma": [1, 0], "delta": [2, 0],
+                  "rho": [2 / 15, 0], "s1": [0, 0], "s2": [3, 0]}
+        path = write_params(tmp_path, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--params", path]) == rc
+        assert verdict in capsys.readouterr().out
+
     def test_degenerate_m_bar_exits_2(self, tmp_path, capsys):
         # (rho=2, s2=3) gives m_bar=1/2, killing a tau denominator at N=2
         path = write_params(tmp_path, P0_GENERIC)

@@ -518,17 +518,32 @@ class TestMatchesPlainKernel:
         assert sum(not ok and its > 0 for _, _, ok, its in got) == 3
 
     def test_lanes_whose_stacked_svd_fails(self, monkeypatch):
-        # an inverse that fails leaves a stack to the SVD, a stacked SVD that
-        # fails sends the lanes one by one, and a lane whose own inverse and
-        # SVD fail is abandoned; the plain kernel meets the failing SVD alone
-        def failing(call):
-            def stack(J, **kwargs):
-                if (J[:, 0, 0].real < -0.5).any():
-                    raise np.linalg.LinAlgError(f"{call.__name__} failed")
-                return call(J, **kwargs)
-            return stack
-        for name in ("inv", "svd"):
-            monkeypatch.setattr(np.linalg, name, failing(getattr(np.linalg, name)))
+        # a lane whose inverse fails reads inf on the bound, np.linalg.cond(J,
+        # "fro"), and goes alone to the SVD rule, np.linalg.cond(J) (an inverse
+        # that fails no longer leaves its whole stack to the SVD); a stacked SVD
+        # that fails sends the lanes one by one, and a lane whose own inverse
+        # and SVD fail is abandoned; the plain kernel meets the failing SVD alone
+        cond, svd, left, sent = np.linalg.cond, np.linalg.svd, [], []
+
+        def bad(J):
+            return J[:, 0, 0].real < -0.5
+
+        def failing_cond(J, p=None):
+            if p is not None:
+                bound = np.where(bad(J), np.inf, cond(J, p))
+                left.append(int(np.count_nonzero(~(bound <= 1e-2 * solver.COND_LIMIT))))
+                return bound
+            sent.append(len(J))
+            if bad(J).any():
+                raise np.linalg.LinAlgError("SVD failed")
+            return cond(J)
+
+        def failing_svd(J, **kwargs):
+            if bad(J).any():
+                raise np.linalg.LinAlgError("svd failed")
+            return svd(J, **kwargs)
+        monkeypatch.setattr(np.linalg, "cond", failing_cond)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
         targets = np.array([4.0, -9.0, 16.0, -2.0, 1.0])
 
         def fj(X, lanes):
@@ -536,6 +551,8 @@ class TestMatchesPlainKernel:
         starts = [[3 + 0.5j], [-0.4 + 1j], [5 - 1j], [-0.3 - 0.2j], [0.7 + 0j]]
         got = self.assert_same_run(fj, starts, WINDOW)
         assert any(not ok and its < MAX_ITER for _, _, ok, its in got)
+        # every lane the bound leaves, and no other, reaches the SVD rule
+        assert sum(sent) == sum(left) and max(sent) > 1
 
 
 # the seeding filter's problems: solve-inhom's criterion-8 N = 2, 3, 4 and
@@ -617,8 +634,9 @@ class TestSeedsMatchThePlainFilter:
 
 def planted_jacobians(p, rng):
     """Jacobians U diag(s) V^H with cond(J) of about 1, 1e12, 9.9e13,
-    1.01e14 and 1e16 (all 1 at p = 1), then an exactly singular J (two
-    equal rows; J = 0 at p = 1) and J = 0."""
+    1.01e14 and 1e16 (all 1 at p = 1), then a singular J (two equal rows,
+    which LU can round to a nonzero pivot, so inv need not fail on it;
+    J = 0 at p = 1) and J = 0."""
     def unitary():
         return np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))[0]
 
@@ -632,47 +650,85 @@ def planted_jacobians(p, rng):
 
 
 class TestConditionBound:
-    """_newton_steps accepts most lanes on the inverse-norm bound, without
-    an SVD, yet decides every lane as the SVD rule does and takes the plain
-    kernel's steps."""
+    """_newton_steps accepts most lanes on the inverse-norm bound,
+    np.linalg.cond(J, "fro"), without an SVD, yet decides every lane as the
+    SVD rule, np.linalg.cond(J), does and takes the plain kernel's steps."""
+
+    @staticmethod
+    def counting_cond(monkeypatch):
+        """Patch np.linalg.cond to count the rows each SVD-rule call (p None) gets."""
+        cond, sent = np.linalg.cond, []
+
+        def counting(J, p=None):
+            if p is None:
+                sent.append(len(J))
+            return cond(J, p)
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        return sent
 
     @pytest.mark.parametrize("p", range(1, 11))
     def test_ok_mask_is_the_svd_rule(self, monkeypatch, p):
         rng = np.random.default_rng(p)
         regular, singular = planted_jacobians(p, rng)
-        svd, sent = np.linalg.svd, []
-
-        def counting(J, **kwargs):
-            sent.append(len(J))
-            return svd(J, **kwargs)
         stacks = [regular, regular + singular, singular[::-1] + regular[::-1]] \
             + [[J] for J in regular + singular]
         for stack in stacks:
             J = np.array(stack)
             F = rng.standard_normal((len(J), p)) + 1j * rng.standard_normal((len(J), p))
-            s = svd(J, compute_uv=False)
+            s = np.linalg.svd(J, compute_uv=False)
             with np.errstate(all="ignore"):
                 rule = s[:, 0] / s[:, -1] <= solver.COND_LIMIT
+            bound = np.linalg.cond(J, "fro") <= 1e-2 * solver.COND_LIMIT
             delta, plain_ok = reference_kernel._newton_steps(J, F)
-            sent.clear()
-            monkeypatch.setattr(np.linalg, "svd", counting)
-            ok, steps = solver._newton_steps(J, F)
-            monkeypatch.setattr(np.linalg, "svd", svd)
+            with monkeypatch.context() as patched:
+                sent = self.counting_cond(patched)
+                ok, steps = solver._newton_steps(J, F)
             assert ok.tolist() == rule.tolist() == plain_ok.tolist()
             assert steps.tobytes() == delta[ok].tobytes()
+            # the lanes the bound leaves, and only they, reach the SVD rule
+            assert sum(sent) == np.count_nonzero(~bound)
             if stack is regular:  # the cond = 1 lane never reaches the SVD
                 assert sum(sent) <= (len(regular) - 1 if p > 1 else 0)
                 assert rule.tolist() == [True] * 5 if p == 1 else [True] * 3 + [False] * 2
         assert rule.tolist() == [False]  # the last stack is J = 0
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_a_singular_lane_alone_goes_to_the_svd(self, monkeypatch, p):
+        # an exactly singular J (a zero row) among regular ones: its bound
+        # reads inf, and the SVD rule gets that one row, not the whole stack
+        rng = np.random.default_rng(p)
+        J = np.array([planted_jacobians(p, rng)[0][0] for _ in range(5)])
+        J[2, -1] = 0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(J[2])
+        F = rng.standard_normal((len(J), p)) + 1j * rng.standard_normal((len(J), p))
+        delta, plain_ok = reference_kernel._newton_steps(J, F)
+        svd, svd_rows = np.linalg.svd, []
+
+        def counting_svd(J, **kwargs):
+            svd_rows.append(len(J))
+            return svd(J, **kwargs)
+        sent = self.counting_cond(monkeypatch)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        ok, steps = solver._newton_steps(J, F)
+        assert svd_rows + sent == [1]
+        assert ok.tolist() == plain_ok.tolist() == [True, True, False, True, True]
+        assert steps.tobytes() == delta[ok].tobytes()
+
     def test_well_conditioned_lanes_skip_the_svd(self, monkeypatch):
         # a whole criterion-8 N = 4 solve decides its lanes without an SVD
-        def failing(*args, **kwargs):
-            raise AssertionError("SVD called")
         rp, ctx, hp = setup(4, *CRITERION_8)
         system = BetheSystem(hp, ctx, INHOMOGENEOUS)
         starts = seed_starts(system, SolverConfig(starts=64, seed=0))
         x, scales, _ = kept_starts(system, starts)
         want = list(reference_kernel.lanes(system, x, scales, WINDOW))
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        cond, bounds = np.linalg.cond, []
+
+        def bound_only(J, p=None):
+            if p is None:
+                raise AssertionError("SVD called")
+            bounds.append(len(J))
+            return cond(J, p)
+        monkeypatch.setattr(np.linalg, "cond", bound_only)
         assert_identical_lanes(list(solver._lanes(system, starts)[0]), want)
+        assert bounds  # the steps went through the bound

@@ -1,5 +1,6 @@
 import gc
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from heun_racah.errors import ModeError, ParameterDomainError, SolverFailure
 from heun_racah.heun import build_heun_params, build_W_parametric
 from heun_racah.racah import DynContext, build_params, build_representation
 from heun_racah.sampling import REJECT_MARGIN, within_margin
-from heun_racah.serialize import dump_json, to_pair
+from heun_racah.serialize import dump_json, scalars_to_pairs, to_pair
 from heun_racah.solver import (COND_LIMIT, DEFLATION_TOL, MAX_HALVINGS, MAX_ITER,
                                NEWTON_TOL, WINDOW, SolveReport, SolverConfig, _certify,
                                _is_duplicate, _solve, newton_lanes, newton_refine, seed_starts,
@@ -92,16 +93,23 @@ class TestNewtonRefine:
         assert np.array_equal(x, x0)
 
     def test_svd_that_fails_abandons_the_start(self, monkeypatch):
-        # an inverse that fails leaves the lane to the SVD, and an SVD that
-        # fails then abandons it; with the SVD alone working, it decides
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
-        monkeypatch.setattr(np.linalg, "inv", failing)
-        _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
-        assert ok and its == 1
-        monkeypatch.setattr(np.linalg, "svd", failing)
-        _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
-        assert not ok and its == 0
+        # an inverse that fails (np.linalg.cond(J, "fro") reads inf) leaves the
+        # lane to the SVD rule, np.linalg.cond(J), and an SVD that fails then
+        # abandons it; with the SVD alone working, it decides
+        cond, svd_rows = np.linalg.cond, []
+
+        def inverse_fails(J, p=None):
+            if p is not None:
+                return np.full(len(J), np.inf)
+            svd_rows.append(len(J))
+            if svd_fails:
+                raise np.linalg.LinAlgError("did not converge")
+            return cond(J)
+        monkeypatch.setattr(np.linalg, "cond", inverse_fails)
+        for svd_fails, want in ((False, (True, 1)), (True, (False, 0))):
+            svd_rows.clear()
+            _, ok, its = newton_refine(lambda x: (2 * x - 4, [[2.0]]), np.array([10.0 + 0j]))
+            assert (ok, its) == want and svd_rows == [1]
 
     def test_a_step_that_keeps_the_norm_is_never_accepted(self):
         # ||F|| stays 1 along every step, so no trial lowers it strictly: the
@@ -1024,7 +1032,9 @@ class TestCompactReport:
         assert out.get("diagnostics", {}) == report.diagnostics
         assert_counts_starts_tried(report, 64)
         for state, entry in zip(report.states, out["states"]):
-            assert entry == state.to_json_dict() and state.mode == mode
+            assert entry == scalars_to_pairs(asdict(state)) and state.mode == mode
+            assert sorted(entry) == ["bethe_residuals", "eigen_residual", "eigenvalue", "mode",
+                                     "roots", "u_aux"]
             assert all(type(z) is complex
                        for z in (*state.roots, *state.bethe_residuals, state.u_aux,
                                  state.eigenvalue))

@@ -25,5 +25,5 @@ def test_instrumentation_resolves_every_traced_name(monkeypatch):
                  "solver.seed_starts", "solver.build_W_parametric",
                  "solver.newton_refine", "dynamical.verify_relation",
                  "sampling.draw_until", "dynamical.op_A", "dynamical.op_B",
-                 "racah.op_A", "heun.op_A", "bethe.op_B"):
+                 "racah.op_A", "bethe.op_B"):
         assert name in patched
